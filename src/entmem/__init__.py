@@ -16,7 +16,6 @@ from .errors import (
 )
 from .qstate import (
     PolarizationKet,
-    Projector,
     TwoQubitState,
     bell_psi_plus,
     expectation,
@@ -25,7 +24,6 @@ from .qstate import (
     trace_distance,
 )
 from .source import (
-    LevelMetadata,
     SourceParams,
     Spectrum,
     tan2_eta_from_detuning,

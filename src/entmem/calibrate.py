@@ -190,7 +190,7 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
         p = slot_probabilities(s, "pre_storage")
 
         def g2_of_pair(pp):
-            return slot_g2(pp, p["e1"], p["e2"], p["dark1_slot"], p["dark2_slot"])
+            return slot_g2(pp, p["e1"], p["e2"], p["dark1_slot"], p["noise2_slot"])
 
         # the curve is dark-limited at tiny pair_prob; search the
         # pair-statistics-limited (decreasing) branch only

@@ -18,9 +18,9 @@ from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
 from .estimators import chsh_E, chsh_S, chsh_S_literal, tomo_linear, tomo_mle
-from .memory import eit_transmission, transparency_window_fwhm
-from .pipeline import STAGES, report_emit, run_experiment
-from .qstate import bell_psi_plus, fidelity
+from .memory import transparency_window_fwhm
+from .pipeline import STAGES, eit_spectrum_csv, report_emit, run_experiment
+from .qstate import bell_psi_plus, fidelity, matrix_json
 from .scenario import load_bundled_scenario, load_scenario, save_scenario
 
 
@@ -86,10 +86,7 @@ def _cmd_tomo(args) -> int:
     rho_hat = tomo_mle(records, init=rho_lin)
     f = fidelity(rho_hat, bell_psi_plus())
     out = {
-        "rho_linear": {
-            "basis": "HH,HV,VH,VV",
-            "rho": [[[float(z.real), float(z.imag)] for z in row] for row in rho_lin],
-        },
+        "rho_linear": matrix_json(rho_lin),
         "rho_mle": rho_hat.to_json_dict(),
         "fidelity_to_ideal": f,
     }
@@ -119,15 +116,10 @@ def _cmd_chsh(args) -> int:
 
 def _cmd_eit(args) -> int:
     scenario = _load(args)
-    grid, trans = eit_transmission(scenario.eit)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "eit_spectrum.csv"
-    path.write_text(
-        "detuning_mhz,transmission\n"
-        + "\n".join(f"{d:.6g},{t:.10g}" for d, t in zip(grid, trans))
-        + "\n"
-    )
+    path.write_text(eit_spectrum_csv(scenario.eit))
     if scenario.eit.rabi_coupling > 0:
         print(f"transparency window FWHM: {transparency_window_fwhm(scenario.eit):.3f} MHz")
     print(f"wrote {path}")
@@ -136,16 +128,23 @@ def _cmd_eit(args) -> int:
 
 def _cmd_report(args) -> int:
     path = Path(args.report)
-    data = json.loads(path.read_text())
-    if not data:
+    try:
+        data = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path} is not a JSON report: {exc}") from exc
+    if not data or not isinstance(data, dict):
         raise ValidationError("empty report")
     round_trip = json.loads(json.dumps(data, sort_keys=True))
     if round_trip != data:
         raise ValidationError("report does not round-trip")
     stage = data.get("stage", "?")
-    fid = data.get("fidelity", {})
-    chsh = data.get("chsh", {})
-    vis = data.get("visibility", {})
+    entries = {key: data.get(key) for key in ("fidelity", "chsh", "visibility")}
+    for key, entry in entries.items():
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(k), (int, float)) for k in ("value", "sigma")
+        ):
+            raise ValidationError(f"report has no numeric {key} value and sigma")
+    fid, chsh, vis = entries.values()
     print(f"stage: {stage}")
     print(f"fidelity ({fid.get('reference')}): {fid.get('value'):.4f} +- {fid.get('sigma'):.4f}")
     print(f"CHSH S: {chsh.get('value'):.4f} +- {chsh.get('sigma'):.4f}")

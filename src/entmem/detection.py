@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ValidationError
-from .qstate import PolarizationKet, Projector, TwoQubitState
+from .qstate import PolarizationKet, TwoQubitState
 from .rng import derive_rng
 from .source import gaussian_fwhm_sigma
 
@@ -29,9 +29,6 @@ class MeasurementSetting:
     arm1_projector: PolarizationKet
     arm2_projector: PolarizationKet
     label: str = ""
-
-    def projector(self) -> Projector:
-        return Projector.from_kets(self.arm1_projector, self.arm2_projector)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,9 @@ def arm_efficiencies(scenario: Scenario) -> tuple[float, float]:
 
 def signal_spectrum(scenario: Scenario) -> Spectrum:
     fwhm = scenario.source.s2_spectral_fwhm
-    half = max(4.0 * fwhm, 2.5 * abs(scenario.eit.probe_detuning_grid[-1]))
-    grid = np.linspace(-half, half, max(1601, scenario.eit.probe_detuning_grid.size))
+    _, hi, n = scenario.eit.probe_grid_mhz
+    half = max(4.0 * fwhm, 2.5 * abs(hi))
+    grid = np.linspace(-half, half, max(1601, n))
     return wavepacket_spectrum(fwhm, grid)
 
 
@@ -85,6 +86,12 @@ def slot_probabilities(scenario: Scenario, stage: str) -> dict:
     gate = min(scenario.detector1.gate_width, scenario.detector2.gate_width)
     eta = 1.0 if stage == "pre_storage" else memory_efficiency(scenario)
     pair_scale = 1.0 if scenario.correlations.pair_correlated else 0.0
+    # Uncorrelated arm-2 clicks: dark counts, plus retrieval noise after storage.
+    noise2_slot = scenario.detector2.dark_rate * slot * 1e-9
+    noise2_port = scenario.detector2.dark_rate * gate * 1e-9
+    if stage == "post_storage":
+        noise2_slot += scenario.correlations.g2_channel_background
+        noise2_port += scenario.mem_noise.background_flux / 2.0
     return {
         "e1": e1,
         "e2": e2 * eta,
@@ -92,9 +99,9 @@ def slot_probabilities(scenario: Scenario, stage: str) -> dict:
         "slot_ns": slot,
         "gate_ns": gate,
         "dark1_slot": scenario.detector1.dark_rate * slot * 1e-9,
-        "dark2_slot": scenario.detector2.dark_rate * slot * 1e-9,
         "dark1_gate": scenario.detector1.dark_rate * gate * 1e-9,
-        "dark2_gate": scenario.detector2.dark_rate * gate * 1e-9,
+        "noise2_slot": noise2_slot,
+        "noise2_port": noise2_port,
         "pair_scale": pair_scale,
     }
 
@@ -102,25 +109,20 @@ def slot_probabilities(scenario: Scenario, stage: str) -> dict:
 def model_slot_g2(scenario: Scenario, stage: str) -> float:
     """Slot-normalized cross-correlation of the g2 measurement channel."""
     p = slot_probabilities(scenario, stage)
-    noise2 = p["dark2_slot"]
-    if stage == "post_storage":
-        noise2 += scenario.correlations.g2_channel_background
     if not scenario.correlations.pair_correlated:
         return 1.0
     return slot_g2(
-        scenario.source.pair_prob, p["e1"], p["e2"], p["dark1_slot"], noise2
+        scenario.source.pair_prob, p["e1"], p["e2"], p["dark1_slot"], p["noise2_slot"]
     )
 
 
 def model_alpha(scenario: Scenario, stage: str) -> tuple[float, float, float, float]:
     """Per-slot (P1, P12, P13, P123) of the heralded-autocorrelation setup."""
     p = slot_probabilities(scenario, stage)
-    noise_port = p["dark2_gate"]
     bunching = 1.0
     if stage == "post_storage":
-        noise_port += scenario.mem_noise.background_flux / 2.0
         bunching = scenario.correlations.g2_autocorr_s2_post
     pair = scenario.source.pair_prob * p["pair_scale"]
     return triple_coincidence_probs(
-        pair, p["e1"], p["e2"], p["dark1_gate"], noise_port, noise_bunching=bunching
+        pair, p["e1"], p["e2"], p["dark1_gate"], p["noise2_port"], noise_bunching=bunching
     )

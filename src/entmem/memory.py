@@ -11,7 +11,7 @@ calculation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,9 +34,7 @@ class EITParams:
     rabi_coupling: float
     gamma_e: float = GAMMA_E_D1_MHZ
     gamma_g: float = 0.03
-    probe_detuning_grid: np.ndarray = field(
-        default_factory=lambda: np.linspace(-60.0, 60.0, 2401), repr=False
-    )
+    probe_grid_mhz: tuple[float, float, int] = (-60.0, 60.0, 2401)
 
     def __post_init__(self):
         if self.optical_depth <= 0:
@@ -47,11 +45,16 @@ class EITParams:
             raise ValidationError("gamma_e must be > 0")
         if self.gamma_g < 0:
             raise ValidationError("gamma_g must be >= 0")
-        grid = np.asarray(self.probe_detuning_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 3 or np.any(np.diff(grid) <= 0):
-            raise ValidationError("probe detuning grid must be strictly increasing")
-        grid.setflags(write=False)
-        object.__setattr__(self, "probe_detuning_grid", grid)
+        lo, hi, n = self.probe_grid_mhz
+        if not (0.0 < hi - lo < np.inf and 3 <= n <= 1_000_000):
+            raise ValidationError(
+                "probe_grid_mhz must be (lo, hi, n) with finite lo < hi and 3 <= n <= 1e6"
+            )
+
+    @property
+    def probe_detuning_grid(self) -> np.ndarray:
+        """The probe detunings (MHz): n points evenly spaced from lo to hi."""
+        return np.linspace(*self.probe_grid_mhz)
 
 
 @dataclass(frozen=True)

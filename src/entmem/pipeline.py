@@ -53,9 +53,9 @@ from .experiment import (
     slot_probabilities,
     stage_state,
 )
-from .memory import eit_transmission, g2_vs_storage_time, transparency_window_fwhm
+from .memory import EITParams, eit_transmission, g2_vs_storage_time, transparency_window_fwhm
 from .qstate import BASIS_STRING, KET_BY_LABEL, TwoQubitState, bell_psi_plus, fidelity
-from .qstate import ket_linear
+from .qstate import ket_linear, matrix_json
 from .rng import derive_rng, derive_seed_sequence
 from .scenario import Scenario, scenario_to_dict
 
@@ -219,12 +219,11 @@ def simulate_alpha(
     """Heralded-autocorrelation counts: herald, two ports, triples."""
     p1, p12, p13, p123 = model_alpha(scenario, stage)
     probs = slot_probabilities(scenario, stage)
-    noise_port = probs["dark2_gate"]
-    if stage == "post_storage":
-        noise_port += scenario.mem_noise.background_flux / 2.0
     pair = scenario.source.pair_prob * probs["pair_scale"]
     # per-port singles: one arm of the beamsplitter on its own
-    _, p_port, _ = coincidence_probs(pair, probs["e1"], probs["e2"] / 2.0, 0.0, noise_port)
+    _, p_port, _ = coincidence_probs(
+        pair, probs["e1"], probs["e2"] / 2.0, 0.0, probs["noise2_port"]
+    )
     acq = scenario.plan.acquisition_s[f"alpha_{_suffix(stage)}"]
     n_slots = scenario.timing.pulse_rate * acq
     means = np.array([p1, p_port, p_port, p12, p13, p123]) * n_slots
@@ -246,11 +245,8 @@ def simulate_alpha(
 def simulate_g2(scenario: Scenario, stage: str):
     """Time-resolved cross-correlation for the stage."""
     p = slot_probabilities(scenario, stage)
-    noise2_slot = p["dark2_slot"]
-    if stage == "post_storage":
-        noise2_slot += scenario.correlations.g2_channel_background
     pair = scenario.source.pair_prob
-    s1, s2, s12 = coincidence_probs(pair, p["e1"], p["e2"], p["dark1_slot"], noise2_slot)
+    s1, s2, s12 = coincidence_probs(pair, p["e1"], p["e2"], p["dark1_slot"], p["noise2_slot"])
     excess = max(s12 - s1 * s2, 0.0) if scenario.correlations.pair_correlated else 0.0
     delay = scenario.timing.fiber_delay_ns + (
         scenario.timing.storage_time_ns if stage == "post_storage" else 0.0
@@ -388,7 +384,7 @@ def run_experiment(
         if arm1_label == scenario.plan.visibility_arm1:
             result.visibility = visibility_fit(
                 points,
-                n_resamples=max(n_res, 100),
+                n_resamples=n_res,
                 seed=scenario.master_seed,
             )
             if not error_bars:
@@ -477,13 +473,6 @@ def _jsonable(obj):
     return obj
 
 
-def _matrix_json(m: np.ndarray) -> dict:
-    return {
-        "basis": BASIS_STRING,
-        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)],
-    }
-
-
 def _estimate_json(est: EstimateWithError) -> dict:
     return {"value": est.value, "sigma": est.sigma, "n_resamples": est.n_resamples}
 
@@ -505,7 +494,7 @@ def stage_report(
             ),
         },
         "tomography": {
-            "rho_linear": _matrix_json(result.rho_linear),
+            "rho_linear": matrix_json(result.rho_linear),
             "rho_mle": result.rho_mle.to_json_dict(),
         },
         "fidelity": {
@@ -542,6 +531,16 @@ def stage_report(
     return _jsonable(report)
 
 
+def eit_spectrum_csv(eit: EITParams) -> str:
+    """The EIT transmission spectrum as CSV (detuning_mhz, transmission)."""
+    grid, trans = eit_transmission(eit)
+    return (
+        "detuning_mhz,transmission\n"
+        + "\n".join(f"{d:.6g},{t:.10g}" for d, t in zip(grid, trans))
+        + "\n"
+    )
+
+
 def _write_matrix_csv(m: np.ndarray, path: Path, part: str) -> None:
     data = np.real(m) if part == "real" else np.imag(m)
     labels = BASIS_STRING.split(",")
@@ -575,13 +574,7 @@ def report_emit(
         path.write_text(text)
         written.append(path)
 
-    grid, trans = eit_transmission(scenario.eit)
-    _write(
-        plots / "eit_spectrum.csv",
-        "detuning_mhz,transmission\n"
-        + "\n".join(f"{d:.6g},{t:.10g}" for d, t in zip(grid, trans))
-        + "\n",
-    )
+    _write(plots / "eit_spectrum.csv", eit_spectrum_csv(scenario.eit))
 
     # storage-efficiency and g2 decay curves
     times = np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)

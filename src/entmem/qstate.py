@@ -102,6 +102,14 @@ def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
         raise ValidationError(f"{what} is not Hermitian within {tol:g}")
 
 
+def matrix_json(m: np.ndarray) -> dict:
+    """JSON form of a 4x4 matrix: the basis order and nested [re, im] pairs."""
+    return {
+        "basis": BASIS_STRING,
+        "rho": [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)],
+    }
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """4x4 density matrix in the (HH, HV, VH, VV) basis.
@@ -172,12 +180,7 @@ class TwoQubitState:
     # -- serialization ------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "basis": BASIS_STRING,
-            "rho": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.rho
-            ],
-        }
+        return matrix_json(self.rho)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TwoQubitState":
@@ -197,31 +200,6 @@ class TwoQubitState:
     @classmethod
     def from_json(cls, s: str) -> "TwoQubitState":
         return cls.from_json_dict(json.loads(s))
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Idempotent Hermitian 4x4 matrix with known rank."""
-
-    matrix: np.ndarray = field(repr=False)
-    rank: int = 1
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (4, 4):
-            raise ValidationError("projector must be 4x4")
-        _check_hermitian(m, HERMITICITY_TOL, "projector")
-        if np.max(np.abs(m @ m - m)) > HERMITICITY_TOL:
-            raise ValidationError("projector is not idempotent within 1e-10")
-        if round(float(np.real(np.trace(m)))) != self.rank:
-            raise ValidationError("projector trace does not match declared rank")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_kets(cls, a: PolarizationKet, b: PolarizationKet) -> "Projector":
-        v = np.kron(a.vector, b.vector)
-        return cls(np.outer(v, v.conj()), rank=1)
 
 
 def tensor_product(a: PolarizationKet, b: PolarizationKet) -> TwoQubitState:
@@ -290,7 +268,5 @@ def bell_psi_plus(phase: float = 0.0) -> TwoQubitState:
     return TwoQubitState.from_ket(v / np.sqrt(2))
 
 
-PAULI_I = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)

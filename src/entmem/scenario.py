@@ -1,16 +1,19 @@
 """Scenario file: the complete experiment configuration.
 
-Scenarios are JSON with a strict schema: every key is checked and unknown
-keys are rejected, so calibration typos fail at load time rather than
-producing silently wrong data.  The storage-ordering constraint
+Scenarios are JSON with a strict schema taken from the dataclass fields:
+unknown keys are rejected and every value must match its field's type
+annotation, floats finite, so typos, NaN and inf fail at load time rather
+than producing silently wrong data.  The storage-ordering constraint
 (storage_time < fiber_delay) is enforced here, never at runtime.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -60,7 +63,7 @@ class MeasurementPlan:
     )
     visibility_thetas: tuple[float, ...] = tuple(np.linspace(0.0, np.pi / 2, 16))
     visibility_arm1: str = "A"
-    acquisition_s: dict = field(
+    acquisition_s: dict[str, float] = field(
         default_factory=lambda: {
             "tomo_pre": 120.0,
             "tomo_post": 1200.0,
@@ -69,7 +72,7 @@ class MeasurementPlan:
             "vis_pre": 60.0,
             "vis_post": 600.0,
             "alpha_pre": 3600.0,
-            "alpha_post": 7200.0,
+            "alpha_post": 14400.0,
             "g2": 600.0,
         }
     )
@@ -92,6 +95,8 @@ class MeasurementPlan:
         for key, val in self.acquisition_s.items():
             if val <= 0:
                 raise ConfigurationError(f"acquisition_s[{key!r}] must be > 0")
+        if self.n_resamples < 100:
+            raise ConfigurationError("n_resamples must be >= 100")
 
 
 @dataclass(frozen=True)
@@ -102,14 +107,14 @@ class Scenario:
     eit: EITParams
     decay: MemoryDecayParams
     mem_noise: MemoryNoiseParams
-    losses: LossBudget
     detector1: DetectorParams
     detector2: DetectorParams
-    timing: TimingConfig
+    losses: LossBudget = LossBudget()
+    timing: TimingConfig = TimingConfig()
     correlations: CorrelationConstants = CorrelationConstants()
     plan: MeasurementPlan = MeasurementPlan()
     attenuator: AttenuatorSetting | None = None  # None -> "auto"
-    tan2_eta_anchors: tuple = ()
+    tan2_eta_anchors: tuple[tuple[float, float], ...] = ()
     master_seed: int = 0
     notes: tuple[str, ...] = ()
 
@@ -135,276 +140,173 @@ def classicalize(scenario: Scenario) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Strict JSON (de)serialization.
+# Strict JSON (de)serialization, derived from the dataclass fields.
+#
+# The section dataclasses hold the only copy of every key, type and default.
+# The file differs from them only in its layout (see scenario_from_dict) and
+# in the keys below, which it must give although the dataclass has a default.
 # ---------------------------------------------------------------------------
 
+_REQUIRED = {
+    Scenario: ("master_seed",),
+    SourceParams: ("p_white", "pair_prob"),
+    MemoryDecayParams: ("tau_mem",),
+    MemoryNoiseParams: ("p_depol", "background_flux"),
+}
 
-def _take(section: dict, allowed: dict, where: str) -> dict:
-    unknown = set(section) - set(allowed)
+# Resolved field annotations of the Scenario and of every section: the schema.
+_HINTS = {
+    cls: get_type_hints(cls)
+    for cls in (Scenario, AttenuatorSetting, *get_type_hints(Scenario).values())
+    if is_dataclass(cls)
+}
+
+_KINDS = {
+    float: "a finite number",
+    int: "a 64-bit integer",
+    bool: "true or false",
+    str: "a string",
+}
+
+
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
+    return value
+
+
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ConfigurationError(f"missing required key {key!r} in {where}")
+    return obj[key]
+
+
+def _check(value, hint, where: str):
+    """A JSON value checked against the field annotation `hint`.
+
+    A float must be a finite number and not a bool (an int is converted);
+    an int, bool or str must have exactly that type; tuples and dicts are
+    checked element by element and dataclass sections key by key.
+    """
+    if is_dataclass(value):  # a section scenario_from_dict has already built
+        return value
+    if is_dataclass(hint):
+        return _load(hint, value, where)
+    origin, args = get_origin(hint), get_args(hint)
+    if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if hint in (int, bool, str) and type(value) is hint:
+        if hint is not int or -(2**63) <= value < 2**63:
+            return value
+    if origin is tuple and isinstance(value, (list, tuple)):
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(value) == len(args):
+            return tuple(
+                _check(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args))
+            )
+    if origin is dict and isinstance(value, dict):
+        key_hint, value_hint = args
+        return {
+            _check(k, key_hint, where): _check(v, value_hint, f"{where}.{k}")
+            for k, v in value.items()
+        }
+    raise ConfigurationError(f"{where} must be {_KINDS.get(hint, hint)}, got {value!r}")
+
+
+def _load(cls, data, where: str):
+    """Build the dataclass `cls` from a JSON object, checking every key.
+
+    Unknown keys are rejected.  A key is required when its field has no
+    default or is listed in _REQUIRED; an absent key takes the default.
+    """
+    data = _object(data, where)
+    hints = _HINTS[cls]
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
-    out = {}
-    for key, default in allowed.items():
-        if key in section:
-            out[key] = section[key]
-        elif default is ...:
-            raise ConfigurationError(f"missing required key {key!r} in {where}")
-        else:
-            out[key] = default
-    return out
+    for f in fields(cls):
+        no_default = f.default is MISSING and f.default_factory is MISSING
+        if no_default or f.name in _REQUIRED.get(cls, ()):
+            _required(data, f.name, where)
+    return cls(**{key: _check(v, hints[key], f"{where}.{key}") for key, v in data.items()})
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    top = _take(
-        data,
-        {
-            "schema_version": ...,
-            "master_seed": ...,
-            "source": ...,
-            "attenuator": "auto",
-            "eit": ...,
-            "decay": ...,
-            "mem_noise": ...,
-            "losses": {},
-            "detectors": ...,
-            "timing": {},
-            "correlations": {},
-            "settings": {},
-            "notes": [],
-        },
-        "scenario",
-    )
-    if top["schema_version"] != SCHEMA_VERSION:
+    top = dict(_object(data, "scenario"))
+    version = top.pop("schema_version", None)
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigurationError(
-            f"unsupported schema_version {top['schema_version']} (expected {SCHEMA_VERSION})"
+            f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
+    # The file's layout differs from the Scenario fields in four places: the
+    # anchors sit under "source" (and give eta_f when it is "auto"), the
+    # detectors are grouped, the plan is called "settings" and the default
+    # attenuator is written "auto".  Every other key names a field.
+    moved = set(top) & {"tan2_eta_anchors", "detector1", "detector2", "plan"}
+    if moved:
+        raise ConfigurationError(f"unknown keys {sorted(moved)} in scenario")
+    source = dict(_object(_required(top, "source", "scenario"), "scenario.source"))
+    anchors = _check(
+        _required(source, "tan2_eta_anchors", "scenario.source"),
+        _HINTS[Scenario]["tan2_eta_anchors"],
+        "scenario.source.tan2_eta_anchors",
+    )
+    del source["tan2_eta_anchors"]
+    if source.get("eta_f", "auto") == "auto":
+        detuning = _check(
+            source.get("two_photon_detuning", SourceParams.two_photon_detuning),
+            float,
+            "scenario.source.two_photon_detuning",
+        )
+        source["eta_f"] = eta_from_tan2(tan2_eta_from_detuning(detuning, anchors))
+    top.update(source=_load(SourceParams, source, "scenario.source"), tan2_eta_anchors=anchors)
 
-    src = _take(
-        top["source"],
-        {
-            "eta_f": "auto",
-            "phi_f": 0.0,
-            "two_photon_detuning": -20.0,
-            "tan2_eta_anchors": ...,
-            "p_white": ...,
-            "pair_prob": ...,
-            "s2_spectral_fwhm": 150.0,
-            "s2_temporal_fwhm": 7.0,
-            "s1_temporal_fwhm": 50.0,
-        },
-        "source",
-    )
-    anchors = tuple((float(d), float(v)) for d, v in src.pop("tan2_eta_anchors"))
-    if src["eta_f"] == "auto":
-        src["eta_f"] = eta_from_tan2(
-            tan2_eta_from_detuning(src["two_photon_detuning"], list(anchors))
-        )
-    source = SourceParams(**src)
+    detectors = dict(_object(_required(top, "detectors", "scenario"), "scenario.detectors"))
+    for key, name in (("d1", "detector1"), ("d2", "detector2")):
+        where = f"scenario.detectors.{key}"
+        top[name] = _load(DetectorParams, _required(detectors, key, "scenario.detectors"), where)
+        del detectors[key]
+    if detectors:
+        raise ConfigurationError(f"unknown keys {sorted(detectors)} in scenario.detectors")
+    del top["detectors"]
 
-    att_spec = top["attenuator"]
-    if att_spec == "auto":
-        attenuator = None
-    else:
-        att = _take(att_spec, {"t_h": ..., "balanced": True}, "attenuator")
-        attenuator = AttenuatorSetting(**att)
+    if "settings" in top:
+        top["plan"] = _load(MeasurementPlan, top.pop("settings"), "scenario.settings")
+    attenuator = top.pop("attenuator", "auto")
+    if attenuator != "auto":
+        top["attenuator"] = _load(AttenuatorSetting, attenuator, "scenario.attenuator")
+    return _load(Scenario, top, "scenario")
 
-    eit_d = _take(
-        top["eit"],
-        {
-            "optical_depth": ...,
-            "rabi_coupling": ...,
-            "gamma_e": 2.875,
-            "gamma_g": 0.03,
-            "probe_grid_mhz": [-60.0, 60.0, 2401],
-        },
-        "eit",
-    )
-    lo, hi, n = eit_d.pop("probe_grid_mhz")
-    eit = EITParams(probe_detuning_grid=np.linspace(lo, hi, int(n)), **eit_d)
 
-    decay = MemoryDecayParams(
-        **_take(
-            top["decay"],
-            {"model": "gaussian", "tau_mem": ..., "eta_peak": 0.9},
-            "decay",
-        )
-    )
-    mem_noise = MemoryNoiseParams(
-        **_take(top["mem_noise"], {"p_depol": ..., "background_flux": ...}, "mem_noise")
-    )
-    losses = LossBudget(
-        **_take(
-            top["losses"],
-            {
-                "s2_path": 0.75,
-                "s1_fiber_coupling": 0.82,
-                "s1_detector_coupling": 0.80,
-                "s1_filters": 0.9405,
-                "s2_filters": 0.40,
-            },
-            "losses",
-        )
-    )
-    dets = _take(top["detectors"], {"d1": ..., "d2": ...}, "detectors")
-    det_fields = {"efficiency": ..., "dark_rate": 0.0, "dead_time": 0.0, "gate_width": 8.0}
-    detector1 = DetectorParams(**_take(dets["d1"], det_fields, "detectors.d1"))
-    detector2 = DetectorParams(**_take(dets["d2"], det_fields, "detectors.d2"))
-    timing = TimingConfig(
-        **_take(
-            top["timing"],
-            {
-                "rep_rate": 100.0,
-                "duty_window_ms": 1.3,
-                "cycles_per_duty": 2600,
-                "cycle_period_ns": 500.0,
-                "pump1_fwhm_ns": 20.0,
-                "fiber_delay_ns": 1000.0,
-                "storage_time_ns": 100.0,
-            },
-            "timing",
-        )
-    )
-    correlations = CorrelationConstants(
-        **_take(
-            top["correlations"],
-            {
-                "pair_correlated": True,
-                "g2_autocorr_s1": 1.2,
-                "g2_autocorr_s2_pre": 1.38,
-                "g2_autocorr_s2_post": 2.0,
-                "g2_channel_background": 0.0,
-            },
-            "correlations",
-        )
-    )
-    plan_d = _take(
-        top["settings"],
-        {
-            "chsh_angles": list(MeasurementPlan().chsh_angles),
-            "visibility_thetas": list(MeasurementPlan().visibility_thetas),
-            "visibility_arm1": "A",
-            "acquisition_s": dict(MeasurementPlan().acquisition_s),
-            "n_resamples": 200,
-            "error_bars": True,
-        },
-        "settings",
-    )
-    plan = MeasurementPlan(
-        chsh_angles=tuple(plan_d["chsh_angles"]),
-        visibility_thetas=tuple(plan_d["visibility_thetas"]),
-        visibility_arm1=plan_d["visibility_arm1"],
-        acquisition_s=dict(plan_d["acquisition_s"]),
-        n_resamples=int(plan_d["n_resamples"]),
-        error_bars=bool(plan_d["error_bars"]),
-    )
-
-    return Scenario(
-        source=source,
-        eit=eit,
-        decay=decay,
-        mem_noise=mem_noise,
-        losses=losses,
-        detector1=detector1,
-        detector2=detector2,
-        timing=timing,
-        correlations=correlations,
-        plan=plan,
-        attenuator=attenuator,
-        tan2_eta_anchors=anchors,
-        master_seed=int(top["master_seed"]),
-        notes=tuple(top["notes"]),
-    )
+def _dump(value):
+    """JSON form of a field value: dataclasses become objects, tuples lists."""
+    if is_dataclass(value):
+        return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_dump(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    grid = s.eit.probe_detuning_grid
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "master_seed": s.master_seed,
-        "notes": list(s.notes),
-        "source": {
-            "eta_f": s.source.eta_f,
-            "phi_f": s.source.phi_f,
-            "two_photon_detuning": s.source.two_photon_detuning,
-            "tan2_eta_anchors": [list(a) for a in s.tan2_eta_anchors],
-            "p_white": s.source.p_white,
-            "pair_prob": s.source.pair_prob,
-            "s2_spectral_fwhm": s.source.s2_spectral_fwhm,
-            "s2_temporal_fwhm": s.source.s2_temporal_fwhm,
-            "s1_temporal_fwhm": s.source.s1_temporal_fwhm,
-        },
-        "attenuator": (
-            "auto"
-            if s.attenuator is None
-            else {"t_h": s.attenuator.t_h, "balanced": s.attenuator.balanced}
-        ),
-        "eit": {
-            "optical_depth": s.eit.optical_depth,
-            "rabi_coupling": s.eit.rabi_coupling,
-            "gamma_e": s.eit.gamma_e,
-            "gamma_g": s.eit.gamma_g,
-            "probe_grid_mhz": [float(grid[0]), float(grid[-1]), int(grid.size)],
-        },
-        "decay": {
-            "model": s.decay.model,
-            "tau_mem": s.decay.tau_mem,
-            "eta_peak": s.decay.eta_peak,
-        },
-        "mem_noise": {
-            "p_depol": s.mem_noise.p_depol,
-            "background_flux": s.mem_noise.background_flux,
-        },
-        "losses": {
-            "s2_path": s.losses.s2_path,
-            "s1_fiber_coupling": s.losses.s1_fiber_coupling,
-            "s1_detector_coupling": s.losses.s1_detector_coupling,
-            "s1_filters": s.losses.s1_filters,
-            "s2_filters": s.losses.s2_filters,
-        },
-        "detectors": {
-            "d1": {
-                "efficiency": s.detector1.efficiency,
-                "dark_rate": s.detector1.dark_rate,
-                "dead_time": s.detector1.dead_time,
-                "gate_width": s.detector1.gate_width,
-            },
-            "d2": {
-                "efficiency": s.detector2.efficiency,
-                "dark_rate": s.detector2.dark_rate,
-                "dead_time": s.detector2.dead_time,
-                "gate_width": s.detector2.gate_width,
-            },
-        },
-        "timing": {
-            "rep_rate": s.timing.rep_rate,
-            "duty_window_ms": s.timing.duty_window_ms,
-            "cycles_per_duty": s.timing.cycles_per_duty,
-            "cycle_period_ns": s.timing.cycle_period_ns,
-            "pump1_fwhm_ns": s.timing.pump1_fwhm_ns,
-            "fiber_delay_ns": s.timing.fiber_delay_ns,
-            "storage_time_ns": s.timing.storage_time_ns,
-        },
-        "correlations": {
-            "pair_correlated": s.correlations.pair_correlated,
-            "g2_autocorr_s1": s.correlations.g2_autocorr_s1,
-            "g2_autocorr_s2_pre": s.correlations.g2_autocorr_s2_pre,
-            "g2_autocorr_s2_post": s.correlations.g2_autocorr_s2_post,
-            "g2_channel_background": s.correlations.g2_channel_background,
-        },
-        "settings": {
-            "chsh_angles": list(s.plan.chsh_angles),
-            "visibility_thetas": list(s.plan.visibility_thetas),
-            "visibility_arm1": s.plan.visibility_arm1,
-            "acquisition_s": dict(s.plan.acquisition_s),
-            "n_resamples": s.plan.n_resamples,
-            "error_bars": s.plan.error_bars,
-        },
-    }
+    top = _dump(s)
+    top["source"]["tan2_eta_anchors"] = top.pop("tan2_eta_anchors")
+    top["detectors"] = {"d1": top.pop("detector1"), "d2": top.pop("detector2")}
+    top["settings"] = top.pop("plan")
+    if s.attenuator is None:
+        top["attenuator"] = "auto"
+    return {"schema_version": SCHEMA_VERSION, **top}
 
 
 def load_scenario(path: str | Path) -> Scenario:
     with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigurationError(f"{path} is not a JSON scenario: {exc}") from exc
+    return scenario_from_dict(data)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

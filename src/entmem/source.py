@@ -16,8 +16,6 @@ import numpy as np
 from .errors import ValidationError
 from .qstate import TwoQubitState
 
-TAN2_ETA_AT_MINUS_20MHZ = 1.5
-
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -46,28 +44,6 @@ class SourceParams:
         for name in ("s2_spectral_fwhm", "s2_temporal_fwhm", "s1_temporal_fwhm"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
-class LevelMetadata:
-    """Descriptive constants about the atomic configuration.
-
-    Read-only metadata; nothing here is consumed by the numerics.
-    """
-
-    single_photon_detuning_mhz: float = 130.0
-    pump1_fwhm_ns: float = 20.0
-    levels: tuple = (
-        ("|1>", "5S1/2 F=2"),
-        ("|2>", "5S1/2 F=3"),
-        ("|3>", "5P3/2 F=3"),
-        ("|4>", "4D3/2 F=2"),
-        ("|5>", "5P1/2 F=3"),
-    )
-    pump_powers_mw: tuple = (("pump1", 0.1), ("pump2", 8.0), ("coupling", 20.0))
-
-
-DEFAULT_LEVELS = LevelMetadata()
 
 
 def tan2_eta_from_detuning(detuning: float, calib: list[tuple[float, float]]) -> float:

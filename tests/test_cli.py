@@ -105,6 +105,21 @@ def test_report_subcommand_round_trip(fast_scenario_path, tmp_path, capsys):
     assert "CHSH S" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json {",
+        "[]",
+        json.dumps({"stage": "pre_storage"}),
+        json.dumps({"fidelity": {"value": 0.9, "sigma": None}, "chsh": {}, "visibility": {}}),
+    ],
+)
+def test_report_subcommand_rejects_bad_report(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    assert main(["report", "--report", str(path)]) == 2
+
+
 def test_validation_error_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     d = scenario_to_dict(load_bundled_scenario())

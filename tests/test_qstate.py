@@ -11,7 +11,6 @@ from entmem.qstate import (
     PAULI_X,
     PAULI_Z,
     PolarizationKet,
-    Projector,
     TwoQubitState,
     bell_psi_plus,
     expectation,
@@ -145,16 +144,6 @@ class TestExpectation:
         obs[0, 1] = 1.0
         with pytest.raises(ValidationError):
             expectation(bell_psi_plus(), obs)
-
-
-class TestProjector:
-    def test_from_kets_is_projector(self):
-        p = Projector.from_kets(ket_d(), ket_v())
-        assert np.max(np.abs(p.matrix @ p.matrix - p.matrix)) < 1e-10
-
-    def test_non_idempotent_rejected(self):
-        with pytest.raises(ValidationError):
-            Projector(np.eye(4) * 0.5, rank=2)
 
 
 def test_psd_sqrt_squares_back(rng):

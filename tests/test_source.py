@@ -95,14 +95,6 @@ class TestTwoPhotonState:
             SourceParams(eta_f=1.0, pair_prob=0.6)
 
 
-def test_level_metadata_is_descriptive_constants():
-    from entmem.source import DEFAULT_LEVELS
-
-    assert DEFAULT_LEVELS.single_photon_detuning_mhz == 130.0
-    assert DEFAULT_LEVELS.pump1_fwhm_ns == 20.0
-    assert len(DEFAULT_LEVELS.levels) == 5
-
-
 class TestWavepacketSpectrum:
     def test_peak_value_closed_form(self):
         fwhm = 150.0
