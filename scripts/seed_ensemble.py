@@ -3,12 +3,11 @@
 compared against the published values and their error bars."""
 
 import argparse
-from dataclasses import replace
 
 import numpy as np
 
 from entmem.calibrate import calibrate
-from entmem.pipeline import run_experiment
+from entmem.pipeline import seed_ensemble
 from entmem.scenario import load_bundled_scenario
 
 PUBLISHED = {
@@ -27,24 +26,11 @@ def main():
     args = ap.parse_args()
 
     scenario, _ = calibrate(load_bundled_scenario())
-    scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
-
-    acc = {k: [] for k in PUBLISHED}
-    for k in range(args.runs):
-        scn = replace(scenario, master_seed=scenario.master_seed + k)
-        pre = run_experiment(scn, "pre_storage")
-        post = run_experiment(scn, "post_storage")
-        acc["F_pre"].append(pre.fidelity.value)
-        acc["F_post"].append(post.fidelity.value)
-        acc["S_pre"].append(pre.chsh_S.value)
-        acc["S_post"].append(post.chsh_S.value)
-        acc["V_pre"].append(pre.visibility.estimate.value)
-        acc["V_post"].append(post.visibility.estimate.value)
+    figures = seed_ensemble(scenario, args.runs)
 
     print(f"{'quantity':>8} {'sim mean':>9} {'sim sd':>7} {'published':>12} {'in 2-sigma band':>16}")
-    for key, vals in acc.items():
-        mean, sd = np.mean(vals), np.std(vals)
-        center, sigma = PUBLISHED[key]
+    for key, (center, sigma) in PUBLISHED.items():
+        mean, sd = np.mean(figures[key]), np.std(figures[key])
         inside = abs(mean - center) <= 2 * sigma
         print(
             f"{key:>8} {mean:9.4f} {sd:7.4f} {center:7.3f}+-{sigma:5.3f}"

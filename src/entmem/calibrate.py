@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .detection import heralded_alpha, slot_g2
-from .errors import CalibrationError
+from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic
 from .experiment import (
     arm_efficiencies,
@@ -115,6 +115,13 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
     unknown = set(targets) - KNOWN_TARGETS
     if unknown:
         raise CalibrationError(f"unknown calibration targets {sorted(unknown)}")
+    bad = sorted(
+        name
+        for name, value in targets.items()
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
+    )
+    if bad:
+        raise ValidationError(f"calibration targets {bad} must be finite numbers")
     report: dict = {}
     s = scenario
 
@@ -145,19 +152,14 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
         report["eta_100ns"]["parameter"] = {"tau_mem": float(tau)}
 
     if "V_pre" in targets or "F_pre" in targets:
-        if "V_pre" in targets:
-            key, target = "V_pre", targets["V_pre"]
+        key = "V_pre" if "V_pre" in targets else "F_pre"
+        target = targets[key]
 
-            def pre_metric(pw, scn=s):
-                rho, _ = balanced_state(scn, p_white=pw)
+        def pre_metric(pw, scn=s):
+            rho, _ = balanced_state(replace(scn, source=replace(scn.source, p_white=pw)))
+            if key == "V_pre":
                 return analytic_visibility(rho, scn.plan.visibility_arm1)
-
-        else:
-            key, target = "F_pre", targets["F_pre"]
-
-            def pre_metric(pw, scn=s):
-                rho, _ = balanced_state(scn, p_white=pw)
-                return fidelity(rho, bell_psi_plus())
+            return fidelity(rho, bell_psi_plus())
 
         pw = _bisect(pre_metric, 0.0, 1.0, target, parameter="p_white")
         s = replace(s, source=replace(s.source, p_white=float(pw)))
@@ -165,20 +167,16 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
         report[key]["parameter"] = {"p_white": float(pw)}
 
     if "V_post" in targets or "F_post" in targets:
+        key = "V_post" if "V_post" in targets else "F_post"
+        target = targets[key]
         rho_pre, _ = balanced_state(s)
-        if "V_post" in targets:
-            key, target = "V_post", targets["V_post"]
 
-            def post_metric(pd, scn=s):
-                rho, _ = stage_state(scn, "post_storage", p_depol=pd)
+        def post_metric(pd, scn=s):
+            trial = replace(scn, mem_noise=replace(scn.mem_noise, p_depol=pd))
+            rho, _ = stage_state(trial, "post_storage")
+            if key == "V_post":
                 return analytic_visibility(rho, scn.plan.visibility_arm1)
-
-        else:
-            key, target = "F_post", targets["F_post"]
-
-            def post_metric(pd, scn=s, ref=rho_pre):
-                rho, _ = stage_state(scn, "post_storage", p_depol=pd)
-                return fidelity(rho, ref)
+            return fidelity(rho, rho_pre)
 
         pd = _bisect(post_metric, 0.0, 1.0, target, parameter="p_depol")
         s = replace(s, mem_noise=replace(s.mem_noise, p_depol=float(pd)))

@@ -12,14 +12,19 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
-from .estimators import chsh_E, chsh_S, chsh_S_literal, tomo_linear, tomo_mle
+from .estimators import chsh_S, chsh_S_literal, tomo_linear, tomo_mle
 from .memory import transparency_window_fwhm
-from .pipeline import STAGES, eit_spectrum_csv, report_emit, run_experiment
+from .pipeline import (
+    CHSH_LABELS,
+    STAGES,
+    chsh_e_matrix,
+    eit_spectrum_csv,
+    report_emit,
+    run_experiment,
+)
 from .qstate import bell_psi_plus, fidelity, matrix_json
 from .scenario import load_bundled_scenario, load_scenario, save_scenario
 
@@ -60,7 +65,13 @@ def _cmd_calibrate(args) -> int:
     scenario = _load(args)
     targets = dict(DEFAULT_TARGETS)
     if args.targets:
-        targets.update(json.loads(args.targets))
+        try:
+            overrides = json.loads(args.targets)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"--targets is not JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ValidationError("--targets must be a JSON object")
+        targets.update(overrides)
     scenario, report = calibrate(scenario, targets)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -100,14 +111,10 @@ def _cmd_tomo(args) -> int:
 def _cmd_chsh(args) -> int:
     records = records_from_csv(Path(args.counts).read_text())
     by_label = {r.setting_label: r.coincidences for r in records}
-    e = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            try:
-                counts = [by_label[f"chsh:{i}{j}:{port}"] for port in ("pp", "pm", "mp", "mm")]
-            except KeyError as exc:
-                raise ValidationError(f"missing CHSH record {exc}") from exc
-            e[i, j] = chsh_E(*counts)
+    missing = [label for label in CHSH_LABELS if label not in by_label]
+    if missing:
+        raise ValidationError(f"missing CHSH records {missing}")
+    e = chsh_e_matrix([by_label[label] for label in CHSH_LABELS])
     s = chsh_S(e)
     print(f"E matrix: {e.tolist()}")
     print(f"S = {s:.6f} (literal formula: {chsh_S_literal(e):.6f})")

@@ -12,6 +12,7 @@ ratio are mutually consistent.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,8 +128,8 @@ class CountRecord:
             raise ValidationError("coincidences exceed singles")
         if self.triples > self.coincidences:
             raise ValidationError("triples exceed coincidences")
-        if self.acquisition_s <= 0:
-            raise ValidationError("acquisition_s must be > 0")
+        if not 0 < self.acquisition_s < math.inf:
+            raise ValidationError("acquisition_s must be finite and > 0")
 
 
 CSV_HEADER = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed"
@@ -154,17 +155,15 @@ def records_from_csv(text: str) -> list[CountRecord]:
         parts = ln.split(",")
         if len(parts) != 7:
             raise ValidationError(f"malformed count CSV row: {ln!r}")
-        out.append(
-            CountRecord(
-                setting_label=parts[0],
-                singles_1=int(parts[1]),
-                singles_2=int(parts[2]),
-                coincidences=int(parts[3]),
-                triples=int(parts[4]),
-                acquisition_s=float(parts[5]),
-                seed=int(parts[6]),
-            )
-        )
+        label, *ints, acq, seed = parts
+        try:
+            values = [*map(int, ints), float(acq), int(seed)]
+        except ValueError as exc:
+            raise ValidationError(f"non-numeric field in count CSV row {ln!r}") from exc
+        out.append(CountRecord(label, *values))
+    labels = [r.setting_label for r in out]
+    if len(set(labels)) != len(labels):
+        raise ValidationError("count CSV repeats a setting_label")
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .detection import CountRecord, MeasurementSetting
-from .errors import ConfigurationError, EstimationError, ValidationError
+from .errors import ConfigurationError, EntmemError, EstimationError, ValidationError
 from .qstate import KET_BY_LABEL, TwoQubitState
 from .rng import derive_rng
 
@@ -48,20 +48,7 @@ class TomographySettingSet:
     @classmethod
     def standard(cls) -> "TomographySettingSet":
         """All pairs from {H, V, D=(H+V)/sqrt2, R=(H-iV)/sqrt2} on each arm."""
-        settings = []
-        for a in TOMO_BASIS_LETTERS:
-            for b in TOMO_BASIS_LETTERS:
-                settings.append(
-                    MeasurementSetting(
-                        arm1_projector=KET_BY_LABEL[a](),
-                        arm2_projector=KET_BY_LABEL[b](),
-                        label=a + b,
-                    )
-                )
-        return cls(tuple(settings))
-
-    def by_label(self) -> dict[str, MeasurementSetting]:
-        return {s.label: s for s in self.settings}
+        return TOMO_SETTINGS
 
 
 @dataclass(frozen=True)
@@ -89,52 +76,50 @@ def _design_matrix(settings) -> np.ndarray:
     return np.array([_projector_matrix(s).T.flatten() for s in settings])
 
 
-def _match_records(
-    records: list[CountRecord], setting_set: TomographySettingSet
-) -> list[CountRecord]:
-    by_label = {r.setting_label: r for r in records}
-    if len(by_label) != len(records):
-        raise ConfigurationError("duplicate setting labels in tomography records")
-    missing = [s.label for s in setting_set.settings if s.label not in by_label]
-    if missing:
-        raise ConfigurationError(f"missing tomography records for settings {missing}")
-    return [by_label[s.label] for s in setting_set.settings]
+# The one tomography design (James et al., PRA 64, 052312, 2001), built and
+# validated once.
+TOMO_SETTINGS = TomographySettingSet(
+    tuple(
+        MeasurementSetting(KET_BY_LABEL[a](), KET_BY_LABEL[b](), label=a + b)
+        for a in TOMO_BASIS_LETTERS
+        for b in TOMO_BASIS_LETTERS
+    )
+)
+_TOMO_LABELS = tuple(s.label for s in TOMO_SETTINGS.settings)
+_TOMO_PROJECTORS = np.stack([_projector_matrix(s) for s in TOMO_SETTINGS.settings])
+_TOMO_DESIGN = _design_matrix(TOMO_SETTINGS.settings)
+_NORMALIZATION_IDX = [_TOMO_LABELS.index(label) for label in NORMALIZATION_GROUP]
 
 
-def _frequencies(ordered: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized frequencies and per-setting exposures.
+def _tomo_data(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies, exposures and counts of the records, in TOMO_SETTINGS order.
 
     Coincidence rates are normalized by the total rate of the complete
     (H/V x H/V) quadruple, which measures every pair regardless of basis;
     working with rates keeps unequal acquisition times consistent.
     """
 
-    labels = [r.setting_label for r in ordered]
+    by_label = {r.setting_label: r for r in records}
+    if len(by_label) != len(records):
+        raise ConfigurationError("duplicate setting labels in tomography records")
+    missing = [label for label in _TOMO_LABELS if label not in by_label]
+    if missing:
+        raise ConfigurationError(f"missing tomography records for settings {missing}")
+    ordered = [by_label[label] for label in _TOMO_LABELS]
     rates = np.array([r.coincidences / r.acquisition_s for r in ordered])
-    group_idx = [labels.index(lbl) for lbl in NORMALIZATION_GROUP]
-    total_rate = rates[group_idx].sum()
+    total_rate = rates[_NORMALIZATION_IDX].sum()
     if total_rate <= 0:
         raise EstimationError("normalization group has zero coincidences")
-    freqs = rates / total_rate
     exposures = np.array([total_rate * r.acquisition_s for r in ordered])
-    return freqs, exposures
+    counts = np.array([float(r.coincidences) for r in ordered])
+    return rates / total_rate, exposures, counts
 
 
-def tomo_linear(
-    records: list[CountRecord],
-    setting_set: TomographySettingSet | None = None,
-) -> np.ndarray:
+def tomo_linear(records: list[CountRecord]) -> np.ndarray:
     """Linear-inversion estimate; Hermitian, unit trace, possibly non-PSD."""
-    setting_set = setting_set or TomographySettingSet.standard()
-    ordered = _match_records(records, setting_set)
-    freqs, _ = _frequencies(ordered)
-    design = _design_matrix(setting_set.settings)
-    if np.linalg.cond(design) > 1e9:
-        raise ConfigurationError("tomography design matrix is singular")
-    rho_vec = np.linalg.solve(design, freqs.astype(np.complex128))
-    rho = rho_vec.reshape(4, 4)
-    rho = (rho + rho.conj().T) / 2
-    return rho
+    freqs, _, _ = _tomo_data(records)
+    rho = np.linalg.solve(_TOMO_DESIGN, freqs.astype(np.complex128)).reshape(4, 4)
+    return (rho + rho.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +198,7 @@ def _neg_log_likelihood_and_grad(
 
 
 def tomo_mle(
-    records: list[CountRecord],
-    init: np.ndarray | None = None,
-    setting_set: TomographySettingSet | None = None,
-    max_evals: int = 100_000,
-    seed: int = 0,
+    records: list[CountRecord], init: np.ndarray | None = None, seed: int = 0
 ) -> TwoQubitState:
     """Maximum-likelihood physical state from 16 tomography records.
 
@@ -227,14 +208,9 @@ def tomo_mle(
     attempted before giving up.
     """
 
-    setting_set = setting_set or TomographySettingSet.standard()
-    ordered = _match_records(records, setting_set)
-    _, exposures = _frequencies(ordered)
-    counts = np.array([float(r.coincidences) for r in ordered])
-    projectors = np.stack([_projector_matrix(s) for s in setting_set.settings])
-
+    _, exposures, counts = _tomo_data(records)
     if init is None:
-        init = tomo_linear(records, setting_set)
+        init = tomo_linear(records)
     t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
 
     rng = derive_rng(seed, "tomo_mle")
@@ -245,10 +221,10 @@ def tomo_mle(
         res = minimize(
             _neg_log_likelihood_and_grad,
             start,
-            args=(projectors, counts, exposures),
+            args=(_TOMO_PROJECTORS, counts, exposures),
             jac=True,
             method="L-BFGS-B",
-            options={"maxfun": max_evals, "ftol": 1e-15, "gtol": 1e-12, "maxiter": 50_000},
+            options={"maxfun": 100_000, "ftol": 1e-15, "gtol": 1e-12, "maxiter": 50_000},
         )
         if best is None or res.fun < best.fun:
             best = res
@@ -266,16 +242,11 @@ def tomo_mle(
     return TwoQubitState(rho)
 
 
-def tomo_log_likelihood(
-    rho: np.ndarray, records: list[CountRecord], setting_set=None
-) -> float:
+def tomo_log_likelihood(rho: np.ndarray, records: list[CountRecord]) -> float:
     """Poisson log-likelihood of a state given the records (for diagnostics)."""
-    setting_set = setting_set or TomographySettingSet.standard()
-    ordered = _match_records(records, setting_set)
-    _, exposures = _frequencies(ordered)
-    counts = np.array([float(r.coincidences) for r in ordered])
-    projectors = np.stack([_projector_matrix(s) for s in setting_set.settings])
-    probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), _MLE_PROB_FLOOR, None)
+    _, exposures, counts = _tomo_data(records)
+    probs = np.einsum("kij,ji->k", _TOMO_PROJECTORS, rho)
+    probs = np.clip(np.real(probs), _MLE_PROB_FLOOR, None)
     return float(np.sum(counts * np.log(exposures * probs) - exposures * probs))
 
 
@@ -465,6 +436,8 @@ def mc_error(
     Every count is resampled as Poisson with mean equal to its observed
     value, the estimator re-run, and the sample mean/stddev returned.
     Per-trial derived seeds make the result independent of execution order.
+    A resample whose estimator raises an EntmemError counts as failed; any
+    other exception is a bug and propagates.
     """
 
     if n_resamples < 100:
@@ -479,7 +452,7 @@ def mc_error(
         resampled = rng.poisson(counts)
         try:
             values[k] = float(estimator(resampled))
-        except Exception:
+        except EntmemError:
             values[k] = np.nan
             failures += 1
     if failures > 0.1 * n_resamples:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .detection import slot_g2, triple_coincidence_probs
 from .interferometer import apply_attenuator
-from .memory import spectral_overlap, storage_efficiency
+from .memory import apply_memory, spectral_overlap, storage_efficiency
 from .qstate import TwoQubitState
 from .scenario import Scenario
 from .source import Spectrum, two_photon_state, wavepacket_spectrum
@@ -32,15 +32,9 @@ def signal_spectrum(scenario: Scenario) -> Spectrum:
     return wavepacket_spectrum(fwhm, grid)
 
 
-def balanced_state(scenario: Scenario, p_white: float | None = None) -> tuple[TwoQubitState, float]:
+def balanced_state(scenario: Scenario) -> tuple[TwoQubitState, float]:
     """Source state after the balancing attenuator, with success probability."""
-    src = scenario.source
-    if p_white is not None:
-        from dataclasses import replace
-
-        src = replace(src, p_white=p_white)
-    rho = two_photon_state(src)
-    return apply_attenuator(rho, scenario.resolved_attenuator())
+    return apply_attenuator(two_photon_state(scenario.source), scenario.resolved_attenuator())
 
 
 def memory_efficiency(scenario: Scenario, t_storage: float | None = None) -> float:
@@ -54,26 +48,18 @@ def overlap_ceiling(scenario: Scenario) -> float:
     return scenario.decay.eta_peak * spectral_overlap(signal_spectrum(scenario), scenario.eit)
 
 
-def stage_state(scenario: Scenario, stage: str, p_depol: float | None = None) -> tuple[TwoQubitState, float]:
+def stage_state(scenario: Scenario, stage: str) -> tuple[TwoQubitState, float]:
     """(state, memory_eta) at the analyzers for the given stage.
 
     pre_storage bypasses the memory entirely (eta = 1, no depolarization).
     """
-
-    from .memory import apply_memory
 
     rho, _ = balanced_state(scenario)
     if stage == "pre_storage":
         return rho, 1.0
     if stage != "post_storage":
         raise ValueError(f"unknown stage {stage!r}")
-    eta = memory_efficiency(scenario)
-    noise = scenario.mem_noise
-    if p_depol is not None:
-        from dataclasses import replace
-
-        noise = replace(noise, p_depol=p_depol)
-    return apply_memory(rho, eta, noise)
+    return apply_memory(rho, memory_efficiency(scenario), scenario.mem_noise)
 
 
 # -- closed-form correlation observables used for calibration --------------

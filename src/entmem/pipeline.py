@@ -33,8 +33,8 @@ from .detection import (
 )
 from .errors import ValidationError
 from .estimators import (
+    TOMO_SETTINGS,
     EstimateWithError,
-    TomographySettingSet,
     VisibilityResult,
     cauchy_schwarz_R,
     chsh_E,
@@ -63,6 +63,10 @@ REPORT_SCHEMA_VERSION = 1
 STAGES = ("pre_storage", "post_storage")
 
 PORT_LABELS = ("pp", "pm", "mp", "mm")
+# Analyzer offsets (arm 1, arm 2) of each port: the angle or its orthogonal.
+PORT_OFFSETS = ((0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
+# CHSH record labels: angle choice i on arm 1, j on arm 2, then the port.
+CHSH_LABELS = tuple(f"chsh:{i}{j}:{port}" for i in "01" for j in "01" for port in PORT_LABELS)
 
 
 @dataclass
@@ -93,92 +97,83 @@ def _suffix(stage: str) -> str:
     return "pre" if stage == "pre_storage" else "post"
 
 
-def _sample(scenario, rates, acq, label, sampling):
-    if sampling == "expected":
-        return expected_counts(rates, acq, setting_label=label)
-    return sample_counts(rates, acq, seed=scenario.master_seed, setting_label=label)
-
-
-def _background_rate_2(scenario: Scenario, stage: str) -> float:
-    """Per-second uncorrelated arm-2 rate during retrieval (post only)."""
-    if stage != "post_storage":
-        return 0.0
-    return scenario.mem_noise.background_flux * scenario.timing.pulse_rate
-
-
-def _coincidence_record(
-    scenario: Scenario,
-    stage: str,
-    rho: TwoQubitState,
-    eta: float,
-    setting: MeasurementSetting,
-    acq: float,
-    label: str,
-    sampling: str,
-) -> CountRecord:
-    prob = projection_probability(rho, setting)
-    m1, m2 = arm_marginals(rho, setting)
-    rates = expected_rates(
-        scenario.source.pair_prob,
-        prob,
-        scenario.losses,
-        (scenario.detector1, scenario.detector2),
-        scenario.timing,
-        memory_eta=eta,
-        prob1=m1,
-        prob2=m2,
-        background_rate_2=_background_rate_2(scenario, stage),
-    )
-    return _sample(scenario, rates, acq, label, sampling)
-
-
 # ---------------------------------------------------------------------------
 # Measurement simulations.
 # ---------------------------------------------------------------------------
 
 
+def _simulate_records(
+    scenario: Scenario,
+    stage: str,
+    rho: TwoQubitState,
+    eta: float,
+    sampling: str,
+    kind: str,
+    settings,
+    seed_prefix: str = "",
+) -> list[CountRecord]:
+    """One count record per setting, acquired for the plan's "{kind}_{stage}" time.
+
+    The counts of a setting are drawn from the seed label
+    "{pre|post}:{seed_prefix}{setting.label}"; the record carries the
+    setting label itself.
+    """
+
+    sfx = _suffix(stage)
+    acq = scenario.plan.acquisition_s[f"{kind}_{sfx}"]
+    # uncorrelated arm-2 rate of the retrieval noise, after storage only
+    background_2 = 0.0
+    if stage == "post_storage":
+        background_2 = scenario.mem_noise.background_flux * scenario.timing.pulse_rate
+    records = []
+    for setting in settings:
+        m1, m2 = arm_marginals(rho, setting)
+        rates = expected_rates(
+            scenario.source.pair_prob,
+            projection_probability(rho, setting),
+            scenario.losses,
+            (scenario.detector1, scenario.detector2),
+            scenario.timing,
+            memory_eta=eta,
+            prob1=m1,
+            prob2=m2,
+            background_rate_2=background_2,
+        )
+        label = f"{sfx}:{seed_prefix}{setting.label}"
+        if sampling == "expected":
+            rec = expected_counts(rates, acq, setting_label=label)
+        else:
+            rec = sample_counts(rates, acq, seed=scenario.master_seed, setting_label=label)
+        records.append(replace(rec, setting_label=setting.label))
+    return records
+
+
 def simulate_tomography(
     scenario: Scenario, stage: str, rho: TwoQubitState, eta: float, sampling: str
 ) -> list[CountRecord]:
-    acq = scenario.plan.acquisition_s[f"tomo_{_suffix(stage)}"]
-    out = []
-    for setting in TomographySettingSet.standard().settings:
-        label = setting.label
-        rec = _coincidence_record(
-            scenario, stage, rho, eta, setting,
-            acq, f"{_suffix(stage)}:tomo:{label}", sampling,
-        )
-        out.append(replace(rec, setting_label=label))
-    return out
+    return _simulate_records(
+        scenario, stage, rho, eta, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:"
+    )
 
 
 def simulate_chsh(
     scenario: Scenario, stage: str, rho: TwoQubitState, eta: float, sampling: str
-) -> tuple[list[CountRecord], np.ndarray]:
-    """16 port-combination records and the 2x2 E matrix."""
+) -> list[CountRecord]:
+    """16 records: the four analyzer ports at each of the four angle pairs."""
     t1, t2, t1p, t2p = scenario.plan.chsh_angles
-    acq = scenario.plan.acquisition_s[f"chsh_{_suffix(stage)}"]
-    records = []
-    e = np.zeros((2, 2))
-    for i, a1 in enumerate((t1, t1p)):
-        for j, a2 in enumerate((t2, t2p)):
-            counts = []
-            for port, (da, db) in zip(
-                PORT_LABELS, [(0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2)]
-            ):
-                setting = MeasurementSetting(
-                    arm1_projector=ket_linear(a1 + da),
-                    arm2_projector=ket_linear(a2 + db),
-                    label=f"chsh:{i}{j}:{port}",
-                )
-                rec = _coincidence_record(
-                    scenario, stage, rho, eta, setting,
-                    acq, f"{_suffix(stage)}:{setting.label}", sampling,
-                )
-                records.append(replace(rec, setting_label=setting.label))
-                counts.append(rec.coincidences)
-            e[i, j] = chsh_E(*counts)
-    return records, e
+    analyzers = [(a1 + da, a2 + db) for a1 in (t1, t1p) for a2 in (t2, t2p) for da, db in PORT_OFFSETS]
+    settings = [
+        MeasurementSetting(ket_linear(x1), ket_linear(x2), label)
+        for (x1, x2), label in zip(analyzers, CHSH_LABELS)
+    ]
+    return _simulate_records(scenario, stage, rho, eta, sampling, "chsh", settings)
+
+
+def chsh_e_matrix(counts) -> np.ndarray:
+    """The 2x2 E matrix from the 16 CHSH coincidence counts in CHSH_LABELS order."""
+    return np.array(
+        [[chsh_E(*counts[8 * i + 4 * j : 8 * i + 4 * j + 4]) for j in range(2)] for i in range(2)]
+    )
 
 
 def simulate_visibility(
@@ -188,29 +183,19 @@ def simulate_visibility(
     eta: float,
     sampling: str,
     arm1_label: str,
-) -> tuple[list[CountRecord], list[tuple[float, float]]]:
+) -> list[CountRecord]:
     """Fringe sweep: arm-1 fixed analysis state, arm-2 HWP angle swept.
 
     The HWP at angle theta analyzes polarization 2*theta, giving the
     pi/2-periodic fringe the visibility model fits.
     """
 
-    acq = scenario.plan.acquisition_s[f"vis_{_suffix(stage)}"]
     arm1 = KET_BY_LABEL[arm1_label]()
-    records, points = [], []
-    for k, theta in enumerate(scenario.plan.visibility_thetas):
-        setting = MeasurementSetting(
-            arm1_projector=arm1,
-            arm2_projector=ket_linear(2.0 * theta),
-            label=f"vis:{arm1_label}:{k}",
-        )
-        rec = _coincidence_record(
-            scenario, stage, rho, eta, setting,
-            acq, f"{_suffix(stage)}:{setting.label}", sampling,
-        )
-        records.append(replace(rec, setting_label=setting.label))
-        points.append((float(theta), float(rec.coincidences)))
-    return records, points
+    settings = [
+        MeasurementSetting(arm1, ket_linear(2.0 * theta), f"vis:{arm1_label}:{k}")
+        for k, theta in enumerate(scenario.plan.visibility_thetas)
+    ]
+    return _simulate_records(scenario, stage, rho, eta, sampling, "vis", settings)
 
 
 def simulate_alpha(
@@ -274,23 +259,18 @@ def simulate_g2(scenario: Scenario, stage: str):
 # ---------------------------------------------------------------------------
 
 
-def _tomo_estimator_factory(templates: list[CountRecord]):
-    def rebuild(counts: np.ndarray) -> list[CountRecord]:
-        out = []
-        for rec, n in zip(templates, counts):
-            n = int(n)
-            out.append(
-                replace(
-                    rec,
-                    singles_1=max(rec.singles_1, n),
-                    singles_2=max(rec.singles_2, n),
-                    coincidences=n,
-                    triples=0,
-                )
-            )
-        return out
-
-    return rebuild
+def _with_counts(templates: list[CountRecord], counts) -> list[CountRecord]:
+    """The template records with their coincidences replaced by counts."""
+    return [
+        replace(
+            rec,
+            singles_1=max(rec.singles_1, int(n)),
+            singles_2=max(rec.singles_2, int(n)),
+            coincidences=int(n),
+            triples=0,
+        )
+        for rec, n in zip(templates, counts)
+    ]
 
 
 def run_experiment(
@@ -309,117 +289,76 @@ def run_experiment(
     result = StageResult(stage=stage, eta=eta)
     error_bars = scenario.plan.error_bars and sampling == "poisson"
     n_res = scenario.plan.n_resamples
+    seed = scenario.master_seed
 
-    # --- tomography and fidelity
+    def with_sigma(point, estimator, counts) -> EstimateWithError:
+        """The point estimate, with the bootstrap sigma of estimator(counts) if enabled."""
+        if not error_bars:
+            return EstimateWithError(point, 0.0, 0)
+        return EstimateWithError(point, mc_error(estimator, counts, n_res, seed).sigma, n_res)
+
+    # --- tomography and fidelity: to the ideal state before storage, to the
+    # re-simulated pre-storage MLE after it
     tomo_records = simulate_tomography(scenario, stage, rho, eta, sampling)
     result.records["tomography"] = tomo_records
     result.rho_linear = tomo_linear(tomo_records)
-    result.rho_mle = tomo_mle(tomo_records, init=result.rho_linear, seed=scenario.master_seed)
-
-    if stage == "pre_storage":
-        reference = bell_psi_plus()
-        result.fidelity_reference = "ideal"
-        pre_records = None
-    else:
+    result.rho_mle = tomo_mle(tomo_records, init=result.rho_linear, seed=seed)
+    ref_records = []
+    result.fidelity_reference = "ideal"
+    if stage == "post_storage":
         pre_rho, _ = stage_state(scenario, "pre_storage")
-        pre_records = simulate_tomography(scenario, "pre_storage", pre_rho, 1.0, sampling)
-        reference = tomo_mle(pre_records, seed=scenario.master_seed)
+        ref_records = simulate_tomography(scenario, "pre_storage", pre_rho, 1.0, sampling)
         result.fidelity_reference = "pre_storage_mle"
 
-    f_point = fidelity(result.rho_mle, reference)
-    if error_bars:
-        if pre_records is None:
-            templates = list(tomo_records)
-            rebuild = _tomo_estimator_factory(templates)
+    def reference(records):
+        return tomo_mle(records, seed=seed) if records else bell_psi_plus()
 
-            def f_estimator(counts):
-                rho_hat = tomo_mle(rebuild(counts), seed=scenario.master_seed)
-                return fidelity(rho_hat, reference)
+    templates = ref_records + tomo_records
 
-            counts_vec = np.array([r.coincidences for r in templates], dtype=float)
-        else:
-            templates = list(pre_records) + list(tomo_records)
-            rebuild_pre = _tomo_estimator_factory(pre_records)
-            rebuild_post = _tomo_estimator_factory(tomo_records)
+    def f_estimator(counts):
+        records = _with_counts(templates, counts)
+        ref = reference(records[: len(ref_records)])
+        return fidelity(tomo_mle(records[len(ref_records) :], seed=seed), ref)
 
-            def f_estimator(counts):
-                pre_hat = tomo_mle(rebuild_pre(counts[:16]), seed=scenario.master_seed)
-                post_hat = tomo_mle(rebuild_post(counts[16:]), seed=scenario.master_seed)
-                return fidelity(post_hat, pre_hat)
-
-            counts_vec = np.array([r.coincidences for r in templates], dtype=float)
-        est = mc_error(f_estimator, counts_vec, n_resamples=n_res, seed=scenario.master_seed)
-        result.fidelity = EstimateWithError(f_point, est.sigma, n_res)
-    else:
-        result.fidelity = EstimateWithError(f_point, 0.0, 0)
+    result.fidelity = with_sigma(
+        fidelity(result.rho_mle, reference(ref_records)),
+        f_estimator,
+        [r.coincidences for r in templates],
+    )
 
     # --- CHSH
-    chsh_records, e_matrix = simulate_chsh(scenario, stage, rho, eta, sampling)
+    chsh_records = simulate_chsh(scenario, stage, rho, eta, sampling)
+    chsh_counts = [r.coincidences for r in chsh_records]
     result.records["chsh"] = chsh_records
-    result.chsh_E = e_matrix
-    s_point = chsh_S(e_matrix)
-    result.chsh_S_literal = chsh_S_literal(e_matrix)
-    if error_bars:
-        chsh_counts = np.array([r.coincidences for r in chsh_records], dtype=float)
-
-        def s_estimator(counts):
-            e = np.zeros((2, 2))
-            for idx in range(4):
-                i, j = divmod(idx, 2)
-                e[i, j] = chsh_E(*counts[4 * idx : 4 * idx + 4])
-            return chsh_S(e)
-
-        est = mc_error(s_estimator, chsh_counts, n_resamples=n_res, seed=scenario.master_seed)
-        result.chsh_S = EstimateWithError(s_point, est.sigma, n_res)
-    else:
-        result.chsh_S = EstimateWithError(s_point, 0.0, 0)
+    result.chsh_E = chsh_e_matrix(chsh_counts)
+    result.chsh_S_literal = chsh_S_literal(result.chsh_E)
+    result.chsh_S = with_sigma(
+        chsh_S(result.chsh_E), lambda counts: chsh_S(chsh_e_matrix(counts)), chsh_counts
+    )
 
     # --- visibility (reported arm plus the H reference curve for plots)
+    thetas = scenario.plan.visibility_thetas
     for arm1_label in dict.fromkeys([scenario.plan.visibility_arm1, "H"]):
-        vis_records, points = simulate_visibility(
-            scenario, stage, rho, eta, sampling, arm1_label
-        )
+        vis_records = simulate_visibility(scenario, stage, rho, eta, sampling, arm1_label)
+        points = [(float(t), float(r.coincidences)) for t, r in zip(thetas, vis_records)]
         result.records[f"visibility_{arm1_label}"] = vis_records
         result.visibility_sweeps[arm1_label] = points
         if arm1_label == scenario.plan.visibility_arm1:
-            result.visibility = visibility_fit(
-                points,
-                n_resamples=n_res,
-                seed=scenario.master_seed,
-            )
+            vis = visibility_fit(points, n_resamples=n_res, seed=seed)
             if not error_bars:
-                result.visibility = VisibilityResult(
-                    estimate=EstimateWithError(result.visibility.estimate.value, 0.0, 0),
-                    baseline=result.visibility.baseline,
-                    phase=result.visibility.phase,
-                    nonclassical=result.visibility.nonclassical,
-                )
+                vis = replace(vis, estimate=EstimateWithError(vis.estimate.value, 0.0, 0))
+            result.visibility = vis
 
     # --- heralded autocorrelation
     alpha_records, alpha_counts = simulate_alpha(scenario, stage, sampling)
     result.records["alpha"] = alpha_records
     result.alpha_counts = alpha_counts
-    a_point = heralded_alpha(
-        max(alpha_counts["n1"], 1),
-        max(alpha_counts["n12"], 1),
-        max(alpha_counts["n13"], 1),
-        alpha_counts["n123"],
-    )
-    if error_bars:
-        a_vec = np.array(
-            [alpha_counts["n1"], alpha_counts["n12"], alpha_counts["n13"], alpha_counts["n123"]],
-            dtype=float,
-        )
 
-        def a_estimator(counts):
-            return heralded_alpha(
-                max(counts[0], 1), max(counts[1], 1), max(counts[2], 1), counts[3]
-            )
+    def a_estimator(counts):
+        return heralded_alpha(max(counts[0], 1), max(counts[1], 1), max(counts[2], 1), counts[3])
 
-        est = mc_error(a_estimator, a_vec, n_resamples=n_res, seed=scenario.master_seed)
-        result.alpha = EstimateWithError(a_point, est.sigma, n_res)
-    else:
-        result.alpha = EstimateWithError(a_point, 0.0, 0)
+    a_counts = [alpha_counts[k] for k in ("n1", "n12", "n13", "n123")]
+    result.alpha = with_sigma(a_estimator(a_counts), a_estimator, a_counts)
 
     # --- cross-correlation histogram and Cauchy-Schwarz
     hist = simulate_g2(scenario, stage)
@@ -451,6 +390,30 @@ def run_experiment(
         "nonclassical": bool(is_nonclassical_R(r_value - 3.0 * sigma_r)),
     }
     return result
+
+
+def seed_ensemble(scenario: Scenario, runs: int) -> dict[str, list[float]]:
+    """Per-seed figures of both stages over runs seeds, without error bars.
+
+    Run k uses master_seed + k.  Keys are F, S, V, g2 and alpha, each with
+    a _pre and a _post suffix.
+    """
+
+    scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
+    figures = {}
+    for k in range(runs):
+        scn = replace(scenario, master_seed=scenario.master_seed + k)
+        for stage in STAGES:
+            r = run_experiment(scn, stage)
+            for name, value in (
+                ("F", r.fidelity.value),
+                ("S", r.chsh_S.value),
+                ("V", r.visibility.estimate.value),
+                ("g2", r.g2_peak),
+                ("alpha", r.alpha.value),
+            ):
+                figures.setdefault(f"{name}_{_suffix(stage)}", []).append(value)
+    return figures
 
 
 # ---------------------------------------------------------------------------

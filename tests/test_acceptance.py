@@ -33,7 +33,7 @@ from entmem.memory import (
     apply_memory,
     transparency_window_fwhm,
 )
-from entmem.pipeline import run_experiment
+from entmem.pipeline import run_experiment, seed_ensemble
 from entmem.qstate import (
     TwoQubitState,
     bell_psi_plus,
@@ -60,27 +60,10 @@ def calibrated():
 @pytest.fixture(scope="module")
 def hundred_run_means(calibrated):
     """Means over 100 seeded full runs of both stages, plus elapsed time."""
-    scenario = replace(calibrated, plan=replace(calibrated.plan, error_bars=False))
-    keys = ["F_pre", "F_post", "S_pre", "S_post", "V_pre", "V_post",
-            "g2_pre", "g2_post", "alpha_pre", "alpha_post"]
-    acc = {k: [] for k in keys}
     t0 = time.time()
-    for k in range(100):
-        scn = replace(scenario, master_seed=scenario.master_seed + k)
-        pre = run_experiment(scn, "pre_storage")
-        post = run_experiment(scn, "post_storage")
-        acc["F_pre"].append(pre.fidelity.value)
-        acc["F_post"].append(post.fidelity.value)
-        acc["S_pre"].append(pre.chsh_S.value)
-        acc["S_post"].append(post.chsh_S.value)
-        acc["V_pre"].append(pre.visibility.estimate.value)
-        acc["V_post"].append(post.visibility.estimate.value)
-        acc["g2_pre"].append(pre.g2_peak)
-        acc["g2_post"].append(post.g2_peak)
-        acc["alpha_pre"].append(pre.alpha.value)
-        acc["alpha_post"].append(post.alpha.value)
+    figures = seed_ensemble(calibrated, 100)
     elapsed = time.time() - t0
-    return {k: float(np.mean(v)) for k, v in acc.items()}, elapsed
+    return {k: float(np.mean(v)) for k, v in figures.items()}, elapsed
 
 
 def test_criterion_1_analytic_chsh():

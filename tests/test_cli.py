@@ -161,3 +161,39 @@ def test_seed_override_changes_counts(fast_scenario_path, tmp_path):
     a = (tmp_path / "a" / "counts_pre_tomography.csv").read_text()
     b = (tmp_path / "b" / "counts_pre_tomography.csv").read_text()
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "targets",
+    ["{bad", "[1,2]", '{"V_pre": "x"}', '{"V_pre": NaN}', '{"V_pre": true}'],
+)
+def test_calibrate_rejects_bad_targets(tmp_path, targets):
+    rc = main(["--out", str(tmp_path), "calibrate", "--targets", targets])
+    assert rc == 2
+
+
+CSV_HEADER = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed"
+
+
+def _csv_rows(labels):
+    return [f"{label},100,100,10,0,1.0,0" for label in labels]
+
+
+TOMO_LABELS = [a + b for a in "HVDR" for b in "HVDR"]
+CHSH_LABELS = [f"chsh:{i}{j}:{p}" for i in "01" for j in "01" for p in ("pp", "pm", "mp", "mm")]
+
+
+@pytest.mark.parametrize(
+    "command, rows",
+    [
+        ("tomo", ["HH,100,100,10,0,nan,0"] + _csv_rows(TOMO_LABELS[1:])),
+        ("tomo", ["HH,100,100,10,0,inf,0"] + _csv_rows(TOMO_LABELS[1:])),
+        ("tomo", ["HH,100,100,ten,0,1.0,0"] + _csv_rows(TOMO_LABELS[1:])),
+        ("chsh", _csv_rows(CHSH_LABELS) + ["chsh:00:pp,100,100,90,0,1.0,0"]),
+    ],
+    ids=["nan_acquisition", "inf_acquisition", "non_numeric", "duplicate_label"],
+)
+def test_count_csv_contract_violation_exits_2(tmp_path, command, rows):
+    csv_path = tmp_path / "counts.csv"
+    csv_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
+    assert main(["--out", str(tmp_path), command, "--counts", str(csv_path)]) == 2

@@ -343,11 +343,18 @@ class TestMcError:
     def test_failure_fraction_guard(self):
         def flaky(counts):
             if counts[0] % 2 == 0:
-                raise RuntimeError("boom")
+                raise EstimationError("boom")
             return 1.0
 
         with pytest.raises(EstimationError):
             mc_error(flaky, np.array([1000.0]), n_resamples=200, seed=2)
+
+    def test_non_entmem_error_propagates(self):
+        def broken(counts):
+            raise RuntimeError("bug")
+
+        with pytest.raises(RuntimeError, match="bug"):
+            mc_error(broken, np.array([1000.0]), n_resamples=200, seed=2)
 
     def test_minimum_resamples_enforced(self):
         with pytest.raises(ValidationError):

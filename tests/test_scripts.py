@@ -1,0 +1,33 @@
+"""Smoke runs of the study scripts, each as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_seed_ensemble_script():
+    out = run_script("seed_ensemble.py", "--runs", "2")
+    rows = out.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["F_pre", "F_post", "S_pre", "S_post", "V_pre", "V_post"]
+
+
+def test_storage_time_sweep_script(tmp_path):
+    out_csv = tmp_path / "sweep.csv"
+    run_script("storage_time_sweep.py", "--points", "2", "--out", str(out_csv))
+    lines = out_csv.read_text().splitlines()
+    assert lines[0] == "t_ns,eta,g2_slot,F_post,S_post,V_post"
+    assert lines[1].split(",")[0] == "10.0"
