@@ -23,6 +23,7 @@ from .pipeline import (
     chsh_e_matrix,
     eit_spectrum_csv,
     report_emit,
+    report_json,
     run_experiment,
 )
 from .qstate import bell_psi_plus, fidelity, matrix_json
@@ -73,12 +74,11 @@ def _cmd_calibrate(args) -> int:
             raise ValidationError("--targets must be a JSON object")
         targets.update(overrides)
     scenario, report = calibrate(scenario, targets)
+    text = report_json(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario_calibrated.json")
-    (out / "calibration_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
-    )
+    (out / "calibration_report.json").write_text(text)
     for name, entry in report.items():
         if name == "checks":
             continue
@@ -101,9 +101,10 @@ def _cmd_tomo(args) -> int:
         "rho_mle": rho_hat.to_json_dict(),
         "fidelity_to_ideal": f,
     }
+    text = report_json(out)
     Path(args.out).mkdir(parents=True, exist_ok=True)
     path = Path(args.out) / "tomo_report.json"
-    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     print(f"fidelity to ideal: {f:.4f}; wrote {path}")
     return 0
 

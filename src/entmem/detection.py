@@ -133,6 +133,8 @@ class CountRecord:
 
 
 CSV_HEADER = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed"
+# The largest mean numpy's Poisson sampler accepts.
+POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
 def records_to_csv(records: list[CountRecord]) -> str:
@@ -263,12 +265,15 @@ def sample_counts(
     """Poisson-sample a CountRecord; bit-reproducible for a fixed seed."""
     if acquisition_s <= 0:
         raise ValidationError("acquisition_s must be > 0")
+    means = [r * acquisition_s for r in (rates.r1, rates.r2, rates.r12, rates.r123)]
+    if not all(0 <= m <= POISSON_MEAN_MAX for m in means):
+        raise ValidationError(
+            f"expected counts of setting {setting_label!r} at acquisition_s="
+            f"{acquisition_s:g} are not finite or exceed {POISSON_MEAN_MAX:.3g}"
+        )
     rng = derive_rng(seed, "counts", setting_label)
-    s1 = int(rng.poisson(rates.r1 * acquisition_s))
-    s2 = int(rng.poisson(rates.r2 * acquisition_s))
-    c = int(rng.poisson(rates.r12 * acquisition_s))
+    s1, s2, c, t = (int(rng.poisson(m)) for m in means)
     c = min(c, s1, s2)
-    t = int(rng.poisson(rates.r123 * acquisition_s))
     t = min(t, c)
     return CountRecord(
         setting_label=setting_label,

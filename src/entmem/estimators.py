@@ -3,9 +3,12 @@
 Tomography follows the standard two-stage recipe: exact linear inversion
 of the 16 projection frequencies, then a Poisson maximum-likelihood fit
 over the Cholesky-parameterized physical states seeded from the clamped
-linear estimate.  CHSH, visibility and the Cauchy-Schwarz ratio are
-closed-form count ratios; every estimator gets its error bar from Poisson
-Monte-Carlo resampling of the observed counts.
+linear estimate.  The fit is a damped Newton method on a likelihood whose
+gradient and Hessian come from a quadratic-form tensor built at import;
+scipy's L-BFGS-B, with random restarts, is the fallback for the rare fit
+Newton does not finish.  CHSH, visibility and the Cauchy-Schwarz ratio
+are closed-form count ratios; every estimator gets its error bar from
+Poisson Monte-Carlo resampling of the observed counts.
 """
 
 from __future__ import annotations
@@ -125,39 +128,31 @@ def tomo_linear(records: list[CountRecord]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Maximum-likelihood reconstruction.
 #
-# rho(t) = T+T / Tr(T+T) with T lower triangular: t[0:4] are the real
-# diagonal entries, the remaining 12 are re/im pairs of the strictly lower
-# entries in row-major order.
+# rho(t) = T+T / Tr(T+T) with T = sum_a t_a E_a lower triangular: t[0:4] are
+# the real diagonal entries, the remaining 12 are re/im pairs of the strictly
+# lower entries in row-major order.  The E_a are orthonormal, so
+# Tr(T+T) = t.t and every probability is a ratio of quadratic forms,
+# p_k = t Q_k t / t.t with Q[k, a, b] = Re Tr(P_k E_a+ E_b).
 # ---------------------------------------------------------------------------
 
-_LOWER_INDICES = [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]
 _MLE_PROB_FLOOR = 1e-12
+
+_LOWER_ROWS, _LOWER_COLS = np.tril_indices(4, -1)  # strictly lower, row-major
+_CHOL_BASIS = np.zeros((16, 4, 4), dtype=np.complex128)  # E_a
+_CHOL_BASIS[range(4), range(4), range(4)] = 1.0
+_CHOL_BASIS[range(4, 16, 2), _LOWER_ROWS, _LOWER_COLS] = 1.0
+_CHOL_BASIS[range(5, 16, 2), _LOWER_ROWS, _LOWER_COLS] = 1j
+_TOMO_Q = np.real(
+    np.einsum("kij,alj,bli->kab", _TOMO_PROJECTORS, _CHOL_BASIS.conj(), _CHOL_BASIS)
+)
 
 
 def _t_from_params(t: np.ndarray) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=np.complex128)
-    m[np.diag_indices(4)] = t[:4]
-    for k, (r, c) in enumerate(_LOWER_INDICES):
-        m[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return m
+    return np.tensordot(t, _CHOL_BASIS, axes=1)
 
 
 def _params_from_t(m: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
-    t[:4] = np.real(np.diag(m))
-    for k, (r, c) in enumerate(_LOWER_INDICES):
-        t[4 + 2 * k] = m[r, c].real
-        t[5 + 2 * k] = m[r, c].imag
-    return t
-
-
-def _rho_from_params(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    m = _t_from_params(t)
-    gram = m.conj().T @ m
-    s = float(np.real(np.trace(gram)))
-    if s <= 0:
-        raise EstimationError("degenerate Cholesky point with zero trace")
-    return gram / s, m, s
+    return np.real(np.einsum("aij,ij->a", _CHOL_BASIS.conj(), m))
 
 
 def _lower_cholesky_factor(rho: np.ndarray) -> np.ndarray:
@@ -174,27 +169,72 @@ def _clamped_physical(rho: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
     return out / np.trace(out).real
 
 
-def _neg_log_likelihood_and_grad(
-    t: np.ndarray,
-    projectors: np.ndarray,
-    counts: np.ndarray,
-    exposures: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    rho, m, s = _rho_from_params(t)
-    probs = np.real(np.einsum("kij,ji->k", projectors, rho))
-    probs = np.clip(probs, _MLE_PROB_FLOOR, None)
-    ll = float(np.sum(counts * np.log(exposures * probs) - exposures * probs))
+def _log_likelihood(probs: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
+    probs = np.maximum(probs, _MLE_PROB_FLOOR)
+    return float(np.sum(counts * np.log(exposures * probs) - exposures * probs)), probs
 
-    weights = counts / probs - exposures
-    mmat = np.einsum("k,kij->ij", weights.astype(np.complex128), projectors)
-    mean_shift = float(np.real(np.einsum("ij,ji->", mmat, rho)))
-    w_conj = (m @ mmat - mean_shift * m) / s  # dLL/dT*
-    grad = np.zeros(16)
-    grad[:4] = 2.0 * np.real(np.diag(w_conj))
-    for k, (r, c) in enumerate(_LOWER_INDICES):
-        grad[4 + 2 * k] = 2.0 * w_conj[r, c].real
-        grad[5 + 2 * k] = 2.0 * w_conj[r, c].imag
-    return -ll, -grad
+
+def _neg_log_likelihood(
+    t: np.ndarray, counts: np.ndarray, exposures: np.ndarray, hessian: bool = False
+) -> tuple:
+    """Poisson NLL at t with its gradient, and its Hessian when asked."""
+    s = float(t @ t)
+    if s <= 0:
+        raise EstimationError("degenerate Cholesky point with zero trace")
+    scale = 2.0 / s
+    g_mat = (_TOMO_Q.reshape(256, 16) @ t).reshape(16, 16)  # row k is Q_k t
+    ll, probs = _log_likelihood(g_mat @ t / s, counts, exposures)
+    weights = counts / probs - exposures  # dLL/dp
+    wp = float(weights @ probs)
+    grad = scale * (weights @ g_mat - wp * t)
+    if not hessian:
+        return -ll, -grad
+    jac = scale * (g_mat - probs[:, None] * t)  # dp/dt
+    hess = scale * (weights @ _TOMO_Q.reshape(16, 256)).reshape(16, 16)
+    hess.flat[::17] -= scale * wp
+    cross = scale * grad[:, None] * t
+    hess -= cross + cross.T
+    hess -= jac.T @ (jac * (counts / probs**2)[:, None])
+    return -ll, -grad, -hess
+
+
+def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.ndarray | None:
+    """Damped Newton minimizer of the NLL from t, or None if it does not converge.
+
+    The NLL is invariant under t -> c t: t stays at unit length and t t^T
+    fills the Hessian's null direction.  A Hessian that is not positive
+    definite is shifted by twice its lowest eigenvalue, and steps backtrack
+    until the NLL decreases.  Converged at a Newton decrement <= 1e-15 |NLL|,
+    or, once no decrease is found, at max|grad| < 1e-6.
+    """
+    try:
+        t = t / np.linalg.norm(t)
+        f, g, h = _neg_log_likelihood(t, counts, exposures, hessian=True)
+        for _ in range(100):
+            vals, vecs = np.linalg.eigh(h + np.outer(t, t))
+            floor = 1e-12 * np.abs(vals).max()
+            shifted = vals.min() < floor
+            if shifted:
+                vals = vals + (floor - 2 * vals.min())
+            gv = vecs.T @ g
+            if not shifted and 0.5 * np.sum(gv**2 / vals) <= 1e-15 * abs(f):
+                return t
+            step = -vecs @ (gv / vals)
+            for _ in range(40):
+                f_new, g_new, h_new = _neg_log_likelihood(t + step, counts, exposures, True)
+                if f_new < f:
+                    break
+                step = step / 2
+            else:
+                return t if np.max(np.abs(g)) < 1e-6 else None
+            # Back to unit length; the derivatives scale as 1/|t| and 1/|t|^2.
+            norm = np.linalg.norm(t + step)
+            t, f, g, h = (t + step) / norm, f_new, g_new * norm, h_new * norm**2
+            if not np.all(np.isfinite(h)):
+                return None
+    except (EstimationError, np.linalg.LinAlgError):
+        return None
+    return None
 
 
 def tomo_mle(
@@ -203,9 +243,10 @@ def tomo_mle(
     """Maximum-likelihood physical state from 16 tomography records.
 
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
-    maximized over the Cholesky parameterization, seeded from the clamped
-    linear inversion (or the given init); up to three random restarts are
-    attempted before giving up.
+    maximized over the Cholesky parameterization by damped Newton steps with
+    the analytic Hessian, seeded from the clamped linear inversion (or the
+    given init).  Only if Newton does not converge, L-BFGS-B runs from the
+    same seed point and up to three random restarts before giving up.
     """
 
     _, exposures, counts = _tomo_data(records)
@@ -213,29 +254,33 @@ def tomo_mle(
         init = tomo_linear(records)
     t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
 
-    rng = derive_rng(seed, "tomo_mle")
-    best = None
-    converged = False
-    starts = [t0] + [rng.normal(scale=0.5, size=16) for _ in range(3)]
-    for start in starts:
-        res = minimize(
-            _neg_log_likelihood_and_grad,
-            start,
-            args=(_TOMO_PROJECTORS, counts, exposures),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxfun": 100_000, "ftol": 1e-15, "gtol": 1e-12, "maxiter": 50_000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-        # L-BFGS-B can report precision loss at an already-converged point;
-        # a vanishing gradient counts as convergence.
-        if res.success or np.max(np.abs(res.jac)) < 1e-6:
-            converged = True
-            break
-    rho, _, _ = _rho_from_params(best.x)
-    rho = rho / np.trace(rho).real
-    if not converged or not np.isfinite(best.fun):
+    t_hat = _newton_fit(t0, counts, exposures)
+    converged = t_hat is not None
+    if not converged:
+        rng = derive_rng(seed, "tomo_mle")
+        best = None
+        starts = [t0] + [rng.normal(scale=0.5, size=16) for _ in range(3)]
+        for start in starts:
+            res = minimize(
+                _neg_log_likelihood,
+                start,
+                args=(counts, exposures),
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxfun": 100_000, "ftol": 1e-15, "gtol": 1e-12, "maxiter": 50_000},
+            )
+            if best is None or res.fun < best.fun:
+                best = res
+            # L-BFGS-B can report precision loss at an already-converged point;
+            # a vanishing gradient counts as convergence.
+            if res.success or np.max(np.abs(res.jac)) < 1e-6:
+                converged = True
+                break
+        t_hat, converged = best.x, converged and np.isfinite(best.fun)
+    m = _t_from_params(t_hat)
+    rho = m.conj().T @ m
+    rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+    if not converged:
         err = EstimationError("maximum-likelihood tomography did not converge")
         err.best_iterate = rho
         raise err
@@ -245,9 +290,7 @@ def tomo_mle(
 def tomo_log_likelihood(rho: np.ndarray, records: list[CountRecord]) -> float:
     """Poisson log-likelihood of a state given the records (for diagnostics)."""
     _, exposures, counts = _tomo_data(records)
-    probs = np.einsum("kij,ji->k", _TOMO_PROJECTORS, rho)
-    probs = np.clip(np.real(probs), _MLE_PROB_FLOOR, None)
-    return float(np.sum(counts * np.log(exposures * probs) - exposures * probs))
+    return _log_likelihood(np.real(_TOMO_DESIGN @ np.ravel(rho)), counts, exposures)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .detection import (
     records_to_csv,
     sample_counts,
 )
-from .errors import ValidationError
+from .errors import EstimationError, ValidationError
 from .estimators import (
     TOMO_SETTINGS,
     EstimateWithError,
@@ -513,6 +513,14 @@ def _write_matrix_csv(m: np.ndarray, path: Path, part: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def report_json(data: dict) -> str:
+    """Indented, key-sorted strict JSON; a NaN or infinity is an EstimationError."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise EstimationError(f"refusing to write a non-finite figure: {exc}") from exc
+
+
 def report_emit(
     scenario: Scenario,
     results: dict[str, StageResult],
@@ -521,12 +529,17 @@ def report_emit(
 ) -> list[Path]:
     """Write report JSON, density matrices, count CSVs and plot data.
 
-    Returns the list of files written.  Raises on empty input; I/O errors
-    surface verbatim.
+    Returns the list of files written.  Raises on empty input, and on a
+    non-finite figure before any file is written; I/O errors surface
+    verbatim.
     """
 
     if not results:
         raise ValidationError("nothing to report: no stage results")
+    reports = {
+        stage: report_json(stage_report(scenario, result, calibration_report))
+        for stage, result in results.items()
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plots = out / "plots"
@@ -564,8 +577,7 @@ def report_emit(
 
     for stage, result in results.items():
         sfx = _suffix(stage)
-        report = stage_report(scenario, result, calibration_report)
-        _write(out / f"report_{sfx}.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write(out / f"report_{sfx}.json", reports[stage])
         for group, records in result.records.items():
             _write(out / f"counts_{sfx}_{group}.csv", records_to_csv(records))
         for name, matrix in (

@@ -116,9 +116,9 @@ class TwoQubitState:
 
     Validated on construction: Hermitian within 1e-10, unit trace within
     1e-10, positive semidefinite within 1e-9.  Eigenvalues in [-1e-9, 0)
-    are clamped to zero and the matrix renormalized, so slightly unphysical
-    matrices from linear tomography can still flow through; anything more
-    negative is an error.
+    are clamped to zero and the matrix rebuilt exactly Hermitian and
+    renormalized, so slightly unphysical matrices from linear tomography can
+    still flow through; anything more negative is an error.
     """
 
     rho: np.ndarray = field(repr=False)
@@ -139,7 +139,7 @@ class TwoQubitState:
         if vals.min() < 0:
             vals = np.clip(vals, 0.0, None)
             rho = (vecs * vals) @ vecs.conj().T
-            rho = rho / np.trace(rho)
+            rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 

@@ -129,6 +129,16 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
+def test_huge_acquisition_time_exits_2(tmp_path, capsys):
+    bad = tmp_path / "huge.json"
+    d = scenario_to_dict(load_bundled_scenario())
+    d["settings"]["acquisition_s"]["tomo_pre"] = 1e300
+    bad.write_text(json.dumps(d))
+    rc = main(["--scenario", str(bad), "--out", str(tmp_path), "simulate"])
+    assert rc == 2
+    assert "acquisition_s=1e+300" in capsys.readouterr().err
+
+
 def test_calibration_error_exit_code(tmp_path):
     rc = main(
         ["--out", str(tmp_path), "calibrate", "--targets", '{"eta_100ns": 1.5}']

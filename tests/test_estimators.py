@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entmem.estimators as estimators
+import entmem.pipeline as pipeline
 from conftest import random_density_matrix, random_pure_ket
+from entmem.calibrate import calibrate
 from entmem.detection import CountRecord, projection_probability
 from entmem.errors import ConfigurationError, EstimationError, ValidationError
 from entmem.estimators import (
@@ -22,11 +27,10 @@ from entmem.estimators import (
     tomo_log_likelihood,
     tomo_mle,
     visibility_fit,
-    _neg_log_likelihood_and_grad,
+    _neg_log_likelihood,
     _clamped_physical,
     _lower_cholesky_factor,
     _params_from_t,
-    _projector_matrix,
 )
 from entmem.qstate import (
     TwoQubitState,
@@ -37,6 +41,7 @@ from entmem.qstate import (
     tensor_product,
     trace_distance,
 )
+from entmem.scenario import load_bundled_scenario
 
 SETTINGS = TomographySettingSet.standard()
 
@@ -123,21 +128,61 @@ class TestTomoMle:
     def test_gradient_matches_finite_differences(self, rng):
         rho = random_density_matrix(rng)
         records = exact_records(rho, 1e4)
-        projectors = np.stack([_projector_matrix(s) for s in SETTINGS.settings])
         counts = np.array([r.coincidences for r in records], dtype=float)
         exposures = np.full(16, 1e4)
         t0 = rng.normal(size=16)
-        f0, g0 = _neg_log_likelihood_and_grad(t0, projectors, counts, exposures)
+        f0, g0 = _neg_log_likelihood(t0, counts, exposures)
         eps = 1e-6
         for k in range(16):
             tp = t0.copy()
             tp[k] += eps
-            fp, _ = _neg_log_likelihood_and_grad(tp, projectors, counts, exposures)
+            fp, _ = _neg_log_likelihood(tp, counts, exposures)
             tm = t0.copy()
             tm[k] -= eps
-            fm, _ = _neg_log_likelihood_and_grad(tm, projectors, counts, exposures)
+            fm, _ = _neg_log_likelihood(tm, counts, exposures)
             numeric = (fp - fm) / (2 * eps)
             assert numeric == pytest.approx(g0[k], rel=1e-4, abs=1e-4)
+
+    def test_matches_projector_reference(self, rng):
+        """The quadratic-form NLL and gradient equal a direct evaluation on rho(t)."""
+        projectors = estimators._TOMO_PROJECTORS
+        for _ in range(20):
+            t = rng.normal(size=16)
+            counts = rng.poisson(500.0, size=16).astype(float)
+            exposures = rng.uniform(1e3, 5e3, size=16)
+            m = np.zeros((4, 4), dtype=complex)
+            m[np.diag_indices(4)] = t[:4]
+            for k, (r, c) in enumerate([(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)]):
+                m[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
+            assert np.array_equal(estimators._t_from_params(t), m)
+            assert np.array_equal(_params_from_t(m), t)
+            s = np.trace(m.conj().T @ m).real
+            rho = m.conj().T @ m / s
+            probs = np.real(np.einsum("kij,ji->k", projectors, rho))
+            nll = -np.sum(counts * np.log(exposures * probs) - exposures * probs)
+            weights = np.einsum("k,kij->ij", counts / probs - exposures, projectors)
+            w_conj = (m @ weights - np.trace(weights @ rho).real * m) / s  # dLL/dT*
+            grad = -2.0 * estimators._params_from_t(w_conj)
+            f, g = _neg_log_likelihood(t, counts, exposures)
+            assert f == pytest.approx(nll, rel=1e-13)
+            assert np.max(np.abs(g - grad)) < 1e-12 * np.max(np.abs(grad))
+
+    def test_hessian_matches_finite_differences(self, rng):
+        rho = random_density_matrix(rng)
+        records = poisson_records(rho, 1e4, rng)
+        counts = np.array([r.coincidences for r in records], dtype=float)
+        exposures = np.full(16, 1e4)
+        t0 = rng.normal(size=16)
+        _, _, h0 = _neg_log_likelihood(t0, counts, exposures, hessian=True)
+        assert np.max(np.abs(h0 - h0.T)) < 1e-12 * np.max(np.abs(h0))
+        eps = 1e-6
+        for k in range(16):
+            step = np.zeros(16)
+            step[k] = eps
+            _, gp = _neg_log_likelihood(t0 + step, counts, exposures)
+            _, gm = _neg_log_likelihood(t0 - step, counts, exposures)
+            numeric = (gp - gm) / (2 * eps)
+            assert numeric == pytest.approx(h0[k], rel=1e-4, abs=1e-4)
 
     def test_cholesky_factor_roundtrip(self, rng):
         rho = random_density_matrix(rng)
@@ -175,6 +220,98 @@ class TestTomoMle:
             vals = np.linalg.eigvalsh(est.rho)
             assert vals.min() >= -1e-12
             assert np.trace(est.rho).real == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    scenario, _ = calibrate(load_bundled_scenario())
+    return scenario
+
+
+@pytest.fixture(scope="module")
+def post_tomography_records(calibrated):
+    """The tomography records `entmem simulate` writes for the post-storage stage."""
+    fast = replace(calibrated, plan=replace(calibrated.plan, error_bars=False))
+    return pipeline.run_experiment(fast, "post_storage").records["tomography"]
+
+
+def lbfgs_results(monkeypatch, newton: bool = True):
+    """Record every L-BFGS-B result; without newton, every fit takes that fallback."""
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    minimize = estimators.minimize
+    monkeypatch.setattr(estimators, "minimize", counted)
+    if not newton:
+        monkeypatch.setattr(estimators, "_newton_fit", lambda *args, **kwargs: None)
+    return results
+
+
+class TestNewtonSolver:
+    def test_likelihood_at_least_lbfgs_on_bundled_resamples(
+        self, post_tomography_records, monkeypatch
+    ):
+        rng = np.random.default_rng(4)
+        resamples = [
+            [replace(r, coincidences=int(rng.poisson(r.coincidences))) for r in post_tomography_records]
+            for _ in range(50)
+        ]
+        fallback_runs = lbfgs_results(monkeypatch)
+        newton = [tomo_log_likelihood(tomo_mle(recs).rho, recs) for recs in resamples]
+        assert fallback_runs == []
+        lbfgs_results(monkeypatch, newton=False)
+        for recs, ll_newton in zip(resamples, newton):
+            ll_lbfgs = tomo_log_likelihood(tomo_mle(recs).rho, recs)
+            assert -ll_newton <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
+
+    def test_non_converged_newton_falls_back_to_lbfgs(
+        self, post_tomography_records, monkeypatch
+    ):
+        newton = tomo_mle(post_tomography_records)
+        results = lbfgs_results(monkeypatch, newton=False)
+        fallback = tomo_mle(post_tomography_records)
+        assert len(results) >= 1
+        best = min(results, key=lambda res: res.fun)
+        m = estimators._t_from_params(best.x)
+        expected = m.conj().T @ m
+        assert np.max(np.abs(fallback.rho - expected / np.trace(expected).real)) < 1e-12
+        assert trace_distance(fallback.rho, newton.rho) < 1e-5
+
+    def test_bundled_fidelity_bootstrap_has_no_failed_resamples(self, calibrated, monkeypatch):
+        failures = []
+        tomo_mle_ = pipeline.tomo_mle
+        mc_error_ = pipeline.mc_error
+        inside_mc = []
+
+        def counted_tomo_mle(*args, **kwargs):
+            try:
+                return tomo_mle_(*args, **kwargs)
+            except Exception as exc:
+                if inside_mc:
+                    failures.append(exc)
+                raise
+
+        def flagged_mc_error(*args, **kwargs):
+            inside_mc.append(True)
+            try:
+                return mc_error_(*args, **kwargs)
+            finally:
+                inside_mc.pop()
+
+        monkeypatch.setattr(pipeline, "tomo_mle", counted_tomo_mle)
+        monkeypatch.setattr(pipeline, "mc_error", flagged_mc_error)
+        for stage in ("pre_storage", "post_storage"):
+            result = pipeline.run_experiment(calibrated, stage)
+            assert result.fidelity.sigma > 0
+        assert failures == []
+
+    def test_single_fit_timing(self, post_tomography_records, benchmark):
+        """One fit on the bundled post-storage records, timed by pytest-benchmark."""
+        state = benchmark(tomo_mle, post_tomography_records)
+        assert state.purity() > 0.5
 
 
 class TestChshE:

@@ -7,7 +7,8 @@ import pytest
 
 from entmem.calibrate import DEFAULT_TARGETS, analytic_visibility, calibrate
 from entmem.detection import records_from_csv
-from entmem.errors import CalibrationError, ValidationError
+from entmem.errors import CalibrationError, EstimationError, ValidationError
+from entmem.estimators import EstimateWithError
 from entmem.experiment import balanced_state, memory_efficiency, stage_state
 from entmem.pipeline import report_emit, run_experiment, stage_report
 from entmem.qstate import bell_psi_plus, fidelity
@@ -217,6 +218,13 @@ class TestReports:
         assert "eit_spectrum.csv" in names
         assert "efficiency_vs_time.csv" in names
         assert "g2_histogram_pre.csv" in names
+
+    def test_non_finite_sigma_refused_before_any_report(self, fast, tmp_path):
+        res = run_experiment(fast, "pre_storage")
+        res = replace(res, fidelity=EstimateWithError(res.fidelity.value, float("nan"), 200))
+        with pytest.raises(EstimationError, match="non-finite"):
+            report_emit(fast, {"pre_storage": res}, tmp_path)
+        assert not list(tmp_path.rglob("report_*.json"))
 
     def test_counts_csv_round_trip_through_contract(self, fast, tmp_path):
         results = {"pre_storage": run_experiment(fast, "pre_storage")}

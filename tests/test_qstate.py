@@ -88,6 +88,13 @@ class TestTwoQubitStateValidation:
         assert vals.min() >= 0
         assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-12)
 
+    def test_clamped_state_exactly_hermitian(self, rng):
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            m = (q * [0.6, 0.3, 0.1, -1e-12]) @ q.conj().T
+            rho = TwoQubitState((m + m.conj().T) / 2).rho
+            assert np.array_equal(rho, rho.conj().T)
+
 
 class TestFidelity:
     def test_identity_case(self, rng):

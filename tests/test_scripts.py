@@ -8,13 +8,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> str:
+def start_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         env=env, capture_output=True, text=True, timeout=300,
     )
+
+
+def run_script(name: str, *args: str) -> str:
+    proc = start_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -31,3 +35,12 @@ def test_storage_time_sweep_script(tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "t_ns,eta,g2_slot,F_post,S_post,V_post"
     assert lines[1].split(",")[0] == "10.0"
+    assert len(lines) == 1 + 2
+
+
+def test_storage_time_sweep_fails_loudly_without_counts(tmp_path):
+    out_csv = tmp_path / "sweep.csv"
+    proc = start_script("storage_time_sweep.py", "--points", "2", "--t-max", "500", "--out", str(out_csv))
+    assert proc.returncode != 0
+    assert "storage time 500.0 ns" in proc.stderr
+    assert not out_csv.exists()
