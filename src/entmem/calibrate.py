@@ -1,20 +1,21 @@
 """Fit the scenario's free parameters to the published anchor values.
 
 Single forward pass in a fixed order; each parameter has one target and a
-1-D root search or bisection, because the couplings are weak in this
-direction (the EIT window sets the overlap, the overlap sets the decay
-calibration, the pair statistics set both correlation floors):
+1-D fit, because the couplings are weak in this direction (the EIT window
+sets the overlap, the overlap sets the decay calibration, the pair
+statistics set both correlation floors):
 
     rabi_coupling    <- EIT transparency window FWHM
-    tau_mem          <- storage efficiency at 100 ns
+    tau_mem          <- storage efficiency at 100 ns (closed form)
     p_white          <- pre-storage visibility (or fidelity)
     p_depol          <- post-storage visibility (or storage fidelity)
-    pair_prob        <- pre-storage slot-normalized g2
+    pair_prob        <- pre-storage slot-normalized g2 (or heralded alpha)
     background_flux  <- post-storage heralded autocorrelation
     g2_channel_background <- post-storage slot-normalized g2
 
-Every fit records target, achieved value and residual; residuals above 1%
-are flagged rather than silently accepted.
+Every fit but tau_mem is one bracketed Brent root search on the target's
+model value (MODELS).  Every fit records target, achieved value and
+residual; residuals above 1% are flagged rather than silently accepted.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .detection import heralded_alpha, slot_g2
+from .detection import heralded_alpha
 from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic
 from .experiment import (
@@ -35,10 +36,9 @@ from .experiment import (
     model_alpha,
     model_slot_g2,
     overlap_ceiling,
-    slot_probabilities,
     stage_state,
 )
-from .memory import calibrate_rabi_for_window, transparency_window_fwhm
+from .memory import transparency_window_fwhm
 from .qstate import KET_BY_LABEL, TwoQubitState, bell_psi_plus, fidelity
 from .scenario import Scenario
 
@@ -51,8 +51,6 @@ DEFAULT_TARGETS = {
     "alpha_post": 0.30,
     "g2_post": 14.0,
 }
-
-KNOWN_TARGETS = set(DEFAULT_TARGETS) | {"F_pre", "F_post", "alpha_pre"}
 
 
 def analytic_visibility(rho: TwoQubitState, arm1_label: str) -> float:
@@ -79,24 +77,81 @@ def analytic_visibility(rho: TwoQubitState, arm1_label: str) -> float:
     return float(min(np.hypot(a1, a2) / a0, 1.0))
 
 
-def _bisect(func, lo, hi, target, parameter, tol=1e-12, iters=200):
-    """Bisection for a monotonically decreasing func(x) = target."""
-    flo, fhi = func(lo) - target, func(hi) - target
-    if flo * fhi > 0:
+def _window_fwhm(s: Scenario) -> float:
+    """Transparency window FWHM, reading 0 without a peak and inf past the grid."""
+    try:
+        return transparency_window_fwhm(s.eit)
+    except CalibrationError as err:
+        if err.parameter == "rabi_coupling":
+            return 0.0
+        if err.parameter == "probe_detuning_grid":
+            return math.inf
+        raise
+
+
+# Model value of each calibration target on a scenario.
+MODELS = {
+    "eit_window": _window_fwhm,
+    "eta_100ns": lambda s: memory_efficiency(s, 100.0),
+    "V_pre": lambda s: analytic_visibility(balanced_state(s)[0], s.plan.visibility_arm1),
+    "F_pre": lambda s: fidelity(balanced_state(s)[0], bell_psi_plus()),
+    "V_post": lambda s: analytic_visibility(
+        stage_state(s, "post_storage")[0], s.plan.visibility_arm1
+    ),
+    "F_post": lambda s: fidelity(stage_state(s, "post_storage")[0], balanced_state(s)[0]),
+    "g2_pre": lambda s: model_slot_g2(s, "pre_storage"),
+    "alpha_pre": lambda s: heralded_alpha(*model_alpha(s, "pre_storage")),
+    "alpha_post": lambda s: heralded_alpha(*model_alpha(s, "post_storage")),
+    "g2_post": lambda s: model_slot_g2(s, "post_storage"),
+}
+
+
+def _setter(section: str, name: str):
+    return lambda s, x: replace(s, **{section: replace(getattr(s, section), **{name: float(x)})})
+
+
+# Fits in calibration order: (targets, section, parameter, bracket, xtol).
+# When both targets of a fit are given, the first is fitted and the second
+# only checked.  tau_mem has a closed form and no bracket.
+FITS = (
+    (("eit_window",), "eit", "rabi_coupling", (0.5, 200.0), 1e-6),
+    (("eta_100ns",), "decay", "tau_mem", None, None),
+    (("V_pre", "F_pre"), "source", "p_white", (0.0, 1.0), 1e-14),
+    (("V_post", "F_post"), "mem_noise", "p_depol", (0.0, 1.0), 1e-14),
+    (("g2_pre", "alpha_pre"), "source", "pair_prob", (1e-5, 0.45), 1e-14),
+    (("alpha_post",), "mem_noise", "background_flux", (0.0, 0.2), 1e-16),
+    (("g2_post",), "correlations", "g2_channel_background", (0.0, 0.5), 1e-16),
+)
+
+
+def _root(model, target, bracket, xtol, name, parameter) -> float:
+    """Brent root of model(x) = target on the bracket."""
+    lo, hi = bracket
+    at_lo, at_hi = model(lo), model(hi)
+    if not (at_lo - target) * (at_hi - target) <= 0:
         raise CalibrationError(
-            f"target {target} for {parameter} not bracketed in [{lo}, {hi}]",
+            f"{name} target {target} unreachable: {parameter} = {lo:.6g} gives {at_lo:.6g} "
+            f"and {parameter} = {hi:.6g} gives {at_hi:.6g}",
             parameter=parameter,
         )
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = func(mid) - target
-        if abs(hi - lo) < tol:
-            break
-        if fm * flo <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    return float(brentq(lambda x: model(x) - target, lo, hi, xtol=xtol))
+
+
+def _tau_for_eta(s: Scenario, target: float) -> float:
+    """Closed-form tau_mem putting the 100 ns storage efficiency on target."""
+    if not 0.0 < target < 1.0:
+        raise CalibrationError(
+            f"storage-efficiency target {target} out of physical range",
+            parameter="eta_100ns",
+        )
+    ceiling = overlap_ceiling(s)
+    if target >= ceiling:
+        raise CalibrationError(
+            f"eta target {target} above the spectral-overlap ceiling {ceiling:.4f}",
+            parameter="tau_mem",
+        )
+    ratio = math.log(ceiling / target)
+    return 100.0 / math.sqrt(ratio) if s.decay.model == "gaussian" else 100.0 / ratio
 
 
 def _record(report, name, target, achieved):
@@ -112,7 +167,7 @@ def _record(report, name, target, achieved):
 def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario, dict]:
     """Resolve free parameters against the targets; returns (scenario, report)."""
     targets = dict(DEFAULT_TARGETS if targets is None else targets)
-    unknown = set(targets) - KNOWN_TARGETS
+    unknown = set(targets) - set(MODELS)
     if unknown:
         raise CalibrationError(f"unknown calibration targets {sorted(unknown)}")
     bad = sorted(
@@ -122,159 +177,38 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
     )
     if bad:
         raise ValidationError(f"calibration targets {bad} must be finite numbers")
+    if targets.get("eit_window", 1.0) <= 0:
+        # the model reads a window without a peak as 0 wide
+        raise CalibrationError("window target must be positive", parameter="eit_window")
     report: dict = {}
     s = scenario
-
-    if "eit_window" in targets:
-        eit = calibrate_rabi_for_window(s.eit, targets["eit_window"])
-        s = replace(s, eit=eit)
-        _record(report, "eit_window", targets["eit_window"], transparency_window_fwhm(eit))
-        report["eit_window"]["parameter"] = {"rabi_coupling": eit.rabi_coupling}
-
-    if "eta_100ns" in targets:
-        target = targets["eta_100ns"]
-        if not 0.0 < target < 1.0:
-            raise CalibrationError(
-                f"storage-efficiency target {target} out of physical range",
-                parameter="eta_100ns",
-            )
-        ceiling = overlap_ceiling(s)
-        if target >= ceiling:
-            raise CalibrationError(
-                f"eta target {target} above the spectral-overlap ceiling {ceiling:.4f}",
-                parameter="tau_mem",
-            )
-        t_ref = 100.0
-        ratio = math.log(ceiling / target)
-        tau = t_ref / math.sqrt(ratio) if s.decay.model == "gaussian" else t_ref / ratio
-        s = replace(s, decay=replace(s.decay, tau_mem=float(tau)))
-        _record(report, "eta_100ns", target, memory_efficiency(s, t_ref))
-        report["eta_100ns"]["parameter"] = {"tau_mem": float(tau)}
-
-    if "V_pre" in targets or "F_pre" in targets:
-        key = "V_pre" if "V_pre" in targets else "F_pre"
-        target = targets[key]
-
-        def pre_metric(pw, scn=s):
-            rho, _ = balanced_state(replace(scn, source=replace(scn.source, p_white=pw)))
-            if key == "V_pre":
-                return analytic_visibility(rho, scn.plan.visibility_arm1)
-            return fidelity(rho, bell_psi_plus())
-
-        pw = _bisect(pre_metric, 0.0, 1.0, target, parameter="p_white")
-        s = replace(s, source=replace(s.source, p_white=float(pw)))
-        _record(report, key, target, pre_metric(pw))
-        report[key]["parameter"] = {"p_white": float(pw)}
-
-    if "V_post" in targets or "F_post" in targets:
-        key = "V_post" if "V_post" in targets else "F_post"
-        target = targets[key]
-        rho_pre, _ = balanced_state(s)
-
-        def post_metric(pd, scn=s):
-            trial = replace(scn, mem_noise=replace(scn.mem_noise, p_depol=pd))
-            rho, _ = stage_state(trial, "post_storage")
-            if key == "V_post":
-                return analytic_visibility(rho, scn.plan.visibility_arm1)
-            return fidelity(rho, rho_pre)
-
-        pd = _bisect(post_metric, 0.0, 1.0, target, parameter="p_depol")
-        s = replace(s, mem_noise=replace(s.mem_noise, p_depol=float(pd)))
-        _record(report, key, target, post_metric(pd))
-        report[key]["parameter"] = {"p_depol": float(pd)}
-
-    if "g2_pre" in targets:
-        target = targets["g2_pre"]
-        p = slot_probabilities(s, "pre_storage")
-
-        def g2_of_pair(pp):
-            return slot_g2(pp, p["e1"], p["e2"], p["dark1_slot"], p["noise2_slot"])
-
-        # the curve is dark-limited at tiny pair_prob; search the
-        # pair-statistics-limited (decreasing) branch only
-        grid = np.logspace(-5, np.log10(0.45), 80)
-        values = [g2_of_pair(x) for x in grid]
-        lo = grid[int(np.argmax(values))]
-        if max(values) < target:
-            raise CalibrationError(
-                f"g2_pre target {target} above the model maximum {max(values):.1f}",
-                parameter="pair_prob",
-            )
-        pp = brentq(lambda x: g2_of_pair(x) - target, lo, 0.45, xtol=1e-14)
-        s = replace(s, source=replace(s.source, pair_prob=float(pp)))
-        _record(report, "g2_pre", target, g2_of_pair(pp))
-        report["g2_pre"]["parameter"] = {"pair_prob": float(pp)}
-    elif "alpha_pre" in targets:
-        target = targets["alpha_pre"]
-
-        def alpha_of_pair(pp, scn=s):
-            trial = replace(scn, source=replace(scn.source, pair_prob=float(pp)))
-            return heralded_alpha(*model_alpha(trial, "pre_storage"))
-
-        try:
-            pp = brentq(lambda x: alpha_of_pair(x) - target, 1e-5, 0.45, xtol=1e-14)
-        except ValueError as exc:
-            raise CalibrationError(
-                f"alpha_pre target {target} unreachable: {exc}", parameter="pair_prob"
-            ) from exc
-        s = replace(s, source=replace(s.source, pair_prob=float(pp)))
-        _record(report, "alpha_pre", target, alpha_of_pair(pp))
-        report["alpha_pre"]["parameter"] = {"pair_prob": float(pp)}
-
-    if "alpha_pre" in targets and "g2_pre" in targets:
-        # pair_prob already serves the g2_pre target; the alpha_pre value
-        # is then a consistency check, not a fit
-        achieved = heralded_alpha(*model_alpha(s, "pre_storage"))
-        _record(report, "alpha_pre", targets["alpha_pre"], achieved)
-        report["alpha_pre"]["parameter"] = {}
-        report["alpha_pre"]["check_only"] = True
-
-    if "alpha_post" in targets:
-        target = targets["alpha_post"]
-
-        def alpha_of_bg(bg, scn=s):
-            trial = replace(scn, mem_noise=replace(scn.mem_noise, background_flux=float(bg)))
-            return heralded_alpha(*model_alpha(trial, "post_storage"))
-
-        try:
-            bg = brentq(lambda x: alpha_of_bg(x) - target, 0.0, 0.2, xtol=1e-16)
-        except ValueError as exc:
-            raise CalibrationError(
-                f"alpha_post target {target} unreachable: {exc}",
-                parameter="background_flux",
-            ) from exc
-        s = replace(s, mem_noise=replace(s.mem_noise, background_flux=float(bg)))
-        _record(report, "alpha_post", target, alpha_of_bg(bg))
-        report["alpha_post"]["parameter"] = {"background_flux": float(bg)}
-
-    if "g2_post" in targets:
-        target = targets["g2_post"]
-
-        def g2post_of_bg(bg, scn=s):
-            trial = replace(
-                scn,
-                correlations=replace(scn.correlations, g2_channel_background=float(bg)),
-            )
-            return model_slot_g2(trial, "post_storage")
-
-        if g2post_of_bg(0.0) < target:
-            raise CalibrationError(
-                f"g2_post target {target} above the zero-background value "
-                f"{g2post_of_bg(0.0):.2f}",
-                parameter="g2_channel_background",
-            )
-        bg2 = brentq(lambda x: g2post_of_bg(x) - target, 0.0, 0.5, xtol=1e-16)
-        s = replace(
-            s, correlations=replace(s.correlations, g2_channel_background=float(bg2))
-        )
-        _record(report, "g2_post", target, g2post_of_bg(bg2))
-        report["g2_post"]["parameter"] = {"g2_channel_background": float(bg2)}
-
-    report["checks"] = _consistency_checks(s, targets)
+    for names, section, parameter, bracket, xtol in FITS:
+        given = [name for name in names if name in targets]
+        if not given:
+            continue
+        name, target = given[0], targets[given[0]]
+        model, set_x = MODELS[name], _setter(section, parameter)
+        if bracket is None:
+            x = _tau_for_eta(s, target)
+        else:
+            if name == "g2_pre":
+                # the curve is dark-limited at tiny pair_prob; search the
+                # pair-statistics-limited (decreasing) branch only
+                grid = np.logspace(-5, np.log10(bracket[1]), 80)
+                values = [model(set_x(s, pp)) for pp in grid]
+                bracket = (grid[int(np.argmax(values))], bracket[1])
+            x = _root(lambda v: model(set_x(s, v)), target, bracket, xtol, name, parameter)
+        s = set_x(s, x)
+        _record(report, name, target, model(s))
+        report[name]["parameter"] = {parameter: x}
+        for other in given[1:]:
+            _record(report, other, targets[other], MODELS[other](s))
+            report[other].update(parameter={}, check_only=True)
+    report["checks"] = _consistency_checks(s)
     return s, report
 
 
-def _consistency_checks(s: Scenario, targets: dict) -> dict:
+def _consistency_checks(s: Scenario) -> dict:
     """Derived observables not directly fitted, for the calibration report."""
     rho_pre, _ = balanced_state(s)
     rho_post, _ = stage_state(s, "post_storage")

@@ -27,7 +27,7 @@ from .pipeline import (
     run_experiment,
 )
 from .qstate import bell_psi_plus, fidelity, matrix_json
-from .scenario import load_bundled_scenario, load_scenario, save_scenario
+from .scenario import load_bundled_scenario, load_scenario, read_input, save_scenario
 
 
 def _load(args) -> "Scenario":
@@ -92,7 +92,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    records = records_from_csv(Path(args.counts).read_text())
+    records = records_from_csv(read_input(args.counts))
     rho_lin = tomo_linear(records)
     rho_hat = tomo_mle(records, init=rho_lin)
     f = fidelity(rho_hat, bell_psi_plus())
@@ -110,7 +110,7 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
-    records = records_from_csv(Path(args.counts).read_text())
+    records = records_from_csv(read_input(args.counts))
     by_label = {r.setting_label: r.coincidences for r in records}
     missing = [label for label in CHSH_LABELS if label not in by_label]
     if missing:
@@ -135,11 +135,10 @@ def _cmd_eit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = Path(args.report)
     try:
-        data = json.loads(path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValidationError(f"{path} is not a JSON report: {exc}") from exc
+        data = json.loads(read_input(args.report))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{args.report} is not a JSON report: {exc}") from exc
     if not data or not isinstance(data, dict):
         raise ValidationError("empty report")
     round_trip = json.loads(json.dumps(data, sort_keys=True))

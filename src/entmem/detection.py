@@ -11,6 +11,7 @@ ratio are mutually consistent.
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 from dataclasses import dataclass, field
@@ -149,19 +150,22 @@ def records_to_csv(records: list[CountRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[CountRecord]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != CSV_HEADER:
+    try:
+        rows = [[f.strip() for f in row] for row in csv.reader(io.StringIO(text, newline=""))]
+    except csv.Error as exc:
+        raise ValidationError(f"unreadable count CSV: {exc}") from exc
+    rows = [row for row in rows if any(row)]
+    if not rows or rows[0] != CSV_HEADER.split(","):
         raise ValidationError(f"count CSV must start with header {CSV_HEADER!r}")
     out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
-            raise ValidationError(f"malformed count CSV row: {ln!r}")
-        label, *ints, acq, seed = parts
+    for row in rows[1:]:
+        if len(row) != 7:
+            raise ValidationError(f"malformed count CSV row: {row}")
+        label, *ints, acq, seed = row
         try:
             values = [*map(int, ints), float(acq), int(seed)]
         except ValueError as exc:
-            raise ValidationError(f"non-numeric field in count CSV row {ln!r}") from exc
+            raise ValidationError(f"non-numeric field in count CSV row {row}") from exc
         out.append(CountRecord(label, *values))
     labels = [r.setting_label for r in out]
     if len(set(labels)) != len(labels):

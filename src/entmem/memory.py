@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CalibrationError, ValidationError
 from .qstate import TwoQubitState
@@ -153,46 +152,6 @@ def transparency_window_fwhm(eit: EITParams) -> float:
     x_right = _cross(grid[i0:], t[i0:])
     x_left = _cross(grid[: i0 + 1][::-1], t[: i0 + 1][::-1])
     return float(x_right - x_left)
-
-
-def calibrate_rabi_for_window(
-    eit: EITParams, target_fwhm_mhz: float, bracket: tuple[float, float] = (0.5, 200.0)
-) -> EITParams:
-    """Root-search rabi_coupling so the transparency window FWHM matches."""
-
-    if target_fwhm_mhz <= 0:
-        raise CalibrationError("window target must be positive", parameter="eit_window")
-
-    def measure(oc):
-        try:
-            return transparency_window_fwhm(replace(eit, rabi_coupling=oc))
-        except CalibrationError as err:
-            if err.parameter == "rabi_coupling":
-                return 0.0  # coupling too weak for a visible peak
-            if err.parameter == "probe_detuning_grid":
-                return np.inf  # window wider than the measured grid
-            raise
-
-    def f(oc):
-        return measure(oc) - target_fwhm_mhz
-
-    lo, hi = bracket
-    try:
-        flo, fhi = f(lo), f(hi)
-        if flo * fhi > 0:
-            raise CalibrationError(
-                f"EIT window target {target_fwhm_mhz} MHz not bracketed by "
-                f"rabi_coupling in [{lo}, {hi}]",
-                parameter="rabi_coupling",
-            )
-        oc = brentq(f, lo, hi, xtol=1e-6)
-    except CalibrationError:
-        raise
-    except Exception as exc:  # root finding itself failed
-        raise CalibrationError(
-            f"EIT window calibration failed: {exc}", parameter="rabi_coupling"
-        ) from exc
-    return replace(eit, rabi_coupling=float(oc))
 
 
 def window_acceptance(eit: EITParams) -> tuple[np.ndarray, np.ndarray]:

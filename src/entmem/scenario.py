@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .detection import DetectorParams, LossBudget, TimingConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 from .interferometer import AttenuatorSetting, balance_attenuation
 from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
 from .source import SourceParams, eta_from_tan2, tan2_eta_from_detuning
@@ -300,12 +300,19 @@ def scenario_to_dict(s: Scenario) -> dict:
     return {"schema_version": SCHEMA_VERSION, **top}
 
 
+def read_input(path: str | Path) -> str:
+    """UTF-8 text of an input file; a missing, unreadable or non-UTF-8 file exits 2."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read input file {path}: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"{path} is not a JSON scenario: {exc}") from exc
+    try:
+        data = json.loads(read_input(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} is not a JSON scenario: {exc}") from exc
     return scenario_from_dict(data)
 
 

@@ -207,3 +207,84 @@ def test_count_csv_contract_violation_exits_2(tmp_path, command, rows):
     csv_path = tmp_path / "counts.csv"
     csv_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
     assert main(["--out", str(tmp_path), command, "--counts", str(csv_path)]) == 2
+
+
+def _missing(tmp_path):
+    return str(tmp_path / "missing.csv")
+
+
+def _non_utf8_counts(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(("\n".join([CSV_HEADER, *_csv_rows(TOMO_LABELS)]) + "\n").encode() + b"\xe9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "make_path, argv",
+    [
+        (_missing, ["tomo", "--counts", "{}"]),
+        (_missing, ["chsh", "--counts", "{}"]),
+        (_missing, ["report", "--report", "{}"]),
+        (_missing, ["--scenario", "{}", "eit"]),
+        (_non_utf8_counts, ["tomo", "--counts", "{}"]),
+    ],
+    ids=["missing_tomo_counts", "missing_chsh_counts", "missing_report", "missing_scenario",
+         "non_utf8_counts"],
+)
+def test_unreadable_input_file_exits_2(tmp_path, capsys, make_path, argv):
+    path = make_path(tmp_path)
+    argv = [arg.format(path) for arg in argv]
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_quoted_crlf_counts_give_identical_tomo_report(tmp_path):
+    from dataclasses import replace
+
+    scenario = load_bundled_scenario()
+    scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
+    res = run_experiment(scenario, "post_storage")
+    plain = records_to_csv(res.records["tomography"])
+    header, *rows = plain.splitlines()
+    quoted = "\r\n".join([header, *('"{}",{}'.format(*row.split(",", 1)) for row in rows)])
+    reports = []
+    for name, text in (("plain", plain), ("quoted", quoted + "\r\n")):
+        csv_path = tmp_path / f"{name}.csv"
+        csv_path.write_bytes(text.encode())
+        assert main(["--out", str(tmp_path / name), "tomo", "--counts", str(csv_path)]) == 0
+        reports.append((tmp_path / name / "tomo_report.json").read_bytes())
+    assert b'"HH"' in (tmp_path / "quoted.csv").read_bytes()
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "targets, parameter",
+    [
+        ({"g2_post": 0.5}, "g2_channel_background"),
+        ({"g2_post": -3}, "g2_channel_background"),
+        ({"g2_pre": 0.5}, "pair_prob"),
+        ({"eit_window": 1000}, "rabi_coupling"),
+        ({"alpha_post": 5}, "background_flux"),
+    ],
+)
+def test_unreachable_target_exits_3(tmp_path, capsys, targets, parameter):
+    rc = main(["--out", str(tmp_path), "calibrate", "--targets", json.dumps(targets)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert parameter in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "checked, value, fitted, check",
+    [("F_pre", 0.881, "V_pre", "F_pre_to_ideal"), ("F_post", 0.9, "V_post", "F_post_to_pre")],
+)
+def test_second_target_of_a_parameter_is_check_only(tmp_path, checked, value, fitted, check):
+    rc = main(["--out", str(tmp_path), "calibrate", "--targets", json.dumps({checked: value})])
+    assert rc == 0
+    report = json.loads((tmp_path / "calibration_report.json").read_text())
+    assert report[checked]["check_only"] is True
+    assert report[checked]["parameter"] == {}
+    assert report[checked]["target"] == value
+    assert report[checked]["achieved"] == report["checks"][check]
+    assert "check_only" not in report[fitted]
+    assert report[fitted]["residual"] < 1e-6

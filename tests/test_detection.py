@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import density_matrices
 from entmem.detection import (
+    CSV_HEADER,
     CountRecord,
     DetectorParams,
     G2StreamParams,
@@ -189,6 +190,20 @@ class TestCountRecordCsv:
         bad = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed\nX,1,1,5,0,1.0,0\n"
         with pytest.raises(ValidationError):
             records_from_csv(bad)
+
+    def test_quoted_labels_and_crlf_parse_like_plain(self):
+        recs = [
+            CountRecord("HH", 1000, 2000, 500, 5, 60.0, 7),
+            CountRecord("chsh:00:pp", 10, 10, 3, 0, 1.5, 8),
+        ]
+        header, *rows = records_to_csv(recs).splitlines()
+        quoted = [header, *('"{}",{}'.format(*row.split(",", 1)) for row in rows)]
+        assert records_from_csv("\r\n".join(quoted) + "\r\n") == recs
+
+    def test_csv_parser_error_is_validation_error(self):
+        text = CSV_HEADER + '\n"' + "x" * 200_000 + '",1,1,0,0,1.0,0\n'
+        with pytest.raises(ValidationError, match="unreadable count CSV"):
+            records_from_csv(text)
 
 
 class TestPairStatistics:

@@ -1,16 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import density_matrices
+from entmem.calibrate import calibrate
 from entmem.errors import CalibrationError, ValidationError
 from entmem.memory import (
     EITParams,
     MemoryDecayParams,
     MemoryNoiseParams,
     apply_memory,
-    calibrate_rabi_for_window,
     eit_transmission,
     g2_vs_storage_time,
     spectral_overlap,
@@ -19,13 +21,17 @@ from entmem.memory import (
     window_acceptance,
 )
 from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
+from entmem.scenario import load_bundled_scenario
 from entmem.source import wavepacket_spectrum
 
 
+def _fit_window(eit, target_mhz):
+    scenario = replace(load_bundled_scenario(), eit=eit)
+    return calibrate(scenario, {"eit_window": target_mhz})[0].eit
+
+
 def _calibrated_eit(gamma_g=0.03):
-    return calibrate_rabi_for_window(
-        EITParams(optical_depth=50.0, rabi_coupling=10.0, gamma_g=gamma_g), 20.0
-    )
+    return _fit_window(EITParams(optical_depth=50.0, rabi_coupling=10.0, gamma_g=gamma_g), 20.0)
 
 
 class TestEITTransmission:
@@ -60,8 +66,16 @@ class TestEITTransmission:
 
     def test_unreachable_window_raises(self):
         eit = EITParams(optical_depth=50.0, rabi_coupling=1.0)
-        with pytest.raises(CalibrationError):
-            calibrate_rabi_for_window(eit, 5000.0)
+        with pytest.raises(CalibrationError) as err:
+            _fit_window(eit, 5000.0)
+        assert err.value.parameter == "rabi_coupling"
+
+    def test_non_positive_window_target_raises(self):
+        # a coupling too weak for a peak reads as a 0 MHz window, not a fit
+        eit = EITParams(optical_depth=50.0, rabi_coupling=1.0)
+        with pytest.raises(CalibrationError) as err:
+            _fit_window(eit, 0.0)
+        assert err.value.parameter == "eit_window"
 
 
 class TestStorageEfficiency:
