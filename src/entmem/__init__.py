@@ -61,6 +61,7 @@ from .estimators import (
     chsh_S,
     chsh_S_analytic,
     mc_error,
+    tomo_counts,
     tomo_linear,
     tomo_mle,
     visibility_fit,

@@ -15,7 +15,7 @@ from pathlib import Path
 from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
-from .estimators import chsh_S, chsh_S_literal, tomo_linear, tomo_mle
+from .estimators import chsh_S, chsh_S_literal, tomo_counts, tomo_linear, tomo_mle
 from .memory import transparency_window_fwhm
 from .pipeline import (
     CHSH_LABELS,
@@ -42,7 +42,18 @@ def _load(args) -> "Scenario":
     return scenario
 
 
+def _out_dir(args) -> Path:
+    """The --out directory, created if missing, before a command does any work."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"--out {args.out} cannot be used as a directory: {exc}") from exc
+    return out
+
+
 def _cmd_simulate(args) -> int:
+    _out_dir(args)
     scenario = _load(args)
     calib_report = None
     if not args.skip_calibration:
@@ -63,6 +74,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    out = _out_dir(args)
     scenario = _load(args)
     targets = dict(DEFAULT_TARGETS)
     if args.targets:
@@ -75,8 +87,6 @@ def _cmd_calibrate(args) -> int:
         targets.update(overrides)
     scenario, report = calibrate(scenario, targets)
     text = report_json(report)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_scenario(scenario, out / "scenario_calibrated.json")
     (out / "calibration_report.json").write_text(text)
     for name, entry in report.items():
@@ -92,9 +102,10 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tomo(args) -> int:
-    records = records_from_csv(read_input(args.counts))
-    rho_lin = tomo_linear(records)
-    rho_hat = tomo_mle(records, init=rho_lin)
+    out_dir = _out_dir(args)
+    counts, acq = tomo_counts(records_from_csv(read_input(args.counts)))
+    rho_lin = tomo_linear(counts, acq)
+    rho_hat = tomo_mle(counts, acq, init=rho_lin)
     f = fidelity(rho_hat, bell_psi_plus())
     out = {
         "rho_linear": matrix_json(rho_lin),
@@ -102,8 +113,7 @@ def _cmd_tomo(args) -> int:
         "fidelity_to_ideal": f,
     }
     text = report_json(out)
-    Path(args.out).mkdir(parents=True, exist_ok=True)
-    path = Path(args.out) / "tomo_report.json"
+    path = out_dir / "tomo_report.json"
     path.write_text(text)
     print(f"fidelity to ideal: {f:.4f}; wrote {path}")
     return 0
@@ -123,9 +133,8 @@ def _cmd_chsh(args) -> int:
 
 
 def _cmd_eit(args) -> int:
+    out = _out_dir(args)
     scenario = _load(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     path = out / "eit_spectrum.csv"
     path.write_text(eit_spectrum_csv(scenario.eit))
     if scenario.eit.rabi_coupling > 0:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.optimize import minimize
 
 from .detection import CountRecord, MeasurementSetting
@@ -94,14 +95,8 @@ _TOMO_DESIGN = _design_matrix(TOMO_SETTINGS.settings)
 _NORMALIZATION_IDX = [_TOMO_LABELS.index(label) for label in NORMALIZATION_GROUP]
 
 
-def _tomo_data(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequencies, exposures and counts of the records, in TOMO_SETTINGS order.
-
-    Coincidence rates are normalized by the total rate of the complete
-    (H/V x H/V) quadruple, which measures every pair regardless of basis;
-    working with rates keeps unequal acquisition times consistent.
-    """
-
+def tomo_counts(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Coincidences and acquisition times of 16 tomography records, in TOMO_SETTINGS order."""
     by_label = {r.setting_label: r for r in records}
     if len(by_label) != len(records):
         raise ConfigurationError("duplicate setting labels in tomography records")
@@ -109,18 +104,32 @@ def _tomo_data(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray, np.n
     if missing:
         raise ConfigurationError(f"missing tomography records for settings {missing}")
     ordered = [by_label[label] for label in _TOMO_LABELS]
-    rates = np.array([r.coincidences / r.acquisition_s for r in ordered])
+    counts = np.array([float(r.coincidences) for r in ordered])
+    return counts, np.array([r.acquisition_s for r in ordered])
+
+
+def _tomo_data(counts, acquisition_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frequencies, exposures and counts of the 16 counts in TOMO_SETTINGS order.
+
+    Coincidence rates are normalized by the total rate of the complete
+    (H/V x H/V) quadruple, which measures every pair regardless of basis;
+    working with rates keeps unequal acquisition times consistent.
+    """
+
+    counts = np.asarray(counts, dtype=float)
+    acquisition_s = np.asarray(acquisition_s, dtype=float)
+    if counts.shape != (16,) or acquisition_s.shape != (16,):
+        raise ValidationError("tomography needs 16 counts and 16 acquisition times")
+    rates = counts / acquisition_s
     total_rate = rates[_NORMALIZATION_IDX].sum()
     if total_rate <= 0:
         raise EstimationError("normalization group has zero coincidences")
-    exposures = np.array([total_rate * r.acquisition_s for r in ordered])
-    counts = np.array([float(r.coincidences) for r in ordered])
-    return rates / total_rate, exposures, counts
+    return rates / total_rate, total_rate * acquisition_s, counts
 
 
-def tomo_linear(records: list[CountRecord]) -> np.ndarray:
+def tomo_linear(counts, acquisition_s) -> np.ndarray:
     """Linear-inversion estimate; Hermitian, unit trace, possibly non-PSD."""
-    freqs, _, _ = _tomo_data(records)
+    freqs, _, _ = _tomo_data(counts, acquisition_s)
     rho = np.linalg.solve(_TOMO_DESIGN, freqs.astype(np.complex128)).reshape(4, 4)
     return (rho + rho.conj().T) / 2
 
@@ -198,28 +207,39 @@ def _neg_log_likelihood(
     return -ll, -grad, -hess
 
 
+def _newton_step(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The Newton step -h^-1 g, and whether h is positive definite.
+
+    The step is one Cholesky solve.  When that fails, h is shifted by twice
+    its lowest eigenvalue (an eigh decomposition) and counts as indefinite.
+    """
+    _, x, info = dposv(h, g)
+    if info == 0:
+        return -x, True
+    vals, vecs = np.linalg.eigh(h)
+    floor = 1e-12 * np.abs(vals).max()
+    definite = vals.min() >= floor
+    if not definite:
+        vals = vals + (floor - 2 * vals.min())
+    return -vecs @ ((vecs.T @ g) / vals), definite
+
+
 def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.ndarray | None:
     """Damped Newton minimizer of the NLL from t, or None if it does not converge.
 
     The NLL is invariant under t -> c t: t stays at unit length and t t^T
-    fills the Hessian's null direction.  A Hessian that is not positive
-    definite is shifted by twice its lowest eigenvalue, and steps backtrack
-    until the NLL decreases.  Converged at a Newton decrement <= 1e-15 |NLL|,
-    or, once no decrease is found, at max|grad| < 1e-6.
+    fills the Hessian's null direction.  Steps backtrack until the NLL
+    decreases.  Converged at a Newton decrement <= 1e-15 |NLL| with a
+    positive definite Hessian, or, once no decrease is found, at
+    max|grad| < 1e-6.
     """
     try:
         t = t / np.linalg.norm(t)
         f, g, h = _neg_log_likelihood(t, counts, exposures, hessian=True)
         for _ in range(100):
-            vals, vecs = np.linalg.eigh(h + np.outer(t, t))
-            floor = 1e-12 * np.abs(vals).max()
-            shifted = vals.min() < floor
-            if shifted:
-                vals = vals + (floor - 2 * vals.min())
-            gv = vecs.T @ g
-            if not shifted and 0.5 * np.sum(gv**2 / vals) <= 1e-15 * abs(f):
+            step, definite = _newton_step(h + np.outer(t, t), g)
+            if definite and -0.5 * (g @ step) <= 1e-15 * abs(f):
                 return t
-            step = -vecs @ (gv / vals)
             for _ in range(40):
                 f_new, g_new, h_new = _neg_log_likelihood(t + step, counts, exposures, True)
                 if f_new < f:
@@ -238,10 +258,11 @@ def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.
 
 
 def tomo_mle(
-    records: list[CountRecord], init: np.ndarray | None = None, seed: int = 0
+    counts, acquisition_s, init: np.ndarray | None = None, seed: int = 0
 ) -> TwoQubitState:
-    """Maximum-likelihood physical state from 16 tomography records.
+    """Maximum-likelihood physical state from the 16 tomography counts.
 
+    counts and acquisition_s are in TOMO_SETTINGS order (see tomo_counts).
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
     maximized over the Cholesky parameterization by damped Newton steps with
     the analytic Hessian, seeded from the clamped linear inversion (or the
@@ -249,9 +270,9 @@ def tomo_mle(
     same seed point and up to three random restarts before giving up.
     """
 
-    _, exposures, counts = _tomo_data(records)
+    _, exposures, counts = _tomo_data(counts, acquisition_s)
     if init is None:
-        init = tomo_linear(records)
+        init = tomo_linear(counts, acquisition_s)
     t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
 
     t_hat = _newton_fit(t0, counts, exposures)
@@ -287,9 +308,9 @@ def tomo_mle(
     return TwoQubitState(rho)
 
 
-def tomo_log_likelihood(rho: np.ndarray, records: list[CountRecord]) -> float:
-    """Poisson log-likelihood of a state given the records (for diagnostics)."""
-    _, exposures, counts = _tomo_data(records)
+def tomo_log_likelihood(rho: np.ndarray, counts, acquisition_s) -> float:
+    """Poisson log-likelihood of a state given the 16 counts (for diagnostics)."""
+    _, exposures, counts = _tomo_data(counts, acquisition_s)
     return _log_likelihood(np.real(_TOMO_DESIGN @ np.ravel(rho)), counts, exposures)[0]
 
 
@@ -388,21 +409,6 @@ class VisibilityResult:
     nonclassical: bool
 
 
-def _fit_fringe(thetas: np.ndarray, counts: np.ndarray, weights: np.ndarray) -> tuple:
-    # C(theta) = a0 + a1 cos(4 theta) + a2 sin(4 theta), linear least squares.
-    design = np.column_stack(
-        [np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)]
-    )
-    w = np.sqrt(weights)
-    coef, *_ = np.linalg.lstsq(design * w[:, None], counts * w, rcond=None)
-    a0, a1, a2 = coef
-    if a0 <= 0:
-        raise EstimationError("fringe fit degenerate: non-positive baseline")
-    v = float(np.hypot(a1, a2) / a0)
-    phi0 = float(np.arctan2(a2, a1))
-    return min(v, 1.0), a0, phi0
-
-
 def visibility_fit(
     points: list[tuple[float, float]],
     poisson_weights: bool = False,
@@ -413,7 +419,9 @@ def visibility_fit(
 
     theta is the half-wave-plate angle, so the fringe period is pi/2.
     Returns the visibility in [0, 1] with a Poisson Monte-Carlo sigma and
-    flags values above 1/sqrt(2) as nonclassical.
+    flags values above 1/sqrt(2) as nonclassical.  The fit is linear least
+    squares in a0 + a1 cos(4 theta) + a2 sin(4 theta); one pseudo-inverse of
+    the fixed design fits every resample, and a0 <= 0 fails a resample.
     """
 
     if len(points) < 8:
@@ -426,28 +434,30 @@ def visibility_fit(
         raise ValidationError("fringe sweep must span at least one period (pi/2)")
     if counts.sum() <= 0:
         raise EstimationError("fringe fit degenerate: all counts zero")
-
-    weights = 1.0 / np.clip(counts, 1.0, None) if poisson_weights else np.ones_like(counts)
-    v, a0, phi0 = _fit_fringe(thetas, counts, weights)
-
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
-    vs = np.empty(n_resamples)
-    for k in range(n_resamples):
-        rng = derive_rng(seed, "visibility", k)
-        resampled = rng.poisson(counts).astype(float)
-        try:
-            vs[k] = _fit_fringe(thetas, resampled, weights)[0]
-        except EstimationError:
-            vs[k] = np.nan
-    ok = np.isfinite(vs)
+
+    weights = 1.0 / np.clip(counts, 1.0, None) if poisson_weights else np.ones_like(counts)
+    w = np.sqrt(weights)
+    design = np.column_stack([w, np.cos(4 * thetas) * w, np.sin(4 * thetas) * w])
+    (a0, a1, a2), *_ = np.linalg.lstsq(design, counts * w, rcond=None)
+    if a0 <= 0:
+        raise EstimationError("fringe fit degenerate: non-positive baseline")
+    v = min(float(np.hypot(a1, a2) / a0), 1.0)
+
+    resampled = np.array(
+        [derive_rng(seed, "visibility", k).poisson(counts) for k in range(n_resamples)]
+    )
+    b0, b1, b2 = np.linalg.pinv(design) @ (resampled * w).T
+    ok = b0 > 0
     if ok.sum() < 0.9 * n_resamples:
         raise EstimationError("fringe fit failed on more than 10% of resamples")
-    est = EstimateWithError(value=v, sigma=float(np.std(vs[ok])), n_resamples=n_resamples)
+    vs = np.minimum(np.hypot(b1[ok], b2[ok]) / b0[ok], 1.0)
+    est = EstimateWithError(value=v, sigma=float(np.std(vs)), n_resamples=n_resamples)
     return VisibilityResult(
         estimate=est,
         baseline=float(a0),
-        phase=phi0,
+        phase=float(np.arctan2(a2, a1)),
         nonclassical=v > VISIBILITY_CLASSICAL_BOUND,
     )
 

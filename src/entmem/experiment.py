@@ -7,11 +7,13 @@ shares.  All functions are pure; nothing here samples.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .detection import slot_g2, triple_coincidence_probs
 from .interferometer import apply_attenuator
-from .memory import apply_memory, spectral_overlap, storage_efficiency
+from .memory import apply_memory, efficiency_curve, spectral_overlap
 from .qstate import TwoQubitState
 from .scenario import Scenario
 from .source import Spectrum, two_photon_state, wavepacket_spectrum
@@ -40,7 +42,12 @@ def balanced_state(scenario: Scenario) -> tuple[TwoQubitState, float]:
 def memory_efficiency(scenario: Scenario, t_storage: float | None = None) -> float:
     """Retrieval efficiency at the configured (or given) storage time."""
     t = scenario.timing.storage_time_ns if t_storage is None else t_storage
-    return storage_efficiency(signal_spectrum(scenario), scenario.eit, scenario.decay, t)
+    return memory_efficiency_curve(scenario)(t)
+
+
+def memory_efficiency_curve(scenario: Scenario) -> Callable[[float], float]:
+    """Retrieval efficiency as a function of storage time."""
+    return efficiency_curve(signal_spectrum(scenario), scenario.eit, scenario.decay)
 
 
 def overlap_ceiling(scenario: Scenario) -> float:

@@ -186,15 +186,22 @@ def spectral_overlap(spectrum: Spectrum, eit: EITParams) -> float:
     return float(np.trapezoid(s * w, grid))
 
 
+def efficiency_curve(
+    spectrum: Spectrum, eit: EITParams, decay: MemoryDecayParams
+) -> Callable[[float], float]:
+    """t -> eta(t) = eta_peak * overlap(spectrum, window) * decay(t), in [0, 1]."""
+    overlap = spectral_overlap(spectrum, eit)  # independent of t: computed once
+    return lambda t: float(min(max(decay.eta_peak * overlap * decay_factor(decay, t), 0.0), 1.0))
+
+
 def storage_efficiency(
     spectrum: Spectrum,
     eit: EITParams,
     decay: MemoryDecayParams,
     t_storage: float,
 ) -> float:
-    """eta(t) = eta_peak * overlap(spectrum, window) * decay(t), in [0, 1]."""
-    eta = decay.eta_peak * spectral_overlap(spectrum, eit) * decay_factor(decay, t_storage)
-    return float(min(max(eta, 0.0), 1.0))
+    """eta(t_storage) from efficiency_curve."""
+    return efficiency_curve(spectrum, eit, decay)(t_storage)
 
 
 def apply_memory(

@@ -42,12 +42,13 @@ from .estimators import (
     chsh_S_literal,
     is_nonclassical_R,
     mc_error,
+    tomo_counts,
     tomo_linear,
     tomo_mle,
     visibility_fit,
 )
 from .experiment import (
-    memory_efficiency,
+    memory_efficiency_curve,
     model_slot_g2,
     model_alpha,
     slot_probabilities,
@@ -259,20 +260,6 @@ def simulate_g2(scenario: Scenario, stage: str):
 # ---------------------------------------------------------------------------
 
 
-def _with_counts(templates: list[CountRecord], counts) -> list[CountRecord]:
-    """The template records with their coincidences replaced by counts."""
-    return [
-        replace(
-            rec,
-            singles_1=max(rec.singles_1, int(n)),
-            singles_2=max(rec.singles_2, int(n)),
-            coincidences=int(n),
-            triples=0,
-        )
-        for rec, n in zip(templates, counts)
-    ]
-
-
 def run_experiment(
     scenario: Scenario,
     stage: str,
@@ -301,29 +288,29 @@ def run_experiment(
     # re-simulated pre-storage MLE after it
     tomo_records = simulate_tomography(scenario, stage, rho, eta, sampling)
     result.records["tomography"] = tomo_records
-    result.rho_linear = tomo_linear(tomo_records)
-    result.rho_mle = tomo_mle(tomo_records, init=result.rho_linear, seed=seed)
-    ref_records = []
+    counts, acq = tomo_counts(tomo_records)
+    result.rho_linear = tomo_linear(counts, acq)
+    result.rho_mle = tomo_mle(counts, acq, init=result.rho_linear, seed=seed)
+    ref_counts = ref_acq = np.empty(0)
     result.fidelity_reference = "ideal"
     if stage == "post_storage":
         pre_rho, _ = stage_state(scenario, "pre_storage")
         ref_records = simulate_tomography(scenario, "pre_storage", pre_rho, 1.0, sampling)
+        ref_counts, ref_acq = tomo_counts(ref_records)
         result.fidelity_reference = "pre_storage_mle"
+    n_ref = len(ref_counts)
 
-    def reference(records):
-        return tomo_mle(records, seed=seed) if records else bell_psi_plus()
+    def reference(ref):
+        return tomo_mle(ref, ref_acq, seed=seed) if n_ref else bell_psi_plus()
 
-    templates = ref_records + tomo_records
-
-    def f_estimator(counts):
-        records = _with_counts(templates, counts)
-        ref = reference(records[: len(ref_records)])
-        return fidelity(tomo_mle(records[len(ref_records) :], seed=seed), ref)
+    def f_estimator(resampled):
+        ref = reference(resampled[:n_ref])
+        return fidelity(tomo_mle(resampled[n_ref:], acq, seed=seed), ref)
 
     result.fidelity = with_sigma(
-        fidelity(result.rho_mle, reference(ref_records)),
+        fidelity(result.rho_mle, reference(ref_counts)),
         f_estimator,
-        [r.coincidences for r in templates],
+        np.concatenate([ref_counts, counts]),
     )
 
     # --- CHSH
@@ -554,22 +541,21 @@ def report_emit(
 
     # storage-efficiency and g2 decay curves
     times = np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)
-    etas = [memory_efficiency(scenario, float(t)) for t in times]
+    eta_of = memory_efficiency_curve(scenario)
+    etas = [eta_of(float(t)) for t in times]
     g2_pre_model = model_slot_g2(scenario, "pre_storage")
     curve_rows = ["t_ns,eta,g2"]
     if g2_pre_model > 1.0:
-        eta_now = memory_efficiency(scenario)
+        eta_now = eta_of(scenario.timing.storage_time_ns)
         g2_post_model = model_slot_g2(scenario, "post_storage")
         if g2_post_model > 1.0 and eta_now > 0 and eta_now < 1:
             b = ((g2_pre_model - 1.0) * eta_now / (g2_post_model - 1.0) - eta_now) / (
                 1.0 - eta_now
             )
             b = max(b, 1e-9)
-            curve = g2_vs_storage_time(
-                g2_pre_model, lambda t: memory_efficiency(scenario, float(t)), b
-            )
+            curve = g2_vs_storage_time(g2_pre_model, dict(zip(times, etas)).__getitem__, b)
             for t, e in zip(times, etas):
-                curve_rows.append(f"{t:.6g},{e:.10g},{curve(float(t)):.10g}")
+                curve_rows.append(f"{t:.6g},{e:.10g},{curve(t):.10g}")
     if len(curve_rows) == 1:
         for t, e in zip(times, etas):
             curve_rows.append(f"{t:.6g},{e:.10g},")

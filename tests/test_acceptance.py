@@ -24,6 +24,7 @@ from entmem.estimators import (
     TomographySettingSet,
     cauchy_schwarz_R,
     chsh_S_analytic,
+    tomo_counts,
     tomo_mle,
 )
 from entmem.experiment import memory_efficiency
@@ -90,14 +91,14 @@ def test_criterion_2_tomography_self_consistency():
             CountRecord(s.label, 4 * 10**9, 4 * 10**9, int(round(p * 1e9)), 0, 1.0, 0)
             for s, p in zip(settings.settings, probs)
         ]
-        est = tomo_mle(exact)
+        est = tomo_mle(*tomo_counts(exact))
         worst_td = max(worst_td, trace_distance(est.rho, rho.rho))
         # Poisson statistics at N = 1e5 per basis group
         noisy = [
             CountRecord(s.label, 4 * 10**6, 4 * 10**6, int(rng.poisson(p * 1e5)), 0, 1.0, 0)
             for s, p in zip(settings.settings, probs)
         ]
-        fids.append(fidelity(tomo_mle(noisy), rho))
+        fids.append(fidelity(tomo_mle(*tomo_counts(noisy)), rho))
     elapsed = time.time() - t0
     mean_f = float(np.mean(fids))
     ok = worst_td < 1e-6 and mean_f > 0.995 and elapsed < 120.0

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import entmem.cli as cli
 from entmem.cli import main
 from entmem.detection import records_to_csv
 from entmem.pipeline import run_experiment
@@ -288,3 +289,30 @@ def test_second_target_of_a_parameter_is_check_only(tmp_path, checked, value, fi
     assert report[checked]["achieved"] == report["checks"][check]
     assert "check_only" not in report[fitted]
     assert report[fitted]["residual"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "out, argv",
+    [
+        ("afile", ["eit"]),
+        ("afile/sub", ["calibrate"]),
+        ("afile", ["simulate", "--sampling", "expected"]),
+        ("afile/sub", ["tomo", "--counts", "{counts}"]),
+    ],
+    ids=["eit_file", "calibrate_under_file", "simulate_file", "tomo_under_file"],
+)
+def test_out_that_is_or_lies_under_a_file_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, out, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for name in ("calibrate", "run_experiment", "tomo_mle"):
+        monkeypatch.setattr(cli, name, no_work)
+    (tmp_path / "afile").write_text("kept")
+    counts = tmp_path / "counts.csv"
+    counts.write_text("\n".join([CSV_HEADER, *_csv_rows(TOMO_LABELS)]) + "\n")
+    argv = [arg.format(counts=counts) for arg in argv]
+    assert main(["--out", str(tmp_path / out), *argv]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text() == "kept"

@@ -23,6 +23,7 @@ from entmem.estimators import (
     chsh_S_literal,
     is_nonclassical_R,
     mc_error,
+    tomo_counts,
     tomo_linear,
     tomo_log_likelihood,
     tomo_mle,
@@ -41,6 +42,7 @@ from entmem.qstate import (
     tensor_product,
     trace_distance,
 )
+from entmem.rng import derive_rng
 from entmem.scenario import load_bundled_scenario
 
 SETTINGS = TomographySettingSet.standard()
@@ -91,22 +93,22 @@ class TestTomographySettingSet:
 class TestTomoLinear:
     def test_recovers_basis_state(self):
         rho = tensor_product(ket_h(), ket_v())
-        est = tomo_linear(exact_records(rho))
+        est = tomo_linear(*tomo_counts(exact_records(rho)))
         assert np.max(np.abs(est - rho.rho)) < 1e-10
 
     def test_recovers_bell_state(self):
         rho = bell_psi_plus()
-        est = tomo_linear(exact_records(rho))
+        est = tomo_linear(*tomo_counts(exact_records(rho)))
         assert np.max(np.abs(est - rho.rho)) < 1e-10
 
     def test_recovers_maximally_mixed(self):
         rho = TwoQubitState.maximally_mixed()
-        est = tomo_linear(exact_records(rho))
+        est = tomo_linear(*tomo_counts(exact_records(rho)))
         assert np.max(np.abs(est - rho.rho)) < 1e-10
 
     def test_hermitian_unit_trace(self, rng):
         rho = random_density_matrix(rng)
-        est = tomo_linear(exact_records(rho, 1e9))
+        est = tomo_linear(*tomo_counts(exact_records(rho, 1e9)))
         assert np.max(np.abs(est - est.conj().T)) < 1e-12
         assert np.trace(est).real == pytest.approx(1.0, abs=1e-9)
 
@@ -117,11 +119,18 @@ class TestTomoLinear:
             for r in recs
         ]
         with pytest.raises(EstimationError):
-            tomo_linear(recs)
+            tomo_linear(*tomo_counts(recs))
 
     def test_missing_setting_rejected(self):
         with pytest.raises(ConfigurationError):
-            tomo_linear(exact_records(bell_psi_plus())[:15])
+            tomo_linear(*tomo_counts(exact_records(bell_psi_plus())[:15]))
+
+    def test_count_arrays_of_wrong_length_rejected(self):
+        counts, acq = tomo_counts(exact_records(bell_psi_plus()))
+        with pytest.raises(ValidationError):
+            tomo_linear(counts[:15], acq[:15])
+        with pytest.raises(ValidationError):
+            tomo_mle(counts, acq[:1])
 
 
 class TestTomoMle:
@@ -191,32 +200,32 @@ class TestTomoMle:
         assert np.max(np.abs(t.conj().T @ t - rho.rho)) < 1e-10
 
     def test_noiseless_bell_reconstruction(self):
-        est = tomo_mle(exact_records(bell_psi_plus(), 1e6))
+        est = tomo_mle(*tomo_counts(exact_records(bell_psi_plus(), 1e6)))
         assert fidelity(est, bell_psi_plus()) > 0.9999
 
     def test_maximally_mixed_purity(self):
-        est = tomo_mle(exact_records(TwoQubitState.maximally_mixed(), 1e6))
+        est = tomo_mle(*tomo_counts(exact_records(TwoQubitState.maximally_mixed(), 1e6)))
         assert est.purity() < 0.26
 
     def test_reconstruction_consistency_random_states(self, rng):
         for _ in range(10):
             rho = random_density_matrix(rng)
-            est = tomo_mle(exact_records(rho, 1e9))
+            est = tomo_mle(*tomo_counts(exact_records(rho, 1e9)))
             assert trace_distance(est.rho, rho.rho) < 1e-6
 
     def test_likelihood_beats_clamped_linear_inversion(self, rng):
         rho = random_density_matrix(rng)
-        records = poisson_records(rho, 3e3, rng)
-        lin = tomo_linear(records)
-        est = tomo_mle(records, init=lin)
-        ll_mle = tomo_log_likelihood(est.rho, records)
-        ll_lin = tomo_log_likelihood(_clamped_physical(lin), records)
+        data = tomo_counts(poisson_records(rho, 3e3, rng))
+        lin = tomo_linear(*data)
+        est = tomo_mle(*data, init=lin)
+        ll_mle = tomo_log_likelihood(est.rho, *data)
+        ll_lin = tomo_log_likelihood(_clamped_physical(lin), *data)
         assert ll_mle >= ll_lin - 1e-6
 
     def test_output_physical_on_noisy_counts(self, rng):
         for _ in range(5):
             rho = random_density_matrix(rng, rank=2)
-            est = tomo_mle(poisson_records(rho, 500, rng))
+            est = tomo_mle(*tomo_counts(poisson_records(rho, 500, rng)))
             vals = np.linalg.eigvalsh(est.rho)
             assert vals.min() >= -1e-12
             assert np.trace(est.rho).real == pytest.approx(1.0, abs=1e-10)
@@ -260,19 +269,20 @@ class TestNewtonSolver:
             for _ in range(50)
         ]
         fallback_runs = lbfgs_results(monkeypatch)
-        newton = [tomo_log_likelihood(tomo_mle(recs).rho, recs) for recs in resamples]
+        resamples = [tomo_counts(recs) for recs in resamples]
+        newton = [tomo_log_likelihood(tomo_mle(*data).rho, *data) for data in resamples]
         assert fallback_runs == []
         lbfgs_results(monkeypatch, newton=False)
-        for recs, ll_newton in zip(resamples, newton):
-            ll_lbfgs = tomo_log_likelihood(tomo_mle(recs).rho, recs)
+        for data, ll_newton in zip(resamples, newton):
+            ll_lbfgs = tomo_log_likelihood(tomo_mle(*data).rho, *data)
             assert -ll_newton <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
 
     def test_non_converged_newton_falls_back_to_lbfgs(
         self, post_tomography_records, monkeypatch
     ):
-        newton = tomo_mle(post_tomography_records)
+        newton = tomo_mle(*tomo_counts(post_tomography_records))
         results = lbfgs_results(monkeypatch, newton=False)
-        fallback = tomo_mle(post_tomography_records)
+        fallback = tomo_mle(*tomo_counts(post_tomography_records))
         assert len(results) >= 1
         best = min(results, key=lambda res: res.fun)
         m = estimators._t_from_params(best.x)
@@ -308,9 +318,52 @@ class TestNewtonSolver:
             assert result.fidelity.sigma > 0
         assert failures == []
 
+    def test_cholesky_step_equals_eigh_step(self, rng):
+        for _ in range(20):
+            a = rng.normal(size=(16, 16))
+            h = a @ a.T + 0.1 * np.eye(16)
+            g = rng.normal(size=16)
+            vals, vecs = np.linalg.eigh(h)
+            eigh_step = -vecs @ ((vecs.T @ g) / vals)
+            step, definite = estimators._newton_step(h, g)
+            assert definite
+            assert np.max(np.abs(step - eigh_step)) <= 1e-12 * np.max(np.abs(eigh_step))
+
+    def test_indefinite_hessian_takes_shifted_eigh_step(self, rng):
+        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+        vals = np.linspace(-2.0, 5.0, 16)
+        g = rng.normal(size=16)
+        step, definite = estimators._newton_step((q * vals) @ q.T, g)
+        assert not definite
+        shifted = vals + (1e-12 * 5.0 - 2 * vals.min())
+        expected = -q @ ((q.T @ g) / shifted)
+        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert g @ step < 0
+
+    def test_fit_from_indefinite_first_hessian_at_least_lbfgs(self, rng, monkeypatch):
+        """Exact rank-1 data fitted from the maximally mixed state."""
+        counts, acq = tomo_counts(exact_records(random_density_matrix(rng, rank=1), 1e6))
+        definite = []
+        newton_step = estimators._newton_step
+
+        def recorded(h, g):
+            step, ok = newton_step(h, g)
+            definite.append(ok)
+            return step, ok
+
+        monkeypatch.setattr(estimators, "_newton_step", recorded)
+        fallback_runs = lbfgs_results(monkeypatch)
+        newton = tomo_mle(counts, acq, init=np.eye(4) / 4)
+        assert not definite[0] and fallback_runs == []
+        lbfgs_results(monkeypatch, newton=False)
+        lbfgs = tomo_mle(counts, acq, init=np.eye(4) / 4)
+        ll_newton = tomo_log_likelihood(newton.rho, counts, acq)
+        ll_lbfgs = tomo_log_likelihood(lbfgs.rho, counts, acq)
+        assert -ll_newton <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
+
     def test_single_fit_timing(self, post_tomography_records, benchmark):
         """One fit on the bundled post-storage records, timed by pytest-benchmark."""
-        state = benchmark(tomo_mle, post_tomography_records)
+        state = benchmark(tomo_mle, *tomo_counts(post_tomography_records))
         assert state.purity() > 0.5
 
 
@@ -424,6 +477,50 @@ class TestVisibilityFit:
         assert plain.estimate.value == pytest.approx(0.75, abs=0.05)
         assert weighted.estimate.value == pytest.approx(0.75, abs=0.05)
         assert weighted.estimate.value != plain.estimate.value
+
+    @staticmethod
+    def _lstsq_bootstrap(thetas, counts, weights, n_resamples, seed):
+        """Reference: (sigma, failed resamples) of one lstsq fit per resample."""
+        w = np.sqrt(weights)
+        design = np.column_stack([np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)])
+        vs = []
+        for k in range(n_resamples):
+            resampled = derive_rng(seed, "visibility", k).poisson(counts).astype(float)
+            (a0, a1, a2), *_ = np.linalg.lstsq(design * w[:, None], resampled * w, rcond=None)
+            if a0 > 0:
+                vs.append(min(np.hypot(a1, a2) / a0, 1.0))
+        return float(np.std(vs)), n_resamples - len(vs)
+
+    @pytest.mark.parametrize("poisson_weights", [False, True])
+    def test_bootstrap_matches_per_resample_lstsq(self, poisson_weights):
+        thetas = np.linspace(0, np.pi / 2, 16)
+        counts = np.random.default_rng(8).poisson(self._fringe(thetas, 300.0, 0.8, 0.1))
+        counts = counts.astype(float)
+        weights = 1.0 / np.clip(counts, 1.0, None) if poisson_weights else np.ones(16)
+        res = visibility_fit(list(zip(thetas, counts)), poisson_weights, 200, seed=11)
+        sigma, failed = self._lstsq_bootstrap(thetas, counts, weights, 200, 11)
+        assert failed == 0
+        assert res.estimate.sigma == pytest.approx(sigma, rel=1e-12)
+
+    def test_non_positive_baseline_resamples_count_as_failed(self):
+        thetas = np.linspace(0, np.pi / 2, 16)
+        # Three counts in all: about e^-3 = 5% of the resamples are all zero (a0 = 0).
+        sparse = np.zeros(16)
+        sparse[[2, 9, 13]] = 1.0
+        res = visibility_fit(list(zip(thetas, sparse)), n_resamples=200, seed=4)
+        sigma, failed = self._lstsq_bootstrap(thetas, sparse, np.ones(16), 200, 4)
+        assert 0 < failed < 20
+        assert res.estimate.sigma == pytest.approx(sigma, rel=1e-12)
+        # One count: about e^-1 = 37% all zero, past the 10% guard.
+        with pytest.raises(EstimationError, match="10%"):
+            visibility_fit(list(zip(thetas, np.eye(16)[0])), n_resamples=200, seed=4)
+
+    def test_bootstrap_timing(self, benchmark):
+        """One 200-resample fringe bootstrap, timed by pytest-benchmark."""
+        thetas = np.linspace(0, np.pi / 2, 16)
+        points = list(zip(thetas, self._fringe(thetas, 300.0, 0.8, 0.1)))
+        res = benchmark(visibility_fit, points, n_resamples=200)
+        assert res.estimate.sigma > 0
 
     def test_coverage_of_planted_visibility(self):
         # 3-sigma coverage of the Monte-Carlo error bar, 95% over 500 trials
