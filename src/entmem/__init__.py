@@ -47,7 +47,6 @@ from .detection import (
     LossBudget,
     MeasurementSetting,
     TimingConfig,
-    expected_rates,
     g2_histogram,
     heralded_alpha,
     projection_probability,

@@ -1,12 +1,14 @@
 """From quantum states to count records.
 
-Projection probabilities feed a loss-budget rate model; counts are then
-Poisson-sampled with derived seeds so every record is reproducible from
-(scenario, seed).  The cross-correlation g2 values produced here follow
-the per-pulse-slot normalization (coincidences within one pulse slot over
-the singles product), which is the convention under which the published
-anchor values for g2, the heralded autocorrelation and the Cauchy-Schwarz
-ratio are mutually consistent.
+Born-rule projection probabilities, the detector, loss and timing
+parameters, and the count records themselves: the expected rates of a
+stage (experiment.model_rates) are Poisson-sampled with derived seeds,
+so every record is reproducible from (scenario, seed).  The
+cross-correlation g2 values produced here follow the per-pulse-slot
+normalization (coincidences within one pulse slot over the singles
+product), which is the convention under which the published anchor
+values for g2, the heralded autocorrelation and the Cauchy-Schwarz ratio
+are mutually consistent.
 """
 
 from __future__ import annotations
@@ -180,15 +182,6 @@ def projection_probability(rho: TwoQubitState, setting: MeasurementSetting) -> f
     return min(max(p, 0.0), 1.0)
 
 
-def arm_marginals(rho: TwoQubitState, setting: MeasurementSetting) -> tuple[float, float]:
-    """Probabilities of each arm passing its analyzer irrespective of the other."""
-    v1 = setting.arm1_projector.vector
-    v2 = setting.arm2_projector.vector
-    m1 = float(np.real(np.vdot(v1, rho.reduced_signal1() @ v1)))
-    m2 = float(np.real(np.vdot(v2, rho.reduced_signal2() @ v2)))
-    return min(max(m1, 0.0), 1.0), min(max(m2, 0.0), 1.0)
-
-
 @dataclass(frozen=True)
 class ExpectedRates:
     """Per-second expected count rates for one setting."""
@@ -198,66 +191,6 @@ class ExpectedRates:
     r12: float
     r12_true: float
     r12_accidental: float
-    r123: float = 0.0
-
-
-def expected_rates(
-    p_pair: float,
-    prob: float,
-    losses: LossBudget,
-    detectors: tuple[DetectorParams, DetectorParams],
-    timing: TimingConfig,
-    memory_eta: float = 1.0,
-    prob1: float | None = None,
-    prob2: float | None = None,
-    background_rate_2: float = 0.0,
-) -> ExpectedRates:
-    """Singles and coincidence rates for one analyzer setting.
-
-    prob is the joint projection probability; prob1/prob2 are the per-arm
-    marginals and default to max(prob, 1/2), which is exact for any source
-    whose single-arm states are unpolarized.  background_rate_2 is an
-    uncorrelated arm-2 count rate (retrieval noise) entering the singles
-    and the accidental term.  The accidental term pairs the unpaired
-    singles within the coincidence gate, so it vanishes in the lossless
-    limit where every single already belongs to a coincidence.
-    """
-
-    if not 0.0 <= p_pair <= 1.0:
-        raise ValidationError("p_pair outside [0, 1]")
-    if not 0.0 <= prob <= 1.0:
-        raise ValidationError("prob outside [0, 1]")
-    if not 0.0 <= memory_eta <= 1.0:
-        raise ValidationError("memory_eta outside [0, 1]")
-    if background_rate_2 < 0:
-        raise ValidationError("background_rate_2 must be >= 0")
-    d1, d2 = detectors
-    m1 = prob1 if prob1 is not None else max(prob, 0.5)
-    m2 = prob2 if prob2 is not None else max(prob, 0.5)
-    if m1 + 1e-12 < prob or m2 + 1e-12 < prob:
-        raise ValidationError("arm marginals cannot be below the joint probability")
-
-    e1 = losses.arm1_transmission() * d1.efficiency
-    e2 = losses.arm2_transmission() * d2.efficiency * memory_eta
-    pulse_rate = timing.pulse_rate
-
-    r1_raw = pulse_rate * p_pair * m1 * e1 + d1.dark_rate
-    r2_raw = pulse_rate * p_pair * m2 * e2 + d2.dark_rate + background_rate_2
-    f1 = 1.0 / (1.0 + r1_raw * d1.dead_time * 1e-9)
-    f2 = 1.0 / (1.0 + r2_raw * d2.dead_time * 1e-9)
-    r1 = r1_raw * f1
-    r2 = r2_raw * f2
-
-    r12_true = pulse_rate * p_pair * prob * e1 * e2 * f1 * f2
-    gate_s = min(d1.gate_width, d2.gate_width) * 1e-9
-    r12_acc = max(r1 - r12_true, 0.0) * max(r2 - r12_true, 0.0) * gate_s
-    return ExpectedRates(
-        r1=r1,
-        r2=r2,
-        r12=r12_true + r12_acc,
-        r12_true=r12_true,
-        r12_accidental=r12_acc,
-    )
 
 
 def sample_counts(
@@ -269,22 +202,20 @@ def sample_counts(
     """Poisson-sample a CountRecord; bit-reproducible for a fixed seed."""
     if acquisition_s <= 0:
         raise ValidationError("acquisition_s must be > 0")
-    means = [r * acquisition_s for r in (rates.r1, rates.r2, rates.r12, rates.r123)]
+    means = [r * acquisition_s for r in (rates.r1, rates.r2, rates.r12)]
     if not all(0 <= m <= POISSON_MEAN_MAX for m in means):
         raise ValidationError(
             f"expected counts of setting {setting_label!r} at acquisition_s="
             f"{acquisition_s:g} are not finite or exceed {POISSON_MEAN_MAX:.3g}"
         )
     rng = derive_rng(seed, "counts", setting_label)
-    s1, s2, c, t = (int(rng.poisson(m)) for m in means)
-    c = min(c, s1, s2)
-    t = min(t, c)
+    s1, s2, c = (int(rng.poisson(m)) for m in means)
     return CountRecord(
         setting_label=setting_label,
         singles_1=s1,
         singles_2=s2,
-        coincidences=c,
-        triples=t,
+        coincidences=min(c, s1, s2),
+        triples=0,
         acquisition_s=acquisition_s,
         seed=seed,
     )
@@ -304,8 +235,7 @@ def expected_counts(
     s1 = int(round(rates.r1 * acquisition_s))
     s2 = int(round(rates.r2 * acquisition_s))
     c = min(int(round(rates.r12 * acquisition_s)), s1, s2)
-    t = min(int(round(rates.r123 * acquisition_s)), c)
-    return CountRecord(setting_label, s1, s2, c, t, acquisition_s, seed=0)
+    return CountRecord(setting_label, s1, s2, c, 0, acquisition_s, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import slot_g2, triple_coincidence_probs
+from .detection import (
+    ExpectedRates,
+    MeasurementSetting,
+    projection_probability,
+    slot_g2,
+    triple_coincidence_probs,
+)
 from .errors import ValidationError
 from .interferometer import apply_attenuator
 from .memory import apply_memory, efficiency_curve, spectral_overlap
-from .qstate import TwoQubitState
+from .qstate import PolarizationKet, TwoQubitState
 from .scenario import Scenario
 from .source import Spectrum, two_photon_state, wavepacket_spectrum
 
@@ -116,11 +122,15 @@ def stage_state(scenario: Scenario, stage: str) -> Stage:
         g22=corr.g2_autocorr_s2_pre,
         delay_ns=timing.fiber_delay_ns,
     )
+    d1, d2 = "detectors.d1.dark_rate", "detectors.d2.dark_rate"
+    _check_clicks(
+        (pre.dark1_slot, d1), (pre.dark1_gate, d1), (pre.noise2_slot, d2), (pre.noise2_port, d2)
+    )
     if stage == "pre_storage":
         return pre
     eta = memory_efficiency(scenario)
     flux = scenario.mem_noise.background_flux
-    return replace(
+    post = replace(
         pre,
         name="post_storage",
         suffix="post",
@@ -133,9 +143,21 @@ def stage_state(scenario: Scenario, stage: str) -> Stage:
         g22=corr.g2_autocorr_s2_post,
         delay_ns=timing.fiber_delay_ns + timing.storage_time_ns,
     )
+    _check_clicks(
+        (post.noise2_slot, "correlations.g2_channel_background"),
+        (post.noise2_port, "mem_noise.background_flux"),
+    )
+    return post
 
 
-# -- closed-form correlation observables used for calibration --------------
+def _check_clicks(*checks: tuple[float, str]) -> None:
+    """Reject a click probability above 1, naming the scenario field behind it."""
+    for p, field in checks:
+        if p > 1.0:
+            raise ValidationError(f"{field} gives a click probability of {p:.4g} > 1")
+
+
+# -- the count models of a stage; calibration fits the two correlation ones --
 
 
 def correlated_pair_prob(scenario: Scenario) -> float:
@@ -162,3 +184,40 @@ def model_alpha(stage: Stage) -> tuple[float, float, float, float]:
         stage.noise2_port,
         noise_bunching=stage.noise_bunching,
     )
+
+
+def _arm_probability(reduced: np.ndarray, ket: PolarizationKet) -> float:
+    """Probability of one arm passing its analyzer, from that arm's reduced state."""
+    p = float(np.real(np.vdot(ket.vector, reduced @ ket.vector)))
+    return min(max(p, 0.0), 1.0)
+
+
+def model_rates(stage: Stage, settings: Sequence[MeasurementSetting]) -> list[ExpectedRates]:
+    """Singles and coincidence rates (per second) of each analyzer setting.
+
+    The singles add the dark counts and, after storage, the retrieval
+    noise to the detected photons; dead time scales each arm.  The
+    accidental term pairs the unpaired singles within the coincidence
+    gate, so it vanishes in the lossless limit where every single already
+    belongs to a coincidence.
+    """
+
+    scenario, rho = stage.scenario, stage.rho
+    d1, d2 = scenario.detector1, scenario.detector2
+    pairs = scenario.timing.pulse_rate * scenario.source.pair_prob
+    gate_s = min(d1.gate_width, d2.gate_width) * 1e-9
+    reduced1, reduced2 = rho.reduced_signal1(), rho.reduced_signal2()
+    rates = []
+    for setting in settings:
+        m1 = _arm_probability(reduced1, setting.arm1_projector)
+        m2 = _arm_probability(reduced2, setting.arm2_projector)
+        r1_raw = pairs * m1 * stage.e1 + d1.dark_rate
+        r2_raw = pairs * m2 * stage.e2 + d2.dark_rate + stage.background_rate_2
+        f1 = 1.0 / (1.0 + r1_raw * d1.dead_time * 1e-9)
+        f2 = 1.0 / (1.0 + r2_raw * d2.dead_time * 1e-9)
+        r1, r2 = r1_raw * f1, r2_raw * f2
+        prob = projection_probability(rho, setting)
+        r12_true = pairs * prob * stage.e1 * stage.e2 * f1 * f2
+        r12_acc = max(r1 - r12_true, 0.0) * max(r2 - r12_true, 0.0) * gate_s
+        rates.append(ExpectedRates(r1, r2, r12_true + r12_acc, r12_true, r12_acc))
+    return rates

@@ -175,7 +175,10 @@ def decay_factor(decay: MemoryDecayParams, t_storage: float) -> float:
         raise ValidationError("storage time must be >= 0")
     x = t_storage / decay.tau_mem
     if decay.model == "gaussian":
-        return float(np.exp(-(x**2)))
+        try:
+            return float(np.exp(-(x**2)))
+        except OverflowError:  # x**2 past the float range: nothing is left
+            return 0.0
     return float(np.exp(-x))
 
 

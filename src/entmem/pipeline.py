@@ -20,14 +20,11 @@ from .detection import (
     CountRecord,
     G2StreamParams,
     MeasurementSetting,
-    arm_marginals,
     coincidence_probs,
     expected_counts,
-    expected_rates,
     g2_histogram,
     heralded_alpha,
     is_single_photon_like,
-    projection_probability,
     records_to_csv,
     sample_counts,
 )
@@ -53,6 +50,7 @@ from .experiment import (
     correlated_pair_prob,
     memory_efficiency_curve,
     model_alpha,
+    model_rates,
     model_slot_g2,
     stage_state,
 )
@@ -117,22 +115,10 @@ def _simulate_records(
     setting label itself.
     """
 
-    scenario, rho = stage.scenario, stage.rho
+    scenario = stage.scenario
     acq = scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
     records = []
-    for setting in settings:
-        m1, m2 = arm_marginals(rho, setting)
-        rates = expected_rates(
-            scenario.source.pair_prob,
-            projection_probability(rho, setting),
-            scenario.losses,
-            (scenario.detector1, scenario.detector2),
-            scenario.timing,
-            memory_eta=stage.eta,
-            prob1=m1,
-            prob2=m2,
-            background_rate_2=stage.background_rate_2,
-        )
+    for setting, rates in zip(settings, model_rates(stage, settings)):
         label = f"{stage.suffix}:{seed_prefix}{setting.label}"
         if sampling == "expected":
             rec = expected_counts(rates, acq, setting_label=label)
@@ -242,8 +228,6 @@ def run_experiment(
 ) -> StageResult:
     """Simulate one stage end to end and estimate every figure of merit."""
 
-    if stage not in STAGES:
-        raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
     if sampling not in ("poisson", "expected"):
         raise ValidationError(f"unknown sampling mode {sampling!r}")
 

@@ -146,6 +146,37 @@ def test_huge_acquisition_time_exits_2(tmp_path, capsys):
     assert "acquisition_s=1e+300" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, stage, codes",
+    [
+        # 5000 dark clicks per pump slot
+        ("detectors.d1.dark_rate", 1e10, "both", {2}),
+        ("correlations.g2_channel_background", 5.0, "both", {2}),
+        # 500 noise clicks per coincidence gate
+        ("mem_noise.background_flux", 1e3, "both", {2}),
+        # 0.995 dark clicks per pump slot: unusual, but a probability
+        ("detectors.d1.dark_rate", 1.99e6, "both", {0}),
+        # (t/tau_mem)**2 is past the float range: the memory keeps nothing
+        ("decay.tau_mem", 1e-160, "pre_storage", {0}),
+        ("decay.tau_mem", 1e-160, "post_storage", {2, 3, 4}),
+    ],
+)
+def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value, stage, codes):
+    d = scenario_to_dict(load_bundled_scenario())
+    *parents, key = field.split(".")
+    node = d
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(d))
+    argv = ["--scenario", str(path), "--out", str(tmp_path / "out"), "simulate"]
+    rc = main(argv + ["--sampling", "expected", "--skip-calibration", "--stage", stage])
+    assert rc in codes
+    if codes == {2}:
+        assert field in capsys.readouterr().err
+
+
 def test_calibration_error_exit_code(tmp_path):
     rc = main(
         ["--out", str(tmp_path), "calibrate", "--targets", '{"eta_100ns": 1.5}']

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from entmem.detection import (
     MeasurementSetting,
     TimingConfig,
     coincidence_probs,
-    expected_rates,
     g2_histogram,
     heralded_alpha,
     projection_probability,
@@ -24,7 +25,10 @@ from entmem.detection import (
     triple_coincidence_probs,
 )
 from entmem.errors import EstimationError, ValidationError
+from entmem.experiment import model_rates, stage_state
+from entmem.memory import MemoryNoiseParams
 from entmem.qstate import TwoQubitState, bell_psi_plus, ket_d, ket_h, ket_v
+from entmem.scenario import load_bundled_scenario
 
 
 IDEAL_LOSSES = LossBudget(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -62,49 +66,54 @@ class TestProjectionProbability:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
+def _lossless(scenario):
+    return replace(scenario, losses=IDEAL_LOSSES, detector1=IDEAL_DET, detector2=IDEAL_DET)
+
+
 class TestExpectedRates:
     def test_lossless_bound(self):
-        rates = expected_rates(
-            1.0, 1.0, IDEAL_LOSSES, (IDEAL_DET, IDEAL_DET), TIMING, memory_eta=1.0
-        )
-        assert rates.r12 == pytest.approx(TIMING.pulse_rate, abs=1e-9)
-        assert rates.r12 == pytest.approx(2.6e5)
-        assert rates.r12_accidental == 0.0
-
-    def test_no_source_no_counts(self):
-        rates = expected_rates(
-            0.0, 0.5, IDEAL_LOSSES, (IDEAL_DET, IDEAL_DET), TIMING
-        )
-        assert rates.r12 == 0.0
+        # pure source state, ideal detectors and an ideal loss budget: every
+        # pair gives one coincidence, in the HV or the VH port
+        scenario = _lossless(load_bundled_scenario())
+        scenario = replace(scenario, source=replace(scenario.source, p_white=0.0))
+        settings = [_setting(ket_h(), ket_v()), _setting(ket_v(), ket_h())]
+        rates = model_rates(stage_state(scenario, "pre_storage"), settings)
+        pairs = scenario.timing.pulse_rate * scenario.source.pair_prob
+        assert sum(r.r12 for r in rates) == pytest.approx(pairs, rel=1e-12)
+        assert pairs == pytest.approx(2.6e5 * scenario.source.pair_prob)
+        assert [r.r12_accidental for r in rates] == [0.0, 0.0]
 
     def test_loss_budget_product_oracle(self):
+        # no depolarization: the stored state equals the pre-storage state
+        base = replace(load_bundled_scenario(), mem_noise=MemoryNoiseParams())
         losses = LossBudget()
         d1 = DetectorParams(efficiency=0.10, gate_width=8.0)
         d2 = DetectorParams(efficiency=0.50, gate_width=8.0)
-        eta = 0.06
-        full = expected_rates(0.01, 0.25, losses, (d1, d2), TIMING, memory_eta=eta)
-        lossless = expected_rates(
-            0.01, 0.25, IDEAL_LOSSES, (IDEAL_DET, IDEAL_DET), TIMING, memory_eta=1.0
-        )
+        lossy = replace(base, losses=losses, detector1=d1, detector2=d2)
+        stage = stage_state(lossy, "post_storage")
+        assert 0.0 < stage.eta < 1.0
+        settings = [_setting(ket_h(), ket_v())]
+        full = model_rates(stage, settings)[0]
+        lossless = model_rates(stage_state(_lossless(base), "pre_storage"), settings)[0]
         expected_factor = (
-            losses.arm1_transmission() * 0.10 * losses.arm2_transmission() * 0.50 * eta
+            losses.arm1_transmission() * 0.10 * losses.arm2_transmission() * 0.50 * stage.eta
         )
         assert full.r12_true / lossless.r12_true == pytest.approx(expected_factor, rel=1e-12)
 
     def test_background_raises_singles_and_accidentals(self):
-        base = expected_rates(0.01, 0.25, LossBudget(), (IDEAL_DET, IDEAL_DET), TIMING)
-        noisy = expected_rates(
-            0.01, 0.25, LossBudget(), (IDEAL_DET, IDEAL_DET), TIMING, background_rate_2=500.0
+        scenario = replace(
+            load_bundled_scenario(), losses=LossBudget(), detector1=IDEAL_DET, detector2=IDEAL_DET
         )
+
+        def rates(background_rate_2):
+            flux = background_rate_2 / scenario.timing.pulse_rate
+            s = replace(scenario, mem_noise=replace(scenario.mem_noise, background_flux=flux))
+            return model_rates(stage_state(s, "post_storage"), [_setting(ket_h(), ket_v())])[0]
+
+        base, noisy = rates(0.0), rates(500.0)
         assert noisy.r2 > base.r2
         assert noisy.r12_accidental > base.r12_accidental
         assert noisy.r12_true == base.r12_true
-
-    def test_marginals_below_joint_rejected(self):
-        with pytest.raises(ValidationError):
-            expected_rates(
-                0.01, 0.5, LossBudget(), (IDEAL_DET, IDEAL_DET), TIMING, prob1=0.25
-            )
 
 
 class TestSampleCounts:
@@ -115,7 +124,8 @@ class TestSampleCounts:
         assert rec.singles_1 == rec.singles_2 == rec.coincidences == rec.triples == 0
 
     def test_seed_determinism(self):
-        rates = expected_rates(0.01, 0.25, LossBudget(), (IDEAL_DET, IDEAL_DET), TIMING)
+        stage = stage_state(load_bundled_scenario(), "pre_storage")
+        rates = model_rates(stage, [_setting(ket_h(), ket_v(), "HV")])[0]
         a = sample_counts(rates, 30.0, seed=42, setting_label="HH")
         b = sample_counts(rates, 30.0, seed=42, setting_label="HH")
         assert a == b
@@ -146,7 +156,7 @@ class TestSampleCounts:
         from entmem.detection import ExpectedRates
 
         r12 = min(r12, r1, r2) if min(r1, r2) > 0 else 0.0
-        rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0, r123=r12 / 10)
+        rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0)
         rec = sample_counts(rates, 3.0, seed=seed)
         assert rec.coincidences <= min(rec.singles_1, rec.singles_2)
         assert rec.triples <= rec.coincidences
@@ -158,9 +168,7 @@ class TestSampleCounts:
         for k in range(10_000):
             r1, r2 = rng.uniform(0, 1e4, 2)
             r12 = rng.uniform(0, min(r1, r2) + 1.0)
-            rates = ExpectedRates(
-                r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0, r123=r12 * 0.2
-            )
+            rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0)
             rec = sample_counts(rates, float(rng.uniform(0.1, 5.0)), seed=k)
             assert rec.coincidences <= min(rec.singles_1, rec.singles_2)
             assert rec.triples <= rec.coincidences

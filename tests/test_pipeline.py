@@ -148,6 +148,21 @@ class TestRunExperiment:
         run_experiment(fast, "post_storage", sampling="expected")
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("stage, calls", [("pre_storage", 1), ("post_storage", 2)])
+    def test_detection_budget_is_built_once_per_stage_state(self, fast, monkeypatch, stage, calls):
+        # post_storage also builds the pre_storage Stage of its fidelity reference
+        from entmem.detection import LossBudget
+
+        original, counted = LossBudget.arm1_transmission, []
+
+        def counting(losses):
+            counted.append(losses)
+            return original(losses)
+
+        monkeypatch.setattr(LossBudget, "arm1_transmission", counting)
+        run_experiment(fast, stage)
+        assert len(counted) == calls
+
     def test_pre_storage_estimates_in_paper_bands(self, fast):
         res = run_experiment(fast, "pre_storage")
         assert 0.829 <= res.fidelity.value <= 0.933
