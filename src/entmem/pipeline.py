@@ -232,6 +232,11 @@ def run_experiment(
         raise ValidationError(f"unknown sampling mode {sampling!r}")
 
     view = stage_state(scenario, stage)
+    if view.eta == 0:
+        raise EstimationError(
+            "the memory retrieves nothing: retrieval efficiency 0 at storage time "
+            f"{scenario.timing.storage_time_ns:g} ns"
+        )
     result = StageResult(view)
     error_bars = scenario.plan.error_bars and sampling == "poisson"
     n_res = scenario.plan.n_resamples
@@ -249,7 +254,7 @@ def run_experiment(
     result.records["tomography"] = tomo_records
     counts, acq = tomo_counts(tomo_records)
     result.rho_linear = tomo_linear(counts, acq)
-    result.rho_mle = tomo_mle(counts, acq, init=result.rho_linear, seed=seed)
+    result.rho_mle = tomo_mle(counts, acq, init=result.rho_linear)
     ref_counts = ref_acq = np.empty(0)
     result.fidelity_reference = "ideal"
     if stage == "post_storage":
@@ -259,11 +264,11 @@ def run_experiment(
     n_ref = len(ref_counts)
 
     def reference(ref):
-        return tomo_mle(ref, ref_acq, seed=seed) if n_ref else bell_psi_plus()
+        return tomo_mle(ref, ref_acq) if n_ref else bell_psi_plus()
 
     def f_estimator(resampled):
         ref = reference(resampled[:n_ref])
-        return fidelity(tomo_mle(resampled[n_ref:], acq, seed=seed), ref)
+        return fidelity(tomo_mle(resampled[n_ref:], acq), ref)
 
     result.fidelity = with_sigma(
         fidelity(result.rho_mle, reference(ref_counts)),
@@ -497,10 +502,11 @@ def report_emit(
     times = np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)
     eta_of = memory_efficiency_curve(scenario)
     etas = [eta_of(float(t)) for t in times]
+    # The g2 column needs the simulated post-storage stage; without it, blank.
     g2_pre_model = model_slot_g2(stage_state(scenario, "pre_storage"))
     curve = None
-    if g2_pre_model > 1.0:
-        post = stage_state(scenario, "post_storage")
+    if g2_pre_model > 1.0 and "post_storage" in results:
+        post = results["post_storage"].view
         eta_now, g2_post_model = post.eta, model_slot_g2(post)
         if g2_post_model > 1.0 and eta_now > 0 and eta_now < 1:
             b = ((g2_pre_model - 1.0) * eta_now / (g2_post_model - 1.0) - eta_now) / (

@@ -158,7 +158,10 @@ def test_huge_acquisition_time_exits_2(tmp_path, capsys):
         ("detectors.d1.dark_rate", 1.99e6, "both", {0}),
         # (t/tau_mem)**2 is past the float range: the memory keeps nothing
         ("decay.tau_mem", 1e-160, "pre_storage", {0}),
-        ("decay.tau_mem", 1e-160, "post_storage", {2, 3, 4}),
+        ("decay.tau_mem", 1e-160, "post_storage", {4}),
+        # a pre-storage run reads no post-storage input
+        ("mem_noise.background_flux", 1e3, "pre_storage", {0}),
+        ("correlations.g2_channel_background", 5.0, "pre_storage", {0}),
     ],
 )
 def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value, stage, codes):
@@ -173,8 +176,11 @@ def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value,
     argv = ["--scenario", str(path), "--out", str(tmp_path / "out"), "simulate"]
     rc = main(argv + ["--sampling", "expected", "--skip-calibration", "--stage", stage])
     assert rc in codes
+    err = capsys.readouterr().err
     if codes == {2}:
-        assert field in capsys.readouterr().err
+        assert field in err
+    if codes == {4}:
+        assert "retrieval efficiency 0 at storage time" in err
 
 
 def test_calibration_error_exit_code(tmp_path):
