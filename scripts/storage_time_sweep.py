@@ -18,6 +18,7 @@ import numpy as np
 
 from entmem.calibrate import calibrate
 from entmem.errors import EstimationError
+from entmem.estimators import shared_fits
 from entmem.experiment import model_slot_g2, stage_state
 from entmem.pipeline import run_experiment
 from entmem.scenario import load_bundled_scenario
@@ -36,22 +37,24 @@ def main():
 
     rows = ["t_ns,eta,g2_slot,F_post,S_post,V_post"]
     print(f"{'t_ns':>7} {'eta':>8} {'g2':>7} {'F':>7} {'S':>7} {'V':>7}")
-    for t in np.linspace(10.0, args.t_max, args.points):
-        scn = replace(scenario, timing=replace(scenario.timing, storage_time_ns=float(t)))
-        post = stage_state(scn, "post_storage")
-        eta, g2 = post.eta, model_slot_g2(post)
-        try:
-            res = run_experiment(scn, "post_storage", sampling=args.sampling)
-        except EstimationError as exc:
-            sys.exit(f"error: no estimate at storage time {t:.1f} ns: {exc}")
-        rows.append(
-            f"{t:.1f},{eta:.6g},{g2:.6g},{res.fidelity.value:.6g},"
-            f"{res.chsh_S.value:.6g},{res.visibility.estimate.value:.6g}"
-        )
-        print(
-            f"{t:7.1f} {eta:8.4f} {g2:7.2f} {res.fidelity.value:7.4f} "
-            f"{res.chsh_S.value:7.4f} {res.visibility.estimate.value:7.4f}"
-        )
+    # Every storage time shares the pre-storage reference fit.
+    with shared_fits():
+        for t in np.linspace(10.0, args.t_max, args.points):
+            scn = replace(scenario, timing=replace(scenario.timing, storage_time_ns=float(t)))
+            post = stage_state(scn, "post_storage")
+            eta, g2 = post.eta, model_slot_g2(post)
+            try:
+                res = run_experiment(scn, "post_storage", sampling=args.sampling)
+            except EstimationError as exc:
+                sys.exit(f"error: no estimate at storage time {t:.1f} ns: {exc}")
+            rows.append(
+                f"{t:.1f},{eta:.6g},{g2:.6g},{res.fidelity.value:.6g},"
+                f"{res.chsh_S.value:.6g},{res.visibility.estimate.value:.6g}"
+            )
+            print(
+                f"{t:7.1f} {eta:8.4f} {g2:7.2f} {res.fidelity.value:7.4f} "
+                f"{res.chsh_S.value:7.4f} {res.visibility.estimate.value:7.4f}"
+            )
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.out}")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
-from .estimators import chsh_S, chsh_S_literal, tomo_counts, tomo_linear, tomo_mle
+from .estimators import chsh_S, chsh_S_literal, shared_fits, tomo_counts, tomo_linear, tomo_mle
 from .memory import transparency_window_fwhm
 from .pipeline import (
     CHSH_LABELS,
@@ -60,8 +60,10 @@ def _cmd_simulate(args) -> int:
         scenario, calib_report = calibrate(scenario)
     stages = list(STAGES) if args.stage == "both" else [args.stage]
     results = {}
-    for stage in stages:
-        results[stage] = run_experiment(scenario, stage, sampling=args.sampling)
+    # The post stage's fidelity reference refits the pre stage's tomography counts.
+    with shared_fits():
+        for stage in stages:
+            results[stage] = run_experiment(scenario, stage, sampling=args.sampling)
     files = report_emit(scenario, results, args.out, calibration_report=calib_report)
     for stage, result in results.items():
         print(

@@ -15,6 +15,7 @@ Poisson Monte-Carlo resampling of the observed counts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,28 +187,38 @@ def _log_likelihood(probs: np.ndarray, counts: np.ndarray, exposures: np.ndarray
     return float(np.sum(counts * np.log(exposures * probs) - exposures * probs)), probs
 
 
-def _neg_log_likelihood(
-    t: np.ndarray, counts: np.ndarray, exposures: np.ndarray, hessian: bool = False
-) -> tuple:
-    """Poisson NLL at t with its gradient, and its Hessian when asked."""
+def _nll_value(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> tuple:
+    """Poisson NLL at t, and the terms (t, Q_k t, p, t.t) its derivatives reuse."""
     s = float(t @ t)
     if s <= 0:
         raise EstimationError("degenerate Cholesky point with zero trace")
-    scale = 2.0 / s
     g_mat = (_TOMO_Q.reshape(256, 16) @ t).reshape(16, 16)  # row k is Q_k t
     ll, probs = _log_likelihood(g_mat @ t / s, counts, exposures)
+    return -ll, (t, g_mat, probs, s)
+
+
+def _nll_derivatives(terms: tuple, counts: np.ndarray, exposures: np.ndarray, hessian: bool):
+    """The NLL gradient, and its Hessian when asked, from _nll_value's terms."""
+    t, g_mat, probs, s = terms
+    scale = 2.0 / s
     weights = counts / probs - exposures  # dLL/dp
     wp = float(weights @ probs)
     grad = scale * (weights @ g_mat - wp * t)
     if not hessian:
-        return -ll, -grad
+        return (-grad,)
     jac = scale * (g_mat - probs[:, None] * t)  # dp/dt
     hess = scale * (weights @ _TOMO_Q.reshape(16, 256)).reshape(16, 16)
     hess.flat[::17] -= scale * wp
     cross = scale * grad[:, None] * t
     hess -= cross + cross.T
     hess -= jac.T @ (jac * (counts / probs**2)[:, None])
-    return -ll, -grad, -hess
+    return -grad, -hess
+
+
+def _neg_log_likelihood(t, counts, exposures, hessian: bool = False) -> tuple:
+    """Poisson NLL at t with its gradient, and its Hessian when asked."""
+    f, terms = _nll_value(t, counts, exposures)
+    return (f, *_nll_derivatives(terms, counts, exposures, hessian))
 
 
 def _newton_step(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -241,7 +252,8 @@ def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.
 
     The NLL is invariant under t -> c t: t stays at unit length and t t^T
     fills the Hessian's null direction.  Steps backtrack until the NLL
-    decreases.  Converged at a Newton decrement <= 1e-15 |NLL| with a
+    decreases; a trial point gets only its NLL, the accepted one its
+    derivatives too.  Converged at a Newton decrement <= 1e-15 |NLL| with a
     positive definite Hessian, or, once no decrease is found, at a
     decrement <= _STALL_DECREMENT |NLL|.  A fit that does neither within
     _NEWTON_MAX_STEPS steps is an EstimationError.
@@ -254,7 +266,7 @@ def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.
         if definite and decrement <= 1e-15 * abs(f):
             return t
         for _ in range(40):
-            f_new, g_new, h_new = _neg_log_likelihood(t + step, counts, exposures, True)
+            f_new, terms = _nll_value(t + step, counts, exposures)
             if f_new < f:
                 break
             step = step / 2
@@ -265,6 +277,7 @@ def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.
                 "maximum-likelihood tomography stalled at a Newton decrement of "
                 f"{decrement / abs(f):.3g} |NLL|"
             )
+        g_new, h_new = _nll_derivatives(terms, counts, exposures, hessian=True)
         # Back to unit length; the derivatives scale as 1/|t| and 1/|t|^2.
         norm = np.linalg.norm(t + step)
         t, f, g, h = (t + step) / norm, f_new, g_new * norm, h_new * norm**2
@@ -275,6 +288,20 @@ def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.
     )
 
 
+_SHARED_FITS: dict | None = None  # tomo_mle's fits in the open shared_fits() scope
+
+
+@contextmanager
+def shared_fits():
+    """Scope in which tomo_mle fits each distinct input once; a nested scope shares it."""
+    global _SHARED_FITS
+    outer, _SHARED_FITS = _SHARED_FITS, {} if _SHARED_FITS is None else _SHARED_FITS
+    try:
+        yield
+    finally:
+        _SHARED_FITS = outer
+
+
 def tomo_mle(counts, acquisition_s, init: np.ndarray | None = None) -> TwoQubitState:
     """Maximum-likelihood physical state from the 16 tomography counts.
 
@@ -282,10 +309,18 @@ def tomo_mle(counts, acquisition_s, init: np.ndarray | None = None) -> TwoQubitS
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
     maximized over the Cholesky parameterization by damped Newton steps with
     the analytic Hessian, seeded from the clamped linear inversion (or the
-    given init).  A fit Newton cannot finish raises EstimationError.
+    given init).  A fit Newton cannot finish raises EstimationError.  Inside
+    a shared_fits() scope a repeated (counts, acquisition_s, init) returns
+    the state stored by its first fit (rho is read-only); a fit that raises
+    is not stored.
     """
 
     _, exposures, counts = _tomo_data(counts, acquisition_s)
+    fits = {} if _SHARED_FITS is None else _SHARED_FITS
+    key = (counts.tobytes(), np.asarray(acquisition_s, dtype=float).tobytes(),
+           None if init is None else np.asarray(init, dtype=np.complex128).tobytes())
+    if key in fits:
+        return fits[key]
     if init is None:
         init = tomo_linear(counts, acquisition_s)
     t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
@@ -294,7 +329,8 @@ def tomo_mle(counts, acquisition_s, init: np.ndarray | None = None) -> TwoQubitS
     except np.linalg.LinAlgError as exc:
         raise EstimationError(f"maximum-likelihood tomography failed: {exc}") from exc
     rho = m.conj().T @ m
-    return TwoQubitState((rho + rho.conj().T) / (2 * np.trace(rho).real))
+    fits[key] = TwoQubitState((rho + rho.conj().T) / (2 * np.trace(rho).real))
+    return fits[key]
 
 
 def tomo_log_likelihood(rho: np.ndarray, counts, acquisition_s) -> float:

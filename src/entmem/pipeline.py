@@ -39,6 +39,7 @@ from .estimators import (
     chsh_S_literal,
     is_nonclassical_R,
     mc_error,
+    shared_fits,
     tomo_counts,
     tomo_linear,
     tomo_mle,
@@ -254,7 +255,7 @@ def run_experiment(
     result.records["tomography"] = tomo_records
     counts, acq = tomo_counts(tomo_records)
     result.rho_linear = tomo_linear(counts, acq)
-    result.rho_mle = tomo_mle(counts, acq, init=result.rho_linear)
+    result.rho_mle = tomo_mle(counts, acq)
     ref_counts = ref_acq = np.empty(0)
     result.fidelity_reference = "ideal"
     if stage == "post_storage":
@@ -262,9 +263,10 @@ def run_experiment(
         ref_counts, ref_acq = tomo_counts(ref_records)
         result.fidelity_reference = "pre_storage_mle"
     n_ref = len(ref_counts)
+    ideal = bell_psi_plus()
 
     def reference(ref):
-        return tomo_mle(ref, ref_acq) if n_ref else bell_psi_plus()
+        return tomo_mle(ref, ref_acq) if n_ref else ideal
 
     def f_estimator(resampled):
         ref = reference(resampled[:n_ref])
@@ -341,16 +343,17 @@ def run_experiment(
 def seed_ensemble(scenario: Scenario, runs: int) -> dict[str, list[float]]:
     """Per-seed figures of both stages over runs seeds, without error bars.
 
-    Run k uses master_seed + k.  Keys are F, S, V, g2 and alpha, each with
-    a _pre and a _post suffix.
+    Run k uses master_seed + k; its two stages share their fits.  Keys are
+    F, S, V, g2 and alpha, each with a _pre and a _post suffix.
     """
 
     scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
     figures = {}
     for k in range(runs):
         scn = replace(scenario, master_seed=scenario.master_seed + k)
-        for stage in STAGES:
-            r = run_experiment(scn, stage)
+        with shared_fits():
+            results = [run_experiment(scn, stage) for stage in STAGES]
+        for r in results:
             for name, value in (
                 ("F", r.fidelity.value),
                 ("S", r.chsh_S.value),

@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 
 import entmem.cli as cli
+import entmem.estimators as estimators
+import entmem.pipeline as pipeline
 from entmem.cli import main
 from entmem.detection import records_to_csv
 from entmem.pipeline import run_experiment
@@ -51,6 +53,43 @@ def test_simulate_single_stage(fast_scenario_path, tmp_path):
     assert rc == 0
     assert (tmp_path / "report_pre.json").exists()
     assert not (tmp_path / "report_post.json").exists()
+
+
+def counted_simulate(out: Path, *argv: str) -> dict[str, int]:
+    """Run a bundled `entmem simulate` with error bars; count tomo_mle calls and Newton fits."""
+    counts = {"tomo_mle": 0, "newton_fits": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "tomo_mle", counted("tomo_mle", pipeline.tomo_mle))
+        mp.setattr(estimators, "_newton_fit", counted("newton_fits", estimators._newton_fit))
+        assert main(["--out", str(out), "simulate", *argv]) == 0
+    return counts
+
+
+@pytest.fixture(scope="module")
+def bundled_simulate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundled")
+    return out, counted_simulate(out)
+
+
+def test_simulate_fits_each_distinct_tomography_input_once(bundled_simulate):
+    # The post stage's reference point fit and its 200 reference resamples
+    # repeat the pre stage's fits and are served from the shared fits.
+    _, counts = bundled_simulate
+    assert counts == {"tomo_mle": 603, "newton_fits": 402}
+
+
+def test_post_stage_alone_writes_the_same_report(bundled_simulate, tmp_path):
+    both, _ = bundled_simulate
+    counts = counted_simulate(tmp_path, "--stage", "post_storage")
+    assert counts == {"tomo_mle": 402, "newton_fits": 402}
+    assert (tmp_path / "report_post.json").read_bytes() == (both / "report_post.json").read_bytes()
 
 
 def test_calibrate_writes_resolved_scenario(tmp_path):

@@ -432,6 +432,50 @@ class TestNewtonSolver:
         assert state.purity() > 0.5
 
 
+class TestSharedFits:
+    @pytest.fixture
+    def fit_count(self, monkeypatch):
+        calls = []
+        newton_fit = estimators._newton_fit
+
+        def counted(*args):
+            calls.append(1)
+            return newton_fit(*args)
+
+        monkeypatch.setattr(estimators, "_newton_fit", counted)
+        return calls
+
+    def test_outside_a_scope_every_call_fits(self, post_tomography_records, fit_count):
+        data = tomo_counts(post_tomography_records)
+        tomo_mle(*data)
+        tomo_mle(*data)
+        assert len(fit_count) == 2
+
+    def test_a_scope_fits_each_input_once_until_it_exits(self, post_tomography_records, fit_count):
+        counts, acq = tomo_counts(post_tomography_records)
+        with estimators.shared_fits():
+            first = tomo_mle(counts, acq)
+            assert tomo_mle(counts.astype(int), list(acq)) is first
+            with estimators.shared_fits():
+                assert tomo_mle(counts, acq) is first
+            assert tomo_mle(counts, acq) is first
+            assert len(fit_count) == 1
+            tomo_mle(counts, acq, init=np.eye(4) / 4)
+            tomo_mle(counts, 2 * acq)
+            assert len(fit_count) == 3
+        assert not first.rho.flags.writeable
+        assert tomo_mle(counts, acq) is not first
+        assert len(fit_count) == 4
+
+    def test_a_fit_that_raises_raises_again(self, post_tomography_records, monkeypatch):
+        data = tomo_counts(post_tomography_records)
+        monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
+        with estimators.shared_fits():
+            for _ in range(2):
+                with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
+                    tomo_mle(*data)
+
+
 class TestChshE:
     def test_perfect_correlation(self):
         assert chsh_E(500, 0, 0, 500) == 1.0
