@@ -18,10 +18,7 @@ from .qstate import (
     PolarizationKet,
     TwoQubitState,
     bell_psi_plus,
-    expectation,
     fidelity,
-    tensor_product,
-    trace_distance,
 )
 from .source import (
     SourceParams,
@@ -38,7 +35,6 @@ from .memory import (
     apply_memory,
     eit_transmission,
     g2_vs_storage_time,
-    storage_efficiency,
 )
 from .detection import (
     CountRecord,

@@ -26,7 +26,6 @@ from dataclasses import replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .detection import heralded_alpha
 from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic
 from .experiment import (
@@ -99,8 +98,8 @@ MODELS = {
     ),
     "F_post": lambda s: fidelity(stage_state(s, "post_storage").rho, balanced_state(s)[0]),
     "g2_pre": lambda s: model_slot_g2(stage_state(s, "pre_storage")),
-    "alpha_pre": lambda s: heralded_alpha(*model_alpha(stage_state(s, "pre_storage"))),
-    "alpha_post": lambda s: heralded_alpha(*model_alpha(stage_state(s, "post_storage"))),
+    "alpha_pre": lambda s: model_alpha(stage_state(s, "pre_storage")),
+    "alpha_post": lambda s: model_alpha(stage_state(s, "post_storage")),
     "g2_post": lambda s: model_slot_g2(stage_state(s, "post_storage")),
 }
 
@@ -211,11 +210,11 @@ def _consistency_checks(s: Scenario) -> dict:
     """Derived observables not directly fitted, for the calibration report."""
     pre, post = stage_state(s, "pre_storage"), stage_state(s, "post_storage")
     return {
-        "alpha_pre": heralded_alpha(*model_alpha(pre)),
+        "alpha_pre": model_alpha(pre),
         "F_pre_to_ideal": fidelity(pre.rho, bell_psi_plus()),
         "F_post_to_pre": fidelity(post.rho, pre.rho),
-        "S_pre_analytic": chsh_S_analytic(pre.rho),
-        "S_post_analytic": chsh_S_analytic(post.rho),
+        "S_pre_analytic": chsh_S_analytic(pre.rho, s.plan.chsh_angles),
+        "S_post_analytic": chsh_S_analytic(post.rho, s.plan.chsh_angles),
         "g2_pre_model": model_slot_g2(pre),
         "g2_post_model": model_slot_g2(post),
         "eta_at_storage_time": post.eta,

@@ -111,7 +111,7 @@ def _cmd_tomo(args) -> int:
     out_dir = _out_dir(args)
     counts, acq = tomo_counts(records_from_csv(read_input(args.counts)))
     rho_lin = tomo_linear(counts, acq)
-    rho_hat = tomo_mle(counts, acq, init=rho_lin)
+    rho_hat = tomo_mle(counts, acq)
     f = fidelity(rho_hat, bell_psi_plus())
     out = {
         "rho_linear": matrix_json(rho_lin),

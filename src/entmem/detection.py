@@ -3,12 +3,11 @@
 Born-rule projection probabilities, the detector, loss and timing
 parameters, and the count records themselves: the expected rates of a
 stage (experiment.model_rates) are Poisson-sampled with derived seeds,
-so every record is reproducible from (scenario, seed).  The
-cross-correlation g2 values produced here follow the per-pulse-slot
-normalization (coincidences within one pulse slot over the singles
-product), which is the convention under which the published anchor
-values for g2, the heralded autocorrelation and the Cauchy-Schwarz ratio
-are mutually consistent.
+so every record is reproducible from (scenario, seed).  The pair
+statistics (click_probs) are per pulse slot: a slot-normalized g2 is the
+coincidences within one pulse slot over the singles product, the
+convention under which the published anchor values for g2, the heralded
+autocorrelation and the Cauchy-Schwarz ratio are mutually consistent.
 """
 
 from __future__ import annotations
@@ -240,90 +239,49 @@ def expected_counts(
 
 # ---------------------------------------------------------------------------
 # Pair-statistics model shared by the correlation measurements.
-#
-# Per pump pulse: one photon pair with probability p, two pairs with
-# probability p^2 (the single multi-pair mechanism driving the heralded
-# autocorrelation), otherwise nothing.  Detection outcomes are independent
-# Bernoulli trials given the pair number.
 # ---------------------------------------------------------------------------
 
 
-def _pair_number_distribution(pair_prob: float) -> list[tuple[int, float]]:
-    if not 0.0 <= pair_prob < 0.5:
-        raise ValidationError("pair_prob outside [0, 0.5)")
-    q2 = pair_prob**2
-    return [(0, 1.0 - pair_prob - q2), (1, pair_prob), (2, q2)]
-
-
-def coincidence_probs(
+def click_probs(
     pair_prob: float,
     eff1: float,
     eff2: float,
-    dark1: float = 0.0,
-    noise2: float = 0.0,
-) -> tuple[float, float, float]:
-    """Per-slot probabilities (P1, P2, P12) for the two-detector correlation.
+    dark1: float,
+    noise2: float,
+    noise_bunching: float = 1.0,
+) -> tuple[float, float, float, float]:
+    """Per-slot click probabilities (P1, P2, P12, P123) of the pair source.
 
-    eff1/eff2 are the total detection probabilities per emitted photon on
-    each arm; dark1 and noise2 are uncorrelated per-slot click probabilities.
+    Per pump pulse the source emits one pair with probability pair_prob,
+    two pairs with probability pair_prob^2 (the multi-pair term behind the
+    heralded autocorrelation), otherwise nothing; given the pair number,
+    clicks are independent.  The herald detects each arm-1 photon with
+    probability eff1, an arm-2 detector each arm-2 photon with eff2; dark1
+    and noise2 are their uncorrelated click probabilities.  P123 is the
+    herald with two such arm-2 detectors, one per beamsplitter port
+    (2*eff2 <= 1); noise_bunching, the g2 of the arm-2 noise (1 for
+    Poissonian darks, 2 for thermal retrieval noise), enhances its
+    noise-noise term.  Rounding errors are clamped into [0, 1].
     """
 
-    p1 = p2 = p12 = 0.0
-    for n, qn in _pair_number_distribution(pair_prob):
+    if not 0.0 <= pair_prob < 0.5:
+        raise ValidationError("pair_prob outside [0, 0.5)")
+    if noise_bunching < 1.0:
+        raise ValidationError("noise_bunching must be >= 1")
+    q2 = pair_prob**2
+    nn_excess = (noise_bunching - 1.0) * noise2**2
+    p1 = p2 = p12 = p123 = 0.0
+    for n, qn in ((0, 1.0 - pair_prob - q2), (1, pair_prob), (2, q2)):
         c1 = 1.0 - (1.0 - eff1) ** n * (1.0 - dark1)
-        c2 = 1.0 - (1.0 - eff2) ** n * (1.0 - noise2)
+        no2 = (1.0 - eff2) ** n * (1.0 - noise2)
+        c2 = 1.0 - no2
+        # both ports click: 1 - P(none at a) - P(none at b) + P(none at either)
+        c23 = 1.0 - 2.0 * no2 + (1.0 - 2.0 * eff2) ** n * (1.0 - noise2) ** 2 + nn_excess
         p1 += qn * c1
         p2 += qn * c2
         p12 += qn * c1 * c2
-    return p1, p2, p12
-
-
-def slot_g2(
-    pair_prob: float,
-    eff1: float,
-    eff2: float,
-    dark1: float = 0.0,
-    noise2: float = 0.0,
-) -> float:
-    """Slot-normalized cross-correlation P12/(P1*P2)."""
-    p1, p2, p12 = coincidence_probs(pair_prob, eff1, eff2, dark1, noise2)
-    if p1 <= 0 or p2 <= 0:
-        raise EstimationError("cross-correlation undefined without singles")
-    return p12 / (p1 * p2)
-
-
-def triple_coincidence_probs(
-    pair_prob: float,
-    eff1: float,
-    eff2: float,
-    dark1: float = 0.0,
-    noise2_port: float = 0.0,
-    noise_bunching: float = 1.0,
-) -> tuple[float, float, float, float]:
-    """Per-slot probabilities (P1, P12, P13, P123) with a beamsplit arm 2.
-
-    Each arm-2 photon reaches port a or b with probability eff2/2;
-    noise2_port is the uncorrelated click probability per port within the
-    coincidence gate.  noise_bunching is the second-order autocorrelation
-    of the noise field (1 for Poissonian darks, 2 for the thermal light a
-    retrieval process scatters into the signal mode); it enhances the
-    noise-noise pair term only.  Ports are symmetric, so P13 = P12.
-    """
-
-    if noise_bunching < 1.0:
-        raise ValidationError("noise_bunching must be >= 1")
-    p1 = p12 = p123 = 0.0
-    nn_excess = (noise_bunching - 1.0) * noise2_port**2
-    for n, qn in _pair_number_distribution(pair_prob):
-        c1 = 1.0 - (1.0 - eff1) ** n * (1.0 - dark1)
-        no_a = (1.0 - eff2 / 2.0) ** n * (1.0 - noise2_port)
-        no_ab = (1.0 - eff2) ** n * (1.0 - noise2_port) ** 2
-        ca = 1.0 - no_a
-        cab = 1.0 - 2.0 * no_a + no_ab + nn_excess
-        p1 += qn * c1
-        p12 += qn * c1 * ca
-        p123 += qn * c1 * min(cab, ca)
-    return p1, p12, p12, p123
+        p123 += qn * c1 * min(max(c23, 0.0), c2)
+    return tuple(min(p, 1.0) for p in (p1, p2, p12, p123))
 
 
 def heralded_alpha(p1: float, p12: float, p13: float, p123: float) -> float:

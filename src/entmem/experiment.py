@@ -17,11 +17,11 @@ import numpy as np
 from .detection import (
     ExpectedRates,
     MeasurementSetting,
+    click_probs,
+    heralded_alpha,
     projection_probability,
-    slot_g2,
-    triple_coincidence_probs,
 )
-from .errors import ValidationError
+from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
 from .memory import apply_memory, efficiency_curve, spectral_overlap
 from .qstate import PolarizationKet, TwoQubitState
@@ -160,30 +160,49 @@ def _check_clicks(*checks: tuple[float, str]) -> None:
 # -- the count models of a stage; calibration fits the two correlation ones --
 
 
-def correlated_pair_prob(scenario: Scenario) -> float:
-    """Pair probability of the source, 0 when its pairs are uncorrelated."""
-    return scenario.source.pair_prob if scenario.correlations.pair_correlated else 0.0
+def slot_probs(stage: Stage) -> tuple[float, float, float]:
+    """Per-slot (P1, P2, P12) of the g2 measurement channel.
+
+    An uncorrelated source still fills both arms, but its photons
+    coincide only by chance: P12 = P1*P2.
+    """
+    scenario = stage.scenario
+    p1, p2, p12, _ = click_probs(
+        scenario.source.pair_prob, stage.e1, stage.e2, stage.dark1_slot, stage.noise2_slot
+    )
+    return p1, p2, (p12 if scenario.correlations.pair_correlated else p1 * p2)
+
+
+def alpha_probs(stage: Stage) -> tuple[float, float, float, float]:
+    """Per-slot (P1, P_port, P12, P123) of the heralded-autocorrelation setup.
+
+    A beamsplitter sends arm 2 to two identical detectors, each seeing half
+    the arm-2 efficiency; an uncorrelated source heralds no pairs.
+    """
+    scenario = stage.scenario
+    pair_prob = scenario.source.pair_prob if scenario.correlations.pair_correlated else 0.0
+    return click_probs(
+        pair_prob,
+        stage.e1,
+        stage.e2 / 2.0,
+        stage.dark1_gate,
+        stage.noise2_port,
+        stage.noise_bunching,
+    )
 
 
 def model_slot_g2(stage: Stage) -> float:
-    """Slot-normalized cross-correlation of the g2 measurement channel."""
-    if not stage.scenario.correlations.pair_correlated:
-        return 1.0
-    return slot_g2(
-        stage.scenario.source.pair_prob, stage.e1, stage.e2, stage.dark1_slot, stage.noise2_slot
-    )
+    """Slot-normalized cross-correlation P12/(P1*P2) of the g2 measurement channel."""
+    p1, p2, p12 = slot_probs(stage)
+    if p1 <= 0 or p2 <= 0:
+        raise EstimationError("cross-correlation undefined without singles")
+    return p12 / (p1 * p2)
 
 
-def model_alpha(stage: Stage) -> tuple[float, float, float, float]:
-    """Per-slot (P1, P12, P13, P123) of the heralded-autocorrelation setup."""
-    return triple_coincidence_probs(
-        correlated_pair_prob(stage.scenario),
-        stage.e1,
-        stage.e2,
-        stage.dark1_gate,
-        stage.noise2_port,
-        noise_bunching=stage.noise_bunching,
-    )
+def model_alpha(stage: Stage) -> float:
+    """Heralded autocorrelation P1*P123/P12^2 of the stage (the ports are symmetric)."""
+    p1, _, p12, p123 = alpha_probs(stage)
+    return heralded_alpha(p1, p12, p12, p123)
 
 
 def _arm_probability(reduced: np.ndarray, ket: PolarizationKet) -> float:

@@ -197,16 +197,6 @@ def efficiency_curve(
     return lambda t: float(min(max(decay.eta_peak * overlap * decay_factor(decay, t), 0.0), 1.0))
 
 
-def storage_efficiency(
-    spectrum: Spectrum,
-    eit: EITParams,
-    decay: MemoryDecayParams,
-    t_storage: float,
-) -> float:
-    """eta(t_storage) from efficiency_curve."""
-    return efficiency_curve(spectrum, eit, decay)(t_storage)
-
-
 def apply_memory(
     rho: TwoQubitState, eta: float, noise: MemoryNoiseParams
 ) -> tuple[TwoQubitState, float]:

@@ -20,7 +20,6 @@ from .detection import (
     CountRecord,
     G2StreamParams,
     MeasurementSetting,
-    coincidence_probs,
     expected_counts,
     g2_histogram,
     heralded_alpha,
@@ -48,11 +47,11 @@ from .estimators import (
 from .experiment import (
     STAGES,
     Stage,
-    correlated_pair_prob,
+    alpha_probs,
     memory_efficiency_curve,
-    model_alpha,
     model_rates,
     model_slot_g2,
+    slot_probs,
     stage_state,
 )
 from .memory import EITParams, eit_transmission, g2_vs_storage_time, transparency_window_fwhm
@@ -169,14 +168,10 @@ def simulate_visibility(stage: Stage, sampling: str, arm1_label: str) -> list[Co
 def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict]:
     """Heralded-autocorrelation counts: herald, two ports, triples."""
     scenario, sfx = stage.scenario, stage.suffix
-    p1, p12, p13, p123 = model_alpha(stage)
-    # per-port singles: one arm of the beamsplitter on its own
-    _, p_port, _ = coincidence_probs(
-        correlated_pair_prob(scenario), stage.e1, stage.e2 / 2.0, 0.0, stage.noise2_port
-    )
+    p1, p_port, p12, p123 = alpha_probs(stage)
     acq = scenario.plan.acquisition_s[f"alpha_{sfx}"]
     n_slots = scenario.timing.pulse_rate * acq
-    means = np.array([p1, p_port, p_port, p12, p13, p123]) * n_slots
+    means = np.array([p1, p_port, p_port, p12, p12, p123]) * n_slots
     if sampling == "expected":
         n1, n2a, n2b, n12, n13, n123 = (int(round(m)) for m in means)
     else:
@@ -195,16 +190,13 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
 def simulate_g2(stage: Stage):
     """Time-resolved cross-correlation for the stage."""
     scenario, delay = stage.scenario, stage.delay_ns
-    s1, s2, s12 = coincidence_probs(
-        scenario.source.pair_prob, stage.e1, stage.e2, stage.dark1_slot, stage.noise2_slot
-    )
-    excess = max(s12 - s1 * s2, 0.0) if scenario.correlations.pair_correlated else 0.0
+    s1, s2, s12 = slot_probs(stage)
     slot = scenario.timing.cycle_period_ns
     n_slots = int(scenario.timing.pulse_rate * scenario.plan.acquisition_s["g2"])
     params = G2StreamParams(
         n_slots=n_slots,
         slot_ns=slot,
-        pair_prob_detected=excess,
+        pair_prob_detected=max(s12 - s1 * s2, 0.0),
         singles1_prob=s1,
         singles2_prob=s2,
         delay_ns=delay,

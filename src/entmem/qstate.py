@@ -3,12 +3,11 @@
 Basis order is fixed globally as (HH, HV, VH, VV): the first letter is the
 Signal-1 polarization, the second letter the Signal-2 (or atomic) one.
 Every downstream formula in the package relies on this ordering; the JSON
-serialization asserts it explicitly.
+serialization records it explicitly.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,6 @@ BASIS_STRING = ",".join(BASIS_LABELS)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
-KET_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -148,17 +146,7 @@ class TwoQubitState:
         v = v / norm
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls) -> "TwoQubitState":
-        return cls(np.eye(4, dtype=np.complex128) / 4)
-
     # -- queries ------------------------------------------------------
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.rho @ self.rho)))
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.rho)).copy()
 
     def reduced_signal1(self) -> np.ndarray:
         """2x2 reduced state of the Signal-1 slot (trace over slot 2)."""
@@ -174,34 +162,6 @@ class TwoQubitState:
 
     def to_json_dict(self) -> dict:
         return matrix_json(self.rho)
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TwoQubitState":
-        if d.get("basis") != BASIS_STRING:
-            raise ValidationError(
-                f"density-matrix JSON basis {d.get('basis')!r} != {BASIS_STRING!r}"
-            )
-        rho = np.array(
-            [[complex(re, im) for re, im in row] for row in d["rho"]],
-            dtype=np.complex128,
-        )
-        return cls(rho)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "TwoQubitState":
-        return cls.from_json_dict(json.loads(s))
-
-
-def tensor_product(a: PolarizationKet, b: PolarizationKet) -> TwoQubitState:
-    """Pure product state |a (x) b><a (x) b| with slot 1 = Signal 1."""
-    if abs(np.linalg.norm(a.vector) - 1) > KET_NORM_TOL:
-        raise ValidationError("first ket not normalized")
-    if abs(np.linalg.norm(b.vector) - 1) > KET_NORM_TOL:
-        raise ValidationError("second ket not normalized")
-    return TwoQubitState.from_ket(np.kron(a.vector, b.vector))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -233,24 +193,6 @@ def fidelity(rho: TwoQubitState, sigma: TwoQubitState) -> float:
     return min(max(f, 0.0), 1.0)
 
 
-def expectation(rho: TwoQubitState, obs: np.ndarray) -> float:
-    """Tr(rho * obs) for a Hermitian observable; the value must be real."""
-    obs = np.asarray(obs, dtype=np.complex128)
-    if obs.shape != (4, 4):
-        raise ValidationError("observable must be 4x4")
-    _check_hermitian(obs, HERMITICITY_TOL, "observable")
-    val = np.trace(rho.rho @ obs)
-    if abs(val.imag) > 1e-10:
-        raise ValidationError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1 for Hermitian matrices."""
-    vals = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
-    return 0.5 * float(np.sum(np.abs(vals)))
-
-
 # Common two-qubit states used throughout the package.
 
 def bell_psi_plus(phase: float = 0.0) -> TwoQubitState:
@@ -260,6 +202,3 @@ def bell_psi_plus(phase: float = 0.0) -> TwoQubitState:
     v[2] = np.exp(1j * phase)
     return TwoQubitState.from_ket(v / np.sqrt(2))
 
-
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)

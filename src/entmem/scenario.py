@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -122,21 +122,6 @@ class Scenario:
         if self.attenuator is not None:
             return self.attenuator
         return balance_attenuation(self.source.eta_f)
-
-
-def classicalize(scenario: Scenario) -> Scenario:
-    """Classical twin: full white noise and coherent-light correlations."""
-    return replace(
-        scenario,
-        source=replace(scenario.source, p_white=1.0),
-        correlations=replace(
-            scenario.correlations,
-            pair_correlated=False,
-            g2_autocorr_s1=1.0,
-            g2_autocorr_s2_pre=1.0,
-            g2_autocorr_s2_post=1.0,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,56 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from entmem.errors import ValidationError
 from entmem.qstate import PolarizationKet, TwoQubitState
+from entmem.scenario import Scenario
+
+KET_NORM_TOL = 1e-12
+
+
+def maximally_mixed() -> TwoQubitState:
+    return TwoQubitState(np.eye(4, dtype=np.complex128) / 4)
+
+
+def purity(rho: TwoQubitState) -> float:
+    return float(np.real(np.trace(rho.rho @ rho.rho)))
+
+
+def populations(rho: TwoQubitState) -> np.ndarray:
+    return np.real(np.diag(rho.rho)).copy()
+
+
+def tensor_product(a: PolarizationKet, b: PolarizationKet) -> TwoQubitState:
+    """Pure product state |a (x) b><a (x) b| with slot 1 = Signal 1."""
+    if abs(np.linalg.norm(a.vector) - 1) > KET_NORM_TOL:
+        raise ValidationError("first ket not normalized")
+    if abs(np.linalg.norm(b.vector) - 1) > KET_NORM_TOL:
+        raise ValidationError("second ket not normalized")
+    return TwoQubitState.from_ket(np.kron(a.vector, b.vector))
+
+
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """(1/2)||a - b||_1 for Hermitian matrices."""
+    vals = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))
+    return 0.5 * float(np.sum(np.abs(vals)))
+
+
+def classicalize(scenario: Scenario) -> Scenario:
+    """Classical twin: full white noise and coherent-light correlations."""
+    return replace(
+        scenario,
+        source=replace(scenario.source, p_white=1.0),
+        correlations=replace(
+            scenario.correlations,
+            pair_correlated=False,
+            g2_autocorr_s1=1.0,
+            g2_autocorr_s2_pre=1.0,
+            g2_autocorr_s2_post=1.0,
+        ),
+    )
 
 
 def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> TwoQubitState:

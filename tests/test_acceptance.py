@@ -11,7 +11,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_pure_ket
+from conftest import (
+    classicalize,
+    maximally_mixed,
+    random_density_matrix,
+    random_pure_ket,
+    tensor_product,
+    trace_distance,
+)
 from entmem.calibrate import calibrate
 from entmem.detection import (
     CountRecord,
@@ -40,11 +47,9 @@ from entmem.qstate import (
     bell_psi_plus,
     fidelity,
     ket_h,
-    tensor_product,
-    trace_distance,
 )
 from entmem.qstate import KET_BY_LABEL
-from entmem.scenario import classicalize, load_bundled_scenario
+from entmem.scenario import load_bundled_scenario
 
 
 def _verdict(name: str, ok: bool) -> None:
@@ -70,7 +75,7 @@ def hundred_run_means(calibrated):
 def test_criterion_1_analytic_chsh():
     t0 = time.time()
     s_bell = chsh_S_analytic(bell_psi_plus())
-    s_mixed = chsh_S_analytic(TwoQubitState.maximally_mixed())
+    s_mixed = chsh_S_analytic(maximally_mixed())
     elapsed = time.time() - t0
     ok = abs(s_bell - 2 * np.sqrt(2)) < 1e-9 and abs(s_mixed) < 1e-12 and elapsed < 1.0
     print(f"\n  S(bell)={s_bell!r}, S(I/4)={s_mixed!r}, {elapsed:.3f}s")

@@ -2,10 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import density_matrices
+from conftest import density_matrices, maximally_mixed
 from entmem.detection import (
     CSV_HEADER,
     CountRecord,
@@ -14,20 +14,18 @@ from entmem.detection import (
     LossBudget,
     MeasurementSetting,
     TimingConfig,
-    coincidence_probs,
+    click_probs,
     g2_histogram,
     heralded_alpha,
     projection_probability,
     records_from_csv,
     records_to_csv,
     sample_counts,
-    slot_g2,
-    triple_coincidence_probs,
 )
 from entmem.errors import EstimationError, ValidationError
 from entmem.experiment import model_rates, stage_state
 from entmem.memory import MemoryNoiseParams
-from entmem.qstate import TwoQubitState, bell_psi_plus, ket_d, ket_h, ket_v
+from entmem.qstate import bell_psi_plus, ket_d, ket_h, ket_v
 from entmem.scenario import load_bundled_scenario
 
 
@@ -52,7 +50,7 @@ class TestProjectionProbability:
         )
 
     def test_maximally_mixed_quarter(self):
-        rho = TwoQubitState.maximally_mixed()
+        rho = maximally_mixed()
         assert projection_probability(rho, _setting(ket_d(), ket_v())) == pytest.approx(0.25)
 
     @given(density_matrices())
@@ -214,36 +212,68 @@ class TestCountRecordCsv:
             records_from_csv(text)
 
 
+def _slot_g2(pair_prob, eff1, eff2, dark1=0.0, noise2=0.0):
+    p1, p2, p12, _ = click_probs(pair_prob, eff1, eff2, dark1, noise2)
+    return p12 / (p1 * p2)
+
+
+def _alpha(pair_prob, eff1, eff2, noise2_port=0.0, noise_bunching=1.0):
+    """Heralded alpha with arm 2 (total efficiency eff2) split onto two ports."""
+    p1, _, p12, p123 = click_probs(pair_prob, eff1, eff2 / 2.0, 0.0, noise2_port, noise_bunching)
+    return heralded_alpha(p1, p12, p12, p123)
+
+
 class TestPairStatistics:
     def test_slot_g2_decreases_with_noise(self):
-        vals = [slot_g2(0.007, 0.06, 0.15, 0.0, b) for b in (0.0, 1e-4, 1e-3, 1e-2)]
+        vals = [_slot_g2(0.007, 0.06, 0.15, 0.0, b) for b in (0.0, 1e-4, 1e-3, 1e-2)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_slot_g2_roughly_inverse_pair_prob(self):
-        assert slot_g2(0.01, 0.06, 0.15) == pytest.approx(1.0 / 0.01, rel=0.1)
+        assert _slot_g2(0.01, 0.06, 0.15) == pytest.approx(1.0 / 0.01, rel=0.1)
 
     def test_perfect_single_photon_alpha_zero(self):
         # no double pairs possible when enumeration is truncated by zero noise
-        p1, p12, p13, p123 = triple_coincidence_probs(1e-9, 0.5, 0.5)
-        alpha = heralded_alpha(p1, p12, p13, p123)
-        assert alpha < 1e-6
+        assert _alpha(1e-9, 0.5, 0.5) < 1e-6
 
     def test_alpha_scales_as_4p(self):
         # double-pair emissions at p^2 give alpha ~= 4p, up to O(p) and
         # multi-click corrections from the exact enumeration
         p = 0.005
-        p1, p12, p13, p123 = triple_coincidence_probs(p, 0.06, 0.15)
-        assert heralded_alpha(p1, p12, p13, p123) == pytest.approx(4 * p, rel=0.10)
+        assert _alpha(p, 0.06, 0.15) == pytest.approx(4 * p, rel=0.10)
 
     def test_bunched_noise_raises_alpha(self):
         args = dict(pair_prob=0.007, eff1=0.06, eff2=0.009, noise2_port=5e-4)
-        a1 = heralded_alpha(*triple_coincidence_probs(**args, noise_bunching=1.0))
-        a2 = heralded_alpha(*triple_coincidence_probs(**args, noise_bunching=2.0))
-        assert a2 > a1
+        assert _alpha(**args, noise_bunching=2.0) > _alpha(**args, noise_bunching=1.0)
 
     def test_heralded_alpha_validation(self):
         with pytest.raises(EstimationError):
             heralded_alpha(10.0, 0.0, 5.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "args", [(0.5, 0.1, 0.1, 0.0, 0.0), (-1e-3, 0.1, 0.1, 0.0, 0.0), (0.01, 0.1, 0.1, 0.0, 0.0, 0.9)]
+    )
+    def test_invalid_arguments_rejected(self, args):
+        with pytest.raises(ValidationError):
+            click_probs(*args)
+
+    @given(
+        st.floats(0.0, 0.4999),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 10.0),
+    )
+    @settings(max_examples=500, deadline=None)
+    @example(0.43, 0.0, 0.1, 1.0, 0.0, 1.0)  # the pair weights sum to 1 + 2**-52
+    @example(0.25, 0.0, 1e-9, 1.0, 0.0, 1.0)  # P123 cancels to about -4e-17
+    def test_probabilities_bounded_and_ordered(
+        self, pair_prob, eff1, eff2, dark1, noise2, noise_bunching
+    ):
+        p1, p2, p12, p123 = click_probs(pair_prob, eff1, eff2, dark1, noise2, noise_bunching)
+        assert all(0.0 <= p <= 1.0 for p in (p1, p2, p12, p123))
+        assert p12 <= min(p1, p2)
+        assert p123 <= p12
 
 
 class TestG2Histogram:

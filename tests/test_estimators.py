@@ -8,7 +8,14 @@ from scipy.optimize import minimize
 
 import entmem.estimators as estimators
 import entmem.pipeline as pipeline
-from conftest import random_density_matrix, random_pure_ket
+from conftest import (
+    maximally_mixed,
+    purity,
+    random_density_matrix,
+    random_pure_ket,
+    tensor_product,
+    trace_distance,
+)
 from entmem.calibrate import calibrate
 from entmem.detection import CountRecord, projection_probability
 from entmem.errors import ConfigurationError, EstimationError, ValidationError
@@ -40,8 +47,6 @@ from entmem.qstate import (
     fidelity,
     ket_h,
     ket_v,
-    tensor_product,
-    trace_distance,
 )
 from entmem.rng import derive_rng
 from entmem.scenario import load_bundled_scenario
@@ -103,7 +108,7 @@ class TestTomoLinear:
         assert np.max(np.abs(est - rho.rho)) < 1e-10
 
     def test_recovers_maximally_mixed(self):
-        rho = TwoQubitState.maximally_mixed()
+        rho = maximally_mixed()
         est = tomo_linear(*tomo_counts(exact_records(rho)))
         assert np.max(np.abs(est - rho.rho)) < 1e-10
 
@@ -205,8 +210,8 @@ class TestTomoMle:
         assert fidelity(est, bell_psi_plus()) > 0.9999
 
     def test_maximally_mixed_purity(self):
-        est = tomo_mle(*tomo_counts(exact_records(TwoQubitState.maximally_mixed(), 1e6)))
-        assert est.purity() < 0.26
+        est = tomo_mle(*tomo_counts(exact_records(maximally_mixed(), 1e6)))
+        assert purity(est) < 0.26
 
     def test_reconstruction_consistency_random_states(self, rng):
         for _ in range(10):
@@ -346,15 +351,15 @@ class TestNewtonSolver:
             tomo_mle(counts, acq)
         failed = []
 
-        def purity(resampled):
+        def resampled_purity(resampled):
             try:
-                return tomo_mle(resampled, acq).purity()
+                return purity(tomo_mle(resampled, acq))
             except EstimationError:
                 failed.append(resampled)
                 raise
 
         with pytest.raises(EstimationError, match="Poisson resamples") as exc:
-            mc_error(purity, counts, n_resamples=200, seed=1)
+            mc_error(resampled_purity, counts, n_resamples=200, seed=1)
         assert len(failed) > 20
         assert f"failed on {len(failed)}/200" in str(exc.value)
 
@@ -429,7 +434,7 @@ class TestNewtonSolver:
     def test_single_fit_timing(self, post_tomography_records, benchmark):
         """One fit on the bundled post-storage records, timed by pytest-benchmark."""
         state = benchmark(tomo_mle, *tomo_counts(post_tomography_records))
-        assert state.purity() > 0.5
+        assert purity(state) > 0.5
 
 
 class TestSharedFits:
@@ -504,7 +509,7 @@ class TestChshS:
         assert chsh_S_analytic(bell_psi_plus()) == pytest.approx(2 * np.sqrt(2), abs=1e-9)
 
     def test_maximally_mixed_zero(self):
-        assert chsh_S_analytic(TwoQubitState.maximally_mixed()) == pytest.approx(0.0, abs=1e-12)
+        assert chsh_S_analytic(maximally_mixed()) == pytest.approx(0.0, abs=1e-12)
 
     def test_never_exceeds_four(self, rng):
         for _ in range(200):

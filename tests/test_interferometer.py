@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import density_matrices
+from conftest import density_matrices, maximally_mixed, populations, tensor_product
 from entmem.errors import ValidationError
 from entmem.interferometer import AttenuatorSetting, apply_attenuator, balance_attenuation
 from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
@@ -51,9 +51,9 @@ class TestApplyAttenuator:
         assert fidelity(out, bell_psi_plus()) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_half_filter(self):
-        out, prob = apply_attenuator(TwoQubitState.maximally_mixed(), AttenuatorSetting(0.5))
+        out, prob = apply_attenuator(maximally_mixed(), AttenuatorSetting(0.5))
         assert prob == pytest.approx(0.625, abs=1e-12)
-        assert np.allclose(out.populations(), [0.1, 0.4, 0.1, 0.4], atol=1e-12)
+        assert np.allclose(populations(out), [0.1, 0.4, 0.1, 0.4], atol=1e-12)
 
     @given(density_matrices(), st.floats(0.05, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -93,7 +93,7 @@ def test_storage_path_polarization_symmetry():
     """The storage plumbing is the identity channel: retrieval probability
     must not depend on the input polarization."""
     from entmem.memory import MemoryNoiseParams, apply_memory
-    from entmem.qstate import KET_BY_LABEL, ket_h, tensor_product
+    from entmem.qstate import KET_BY_LABEL, ket_h
 
     probs = []
     for label in ("H", "V", "D", "R"):

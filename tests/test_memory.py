@@ -13,10 +13,10 @@ from entmem.memory import (
     MemoryDecayParams,
     MemoryNoiseParams,
     apply_memory,
+    efficiency_curve,
     eit_transmission,
     g2_vs_storage_time,
     spectral_overlap,
-    storage_efficiency,
     transparency_window_fwhm,
     window_acceptance,
 )
@@ -84,7 +84,7 @@ class TestStorageEfficiency:
         eit = _calibrated_eit(gamma_g=0.0)
         spec = wavepacket_spectrum(2.0, np.linspace(-10, 10, 801))
         decay = MemoryDecayParams(model="gaussian", tau_mem=100.0, eta_peak=1.0)
-        eta = storage_efficiency(spec, eit, decay, 0.0)
+        eta = efficiency_curve(spec, eit, decay)(0.0)
         assert eta == pytest.approx(1.0, abs=0.02)
 
     def test_calibrated_100ns_point_in_band(self):
@@ -93,15 +93,15 @@ class TestStorageEfficiency:
         overlap = spectral_overlap(spec, eit)
         tau = 100.0 / np.sqrt(np.log(0.9 * overlap / 0.06))
         decay = MemoryDecayParams(model="gaussian", tau_mem=tau, eta_peak=0.9)
-        eta = storage_efficiency(spec, eit, decay, 100.0)
+        eta = efficiency_curve(spec, eit, decay)(100.0)
         assert 0.04 <= eta <= 0.08
 
     def test_doubling_fwhm_halves_efficiency(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(model="gaussian", tau_mem=150.0, eta_peak=0.9)
         grid = np.linspace(-900, 900, 3601)
-        eta100 = storage_efficiency(wavepacket_spectrum(100.0, grid), eit, decay, 0.0)
-        eta200 = storage_efficiency(wavepacket_spectrum(200.0, grid), eit, decay, 0.0)
+        eta100 = efficiency_curve(wavepacket_spectrum(100.0, grid), eit, decay)(0.0)
+        eta200 = efficiency_curve(wavepacket_spectrum(200.0, grid), eit, decay)(0.0)
         assert 1.6 <= eta100 / eta200 <= 2.4
 
     def test_monotone_in_storage_time(self):
@@ -109,7 +109,8 @@ class TestStorageEfficiency:
         spec = wavepacket_spectrum(150.0, np.linspace(-400, 400, 1601))
         for model in ("gaussian", "exponential"):
             decay = MemoryDecayParams(model=model, tau_mem=170.0, eta_peak=0.9)
-            etas = [storage_efficiency(spec, eit, decay, t) for t in np.linspace(0, 600, 25)]
+            eta_of = efficiency_curve(spec, eit, decay)
+            etas = [eta_of(t) for t in np.linspace(0, 600, 25)]
             assert all(a >= b - 1e-15 for a, b in zip(etas, etas[1:]))
             assert all(0.0 <= e <= 1.0 for e in etas)
 
@@ -118,7 +119,7 @@ class TestStorageEfficiency:
         decay = MemoryDecayParams(tau_mem=170.0, eta_peak=0.9)
         grid = np.linspace(-1200, 1200, 4801)
         etas = [
-            storage_efficiency(wavepacket_spectrum(f, grid), eit, decay, 0.0)
+            efficiency_curve(wavepacket_spectrum(f, grid), eit, decay)(0.0)
             for f in (50.0, 100.0, 150.0, 200.0, 250.0)
         ]
         assert all(a >= b for a, b in zip(etas, etas[1:]))

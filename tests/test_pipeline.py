@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entmem.pipeline as pipeline
+from conftest import classicalize
 from entmem.calibrate import DEFAULT_TARGETS, analytic_visibility, calibrate
 from entmem.detection import records_from_csv
 from entmem.errors import CalibrationError, EstimationError, ValidationError
-from entmem.estimators import EstimateWithError
-from entmem.detection import heralded_alpha
+from entmem.estimators import EstimateWithError, chsh_S_analytic
 from entmem.experiment import (
     balanced_state,
     memory_efficiency,
@@ -19,7 +20,7 @@ from entmem.experiment import (
 )
 from entmem.pipeline import report_emit, run_experiment, stage_report
 from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
-from entmem.scenario import classicalize, load_bundled_scenario, scenario_to_dict
+from entmem.scenario import load_bundled_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +82,26 @@ class TestCalibrate:
         assert 0.02 <= checks["alpha_pre"] <= 0.06
         assert 2.37 <= checks["S_pre_analytic"] <= 2.61
 
+    def test_checks_use_the_plan_chsh_angles(self):
+        angles = (0.0, np.pi / 4, np.pi / 8, 3 * np.pi / 8)
+        bundled = load_bundled_scenario()
+        scenario, report = calibrate(replace(bundled, plan=replace(bundled.plan, chsh_angles=angles)))
+        pre, post = (stage_state(scenario, stage).rho for stage in ("pre_storage", "post_storage"))
+        checks = report["checks"]
+        assert checks["S_pre_analytic"] == chsh_S_analytic(pre, angles)
+        assert checks["S_post_analytic"] == chsh_S_analytic(post, angles)
+        assert abs(checks["S_pre_analytic"] - chsh_S_analytic(pre)) > 0.3
+        # the expected-count estimate at the same angles agrees
+        measured = run_experiment(scenario, "pre_storage", sampling="expected").chsh_S.value
+        assert checks["S_pre_analytic"] == pytest.approx(measured, abs=0.01)
+
     def test_alpha_pre_as_sole_pair_target(self):
         scenario, report = calibrate(
             load_bundled_scenario(),
             {"alpha_pre": 0.04},
         )
         assert report["alpha_pre"]["residual"] < 0.01
-        alpha = heralded_alpha(*model_alpha(stage_state(scenario, "pre_storage")))
+        alpha = model_alpha(stage_state(scenario, "pre_storage"))
         assert alpha == pytest.approx(0.04, rel=0.01)
 
     def test_alpha_pre_alongside_g2_pre_is_check_only(self):
@@ -125,7 +139,7 @@ class TestStageStates:
         monkeypatch.setattr(TwoQubitState, "__init__", refuse)
         view = stage_state(calibrated, stage)
         assert model_slot_g2(view) > 1.0
-        assert 0.0 < heralded_alpha(*model_alpha(view)) < 1.0
+        assert 0.0 < model_alpha(view) < 1.0
 
 
 class TestRunExperiment:
@@ -240,6 +254,18 @@ class TestClassicalGates:
         assert pre.visibility.estimate.value <= 1 / np.sqrt(2) + 0.05
         assert pre.cauchy_schwarz["R"] <= 1.0 + 0.05
         assert not pre.cauchy_schwarz["nonclassical"]
+
+    @pytest.mark.parametrize("stage", ["pre_storage", "post_storage"])
+    def test_uncorrelated_source_has_no_excess_coincidences(self, fast, stage, monkeypatch):
+        view = stage_state(classicalize(fast), stage)
+        assert model_slot_g2(view) == 1.0
+        streams = []
+        monkeypatch.setattr(
+            pipeline, "g2_histogram", lambda params, *args: streams.append(params)
+        )
+        pipeline.simulate_g2(view)
+        assert streams[0].pair_prob_detected == 0.0
+        assert streams[0].singles1_prob > 0 and streams[0].singles2_prob > 0
 
 
 class TestReports:

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entmem.scenario
+from conftest import classicalize
 from entmem.cli import main
 from entmem.detection import TimingConfig
 from entmem.errors import ConfigurationError, EntmemError, ValidationError
 from entmem.interferometer import AttenuatorSetting
 from entmem.scenario import (
     bundled_scenario_path,
-    classicalize,
     load_bundled_scenario,
     load_scenario,
     save_scenario,

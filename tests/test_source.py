@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import populations, purity
 from entmem.errors import ValidationError
 from entmem.qstate import bell_psi_plus, fidelity
 from entmem.source import (
@@ -48,7 +49,7 @@ class TestTwoPhotonState:
 
     def test_tan2_1p5_populations(self):
         rho = two_photon_state(SourceParams(eta_f=eta_from_tan2(1.5)))
-        assert np.allclose(rho.populations(), [0.0, 0.4, 0.6, 0.0], atol=1e-12)
+        assert np.allclose(populations(rho), [0.0, 0.4, 0.6, 0.0], atol=1e-12)
 
     def test_full_white_noise_is_maximally_mixed(self):
         rho = two_photon_state(SourceParams(eta_f=np.pi / 4, p_white=1.0))
@@ -57,7 +58,7 @@ class TestTwoPhotonState:
     def test_white_corner_populations(self):
         p = 0.2
         rho = two_photon_state(SourceParams(eta_f=np.pi / 4, p_white=p))
-        pops = rho.populations()
+        pops = populations(rho)
         assert pops[0] == pytest.approx(p / 4, abs=1e-14)
         assert pops[3] == pytest.approx(p / 4, abs=1e-14)
 
@@ -66,9 +67,9 @@ class TestTwoPhotonState:
     def test_purity_one_iff_noiseless(self, eta, p_white):
         rho = two_photon_state(SourceParams(eta_f=eta, p_white=p_white))
         if p_white == 0.0:
-            assert rho.purity() == pytest.approx(1.0, abs=1e-10)
+            assert purity(rho) == pytest.approx(1.0, abs=1e-10)
         else:
-            assert rho.purity() < 1.0 - 1e-10 or p_white < 1e-9
+            assert purity(rho) < 1.0 - 1e-10 or p_white < 1e-9
 
     @given(st.floats(0.05, np.pi / 2 - 0.05), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
