@@ -19,7 +19,7 @@ import numpy as np
 from entmem.calibrate import calibrate
 from entmem.errors import EstimationError
 from entmem.estimators import shared_fits
-from entmem.experiment import model_slot_g2, stage_state
+from entmem.experiment import model_slot_g2
 from entmem.pipeline import run_experiment
 from entmem.scenario import load_bundled_scenario
 
@@ -41,12 +41,11 @@ def main():
     with shared_fits():
         for t in np.linspace(10.0, args.t_max, args.points):
             scn = replace(scenario, timing=replace(scenario.timing, storage_time_ns=float(t)))
-            post = stage_state(scn, "post_storage")
-            eta, g2 = post.eta, model_slot_g2(post)
             try:
                 res = run_experiment(scn, "post_storage", sampling=args.sampling)
             except EstimationError as exc:
                 sys.exit(f"error: no estimate at storage time {t:.1f} ns: {exc}")
+            eta, g2 = res.view.eta, model_slot_g2(res.view)
             rows.append(
                 f"{t:.1f},{eta:.6g},{g2:.6g},{res.fidelity.value:.6g},"
                 f"{res.chsh_S.value:.6g},{res.visibility.estimate.value:.6g}"

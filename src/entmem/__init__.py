@@ -34,7 +34,6 @@ from .memory import (
     MemoryNoiseParams,
     apply_memory,
     eit_transmission,
-    g2_vs_storage_time,
 )
 from .detection import (
     CountRecord,

@@ -33,7 +33,6 @@ from .experiment import (
     memory_efficiency,
     model_alpha,
     model_slot_g2,
-    overlap_ceiling,
     stage_state,
 )
 from .memory import transparency_window_fwhm
@@ -142,7 +141,7 @@ def _tau_for_eta(s: Scenario, target: float) -> float:
             f"storage-efficiency target {target} out of physical range",
             parameter="eta_100ns",
         )
-    ceiling = overlap_ceiling(s)
+    ceiling = memory_efficiency(s, 0.0)  # spectral overlap times eta_peak
     if target >= ceiling:
         raise CalibrationError(
             f"eta target {target} above the spectral-overlap ceiling {ceiling:.4f}",
@@ -218,6 +217,6 @@ def _consistency_checks(s: Scenario) -> dict:
         "g2_pre_model": model_slot_g2(pre),
         "g2_post_model": model_slot_g2(post),
         "eta_at_storage_time": post.eta,
-        "spectral_overlap_ceiling": overlap_ceiling(s),
+        "spectral_overlap_ceiling": memory_efficiency(s, 0.0),
         "arm_efficiencies": [pre.e1, pre.e2],
     }

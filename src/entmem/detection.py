@@ -192,6 +192,19 @@ class ExpectedRates:
     r12_accidental: float
 
 
+def count_means(rates, per: float, acquisition_s: float, label: str) -> list[float]:
+    """The mean counts rate * per of one acquisition, checked before any draw or rounding."""
+    if acquisition_s <= 0:
+        raise ValidationError("acquisition_s must be > 0")
+    means = [r * per for r in rates]
+    if not all(0 <= m <= POISSON_MEAN_MAX for m in means):
+        raise ValidationError(
+            f"expected counts of setting {label!r} at acquisition_s="
+            f"{acquisition_s:g} are not finite or exceed {POISSON_MEAN_MAX:.3g}"
+        )
+    return means
+
+
 def sample_counts(
     rates: ExpectedRates,
     acquisition_s: float,
@@ -199,14 +212,9 @@ def sample_counts(
     setting_label: str = "",
 ) -> CountRecord:
     """Poisson-sample a CountRecord; bit-reproducible for a fixed seed."""
-    if acquisition_s <= 0:
-        raise ValidationError("acquisition_s must be > 0")
-    means = [r * acquisition_s for r in (rates.r1, rates.r2, rates.r12)]
-    if not all(0 <= m <= POISSON_MEAN_MAX for m in means):
-        raise ValidationError(
-            f"expected counts of setting {setting_label!r} at acquisition_s="
-            f"{acquisition_s:g} are not finite or exceed {POISSON_MEAN_MAX:.3g}"
-        )
+    means = count_means(
+        (rates.r1, rates.r2, rates.r12), acquisition_s, acquisition_s, setting_label
+    )
     rng = derive_rng(seed, "counts", setting_label)
     s1, s2, c = (int(rng.poisson(m)) for m in means)
     return CountRecord(
@@ -229,12 +237,11 @@ def expected_counts(
     monotonicity checks); the rounding keeps the CountRecord contract.
     """
 
-    if acquisition_s <= 0:
-        raise ValidationError("acquisition_s must be > 0")
-    s1 = int(round(rates.r1 * acquisition_s))
-    s2 = int(round(rates.r2 * acquisition_s))
-    c = min(int(round(rates.r12 * acquisition_s)), s1, s2)
-    return CountRecord(setting_label, s1, s2, c, 0, acquisition_s, seed=0)
+    means = count_means(
+        (rates.r1, rates.r2, rates.r12), acquisition_s, acquisition_s, setting_label
+    )
+    s1, s2, c = (int(round(m)) for m in means)
+    return CountRecord(setting_label, s1, s2, min(c, s1, s2), 0, acquisition_s, seed=0)
 
 
 # ---------------------------------------------------------------------------

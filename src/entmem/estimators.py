@@ -302,27 +302,24 @@ def shared_fits():
         _SHARED_FITS = outer
 
 
-def tomo_mle(counts, acquisition_s, init: np.ndarray | None = None) -> TwoQubitState:
+def tomo_mle(counts, acquisition_s) -> TwoQubitState:
     """Maximum-likelihood physical state from the 16 tomography counts.
 
     counts and acquisition_s are in TOMO_SETTINGS order (see tomo_counts).
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
     maximized over the Cholesky parameterization by damped Newton steps with
-    the analytic Hessian, seeded from the clamped linear inversion (or the
-    given init).  A fit Newton cannot finish raises EstimationError.  Inside
-    a shared_fits() scope a repeated (counts, acquisition_s, init) returns
-    the state stored by its first fit (rho is read-only); a fit that raises
-    is not stored.
+    the analytic Hessian, seeded from the clamped linear inversion.  A fit
+    Newton cannot finish raises EstimationError.  Inside a shared_fits()
+    scope a repeated (counts, acquisition_s) returns the state stored by its
+    first fit (rho is read-only); a fit that raises is not stored.
     """
 
     _, exposures, counts = _tomo_data(counts, acquisition_s)
     fits = {} if _SHARED_FITS is None else _SHARED_FITS
-    key = (counts.tobytes(), np.asarray(acquisition_s, dtype=float).tobytes(),
-           None if init is None else np.asarray(init, dtype=np.complex128).tobytes())
+    key = (counts.tobytes(), np.asarray(acquisition_s, dtype=float).tobytes())
     if key in fits:
         return fits[key]
-    if init is None:
-        init = tomo_linear(counts, acquisition_s)
+    init = tomo_linear(counts, acquisition_s)
     t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
     try:
         m = _t_from_params(_newton_fit(t0, counts, exposures))
@@ -403,12 +400,8 @@ def chsh_S_literal(e_matrix: np.ndarray) -> float:
     return float(abs(e[0, 0] - e[0, 1] + e[1, 0] + e[1, 1]))
 
 
-CHSH_ANGLES = (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8)
-
-
-def chsh_S_analytic(
-    rho: TwoQubitState, angles: tuple[float, float, float, float] = CHSH_ANGLES
-) -> float:
+def chsh_S_analytic(rho: TwoQubitState, angles: tuple[float, float, float, float]) -> float:
+    """Exact S of the state at the analyzer angles (theta1, theta2, theta1', theta2')."""
     t1, t2, t1p, t2p = angles
     e = np.array(
         [

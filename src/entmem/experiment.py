@@ -23,7 +23,7 @@ from .detection import (
 )
 from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
-from .memory import apply_memory, efficiency_curve, spectral_overlap
+from .memory import apply_memory, efficiency_curve
 from .qstate import PolarizationKet, TwoQubitState
 from .scenario import Scenario
 from .source import Spectrum, two_photon_state, wavepacket_spectrum
@@ -53,11 +53,6 @@ def memory_efficiency(scenario: Scenario, t_storage: float | None = None) -> flo
 def memory_efficiency_curve(scenario: Scenario) -> Callable[[float], float]:
     """Retrieval efficiency as a function of storage time."""
     return efficiency_curve(signal_spectrum(scenario), scenario.eit, scenario.decay)
-
-
-def overlap_ceiling(scenario: Scenario) -> float:
-    """Upper bound on eta: spectral overlap times the peak efficiency."""
-    return scenario.decay.eta_peak * spectral_overlap(signal_spectrum(scenario), scenario.eit)
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,13 @@ def stage_state(scenario: Scenario, stage: str) -> Stage:
     )
     if stage == "pre_storage":
         return pre
-    eta = memory_efficiency(scenario)
-    flux = scenario.mem_noise.background_flux
+    return _after_storage(pre, memory_efficiency(scenario), timing.storage_time_ns)
+
+
+def _after_storage(pre: Stage, eta: float, t_storage: float) -> Stage:
+    """The pre-storage Stage plus the memory, retrieving with eta after t_storage ns."""
+    corr, timing = pre.scenario.correlations, pre.scenario.timing
+    flux = pre.scenario.mem_noise.background_flux
     post = replace(
         pre,
         name="post_storage",
@@ -141,7 +141,7 @@ def stage_state(scenario: Scenario, stage: str) -> Stage:
         background_rate_2=flux * timing.pulse_rate,
         noise_bunching=corr.g2_autocorr_s2_post,
         g22=corr.g2_autocorr_s2_post,
-        delay_ns=timing.fiber_delay_ns + timing.storage_time_ns,
+        delay_ns=timing.fiber_delay_ns + t_storage,
     )
     _check_clicks(
         (post.noise2_slot, "correlations.g2_channel_background"),
@@ -197,6 +197,12 @@ def model_slot_g2(stage: Stage) -> float:
     if p1 <= 0 or p2 <= 0:
         raise EstimationError("cross-correlation undefined without singles")
     return p12 / (p1 * p2)
+
+
+def model_slot_g2_vs_storage_time(scenario: Scenario, times: Sequence[float]) -> list[float]:
+    """model_slot_g2 after storing for each time (ns); the times may pass the fiber delay."""
+    pre, eta_of = stage_state(scenario, "pre_storage"), memory_efficiency_curve(scenario)
+    return [model_slot_g2(_after_storage(pre, eta_of(t), t)) for t in times]
 
 
 def model_alpha(stage: Stage) -> float:

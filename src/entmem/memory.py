@@ -214,27 +214,3 @@ def apply_memory(
     out = (1.0 - p) * rho.rho + p * mixed_s2
     return TwoQubitState(out), float(eta)
 
-
-def g2_vs_storage_time(
-    g2_initial: float, eta_curve: Callable[[float], float], background: float
-) -> Callable[[float], float]:
-    """Map a retrieval-efficiency curve to a cross-correlation decay curve.
-
-    g2(t) = 1 + (g2_initial - 1) * eta(t) / (eta(t) + background*(1 - eta(t))).
-    """
-
-    if g2_initial <= 1.0:
-        raise ValidationError("g2_initial must exceed 1")
-    if background <= 0:
-        raise ValidationError("background must be > 0")
-
-    def g2(t: float) -> float:
-        eta = eta_curve(t)
-        if not 0.0 <= eta <= 1.0:
-            raise ValidationError(f"eta(t={t}) = {eta} outside [0, 1]")
-        denom = eta + background * (1.0 - eta)
-        if denom <= 0:
-            return 1.0
-        return 1.0 + (g2_initial - 1.0) * eta / denom
-
-    return g2

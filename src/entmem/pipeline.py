@@ -20,6 +20,7 @@ from .detection import (
     CountRecord,
     G2StreamParams,
     MeasurementSetting,
+    count_means,
     expected_counts,
     g2_histogram,
     heralded_alpha,
@@ -51,10 +52,11 @@ from .experiment import (
     memory_efficiency_curve,
     model_rates,
     model_slot_g2,
+    model_slot_g2_vs_storage_time,
     slot_probs,
     stage_state,
 )
-from .memory import EITParams, eit_transmission, g2_vs_storage_time, transparency_window_fwhm
+from .memory import EITParams, eit_transmission, transparency_window_fwhm
 from .qstate import BASIS_STRING, KET_BY_LABEL, TwoQubitState, bell_psi_plus, fidelity
 from .qstate import ket_linear, matrix_json
 from .rng import derive_rng, derive_seed_sequence
@@ -171,7 +173,7 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     p1, p_port, p12, p123 = alpha_probs(stage)
     acq = scenario.plan.acquisition_s[f"alpha_{sfx}"]
     n_slots = scenario.timing.pulse_rate * acq
-    means = np.array([p1, p_port, p_port, p12, p12, p123]) * n_slots
+    means = count_means((p1, p_port, p_port, p12, p12, p123), n_slots, acq, f"alpha:{sfx}")
     if sampling == "expected":
         n1, n2a, n2b, n12, n13, n123 = (int(round(m)) for m in means)
     else:
@@ -481,6 +483,16 @@ def report_emit(
         stage: report_json(stage_report(scenario, result, calibration_report))
         for stage, result in results.items()
     }
+    # storage-efficiency and g2 decay curves; the g2 column reads the
+    # post-storage inputs, so it stays blank unless that stage was simulated
+    times = [float(t) for t in np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)]
+    eta_of = memory_efficiency_curve(scenario)
+    g2s = [""] * len(times)
+    if "post_storage" in results:
+        g2s = [f"{g:.10g}" for g in model_slot_g2_vs_storage_time(scenario, times)]
+    curve_rows = ["t_ns,eta,g2"] + [
+        f"{t:.6g},{eta_of(t):.10g},{g2}" for t, g2 in zip(times, g2s)
+    ]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plots = out / "plots"
@@ -492,27 +504,6 @@ def report_emit(
         written.append(path)
 
     _write(plots / "eit_spectrum.csv", eit_spectrum_csv(scenario.eit))
-
-    # storage-efficiency and g2 decay curves
-    times = np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)
-    eta_of = memory_efficiency_curve(scenario)
-    etas = [eta_of(float(t)) for t in times]
-    # The g2 column needs the simulated post-storage stage; without it, blank.
-    g2_pre_model = model_slot_g2(stage_state(scenario, "pre_storage"))
-    curve = None
-    if g2_pre_model > 1.0 and "post_storage" in results:
-        post = results["post_storage"].view
-        eta_now, g2_post_model = post.eta, model_slot_g2(post)
-        if g2_post_model > 1.0 and eta_now > 0 and eta_now < 1:
-            b = ((g2_pre_model - 1.0) * eta_now / (g2_post_model - 1.0) - eta_now) / (
-                1.0 - eta_now
-            )
-            b = max(b, 1e-9)
-            curve = g2_vs_storage_time(g2_pre_model, dict(zip(times, etas)).__getitem__, b)
-    curve_rows = ["t_ns,eta,g2"]
-    for t, e in zip(times, etas):
-        g2 = f"{curve(t):.10g}" if curve else ""
-        curve_rows.append(f"{t:.6g},{e:.10g},{g2}")
     _write(plots / "efficiency_vs_time.csv", "\n".join(curve_rows) + "\n")
 
     for stage, result in results.items():

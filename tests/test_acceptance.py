@@ -49,7 +49,9 @@ from entmem.qstate import (
     ket_h,
 )
 from entmem.qstate import KET_BY_LABEL
-from entmem.scenario import load_bundled_scenario
+from entmem.scenario import MeasurementPlan, load_bundled_scenario
+
+CHSH_ANGLES = MeasurementPlan().chsh_angles
 
 
 def _verdict(name: str, ok: bool) -> None:
@@ -74,8 +76,8 @@ def hundred_run_means(calibrated):
 
 def test_criterion_1_analytic_chsh():
     t0 = time.time()
-    s_bell = chsh_S_analytic(bell_psi_plus())
-    s_mixed = chsh_S_analytic(maximally_mixed())
+    s_bell = chsh_S_analytic(bell_psi_plus(), CHSH_ANGLES)
+    s_mixed = chsh_S_analytic(maximally_mixed(), CHSH_ANGLES)
     elapsed = time.time() - t0
     ok = abs(s_bell - 2 * np.sqrt(2)) < 1e-9 and abs(s_mixed) < 1e-12 and elapsed < 1.0
     print(f"\n  S(bell)={s_bell!r}, S(I/4)={s_mixed!r}, {elapsed:.3f}s")
@@ -218,7 +220,7 @@ def test_criterion_8_nonclassicality_gates(calibrated):
     from entmem.experiment import stage_state
 
     rho = stage_state(classical, "pre_storage").rho
-    s_analytic = chsh_S_analytic(rho)
+    s_analytic = chsh_S_analytic(rho, CHSH_ANGLES)
 
     res = run_experiment(classical, "pre_storage")
     s_hat = res.chsh_S.value

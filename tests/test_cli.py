@@ -175,14 +175,24 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_huge_acquisition_time_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "key, value, sampling",
+    [
+        ("tomo_pre", 1e300, "poisson"),
+        ("tomo_pre", 1e300, "expected"),
+        # finite means past numpy's Poisson limit
+        ("alpha_pre", 1e18, "poisson"),
+        ("alpha_pre", 1e18, "expected"),
+    ],
+)
+def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
     bad = tmp_path / "huge.json"
     d = scenario_to_dict(load_bundled_scenario())
-    d["settings"]["acquisition_s"]["tomo_pre"] = 1e300
+    d["settings"]["acquisition_s"][key] = value
     bad.write_text(json.dumps(d))
-    rc = main(["--scenario", str(bad), "--out", str(tmp_path), "simulate"])
+    rc = main(["--scenario", str(bad), "--out", str(tmp_path), "simulate", "--sampling", sampling])
     assert rc == 2
-    assert "acquisition_s=1e+300" in capsys.readouterr().err
+    assert f"acquisition_s={value:g}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

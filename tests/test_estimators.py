@@ -20,7 +20,6 @@ from entmem.calibrate import calibrate
 from entmem.detection import CountRecord, projection_probability
 from entmem.errors import ConfigurationError, EstimationError, ValidationError
 from entmem.estimators import (
-    CHSH_ANGLES,
     EstimateWithError,
     TomographySettingSet,
     cauchy_schwarz_R,
@@ -49,9 +48,10 @@ from entmem.qstate import (
     ket_v,
 )
 from entmem.rng import derive_rng
-from entmem.scenario import load_bundled_scenario
+from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
 SETTINGS = TomographySettingSet.standard()
+CHSH_ANGLES = MeasurementPlan().chsh_angles
 
 
 def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRecord]:
@@ -223,7 +223,7 @@ class TestTomoMle:
         rho = random_density_matrix(rng)
         data = tomo_counts(poisson_records(rho, 3e3, rng))
         lin = tomo_linear(*data)
-        est = tomo_mle(*data, init=lin)
+        est = tomo_mle(*data)  # seeded from the clamped linear inversion
         ll_mle = tomo_log_likelihood(est.rho, *data)
         ll_lin = tomo_log_likelihood(_clamped_physical(lin), *data)
         assert ll_mle >= ll_lin - 1e-6
@@ -250,6 +250,12 @@ def post_tomography_records(calibrated):
     return pipeline.run_experiment(fast, "post_storage").records["tomography"]
 
 
+def _rho_from_params(t: np.ndarray) -> np.ndarray:
+    m = estimators._t_from_params(t)
+    rho = m.conj().T @ m
+    return rho / np.trace(rho).real
+
+
 def lbfgs_reference(counts, acq, init=None) -> np.ndarray:
     """A reference MLE: scipy's L-BFGS-B on the same NLL from tomo_mle's start point."""
     _, exposures, counts = estimators._tomo_data(counts, acq)
@@ -263,9 +269,14 @@ def lbfgs_reference(counts, acq, init=None) -> np.ndarray:
         method="L-BFGS-B",
         options={"maxfun": 100_000, "ftol": 1e-15, "gtol": 1e-12, "maxiter": 50_000},
     )
-    m = estimators._t_from_params(res.x)
-    rho = m.conj().T @ m
-    return rho / np.trace(rho).real
+    return _rho_from_params(res.x)
+
+
+def newton_from(init: np.ndarray, counts, acq) -> np.ndarray:
+    """tomo_mle's Newton fit, started from init instead of the linear inversion."""
+    _, exposures, counts = estimators._tomo_data(counts, acq)
+    t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
+    return _rho_from_params(estimators._newton_fit(t0, counts, exposures))
 
 
 def optimality_gap(rho: np.ndarray, counts, acq) -> float:
@@ -425,9 +436,9 @@ class TestNewtonSolver:
             return step, ok
 
         monkeypatch.setattr(estimators, "_newton_step", recorded)
-        newton = tomo_mle(counts, acq, init=np.eye(4) / 4)
+        newton = newton_from(np.eye(4) / 4, counts, acq)
         assert not definite[0]
-        ll_newton = tomo_log_likelihood(newton.rho, counts, acq)
+        ll_newton = tomo_log_likelihood(newton, counts, acq)
         ll_lbfgs = tomo_log_likelihood(lbfgs_reference(counts, acq, np.eye(4) / 4), counts, acq)
         assert -ll_newton <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
 
@@ -465,7 +476,7 @@ class TestSharedFits:
                 assert tomo_mle(counts, acq) is first
             assert tomo_mle(counts, acq) is first
             assert len(fit_count) == 1
-            tomo_mle(counts, acq, init=np.eye(4) / 4)
+            tomo_mle(counts + 1, acq)
             tomo_mle(counts, 2 * acq)
             assert len(fit_count) == 3
         assert not first.rho.flags.writeable
@@ -506,10 +517,11 @@ class TestChshE:
 
 class TestChshS:
     def test_bell_reaches_tsirelson(self):
-        assert chsh_S_analytic(bell_psi_plus()) == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+        s_bell = chsh_S_analytic(bell_psi_plus(), CHSH_ANGLES)
+        assert s_bell == pytest.approx(2 * np.sqrt(2), abs=1e-9)
 
     def test_maximally_mixed_zero(self):
-        assert chsh_S_analytic(maximally_mixed()) == pytest.approx(0.0, abs=1e-12)
+        assert chsh_S_analytic(maximally_mixed(), CHSH_ANGLES) == pytest.approx(0.0, abs=1e-12)
 
     def test_never_exceeds_four(self, rng):
         for _ in range(200):
@@ -533,7 +545,7 @@ class TestChshS:
                 v = np.kron(a, b)
                 rho += w * np.outer(v, v.conj())
             state = TwoQubitState(rho / np.trace(rho).real)
-            assert chsh_S_analytic(state) <= 2.0 + 1e-9
+            assert chsh_S_analytic(state, CHSH_ANGLES) <= 2.0 + 1e-9
 
     def test_literal_formula_reported(self):
         e = np.array([[-0.7, 0.7], [0.7, 0.7]])
@@ -543,7 +555,8 @@ class TestChshS:
     def test_werner_scaling(self):
         w = 0.85
         rho = TwoQubitState(w * bell_psi_plus().rho + (1 - w) * np.eye(4) / 4)
-        assert chsh_S_analytic(rho) == pytest.approx(w * 2 * np.sqrt(2), abs=1e-10)
+        s_werner = chsh_S_analytic(rho, CHSH_ANGLES)
+        assert s_werner == pytest.approx(w * 2 * np.sqrt(2), abs=1e-10)
 
 
 class TestVisibilityFit:

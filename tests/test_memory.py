@@ -15,7 +15,6 @@ from entmem.memory import (
     apply_memory,
     efficiency_curve,
     eit_transmission,
-    g2_vs_storage_time,
     spectral_overlap,
     transparency_window_fwhm,
     window_acceptance,
@@ -165,37 +164,3 @@ class TestApplyMemory:
         with pytest.raises(ValidationError):
             apply_memory(bell_psi_plus(), 1.2, MemoryNoiseParams())
 
-
-class TestG2VsStorageTime:
-    def test_lossless_limit(self):
-        g2 = g2_vs_storage_time(150.0, lambda t: 1.0, background=1e-12)
-        assert g2(0.0) == pytest.approx(150.0, rel=1e-9)
-
-    def test_background_dominated_limit(self):
-        g2 = g2_vs_storage_time(150.0, lambda t: 1e-9, background=0.5)
-        assert g2(100.0) == pytest.approx(1.0, abs=1e-5)
-
-    def test_calibrated_post_storage_point(self):
-        # background solved so the 100 ns point lands on the anchor
-        eta = 0.06
-        target = 14.0
-        b = ((150.0 - 1.0) * eta / (target - 1.0) - eta) / (1.0 - eta)
-        g2 = g2_vs_storage_time(150.0, lambda t: eta, b)
-        assert g2(100.0) == pytest.approx(target, rel=1e-9)
-        assert abs(g2(100.0) - 14.0) / 14.0 < 0.30
-
-    def test_strictly_decreasing_with_eta(self):
-        decay = MemoryDecayParams(model="gaussian", tau_mem=170.0, eta_peak=0.08)
-        curve = g2_vs_storage_time(
-            150.0, lambda t: 0.08 * np.exp(-((t / 170.0) ** 2)), background=0.3
-        )
-        ts = np.linspace(0, 500, 26)
-        vals = [curve(float(t)) for t in ts]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert all(v >= 1.0 for v in vals)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            g2_vs_storage_time(0.9, lambda t: 0.5, 0.1)
-        with pytest.raises(ValidationError):
-            g2_vs_storage_time(10.0, lambda t: 0.5, 0.0)

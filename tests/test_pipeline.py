@@ -12,15 +12,17 @@ from entmem.detection import records_from_csv
 from entmem.errors import CalibrationError, EstimationError, ValidationError
 from entmem.estimators import EstimateWithError, chsh_S_analytic
 from entmem.experiment import (
+    STAGES,
     balanced_state,
     memory_efficiency,
     model_alpha,
     model_slot_g2,
+    model_slot_g2_vs_storage_time,
     stage_state,
 )
 from entmem.pipeline import report_emit, run_experiment, stage_report
 from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
-from entmem.scenario import load_bundled_scenario, scenario_to_dict
+from entmem.scenario import MeasurementPlan, load_bundled_scenario, scenario_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +92,8 @@ class TestCalibrate:
         checks = report["checks"]
         assert checks["S_pre_analytic"] == chsh_S_analytic(pre, angles)
         assert checks["S_post_analytic"] == chsh_S_analytic(post, angles)
-        assert abs(checks["S_pre_analytic"] - chsh_S_analytic(pre)) > 0.3
+        default = chsh_S_analytic(pre, MeasurementPlan().chsh_angles)
+        assert abs(checks["S_pre_analytic"] - default) > 0.3
         # the expected-count estimate at the same angles agrees
         measured = run_experiment(scenario, "pre_storage", sampling="expected").chsh_S.value
         assert checks["S_pre_analytic"] == pytest.approx(measured, abs=0.01)
@@ -324,6 +327,41 @@ class TestReports:
         real = np.real(rho)
         assert real[1, 1] == real[1, 2] == real[2, 1] == real[2, 2] == pytest.approx(0.5)
         assert np.max(np.abs(np.imag(rho))) < 1e-12
+
+
+class TestEfficiencyCurve:
+    """plots/efficiency_vs_time.csv: eta and the post-storage Stage's model g2."""
+
+    @staticmethod
+    def emitted_rows(scenario, stages, out_dir) -> list[list[str]]:
+        results = {stage: run_experiment(scenario, stage, sampling="expected") for stage in stages}
+        report_emit(scenario, results, out_dir)
+        text = (Path(out_dir) / "plots" / "efficiency_vs_time.csv").read_text()
+        return [row.split(",") for row in text.splitlines()[1:]]
+
+    def test_g2_at_the_storage_time_is_the_calibrated_post_storage_model(self):
+        scenario, report = calibrate(load_bundled_scenario())
+        (g2,) = model_slot_g2_vs_storage_time(scenario, [scenario.timing.storage_time_ns])
+        assert g2 == model_slot_g2(stage_state(scenario, "post_storage"))
+        assert g2 == report["g2_post"]["achieved"]
+
+    def test_g2_column_never_increases_with_storage_time(self, fast, tmp_path):
+        rows = self.emitted_rows(fast, STAGES, tmp_path)
+        g2 = [float(row[2]) for row in rows]
+        assert len(g2) == 121
+        assert all(a >= b for a, b in zip(g2, g2[1:]))
+        assert g2[0] == pytest.approx(model_slot_g2_vs_storage_time(fast, [0.0])[0], rel=1e-9)
+        assert g2[-1] >= 1.0
+
+    def test_g2_column_is_one_for_an_uncorrelated_source(self, fast, tmp_path):
+        rows = self.emitted_rows(classicalize(fast), STAGES, tmp_path)
+        assert {row[2] for row in rows} == {"1"}
+
+    def test_pre_storage_run_leaves_the_g2_column_blank(self, fast, tmp_path):
+        rows = self.emitted_rows(fast, ["pre_storage"], tmp_path)
+        assert len(rows) == 121
+        assert {row[2] for row in rows} == {""}
+        assert all(float(row[1]) > 0 for row in rows)
 
 
 class TestNoiselessScenario:

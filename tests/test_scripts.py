@@ -1,9 +1,17 @@
-"""Smoke runs of the study scripts, each as its own process."""
+"""Runs of the study scripts: smoke runs each in its own process, one in this one."""
 
 import os
+import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+import entmem.calibrate  # noqa: F401  (imported before a test patches experiment.stage_state)
+import entmem.experiment as experiment
+import entmem.pipeline as pipeline
+from entmem.calibrate import calibrate
+from entmem.scenario import load_bundled_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,6 +44,32 @@ def test_storage_time_sweep_script(tmp_path):
     assert lines[0] == "t_ns,eta,g2_slot,F_post,S_post,V_post"
     assert lines[1].split(",")[0] == "10.0"
     assert len(lines) == 1 + 2
+    # eta and g2 are those of the post-storage Stage at each storage time
+    scenario, _ = calibrate(load_bundled_scenario())
+    for line in lines[1:]:
+        t, eta, g2 = line.split(",")[:3]
+        timing = replace(scenario.timing, storage_time_ns=float(t))
+        post = experiment.stage_state(replace(scenario, timing=timing), "post_storage")
+        assert (eta, g2) == (f"{post.eta:.6g}", f"{experiment.model_slot_g2(post):.6g}")
+
+
+def test_storage_time_sweep_builds_only_the_stages_of_run_experiment(tmp_path, monkeypatch):
+    built = []
+    original = experiment.stage_state
+
+    def counted(scenario, stage):
+        built.append(stage)
+        return original(scenario, stage)
+
+    monkeypatch.setattr(experiment, "stage_state", counted)
+    monkeypatch.setattr(pipeline, "stage_state", counted)
+    out_csv = tmp_path / "sweep.csv"
+    argv = ["storage_time_sweep.py", "--points", "2", "--out", str(out_csv)]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(ROOT / "scripts" / "storage_time_sweep.py"), run_name="__main__")
+    # per point: run_experiment's own Stage and its pre-storage reference
+    assert built == ["post_storage", "pre_storage"] * 2
+    assert len(out_csv.read_text().splitlines()) == 1 + 2
 
 
 def test_storage_time_sweep_fails_loudly_without_counts(tmp_path):
