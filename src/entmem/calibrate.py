@@ -16,6 +16,9 @@ statistics set both correlation floors):
 Every fit but tau_mem is one bracketed Brent root search on the target's
 model value (MODELS).  Every fit records target, achieved value and
 residual; residuals above 1% are flagged rather than silently accepted.
+The model V and the reported analytic S are the reports' own estimators
+on the noise-free Born probabilities of the plan's fringe and CHSH
+settings (estimators.visibility_analytic, chsh_S_analytic).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CalibrationError, ValidationError
-from .estimators import chsh_S_analytic
+from .estimators import chsh_S_analytic, visibility_analytic
 from .experiment import (
     balanced_state,
     memory_efficiency,
@@ -36,7 +39,7 @@ from .experiment import (
     stage_state,
 )
 from .memory import transparency_window_fwhm
-from .qstate import KET_BY_LABEL, TwoQubitState, bell_psi_plus, fidelity
+from .qstate import TwoQubitState, bell_psi_plus, fidelity
 from .scenario import Scenario
 
 DEFAULT_TARGETS = {
@@ -48,30 +51,6 @@ DEFAULT_TARGETS = {
     "alpha_post": 0.30,
     "g2_post": 14.0,
 }
-
-
-def analytic_visibility(rho: TwoQubitState, arm1_label: str) -> float:
-    """Exact fringe contrast for an arm-1 analysis state and swept arm-2 HWP.
-
-    The half-wave plate at angle theta rotates the analyzed polarization to
-    2*theta, so the fringe C(theta) is sinusoidal in 4*theta; contrast is
-    evaluated on the closed-form coefficients.
-    """
-
-    v1 = KET_BY_LABEL[arm1_label]().vector
-    r1 = np.outer(v1, v1.conj())
-    thetas = np.linspace(0.0, np.pi / 2, 9)[:-1]
-    probs = []
-    for th in thetas:
-        a = np.array([np.cos(2 * th), np.sin(2 * th)], dtype=np.complex128)
-        proj = np.kron(r1, np.outer(a, a.conj()))
-        probs.append(float(np.real(np.trace(rho.rho @ proj))))
-    probs = np.asarray(probs)
-    design = np.column_stack([np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)])
-    a0, a1, a2 = np.linalg.lstsq(design, probs, rcond=None)[0]
-    if a0 <= 0:
-        return 0.0
-    return float(min(np.hypot(a1, a2) / a0, 1.0))
 
 
 def _window_fwhm(s: Scenario) -> float:
@@ -86,15 +65,18 @@ def _window_fwhm(s: Scenario) -> float:
         raise
 
 
+def _visibility(s: Scenario, rho: TwoQubitState) -> float:
+    """Noise-free visibility of the plan's fringe sweep on rho."""
+    return visibility_analytic(rho, s.plan.visibility_arm1, s.plan.visibility_thetas)
+
+
 # Model value of each calibration target on a scenario.
 MODELS = {
     "eit_window": _window_fwhm,
     "eta_100ns": lambda s: memory_efficiency(s, 100.0),
-    "V_pre": lambda s: analytic_visibility(balanced_state(s)[0], s.plan.visibility_arm1),
+    "V_pre": lambda s: _visibility(s, balanced_state(s)[0]),
     "F_pre": lambda s: fidelity(balanced_state(s)[0], bell_psi_plus()),
-    "V_post": lambda s: analytic_visibility(
-        stage_state(s, "post_storage").rho, s.plan.visibility_arm1
-    ),
+    "V_post": lambda s: _visibility(s, stage_state(s, "post_storage").rho),
     "F_post": lambda s: fidelity(stage_state(s, "post_storage").rho, balanced_state(s)[0]),
     "g2_pre": lambda s: model_slot_g2(stage_state(s, "pre_storage")),
     "alpha_pre": lambda s: model_alpha(stage_state(s, "pre_storage")),

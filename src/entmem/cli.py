@@ -15,17 +15,18 @@ from pathlib import Path
 from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
-from .estimators import chsh_S, chsh_S_literal, shared_fits, tomo_counts, tomo_linear, tomo_mle
-from .memory import transparency_window_fwhm
-from .pipeline import (
+from .estimators import (
     CHSH_LABELS,
-    STAGES,
     chsh_e_matrix,
-    eit_spectrum_csv,
-    report_emit,
-    report_json,
-    run_experiment,
+    chsh_S,
+    chsh_S_literal,
+    shared_fits,
+    tomo_counts,
+    tomo_linear,
+    tomo_mle,
 )
+from .memory import transparency_window_fwhm
+from .pipeline import STAGES, eit_spectrum_csv, report_emit, report_json, run_experiment
 from .qstate import bell_psi_plus, fidelity, matrix_json
 from .scenario import load_bundled_scenario, load_scenario, read_input, save_scenario
 

@@ -137,6 +137,10 @@ class CountRecord:
 CSV_HEADER = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed"
 # The largest mean numpy's Poisson sampler accepts.
 POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+# The most pairs a g2 histogram simulates: it draws one float64 delay per
+# pair, so this caps that array at 80 MB, 1e3 times the ~1e4 pairs of the
+# bundled scenario.
+G2_PAIRS_MAX = 1e7
 
 
 def records_to_csv(records: list[CountRecord]) -> str:
@@ -345,7 +349,8 @@ class G2Histogram:
     -> 1); zero_floor marks bins whose accidental expectation was zero and
     whose value therefore defaulted to 1.  peak_g2 is the slot-normalized
     cross-correlation aggregated over one pulse slot around the peak, the
-    quantity the published anchors refer to.
+    quantity the published anchors refer to; peak_counts is the number of
+    coincidences in that slot.
     """
 
     tau_ns: np.ndarray = field(repr=False)
@@ -354,6 +359,7 @@ class G2Histogram:
     zero_floor: np.ndarray = field(repr=False)
     peak_tau_ns: float = 0.0
     peak_g2: float = 1.0
+    peak_counts: int = 0
 
 
 def g2_histogram(params: G2StreamParams, tau_grid: np.ndarray, seed: int) -> G2Histogram:
@@ -400,12 +406,9 @@ def g2_histogram(params: G2StreamParams, tau_grid: np.ndarray, seed: int) -> G2H
 
     peak_idx = int(np.argmax(counts))
     peak_tau = float(centers[peak_idx])
+    peak_counts = int(counts[np.abs(centers - peak_tau) <= params.slot_ns / 2].sum())
     singles_product = params.singles1_prob * params.singles2_prob * params.n_slots
-    if singles_product > 0:
-        window = np.abs(centers - peak_tau) <= params.slot_ns / 2
-        peak_g2 = float(counts[window].sum() / singles_product)
-    else:
-        peak_g2 = float("inf")
+    peak_g2 = float(peak_counts / singles_product) if singles_product > 0 else float("inf")
     return G2Histogram(
         tau_ns=centers,
         counts=counts,
@@ -413,4 +416,5 @@ def g2_histogram(params: G2StreamParams, tau_grid: np.ndarray, seed: int) -> G2H
         zero_floor=zero_floor,
         peak_tau_ns=peak_tau,
         peak_g2=peak_g2,
+        peak_counts=peak_counts,
     )

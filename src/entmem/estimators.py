@@ -11,6 +11,13 @@ definite Hessian, or, when no step lowers the NLL, at a decrement
 EstimationError.  CHSH, visibility and the Cauchy-Schwarz ratio
 are closed-form count ratios; every estimator gets its error bar from
 Poisson Monte-Carlo resampling of the observed counts.
+
+Each measurement design is defined here, once, next to its estimator:
+TOMO_SETTINGS, chsh_settings and fringe_settings.  The pipeline simulates
+counts at these settings, and the analytic figures (chsh_S_analytic,
+visibility_analytic) are the same estimators applied to the Born
+probabilities of the same settings: the infinite-count limit of the
+measured figures.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from scipy.linalg.lapack import dposv
 # Not called here: bench/tracer.py wraps estimators.minimize and bench/test_bench.py reads it.
 from scipy.optimize import minimize  # noqa: F401
 
-from .detection import CountRecord, MeasurementSetting
+from .detection import CountRecord, MeasurementSetting, projection_probability
 from .errors import ConfigurationError, EntmemError, EstimationError, ValidationError
-from .qstate import KET_BY_LABEL, TwoQubitState
+from .qstate import KET_BY_LABEL, TwoQubitState, ket_linear
 from .rng import derive_rng
 
 TOMO_BASIS_LETTERS = ("H", "V", "D", "R")
@@ -341,9 +348,25 @@ def tomo_log_likelihood(rho: np.ndarray, counts, acquisition_s) -> float:
 # ---------------------------------------------------------------------------
 
 
-def chsh_E(
-    c_pp: float, c_pm: float, c_mp: float, c_mm: float
-) -> float:
+PORT_LABELS = ("pp", "pm", "mp", "mm")
+# Analyzer offsets (arm 1, arm 2) of each port: the angle or its orthogonal.
+PORT_OFFSETS = ((0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
+# CHSH record labels: angle choice i on arm 1, j on arm 2, then the port.
+CHSH_LABELS = tuple(f"chsh:{i}{j}:{port}" for i in "01" for j in "01" for port in PORT_LABELS)
+
+
+def chsh_settings(angles: tuple[float, float, float, float]) -> list[MeasurementSetting]:
+    """The 16 CHSH settings, in CHSH_LABELS order, at the analyzer angles
+    (theta1, theta2, theta1', theta2'): the four ports at each angle pair."""
+    t1, t2, t1p, t2p = angles
+    analyzers = [(a1 + da, a2 + db) for a1 in (t1, t1p) for a2 in (t2, t2p) for da, db in PORT_OFFSETS]
+    return [
+        MeasurementSetting(ket_linear(x1), ket_linear(x2), label)
+        for (x1, x2), label in zip(analyzers, CHSH_LABELS)
+    ]
+
+
+def chsh_E(c_pp: float, c_pm: float, c_mp: float, c_mm: float) -> float:
     """Correlation from the four analyzer-port coincidence counts.
 
     The +/- ports of each arm are the analyzer angle and its orthogonal
@@ -357,19 +380,11 @@ def chsh_E(
     return float(min(max(e, -1.0), 1.0))
 
 
-def analyzer_observable(theta: float) -> np.ndarray:
-    """Single-arm dichotomic observable |theta><theta| - |theta+pi/2><...|."""
-    c, s = np.cos(theta), np.sin(theta)
-    plus = np.array([c, s], dtype=np.complex128)
-    minus = np.array([-s, c], dtype=np.complex128)
-    return np.outer(plus, plus.conj()) - np.outer(minus, minus.conj())
-
-
-def chsh_E_analytic(rho: TwoQubitState, theta1: float, theta2: float) -> float:
-    """Exact correlation E(theta1, theta2) from the state."""
-    obs = np.kron(analyzer_observable(theta1), analyzer_observable(theta2))
-    val = float(np.real(np.trace(rho.rho @ obs)))
-    return min(max(val, -1.0), 1.0)
+def chsh_e_matrix(counts) -> np.ndarray:
+    """The 2x2 E matrix from the 16 CHSH coincidence counts in CHSH_LABELS order."""
+    return np.array(
+        [[chsh_E(*counts[8 * i + 4 * j : 8 * i + 4 * j + 4]) for j in range(2)] for i in range(2)]
+    )
 
 
 def chsh_S(e_matrix: np.ndarray) -> float:
@@ -401,15 +416,8 @@ def chsh_S_literal(e_matrix: np.ndarray) -> float:
 
 
 def chsh_S_analytic(rho: TwoQubitState, angles: tuple[float, float, float, float]) -> float:
-    """Exact S of the state at the analyzer angles (theta1, theta2, theta1', theta2')."""
-    t1, t2, t1p, t2p = angles
-    e = np.array(
-        [
-            [chsh_E_analytic(rho, t1, t2), chsh_E_analytic(rho, t1, t2p)],
-            [chsh_E_analytic(rho, t1p, t2), chsh_E_analytic(rho, t1p, t2p)],
-        ]
-    )
-    return chsh_S(e)
+    """Exact S of the state: chsh_S of the Born probabilities of chsh_settings(angles)."""
+    return chsh_S(chsh_e_matrix([projection_probability(rho, s) for s in chsh_settings(angles)]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,18 +435,25 @@ class VisibilityResult:
     nonclassical: bool
 
 
-def visibility_fit(
-    points: list[tuple[float, float]], n_resamples: int = 200, seed: int = 0
-) -> VisibilityResult:
-    """Fit C(theta) = B [1 + V cos(4 theta - phi0)] to a fringe sweep.
+def fringe_settings(arm1_label: str, thetas) -> list[MeasurementSetting]:
+    """Fringe sweep: arm-1 fixed analysis state, arm-2 HWP at each angle theta.
 
-    theta is the half-wave-plate angle, so the fringe period is pi/2.
-    Returns the visibility in [0, 1] with a Poisson Monte-Carlo sigma and
-    flags values above 1/sqrt(2) as nonclassical.  The fit is linear least
-    squares in a0 + a1 cos(4 theta) + a2 sin(4 theta); one pseudo-inverse of
-    the fixed design fits every resample, and a0 <= 0 fails a resample.
+    The HWP at angle theta analyzes polarization 2*theta, giving the
+    pi/2-periodic fringe that visibility_fit fits.
     """
+    arm1 = KET_BY_LABEL[arm1_label]()
+    return [
+        MeasurementSetting(arm1, ket_linear(2.0 * theta), f"vis:{arm1_label}:{k}")
+        for k, theta in enumerate(thetas)
+    ]
 
+
+def _fringe_fit(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The design, counts and least-squares coefficients (a0, a1, a2) of a sweep.
+
+    C(theta) = B [1 + V cos(4 theta - phi0)] is a0 + a1 cos(4 theta) +
+    a2 sin(4 theta); a0 <= 0 fails the fit.
+    """
     if len(points) < 8:
         raise ValidationError("visibility fit needs at least 8 sweep points")
     thetas = np.array([p[0] for p in points], dtype=float)
@@ -449,14 +464,34 @@ def visibility_fit(
         raise ValidationError("fringe sweep must span at least one period (pi/2)")
     if counts.sum() <= 0:
         raise EstimationError("fringe fit degenerate: all counts zero")
+    design = np.column_stack([np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)])
+    coefficients = np.linalg.lstsq(design, counts, rcond=None)[0]
+    if coefficients[0] <= 0:
+        raise EstimationError("fringe fit degenerate: non-positive baseline")
+    return design, counts, coefficients
+
+
+def _contrast(a0, a1, a2):
+    """Fringe visibility sqrt(a1^2 + a2^2) / a0, capped at 1."""
+    return np.minimum(np.hypot(a1, a2) / a0, 1.0)
+
+
+def visibility_fit(
+    points: list[tuple[float, float]], n_resamples: int = 200, seed: int = 0
+) -> VisibilityResult:
+    """Fit C(theta) = B [1 + V cos(4 theta - phi0)] to a fringe sweep.
+
+    theta is the half-wave-plate angle (fringe_settings), so the fringe
+    period is pi/2.  Returns the visibility in [0, 1] with a Poisson
+    Monte-Carlo sigma and flags values above 1/sqrt(2) as nonclassical.
+    The fit is linear least squares (_fringe_fit); one pseudo-inverse of
+    the fixed design fits every resample, and a0 <= 0 fails a resample.
+    """
+
     if n_resamples < 100:
         raise ValidationError("n_resamples must be >= 100")
-
-    design = np.column_stack([np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)])
-    (a0, a1, a2), *_ = np.linalg.lstsq(design, counts, rcond=None)
-    if a0 <= 0:
-        raise EstimationError("fringe fit degenerate: non-positive baseline")
-    v = min(float(np.hypot(a1, a2) / a0), 1.0)
+    design, counts, (a0, a1, a2) = _fringe_fit(points)
+    v = float(_contrast(a0, a1, a2))
 
     resampled = np.array(
         [derive_rng(seed, "visibility", k).poisson(counts) for k in range(n_resamples)]
@@ -465,7 +500,7 @@ def visibility_fit(
     ok = b0 > 0
     if ok.sum() < 0.9 * n_resamples:
         raise EstimationError("fringe fit failed on more than 10% of resamples")
-    vs = np.minimum(np.hypot(b1[ok], b2[ok]) / b0[ok], 1.0)
+    vs = _contrast(b0[ok], b1[ok], b2[ok])
     est = EstimateWithError(value=v, sigma=float(np.std(vs)), n_resamples=n_resamples)
     return VisibilityResult(
         estimate=est,
@@ -473,6 +508,14 @@ def visibility_fit(
         phase=float(np.arctan2(a2, a1)),
         nonclassical=v > VISIBILITY_CLASSICAL_BOUND,
     )
+
+
+def visibility_analytic(rho: TwoQubitState, arm1_label: str, thetas) -> float:
+    """Exact visibility of the state: the fringe fit to the Born
+    probabilities of fringe_settings(arm1_label, thetas)."""
+    probs = [projection_probability(rho, s) for s in fringe_settings(arm1_label, thetas)]
+    _, _, coefficients = _fringe_fit(list(zip(thetas, probs)))
+    return float(_contrast(*coefficients))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from .detection import (
+    G2_PAIRS_MAX,
+    POISSON_MEAN_MAX,
     CountRecord,
     G2StreamParams,
-    MeasurementSetting,
     count_means,
     expected_counts,
     g2_histogram,
@@ -34,9 +35,11 @@ from .estimators import (
     EstimateWithError,
     VisibilityResult,
     cauchy_schwarz_R,
-    chsh_E,
+    chsh_e_matrix,
     chsh_S,
     chsh_S_literal,
+    chsh_settings,
+    fringe_settings,
     is_nonclassical_R,
     mc_error,
     shared_fits,
@@ -57,18 +60,11 @@ from .experiment import (
     stage_state,
 )
 from .memory import EITParams, eit_transmission, transparency_window_fwhm
-from .qstate import BASIS_STRING, KET_BY_LABEL, TwoQubitState, bell_psi_plus, fidelity
-from .qstate import ket_linear, matrix_json
+from .qstate import BASIS_STRING, TwoQubitState, bell_psi_plus, fidelity, matrix_json
 from .rng import derive_rng, derive_seed_sequence
 from .scenario import Scenario, scenario_to_dict
 
 REPORT_SCHEMA_VERSION = 1
-
-PORT_LABELS = ("pp", "pm", "mp", "mm")
-# Analyzer offsets (arm 1, arm 2) of each port: the angle or its orthogonal.
-PORT_OFFSETS = ((0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0), (np.pi / 2, np.pi / 2))
-# CHSH record labels: angle choice i on arm 1, j on arm 2, then the port.
-CHSH_LABELS = tuple(f"chsh:{i}{j}:{port}" for i in "01" for j in "01" for port in PORT_LABELS)
 
 
 @dataclass
@@ -130,43 +126,6 @@ def _simulate_records(
     return records
 
 
-def simulate_tomography(stage: Stage, sampling: str) -> list[CountRecord]:
-    return _simulate_records(stage, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
-
-
-def simulate_chsh(stage: Stage, sampling: str) -> list[CountRecord]:
-    """16 records: the four analyzer ports at each of the four angle pairs."""
-    t1, t2, t1p, t2p = stage.scenario.plan.chsh_angles
-    analyzers = [(a1 + da, a2 + db) for a1 in (t1, t1p) for a2 in (t2, t2p) for da, db in PORT_OFFSETS]
-    settings = [
-        MeasurementSetting(ket_linear(x1), ket_linear(x2), label)
-        for (x1, x2), label in zip(analyzers, CHSH_LABELS)
-    ]
-    return _simulate_records(stage, sampling, "chsh", settings)
-
-
-def chsh_e_matrix(counts) -> np.ndarray:
-    """The 2x2 E matrix from the 16 CHSH coincidence counts in CHSH_LABELS order."""
-    return np.array(
-        [[chsh_E(*counts[8 * i + 4 * j : 8 * i + 4 * j + 4]) for j in range(2)] for i in range(2)]
-    )
-
-
-def simulate_visibility(stage: Stage, sampling: str, arm1_label: str) -> list[CountRecord]:
-    """Fringe sweep: arm-1 fixed analysis state, arm-2 HWP angle swept.
-
-    The HWP at angle theta analyzes polarization 2*theta, giving the
-    pi/2-periodic fringe the visibility model fits.
-    """
-
-    arm1 = KET_BY_LABEL[arm1_label]()
-    settings = [
-        MeasurementSetting(arm1, ket_linear(2.0 * theta), f"vis:{arm1_label}:{k}")
-        for k, theta in enumerate(stage.scenario.plan.visibility_thetas)
-    ]
-    return _simulate_records(stage, sampling, "vis", settings)
-
-
 def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict]:
     """Heralded-autocorrelation counts: herald, two ports, triples."""
     scenario, sfx = stage.scenario, stage.suffix
@@ -174,17 +133,19 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     acq = scenario.plan.acquisition_s[f"alpha_{sfx}"]
     n_slots = scenario.timing.pulse_rate * acq
     means = count_means((p1, p_port, p_port, p12, p12, p123), n_slots, acq, f"alpha:{sfx}")
+    # rounded expected counts were never drawn: seed 0, as in detection.expected_counts
+    seed = 0 if sampling == "expected" else scenario.master_seed
     if sampling == "expected":
         n1, n2a, n2b, n12, n13, n123 = (int(round(m)) for m in means)
     else:
-        rng = derive_rng(scenario.master_seed, "counts", f"{sfx}:alpha")
+        rng = derive_rng(seed, "counts", f"{sfx}:alpha")
         n1, n2a, n2b, n12, n13, n123 = (int(rng.poisson(m)) for m in means)
     n12 = min(n12, n1, n2a)
     n13 = min(n13, n1, n2b)
     n123 = min(n123, n12, n13)
     records = [
-        CountRecord(f"alpha:{sfx}:a", n1, n2a, n12, n123, acq, scenario.master_seed),
-        CountRecord(f"alpha:{sfx}:b", n1, n2b, n13, n123, acq, scenario.master_seed),
+        CountRecord(f"alpha:{sfx}:a", n1, n2a, n12, n123, acq, seed),
+        CountRecord(f"alpha:{sfx}:b", n1, n2b, n13, n123, acq, seed),
     ]
     return records, {"n1": n1, "n12": n12, "n13": n13, "n123": n123}
 
@@ -193,12 +154,21 @@ def simulate_g2(stage: Stage):
     """Time-resolved cross-correlation for the stage."""
     scenario, delay = stage.scenario, stage.delay_ns
     s1, s2, s12 = slot_probs(stage)
-    slot = scenario.timing.cycle_period_ns
-    n_slots = int(scenario.timing.pulse_rate * scenario.plan.acquisition_s["g2"])
+    slot, acq = scenario.timing.cycle_period_ns, scenario.plan.acquisition_s["g2"]
+    n_slots = int(scenario.timing.pulse_rate * acq)
+    pair_prob = max(s12 - s1 * s2, 0.0)
+    # Checked before any draw; the accidentals of one slot bound those of every bin.
+    pairs, accidentals = n_slots * pair_prob, n_slots * s1 * s2
+    if not (pairs <= G2_PAIRS_MAX and accidentals <= POISSON_MEAN_MAX):
+        raise ValidationError(
+            f"settings.acquisition_s.g2: at acquisition_s={acq:g} the g2 histogram expects "
+            f"{pairs:.3g} pairs (at most {G2_PAIRS_MAX:.3g}) and {accidentals:.3g} accidentals"
+            f" per slot (at most {POISSON_MEAN_MAX:.3g})"
+        )
     params = G2StreamParams(
         n_slots=n_slots,
         slot_ns=slot,
-        pair_prob_detected=max(s12 - s1 * s2, 0.0),
+        pair_prob_detected=pair_prob,
         singles1_prob=s1,
         singles2_prob=s2,
         delay_ns=delay,
@@ -232,9 +202,9 @@ def run_experiment(
             "the memory retrieves nothing: retrieval efficiency 0 at storage time "
             f"{scenario.timing.storage_time_ns:g} ns"
         )
-    result = StageResult(view)
-    error_bars = scenario.plan.error_bars and sampling == "poisson"
-    n_res = scenario.plan.n_resamples
+    result, plan = StageResult(view), scenario.plan
+    error_bars = plan.error_bars and sampling == "poisson"
+    n_res = plan.n_resamples
     seed = scenario.master_seed
 
     def with_sigma(point, estimator, counts) -> EstimateWithError:
@@ -245,7 +215,7 @@ def run_experiment(
 
     # --- tomography and fidelity: to the ideal state before storage, to the
     # re-simulated pre-storage MLE after it
-    tomo_records = simulate_tomography(view, sampling)
+    tomo_records = _simulate_records(view, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
     result.records["tomography"] = tomo_records
     counts, acq = tomo_counts(tomo_records)
     result.rho_linear = tomo_linear(counts, acq)
@@ -253,7 +223,8 @@ def run_experiment(
     ref_counts = ref_acq = np.empty(0)
     result.fidelity_reference = "ideal"
     if stage == "post_storage":
-        ref_records = simulate_tomography(stage_state(scenario, "pre_storage"), sampling)
+        pre = stage_state(scenario, "pre_storage")
+        ref_records = _simulate_records(pre, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
         ref_counts, ref_acq = tomo_counts(ref_records)
         result.fidelity_reference = "pre_storage_mle"
     n_ref = len(ref_counts)
@@ -273,7 +244,7 @@ def run_experiment(
     )
 
     # --- CHSH
-    chsh_records = simulate_chsh(view, sampling)
+    chsh_records = _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles))
     chsh_counts = [r.coincidences for r in chsh_records]
     result.records["chsh"] = chsh_records
     result.chsh_E = chsh_e_matrix(chsh_counts)
@@ -283,13 +254,13 @@ def run_experiment(
     )
 
     # --- visibility (reported arm plus the H reference curve for plots)
-    thetas = scenario.plan.visibility_thetas
-    for arm1_label in dict.fromkeys([scenario.plan.visibility_arm1, "H"]):
-        vis_records = simulate_visibility(view, sampling, arm1_label)
+    thetas = plan.visibility_thetas
+    for arm1_label in dict.fromkeys([plan.visibility_arm1, "H"]):
+        vis_records = _simulate_records(view, sampling, "vis", fringe_settings(arm1_label, thetas))
         points = [(float(t), float(r.coincidences)) for t, r in zip(thetas, vis_records)]
         result.records[f"visibility_{arm1_label}"] = vis_records
         result.visibility_sweeps[arm1_label] = points
-        if arm1_label == scenario.plan.visibility_arm1:
+        if arm1_label == plan.visibility_arm1:
             vis = visibility_fit(points, n_resamples=n_res, seed=seed)
             if not error_bars:
                 vis = replace(vis, estimate=EstimateWithError(vis.estimate.value, 0.0, 0))
@@ -317,11 +288,8 @@ def run_experiment(
     # Poisson error of the slot-aggregated peak, for a significance-aware
     # nonclassicality claim: a classical scenario must not be flagged just
     # because the peak fluctuated above 1.
-    window = np.abs(hist.tau_ns - hist.peak_tau_ns) <= scenario.timing.cycle_period_ns / 2
-    window_counts = float(hist.counts[window].sum())
-    sigma_peak = (
-        hist.peak_g2 / np.sqrt(window_counts) if window_counts > 0 else float("inf")
-    )
+    peak_counts = hist.peak_counts
+    sigma_peak = hist.peak_g2 / np.sqrt(peak_counts) if peak_counts > 0 else float("inf")
     sigma_r = 2.0 * hist.peak_g2 * sigma_peak / (g11 * g22)
     result.cauchy_schwarz = {
         "g12": float(hist.peak_g2),

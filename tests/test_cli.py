@@ -127,7 +127,8 @@ def test_chsh_subcommand_on_counts_csv(tmp_path, capsys):
     csv_path.write_text(records_to_csv(res.records["chsh"]))
     rc = main(["--out", str(tmp_path), "chsh", "--counts", str(csv_path)])
     assert rc == 0
-    assert "S = " in capsys.readouterr().out
+    # the CLI reads the records by the label layout the pipeline wrote them in
+    assert f"S = {res.chsh_S.value:.6f} " in capsys.readouterr().out
 
 
 def test_eit_subcommand(tmp_path, capsys):
@@ -183,6 +184,9 @@ def test_validation_error_exit_code(tmp_path):
         # finite means past numpy's Poisson limit
         ("alpha_pre", 1e18, "poisson"),
         ("alpha_pre", 1e18, "expected"),
+        # past the pairs a g2 histogram simulates, and past numpy's Poisson limit
+        ("g2", 1e30, "poisson"),
+        ("g2", 1e30, "expected"),
     ],
 )
 def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
@@ -192,7 +196,10 @@ def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
     bad.write_text(json.dumps(d))
     rc = main(["--scenario", str(bad), "--out", str(tmp_path), "simulate", "--sampling", sampling])
     assert rc == 2
-    assert f"acquisition_s={value:g}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"acquisition_s={value:g}" in err
+    if key == "g2":
+        assert "settings.acquisition_s.g2" in err
 
 
 @pytest.mark.parametrize(

@@ -324,6 +324,12 @@ class TestG2Histogram:
         expected = 1.0 + pair / (s1 * s2)
         assert hist.peak_g2 == pytest.approx(expected, rel=0.05)
 
+    def test_peak_counts_are_the_slot_window_sum(self):
+        hist = g2_histogram(self._params(), np.arange(850.0, 1352.0, 2.0), seed=5)
+        window = np.abs(hist.tau_ns - hist.peak_tau_ns) <= 500.0 / 2
+        assert hist.peak_counts == hist.counts[window].sum() > 0
+        assert hist.peak_g2 == hist.peak_counts / (1e-3 * 1e-3 * 2_000_000)
+
     def test_peak_decreases_with_background(self):
         peaks = []
         for s2 in (1e-3, 2e-3, 4e-3, 8e-3):

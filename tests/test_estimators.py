@@ -24,16 +24,19 @@ from entmem.estimators import (
     TomographySettingSet,
     cauchy_schwarz_R,
     chsh_E,
-    chsh_E_analytic,
+    chsh_e_matrix,
     chsh_S,
     chsh_S_analytic,
     chsh_S_literal,
+    chsh_settings,
+    fringe_settings,
     is_nonclassical_R,
     mc_error,
     tomo_counts,
     tomo_linear,
     tomo_log_likelihood,
     tomo_mle,
+    visibility_analytic,
     visibility_fit,
     _neg_log_likelihood,
     _clamped_physical,
@@ -503,16 +506,32 @@ class TestChshE:
         with pytest.raises(EstimationError):
             chsh_E(0, 0, 0, 0)
 
+    @staticmethod
+    def _born_e_matrix(rho, angles):
+        """The E matrix of the Born probabilities at chsh_settings(angles)."""
+        return chsh_e_matrix([projection_probability(rho, s) for s in chsh_settings(angles)])
+
     def test_analytic_bell_at_standard_angles(self):
-        e = chsh_E_analytic(bell_psi_plus(), 0.0, np.pi / 8)
-        assert e == pytest.approx(-np.sqrt(2) / 2, abs=1e-12)
+        e = self._born_e_matrix(bell_psi_plus(), (0.0, np.pi / 8, 0.0, np.pi / 8))
+        assert e[0, 0] == pytest.approx(-np.sqrt(2) / 2, abs=1e-12)
 
     def test_analytic_closed_form(self, rng):
         # E = -cos(2(t1 + t2)) on the ideal state
         for _ in range(20):
             t1, t2 = rng.uniform(0, np.pi, 2)
-            e = chsh_E_analytic(bell_psi_plus(), t1, t2)
-            assert e == pytest.approx(-np.cos(2 * (t1 + t2)), abs=1e-12)
+            e = self._born_e_matrix(bell_psi_plus(), (t1, t2, t1, t2))
+            assert e[0, 0] == pytest.approx(-np.cos(2 * (t1 + t2)), abs=1e-12)
+
+    def test_settings_follow_the_label_layout(self):
+        settings = chsh_settings(CHSH_ANGLES)
+        assert [s.label for s in settings] == list(estimators.CHSH_LABELS)
+        t1, t2, t1p, t2p = CHSH_ANGLES
+        # chsh:10:pm is theta1' on arm 1 and the port orthogonal to theta2 on arm 2
+        pm = settings[estimators.CHSH_LABELS.index("chsh:10:pm")]
+        assert pm.arm1_projector.vector == pytest.approx([np.cos(t1p), np.sin(t1p)])
+        assert pm.arm2_projector.vector == pytest.approx(
+            [np.cos(t2 + np.pi / 2), np.sin(t2 + np.pi / 2)]
+        )
 
 
 class TestChshS:
@@ -592,6 +611,29 @@ class TestVisibilityFit:
         thetas = np.linspace(0, np.pi / 2, 12)
         with pytest.raises(EstimationError):
             visibility_fit([(float(t), 0.0) for t in thetas])
+
+    def test_fringe_settings_analyze_twice_the_hwp_angle(self):
+        thetas = np.linspace(0, np.pi / 2, 16)
+        settings = fringe_settings("A", thetas)
+        assert [s.label for s in settings] == [f"vis:A:{k}" for k in range(16)]
+        for theta, s in zip(thetas, settings):
+            assert s.arm2_projector.vector == pytest.approx([np.cos(2 * theta), np.sin(2 * theta)])
+
+    @pytest.mark.parametrize("w", [1.0, 0.85, 0.3])
+    def test_analytic_visibility_of_werner_state(self, w):
+        thetas = MeasurementPlan().visibility_thetas
+        rho = TwoQubitState(w * bell_psi_plus().rho + (1 - w) * np.eye(4) / 4)
+        assert visibility_analytic(rho, "A", thetas) == pytest.approx(w, abs=1e-12)
+
+    def test_analytic_visibility_is_the_fit_of_born_counts(self, rng):
+        thetas = MeasurementPlan().visibility_thetas
+        for _ in range(5):
+            rho = random_density_matrix(rng)
+            counts = [1e6 * projection_probability(rho, s) for s in fringe_settings("D", thetas)]
+            fit = visibility_fit(list(zip(thetas, counts)), n_resamples=100)
+            assert visibility_analytic(rho, "D", thetas) == pytest.approx(
+                fit.estimate.value, rel=1e-12
+            )
 
     @staticmethod
     def _lstsq_bootstrap(thetas, counts, n_resamples, seed):

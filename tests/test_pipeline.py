@@ -7,10 +7,10 @@ import pytest
 
 import entmem.pipeline as pipeline
 from conftest import classicalize
-from entmem.calibrate import DEFAULT_TARGETS, analytic_visibility, calibrate
+from entmem.calibrate import DEFAULT_TARGETS, calibrate
 from entmem.detection import records_from_csv
 from entmem.errors import CalibrationError, EstimationError, ValidationError
-from entmem.estimators import EstimateWithError, chsh_S_analytic
+from entmem.estimators import EstimateWithError, chsh_S_analytic, visibility_analytic
 from entmem.experiment import (
     STAGES,
     balanced_state,
@@ -76,7 +76,8 @@ class TestCalibrate:
 
     def test_visibility_target_sets_analytic_visibility(self, calibrated):
         rho, _ = balanced_state(calibrated)
-        assert analytic_visibility(rho, "A") == pytest.approx(0.883, abs=1e-6)
+        thetas = calibrated.plan.visibility_thetas
+        assert visibility_analytic(rho, "A", thetas) == pytest.approx(0.883, abs=1e-6)
 
     def test_checks_reported(self, calibrated):
         _, report = calibrate(load_bundled_scenario())
@@ -223,6 +224,13 @@ class TestRunExperiment:
         # expected counts carry no Poisson noise: estimates sit at the model
         assert res.chsh_S.value == pytest.approx(2.497, abs=0.02)
         assert res.visibility.estimate.value == pytest.approx(0.883, abs=0.01)
+
+    def test_expected_records_carry_seed_zero(self, fast):
+        # no count of an expected-count run is drawn, the alpha counts included
+        res = run_experiment(fast, "pre_storage", sampling="expected")
+        assert {r.seed for records in res.records.values() for r in records} == {0}
+        drawn = run_experiment(fast, "pre_storage")
+        assert {r.seed for r in drawn.records["alpha"]} == {fast.master_seed}
 
     def test_depolarization_monotonicity_harness(self, fast):
         # increasing p_depol strictly decreases reported F_post and S_post
