@@ -3,14 +3,14 @@
 Tomography follows the standard two-stage recipe: exact linear inversion
 of the 16 projection frequencies, then a Poisson maximum-likelihood fit
 over the Cholesky-parameterized physical states seeded from the clamped
-linear estimate.  The fit is one damped Newton method on a likelihood
-whose gradient and Hessian come from a quadratic-form tensor built at
-import.  It stops at a Newton decrement <= 1e-15 |NLL| with a positive
-definite Hessian, or, when no step lowers the NLL, at a decrement
-<= 1e-13 |NLL|; a fit that does neither within 1,000 steps is an
-EstimationError.  CHSH, visibility and the Cauchy-Schwarz ratio
-are closed-form count ratios; every estimator gets its error bar from
-Poisson Monte-Carlo resampling of the observed counts.
+linear estimate.  One damped Newton method runs a batch of such fits on a
+likelihood whose gradient and Hessian come from a quadratic-form tensor
+built at import.  A fit stops at a Newton decrement <= 1e-15 |NLL| with a
+positive definite Hessian, or, when no step lowers the NLL, at <= 1e-13
+|NLL|; one that does neither within 1,000 steps, or reaches a non-finite
+Hessian, is an EstimationError.  CHSH, visibility and the Cauchy-Schwarz
+ratio are closed-form count ratios; every estimator gets its error bar
+from Poisson Monte-Carlo resampling of the observed counts.
 
 Each measurement design is defined here, once, next to its estimator:
 TOMO_SETTINGS, chsh_settings and fringe_settings.  The pipeline simulates
@@ -22,11 +22,10 @@ measured figures.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 # Not called here: bench/tracer.py wraps estimators.minimize and bench/test_bench.py reads it.
 from scipy.optimize import minimize  # noqa: F401
 
@@ -152,7 +151,8 @@ def tomo_linear(counts, acquisition_s) -> np.ndarray:
 # the real diagonal entries, the remaining 12 are re/im pairs of the strictly
 # lower entries in row-major order.  The E_a are orthonormal, so
 # Tr(T+T) = t.t and every probability is a ratio of quadratic forms,
-# p_k = t Q_k t / t.t with Q[k, a, b] = Re Tr(P_k E_a+ E_b).
+# p_k = t Q_k t / t.t with Q[k, a, b] = Re Tr(P_k E_a+ E_b).  The likelihood
+# and the solver work on batches: t, counts and exposures are (B, 16) rows.
 # ---------------------------------------------------------------------------
 
 _MLE_PROB_FLOOR = 1e-12
@@ -162,87 +162,83 @@ _CHOL_BASIS = np.zeros((16, 4, 4), dtype=np.complex128)  # E_a
 _CHOL_BASIS[range(4), range(4), range(4)] = 1.0
 _CHOL_BASIS[range(4, 16, 2), _LOWER_ROWS, _LOWER_COLS] = 1.0
 _CHOL_BASIS[range(5, 16, 2), _LOWER_ROWS, _LOWER_COLS] = 1j
-_TOMO_Q = np.real(
-    np.einsum("kij,alj,bli->kab", _TOMO_PROJECTORS, _CHOL_BASIS.conj(), _CHOL_BASIS)
-)
+_TOMO_Q = np.real(np.einsum("kij,alj,bli->kab", _TOMO_PROJECTORS, _CHOL_BASIS.conj(), _CHOL_BASIS))
+_Q_BY_PROB = _TOMO_Q.reshape(16, 256).copy()  # w @ _Q_BY_PROB: sum_k w_k Q_k
+_Q_BY_PARAM = _Q_BY_PROB.reshape(256, 16).T.copy()  # t @ _Q_BY_PARAM: the rows Q_k t
 
 
 def _t_from_params(t: np.ndarray) -> np.ndarray:
-    return np.tensordot(t, _CHOL_BASIS, axes=1)
+    return (t @ _CHOL_BASIS.reshape(16, 16)).reshape(*t.shape[:-1], 4, 4)
 
 
 def _params_from_t(m: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("aij,ij->a", _CHOL_BASIS.conj(), m))
+    return np.real(m.reshape(*m.shape[:-2], 16) @ _CHOL_BASIS.reshape(16, 16).conj().T)
 
 
 def _lower_cholesky_factor(rho: np.ndarray) -> np.ndarray:
     """Lower-triangular T with T+T = rho, via the flipped Cholesky trick."""
-    flip = np.fliplr(np.eye(4))
-    lower = np.linalg.cholesky(flip @ rho @ flip)
-    return (flip @ lower @ flip).conj().T
+    lower = np.linalg.cholesky(rho[..., ::-1, ::-1])
+    return lower[..., ::-1, ::-1].conj().mT
 
 
 def _clamped_physical(rho: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    vals, vecs = np.linalg.eigh((rho + rho.conj().mT) / 2)
     vals = np.clip(vals, 0.0, None) + ridge
-    out = (vecs * vals) @ vecs.conj().T
-    return out / np.trace(out).real
+    out = (vecs * vals[..., None, :]) @ vecs.conj().mT
+    return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def _log_likelihood(probs: np.ndarray, counts: np.ndarray, exposures: np.ndarray):
     probs = np.maximum(probs, _MLE_PROB_FLOOR)
-    return float(np.sum(counts * np.log(exposures * probs) - exposures * probs)), probs
+    return (counts * np.log(exposures * probs) - exposures * probs).sum(axis=-1), probs
 
 
 def _nll_value(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> tuple:
-    """Poisson NLL at t, and the terms (t, Q_k t, p, t.t) its derivatives reuse."""
-    s = float(t @ t)
-    if s <= 0:
-        raise EstimationError("degenerate Cholesky point with zero trace")
-    g_mat = (_TOMO_Q.reshape(256, 16) @ t).reshape(16, 16)  # row k is Q_k t
-    ll, probs = _log_likelihood(g_mat @ t / s, counts, exposures)
+    """Poisson NLL of each row of t, and the terms (t, Q_k t, p, t.t) its derivatives reuse."""
+    s = np.vecdot(t, t)
+    g_mat = (t @ _Q_BY_PARAM).reshape(-1, 16, 16)  # row k of g_mat[b] is Q_k t[b]
+    ll, probs = _log_likelihood((g_mat @ t[:, :, None])[:, :, 0] / s[:, None], counts, exposures)
     return -ll, (t, g_mat, probs, s)
 
 
-def _nll_derivatives(terms: tuple, counts: np.ndarray, exposures: np.ndarray, hessian: bool):
-    """The NLL gradient, and its Hessian when asked, from _nll_value's terms."""
+def _nll_derivatives(terms: tuple, counts: np.ndarray, exposures: np.ndarray) -> tuple:
+    """The NLL gradients and Hessians from _nll_value's terms; its Q_k t become scratch."""
     t, g_mat, probs, s = terms
-    scale = 2.0 / s
-    weights = counts / probs - exposures  # dLL/dp
-    wp = float(weights @ probs)
-    grad = scale * (weights @ g_mat - wp * t)
-    if not hessian:
-        return (-grad,)
-    jac = scale * (g_mat - probs[:, None] * t)  # dp/dt
-    hess = scale * (weights @ _TOMO_Q.reshape(16, 256)).reshape(16, 16)
-    hess.flat[::17] -= scale * wp
-    cross = scale * grad[:, None] * t
-    hess -= cross + cross.T
-    hess -= jac.T @ (jac * (counts / probs**2)[:, None])
-    return -grad, -hess
+    scale = 2.0 / s[:, None]
+    ratio = counts / probs
+    weights = ratio - exposures  # dLL/dp
+    wp = np.vecdot(weights, probs)[:, None]
+    grad = scale * ((weights[:, None, :] @ g_mat)[:, 0] - wp * t)
+    # NLL Hessian / scale = scale J^T diag(n/p^2) J + grad t^T + t grad^T - sum_k w_k Q_k + (w.p) I
+    jac = np.subtract(g_mat, probs[:, :, None] * t[:, None, :], out=g_mat)  # dp/dt = scale J
+    buf = jac * (scale * ratio / probs)[:, :, None]  # the one other (B, 16, 16) buffer
+    hess = jac.mT @ buf
+    np.matmul(weights, _Q_BY_PROB, out=buf.reshape(-1, 256))[:, ::17] -= wp
+    hess -= buf
+    np.multiply(grad[:, :, None], t[:, None, :], out=buf)
+    hess += buf
+    hess += buf.mT
+    hess *= scale[:, :, None]
+    return -grad, hess
 
 
-def _neg_log_likelihood(t, counts, exposures, hessian: bool = False) -> tuple:
-    """Poisson NLL at t with its gradient, and its Hessian when asked."""
-    f, terms = _nll_value(t, counts, exposures)
-    return (f, *_nll_derivatives(terms, counts, exposures, hessian))
+def _newton_step(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Newton steps -h^-1 g of stacks h (B, 16, 16) and g (B, 16), and which h are definite.
 
-
-def _newton_step(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
-    """The Newton step -h^-1 g, and whether h is positive definite.
-
-    The step is one Cholesky solve.  When that fails, h is shifted by twice
-    its lowest eigenvalue (an eigh decomposition) and counts as indefinite.
+    One stacked Cholesky tests every h.  If any h fails it, an h whose lowest
+    eigenvalue is below 1e-12 of its largest magnitude counts as indefinite
+    and is shifted by twice that eigenvalue.  One stacked solve gives the steps.
     """
-    _, x, info = dposv(h, g)
-    if info == 0:
-        return -x, True
-    vals, vecs = np.linalg.eigh(h)
-    floor = 1e-12 * np.abs(vals).max()
-    definite = vals.min() >= floor
-    if not definite:
-        vals = vals + (floor - 2 * vals.min())
-    return -vecs @ ((vecs.T @ g) / vals), definite
+    definite = np.ones(len(h), dtype=bool)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        vals = np.linalg.eigvalsh(h)
+        floor = 1e-12 * np.abs(vals).max(axis=1)
+        definite = vals[:, 0] >= floor
+        h = h.copy()  # shifted below
+        h.reshape(-1, 256)[:, ::17] += np.where(definite, 0.0, floor - 2 * vals[:, 0])[:, None]
+    return -np.linalg.solve(h, g[:, :, None])[:, :, 0], definite
 
 
 # A rank-deficient MLE from a few counts per cell crawls along a near-flat
@@ -252,47 +248,61 @@ _NEWTON_MAX_STEPS = 1000
 # A line search that finds no decrease ends the fit at a Newton decrement of
 # at most this fraction of |NLL|; stalls at optima measured 1.3e-17 to 3.7e-15.
 _STALL_DECREMENT = 1e-13
+_MLE = "maximum-likelihood tomography "  # every fit failure message starts so
 
 
-def _newton_fit(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> np.ndarray:
-    """Damped Newton minimizer of the NLL from t.
+def _newton_fits(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> tuple:
+    """Damped Newton minimizers of the NLL from the rows of t, and each row's failure or None.
 
-    The NLL is invariant under t -> c t: t stays at unit length and t t^T
-    fills the Hessian's null direction.  Steps backtrack until the NLL
-    decreases; a trial point gets only its NLL, the accepted one its
-    derivatives too.  Converged at a Newton decrement <= 1e-15 |NLL| with a
-    positive definite Hessian, or, once no decrease is found, at a
-    decrement <= _STALL_DECREMENT |NLL|.  A fit that does neither within
-    _NEWTON_MAX_STEPS steps is an EstimationError.
+    The NLL is invariant under t -> c t: t stays at unit length and t t^T fills the
+    Hessian's null direction.  Steps backtrack until the NLL decreases; a trial point
+    gets only its NLL.  Each row keeps the module docstring's stop rules on its own.
     """
-    t = t / np.linalg.norm(t)
-    f, g, h = _neg_log_likelihood(t, counts, exposures, hessian=True)
+    fitted, errors, rows = t.copy(), np.full(len(t), None, dtype=object), np.arange(len(t))
+    f, terms = _nll_value(t, counts, exposures)
     for _ in range(_NEWTON_MAX_STEPS):
-        step, definite = _newton_step(h + np.outer(t, t), g)
-        decrement = -0.5 * (g @ step)
-        if definite and decrement <= 1e-15 * abs(f):
-            return t
-        for _ in range(40):
-            f_new, terms = _nll_value(t + step, counts, exposures)
-            if f_new < f:
-                break
-            step = step / 2
-        else:
-            if decrement <= _STALL_DECREMENT * abs(f):
-                return t
-            raise EstimationError(
-                "maximum-likelihood tomography stalled at a Newton decrement of "
-                f"{decrement / abs(f):.3g} |NLL|"
-            )
-        g_new, h_new = _nll_derivatives(terms, counts, exposures, hessian=True)
+        g, h = _nll_derivatives(terms, counts, exposures)
         # Back to unit length; the derivatives scale as 1/|t| and 1/|t|^2.
-        norm = np.linalg.norm(t + step)
-        t, f, g, h = (t + step) / norm, f_new, g_new * norm, h_new * norm**2
-        if not np.all(np.isfinite(h)):
-            raise EstimationError("maximum-likelihood tomography reached a non-finite Hessian")
-    raise EstimationError(
-        f"maximum-likelihood tomography did not converge in {_NEWTON_MAX_STEPS} Newton steps"
-    )
+        norm = np.sqrt(terms[3])[:, None]
+        t, g, h = terms[0] / norm, g * norm, h * (norm * norm)[:, :, None]
+        failed = ~np.isfinite(h).all(axis=(1, 2))
+        if failed.any():  # a zero step; the row leaves below
+            h[failed], g[failed] = np.eye(16), 0.0
+            errors[rows[failed]] = _MLE + "reached a non-finite Hessian"
+        h += t[:, :, None] * t[:, None, :]
+        step, definite = _newton_step(h, g)
+        del h  # no Hessian stays alive while the next one is built
+        decrement = -0.5 * np.vecdot(g, step)
+        done = failed | definite & (decrement <= 1e-15 * np.abs(f))
+        f_new, terms = _nll_value(t + step, counts, exposures)
+        back = (~(f_new < f) & ~done).nonzero()[0]
+        if back.size:  # backtrack only the rows whose full step failed: 40 trials in all
+            sub = [a[back] for a in (t, step, counts, exposures, f)]
+            for _ in range(39):
+                sub[1] /= 2
+                f_try, tried = _nll_value(sub[0] + sub[1], sub[2], sub[3])
+                ok = f_try < sub[4]
+                if ok.any():
+                    for term, value in zip((f_new, *terms), (f_try, *tried)):
+                        term[back[ok]] = value[ok]
+                    back, sub = back[~ok], [a[~ok] for a in sub]
+                    if not back.size:
+                        break
+            for i, ratio in zip(back, decrement[back] / np.abs(f[back])):  # no decrease: a stop
+                if not ratio <= _STALL_DECREMENT:
+                    errors[rows[i]] = _MLE + f"stalled at a Newton decrement of {ratio:.3g} |NLL|"
+            done[back] = True
+        if done.any():
+            fitted[rows[done]] = t[done]
+            if done.all():
+                break
+            rows, f_new, counts, exposures, *terms = (
+                a[~done] for a in (rows, f_new, counts, exposures, *terms)
+            )
+        f = f_new
+    else:
+        errors[rows] = _MLE + f"did not converge in {_NEWTON_MAX_STEPS} Newton steps"
+    return fitted, errors
 
 
 _SHARED_FITS: dict | None = None  # tomo_mle's fits in the open shared_fits() scope
@@ -309,38 +319,60 @@ def shared_fits():
         _SHARED_FITS = outer
 
 
+def fit_rows(count_rows, acquisition_s) -> None:
+    """Fit as one batch the distinct rows (16 counts each, acquired for acquisition_s) that
+    the open shared_fits() scope lacks; it then holds each one's state or EstimationError.
+    Rows that tomo_mle rejects before a fit are left to it."""
+    if _SHARED_FITS is None:
+        return
+    acq, batch = np.asarray(acquisition_s, dtype=float).tobytes(), {}
+    for row in count_rows:
+        with suppress(EstimationError):  # tomo_mle raises it again
+            data = _tomo_data(row, acquisition_s)
+            batch.setdefault((data[2].tobytes(), acq), data)
+    batch = {key: data for key, data in batch.items() if key not in _SHARED_FITS}
+    if not batch:
+        return
+    freqs, exposures, counts = (np.array(a) for a in zip(*batch.values()))
+    linear = np.linalg.solve(_TOMO_DESIGN, freqs.T.astype(np.complex128)).T.reshape(-1, 4, 4)
+    try:
+        t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(linear)))
+        t, errors = _newton_fits(t0, counts, exposures)
+    except np.linalg.LinAlgError as exc:  # no finite input reaches it
+        raise EstimationError(_MLE + f"failed: {exc}") from exc
+    m = _t_from_params(t)
+    rho = m.conj().mT @ m
+    rho = (rho + rho.conj().mT) / (2 * np.trace(rho, axis1=1, axis2=2).real[:, None, None])
+    for key, error, state in zip(batch, errors, rho):
+        _SHARED_FITS[key] = EstimationError(error) if error else TwoQubitState(state)
+
+
 def tomo_mle(counts, acquisition_s) -> TwoQubitState:
     """Maximum-likelihood physical state from the 16 tomography counts.
 
     counts and acquisition_s are in TOMO_SETTINGS order (see tomo_counts).
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
     maximized over the Cholesky parameterization by damped Newton steps with
-    the analytic Hessian, seeded from the clamped linear inversion.  A fit
-    Newton cannot finish raises EstimationError.  Inside a shared_fits()
-    scope a repeated (counts, acquisition_s) returns the state stored by its
-    first fit (rho is read-only); a fit that raises is not stored.
+    the analytic Hessian (fit_rows on one row).  A fit Newton cannot finish
+    raises EstimationError.  Inside a shared_fits() scope a repeated input
+    returns its first fit's state (rho is read-only) or raises its error.
     """
 
-    _, exposures, counts = _tomo_data(counts, acquisition_s)
-    fits = {} if _SHARED_FITS is None else _SHARED_FITS
+    counts = _tomo_data(counts, acquisition_s)[2]
     key = (counts.tobytes(), np.asarray(acquisition_s, dtype=float).tobytes())
-    if key in fits:
-        return fits[key]
-    init = tomo_linear(counts, acquisition_s)
-    t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
-    try:
-        m = _t_from_params(_newton_fit(t0, counts, exposures))
-    except np.linalg.LinAlgError as exc:
-        raise EstimationError(f"maximum-likelihood tomography failed: {exc}") from exc
-    rho = m.conj().T @ m
-    fits[key] = TwoQubitState((rho + rho.conj().T) / (2 * np.trace(rho).real))
-    return fits[key]
+    with shared_fits():
+        if key not in _SHARED_FITS:
+            fit_rows([counts], acquisition_s)
+        fit = _SHARED_FITS[key]
+    if isinstance(fit, EstimationError):
+        raise fit.with_traceback(None)
+    return fit
 
 
 def tomo_log_likelihood(rho: np.ndarray, counts, acquisition_s) -> float:
     """Poisson log-likelihood of a state given the 16 counts (for diagnostics)."""
     _, exposures, counts = _tomo_data(counts, acquisition_s)
-    return _log_likelihood(np.real(_TOMO_DESIGN @ np.ravel(rho)), counts, exposures)[0]
+    return float(_log_likelihood(np.real(_TOMO_DESIGN @ np.ravel(rho)), counts, exposures)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -539,14 +571,16 @@ def mc_error(
     counts: np.ndarray,
     n_resamples: int = 200,
     seed: int = 0,
+    prefit=None,
 ) -> EstimateWithError:
     """Poisson parametric bootstrap around the observed counts.
 
     Every count is resampled as Poisson with mean equal to its observed
     value, the estimator re-run, and the sample mean/stddev returned.
     Per-trial derived seeds make the result independent of execution order.
-    A resample whose estimator raises an EntmemError counts as failed; any
-    other exception is a bug and propagates.
+    prefit(rows), if given, gets the matrix of all resamples first (to fit
+    them as one batch, say).  A resample whose estimator raises an
+    EntmemError counts as failed; any other exception is a bug and propagates.
     """
 
     if n_resamples < 100:
@@ -554,13 +588,14 @@ def mc_error(
     counts = np.asarray(counts, dtype=float)
     if np.any(counts < 0):
         raise ValidationError("counts must be >= 0")
+    resampled = np.array([derive_rng(seed, "mc", k).poisson(counts) for k in range(n_resamples)])
+    if prefit is not None:
+        prefit(resampled)
     values = np.empty(n_resamples)
     failures = 0
     for k in range(n_resamples):
-        rng = derive_rng(seed, "mc", k)
-        resampled = rng.poisson(counts)
         try:
-            values[k] = float(estimator(resampled))
+            values[k] = float(estimator(resampled[k]))
         except EntmemError:
             values[k] = np.nan
             failures += 1

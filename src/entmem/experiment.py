@@ -177,18 +177,19 @@ def alpha_probs(stage: Stage) -> tuple[float, float, float, float]:
     """Per-slot (P1, P_port, P12, P123) of the heralded-autocorrelation setup.
 
     A beamsplitter sends arm 2 to two identical detectors, each seeing half
-    the arm-2 efficiency; an uncorrelated source heralds no pairs.
+    the arm-2 efficiency; the photons of an uncorrelated source coincide by chance.
     """
-    scenario = stage.scenario
-    pair_prob = scenario.source.pair_prob if scenario.correlations.pair_correlated else 0.0
-    return click_probs(
-        pair_prob,
+    p1, p_port, p12, p123 = click_probs(
+        stage.scenario.source.pair_prob,
         stage.e1,
         stage.e2 / 2.0,
         stage.dark1_gate,
         stage.noise2_port,
         stage.noise_bunching,
     )
+    if not stage.scenario.correlations.pair_correlated:
+        p12, p123 = p1 * p_port, p1 * p_port**2
+    return p1, p_port, p12, p123
 
 
 def model_slot_g2(stage: Stage) -> float:

@@ -39,6 +39,7 @@ from .estimators import (
     chsh_S,
     chsh_S_literal,
     chsh_settings,
+    fit_rows,
     fringe_settings,
     is_nonclassical_R,
     mc_error,
@@ -159,11 +160,11 @@ def simulate_g2(stage: Stage):
     pair_prob = max(s12 - s1 * s2, 0.0)
     # Checked before any draw; the accidentals of one slot bound those of every bin.
     pairs, accidentals = n_slots * pair_prob, n_slots * s1 * s2
-    if not (pairs <= G2_PAIRS_MAX and accidentals <= POISSON_MEAN_MAX):
+    if not (n_slots >= 1 and pairs <= G2_PAIRS_MAX and accidentals <= POISSON_MEAN_MAX):
         raise ValidationError(
-            f"settings.acquisition_s.g2: at acquisition_s={acq:g} the g2 histogram expects "
-            f"{pairs:.3g} pairs (at most {G2_PAIRS_MAX:.3g}) and {accidentals:.3g} accidentals"
-            f" per slot (at most {POISSON_MEAN_MAX:.3g})"
+            f"settings.acquisition_s.g2: at acquisition_s={acq:g} the g2 histogram spans {n_slots}"
+            f" pump periods (at least 1) and expects {pairs:.3g} pairs (at most {G2_PAIRS_MAX:.3g})"
+            f" and {accidentals:.3g} accidentals per slot (at most {POISSON_MEAN_MAX:.3g})"
         )
     params = G2StreamParams(
         n_slots=n_slots,
@@ -207,11 +208,10 @@ def run_experiment(
     n_res = plan.n_resamples
     seed = scenario.master_seed
 
-    def with_sigma(point, estimator, counts) -> EstimateWithError:
+    def with_sigma(point, estimator, counts, prefit=None) -> EstimateWithError:
         """The point estimate, with the bootstrap sigma of estimator(counts) if enabled."""
-        if not error_bars:
-            return EstimateWithError(point, 0.0, 0)
-        return EstimateWithError(point, mc_error(estimator, counts, n_res, seed).sigma, n_res)
+        sigma = mc_error(estimator, counts, n_res, seed, prefit).sigma if error_bars else 0.0
+        return EstimateWithError(point, sigma, n_res if error_bars else 0)
 
     # --- tomography and fidelity: to the ideal state before storage, to the
     # re-simulated pre-storage MLE after it
@@ -237,11 +237,15 @@ def run_experiment(
         ref = reference(resampled[:n_ref])
         return fidelity(tomo_mle(resampled[n_ref:], acq), ref)
 
-    result.fidelity = with_sigma(
-        fidelity(result.rho_mle, reference(ref_counts)),
-        f_estimator,
-        np.concatenate([ref_counts, counts]),
-    )
+    def prefit(resampled):  # two batches: a post-storage run alone fits the same as a full run
+        if n_ref:
+            fit_rows(resampled[:, :n_ref], ref_acq)
+        fit_rows(resampled[:, n_ref:], acq)
+
+    with shared_fits():
+        point = fidelity(result.rho_mle, reference(ref_counts))
+        observed = np.concatenate([ref_counts, counts])
+        result.fidelity = with_sigma(point, f_estimator, observed, prefit)
 
     # --- CHSH
     chsh_records = _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles))

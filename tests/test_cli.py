@@ -56,18 +56,19 @@ def test_simulate_single_stage(fast_scenario_path, tmp_path):
 
 
 def counted_simulate(out: Path, *argv: str) -> dict[str, int]:
-    """Run a bundled `entmem simulate` with error bars; count tomo_mle calls and Newton fits."""
+    """Run a bundled `entmem simulate` with error bars; count tomo_mle calls and rows fitted."""
     counts = {"tomo_mle": 0, "newton_fits": 0}
 
-    def counted(name, fn):
+    def counted(name, fn, rows=lambda *args: 1):
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += rows(*args)
             return fn(*args, **kwargs)
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "tomo_mle", counted("tomo_mle", pipeline.tomo_mle))
-        mp.setattr(estimators, "_newton_fit", counted("newton_fits", estimators._newton_fit))
+        newton_fits = counted("newton_fits", estimators._newton_fits, lambda t, *_: len(t))
+        mp.setattr(estimators, "_newton_fits", newton_fits)
         assert main(["--out", str(out), "simulate", *argv]) == 0
     return counts
 
@@ -187,6 +188,8 @@ def test_validation_error_exit_code(tmp_path):
         # past the pairs a g2 histogram simulates, and past numpy's Poisson limit
         ("g2", 1e30, "poisson"),
         ("g2", 1e30, "expected"),
+        # shorter than one pump period: no slot to histogram
+        ("g2", 1e-9, "expected"),
     ],
 )
 def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):

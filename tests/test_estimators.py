@@ -38,7 +38,6 @@ from entmem.estimators import (
     tomo_mle,
     visibility_analytic,
     visibility_fit,
-    _neg_log_likelihood,
     _clamped_physical,
     _lower_cholesky_factor,
     _params_from_t,
@@ -55,6 +54,13 @@ from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
 SETTINGS = TomographySettingSet.standard()
 CHSH_ANGLES = MeasurementPlan().chsh_angles
+
+
+def _neg_log_likelihood(t, counts, exposures, hessian: bool = False) -> tuple:
+    """The NLL at one point t with its gradient, and its Hessian when asked: a 1-row batch."""
+    f, terms = estimators._nll_value(t[None], counts, exposures)
+    g, h = estimators._nll_derivatives(terms, counts, exposures)
+    return (f[0], g[0], h[0]) if hessian else (f[0], g[0])
 
 
 def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRecord]:
@@ -279,7 +285,9 @@ def newton_from(init: np.ndarray, counts, acq) -> np.ndarray:
     """tomo_mle's Newton fit, started from init instead of the linear inversion."""
     _, exposures, counts = estimators._tomo_data(counts, acq)
     t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(init)))
-    return _rho_from_params(estimators._newton_fit(t0, counts, exposures))
+    fitted, errors = estimators._newton_fits(t0[None], counts[None], exposures[None])
+    assert errors[0] is None
+    return _rho_from_params(fitted[0])
 
 
 def optimality_gap(rho: np.ndarray, counts, acq) -> float:
@@ -405,27 +413,40 @@ class TestNewtonSolver:
             assert result.fidelity.sigma > 0
         assert failures == []
 
-    def test_cholesky_step_equals_eigh_step(self, rng):
-        for _ in range(20):
-            a = rng.normal(size=(16, 16))
-            h = a @ a.T + 0.1 * np.eye(16)
+    @staticmethod
+    def _stack(rng, lowest_eigenvalues):
+        """Hessians q diag(linspace(low, 5)) q^T with their gradients and reference steps.
+
+        The reference of a definite row is -h^-1 g; an indefinite row's is the
+        step of its Hessian shifted by twice its lowest eigenvalue.
+        """
+        hs, gs, steps = [], [], []
+        for low in lowest_eigenvalues:
+            q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+            vals = np.linspace(low, 5.0, 16)
             g = rng.normal(size=16)
-            vals, vecs = np.linalg.eigh(h)
-            eigh_step = -vecs @ ((vecs.T @ g) / vals)
-            step, definite = estimators._newton_step(h, g)
-            assert definite
-            assert np.max(np.abs(step - eigh_step)) <= 1e-12 * np.max(np.abs(eigh_step))
+            shifted = vals if low > 0 else vals + (1e-12 * 5.0 - 2 * low)
+            hs.append((q * vals) @ q.T)
+            gs.append(g)
+            steps.append(-q @ ((q.T @ g) / shifted))
+        return np.array(hs), np.array(gs), np.array(steps)
+
+    def test_cholesky_step_equals_eigh_step(self, rng):
+        h, g, expected = self._stack(rng, rng.uniform(0.1, 2.0, size=20))
+        step, definite = estimators._newton_step(h, g)
+        assert definite.all()
+        for row, reference in zip(step, expected):
+            assert np.max(np.abs(row - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_indefinite_hessian_takes_shifted_eigh_step(self, rng):
-        q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
-        vals = np.linspace(-2.0, 5.0, 16)
-        g = rng.normal(size=16)
-        step, definite = estimators._newton_step((q * vals) @ q.T, g)
-        assert not definite
-        shifted = vals + (1e-12 * 5.0 - 2 * vals.min())
-        expected = -q @ ((q.T @ g) / shifted)
-        assert np.max(np.abs(step - expected)) <= 1e-12 * np.max(np.abs(expected))
-        assert g @ step < 0
+        """A stack mixing definite and indefinite rows: each row takes its own step."""
+        lowest = [0.5, -2.0, 1.0, -0.3, 0.1, -4.0]
+        h, g, expected = self._stack(rng, lowest)
+        step, definite = estimators._newton_step(h, g)
+        assert list(definite) == [low > 0 for low in lowest]
+        for row, reference in zip(step, expected):
+            assert np.max(np.abs(row - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.all(np.einsum("bi,bi->b", g, step) < 0)
 
     def test_fit_from_indefinite_first_hessian_at_least_lbfgs(self, rng, monkeypatch):
         """Exact rank-1 data fitted from the maximally mixed state."""
@@ -435,7 +456,7 @@ class TestNewtonSolver:
 
         def recorded(h, g):
             step, ok = newton_step(h, g)
-            definite.append(ok)
+            definite.append(ok[0])
             return step, ok
 
         monkeypatch.setattr(estimators, "_newton_step", recorded)
@@ -454,14 +475,15 @@ class TestNewtonSolver:
 class TestSharedFits:
     @pytest.fixture
     def fit_count(self, monkeypatch):
+        """One entry per row fitted."""
         calls = []
-        newton_fit = estimators._newton_fit
+        newton_fits = estimators._newton_fits
 
-        def counted(*args):
-            calls.append(1)
-            return newton_fit(*args)
+        def counted(t, *args):
+            calls.extend([1] * len(t))
+            return newton_fits(t, *args)
 
-        monkeypatch.setattr(estimators, "_newton_fit", counted)
+        monkeypatch.setattr(estimators, "_newton_fits", counted)
         return calls
 
     def test_outside_a_scope_every_call_fits(self, post_tomography_records, fit_count):
@@ -493,6 +515,97 @@ class TestSharedFits:
             for _ in range(2):
                 with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
                     tomo_mle(*data)
+
+
+    def test_fit_rows_fits_the_new_distinct_rows_as_one_batch(
+        self, post_tomography_records, fit_count, monkeypatch
+    ):
+        counts, acq = tomo_counts(post_tomography_records)
+        batches = []
+        newton_fits = estimators._newton_fits
+
+        def recorded(t, *args):
+            batches.append(len(t))
+            return newton_fits(t, *args)
+
+        monkeypatch.setattr(estimators, "_newton_fits", recorded)
+        estimators.fit_rows([counts], acq)  # outside a scope: nothing to fill
+        assert fit_count == []
+        with estimators.shared_fits():
+            first = tomo_mle(counts, acq)
+            rows = np.array([counts, counts + 1, counts + 1, counts + 2]).astype(int)
+            estimators.fit_rows(rows, acq)
+            assert batches == [1, 2] and len(fit_count) == 3
+            assert tomo_mle(counts, acq) is first
+            for row in rows[1:]:
+                assert tomo_mle(row, acq) is tomo_mle(row.astype(float), list(acq))
+            assert len(fit_count) == 3
+
+    def test_fit_rows_stores_each_rows_error(self, post_tomography_records, fit_count, monkeypatch):
+        counts, acq = tomo_counts(post_tomography_records)
+        unnormalized = counts.copy()
+        unnormalized[estimators._NORMALIZATION_IDX] = 0
+        monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
+        with estimators.shared_fits():
+            estimators.fit_rows([counts, unnormalized], acq)
+            assert len(fit_count) == 1  # tomo_mle rejects the second row before fitting
+            for _ in range(2):
+                with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
+                    tomo_mle(counts, acq)
+            with pytest.raises(EstimationError, match="normalization group"):
+                tomo_mle(unnormalized, acq)
+            assert len(fit_count) == 1
+
+
+def _batch_fits(rows, acq) -> list:
+    """Each row's tomo_mle answer, or its EstimationError, after fit_rows fitted them as one batch."""
+    fits = []
+    with estimators.shared_fits():
+        estimators.fit_rows(rows, acq)
+        for row in rows:
+            try:
+                fits.append(tomo_mle(row, acq))
+            except EstimationError as exc:
+                fits.append(exc)
+    return fits
+
+
+class TestBatchedNewton:
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 10))
+    def test_every_row_reaches_the_optimum_or_fails_alone(self, seed, size):
+        """Rows of mixed rank and count level, from 5 to 1e6 counts per group."""
+        rng = np.random.default_rng(seed)
+        rows = [
+            tomo_counts(
+                poisson_records(
+                    random_density_matrix(rng, rank=int(rng.integers(1, 5))),
+                    10 ** rng.uniform(np.log10(5.0), 6.0),
+                    rng,
+                )
+            )[0]
+            for _ in range(size)
+        ]
+        acq = np.ones(16)
+        for counts, fit in zip(rows, _batch_fits(rows, acq)):
+            if isinstance(fit, EstimationError):
+                continue
+            assert np.linalg.eigvalsh(fit.rho).min() >= -1e-12
+            assert optimality_gap(fit.rho, counts, acq) < GAP_BOUND
+
+    def test_a_capped_row_leaves_the_other_rows_unchanged(self, post_tomography_records, monkeypatch):
+        counts, acq = tomo_counts(post_tomography_records)
+        rng = np.random.default_rng(11)
+        rows = [rng.poisson(counts) for _ in range(6)]
+        # 190-410 steps; the uniform acquisition times leave its exposures as they are
+        rows.insert(2, np.array(SWEEP_COUNTS[393.16]))
+        uncapped = _batch_fits(rows, acq)
+        assert not any(isinstance(fit, EstimationError) for fit in uncapped)
+        monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 60)
+        capped = _batch_fits(rows, acq)
+        assert "did not converge in 60 Newton steps" in str(capped.pop(2))
+        del uncapped[2]
+        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(capped, uncapped))
 
 
 class TestChshE:
@@ -747,6 +860,23 @@ class TestMcError:
     def test_minimum_resamples_enforced(self):
         with pytest.raises(ValidationError):
             mc_error(lambda c: 0.0, np.array([1.0]), n_resamples=50)
+
+    def test_prefit_gets_every_resample_before_the_estimator_runs(self):
+        counts = np.array([50.0, 60.0, 7.0])
+        expected = np.array([derive_rng(9, "mc", k).poisson(counts) for k in range(200)])
+        seen, calls = [], []
+
+        def estimator(row):
+            calls.append(row.copy())
+            return float(row @ [1.0, 2.0, 3.0])
+
+        plain = mc_error(estimator, counts, 200, seed=9)
+        assert np.array_equal(calls, expected)
+        calls.clear()
+        prefitted = mc_error(estimator, counts, 200, seed=9, prefit=lambda rows: seen.append(rows.copy()))
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
+        assert np.array_equal(calls, expected)
+        assert (prefitted.value, prefitted.sigma) == (plain.value, plain.sigma)
 
 
 class TestEstimateWithError:

@@ -279,6 +279,23 @@ class TestClassicalGates:
         assert streams[0].singles1_prob > 0 and streams[0].singles2_prob > 0
 
 
+    @pytest.mark.parametrize("stage", ["pre_storage", "post_storage"])
+    def test_uncorrelated_source_has_chance_alpha(self, fast, stage):
+        """alpha = 1: the herald and the two ports coincide only by chance.
+
+        The bundled alpha acquisition expects about 0.1 chance triples of the
+        classical twin, so the measurement runs 1000 times longer.
+        """
+        classical = classicalize(fast)
+        assert model_alpha(stage_state(classical, stage)) == pytest.approx(1.0, rel=1e-12)
+        acq = {k: 1000 * v if k.startswith("alpha") else v for k, v in fast.plan.acquisition_s.items()}
+        classical = replace(classical, plan=replace(classical.plan, acquisition_s=acq))
+        res = run_experiment(classical, stage)
+        assert res.alpha_counts["n123"] > 50
+        assert res.alpha.value == pytest.approx(1.0, abs=0.3)
+        assert not stage_report(classical, res)["alpha"]["single_photon_like"]
+
+
 class TestReports:
     def test_stage_report_round_trips(self, fast):
         res = run_experiment(fast, "pre_storage")
