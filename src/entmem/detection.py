@@ -1,13 +1,14 @@
 """From quantum states to count records.
 
 Born-rule projection probabilities, the detector, loss and timing
-parameters, and the count records themselves: the expected rates of a
-stage (experiment.model_rates) are Poisson-sampled with derived seeds,
-so every record is reproducible from (scenario, seed).  The pair
-statistics (click_probs) are per pulse slot: a slot-normalized g2 is the
-coincidences within one pulse slot over the singles product, the
-convention under which the published anchor values for g2, the heralded
-autocorrelation and the Cauchy-Schwarz ratio are mutually consistent.
+parameters, and the count records themselves: draw_counts turns the
+mean counts of one acquisition into counts, Poisson-sampled with derived
+seeds or rounded, so every record is reproducible from (scenario, seed).
+The pair statistics (click_probs) are per pulse slot: a slot-normalized
+g2 is the coincidences within one pulse slot over the singles product,
+the convention under which the published anchor values for g2, the
+heralded autocorrelation and the Cauchy-Schwarz ratio are mutually
+consistent.
 """
 
 from __future__ import annotations
@@ -209,43 +210,26 @@ def count_means(rates, per: float, acquisition_s: float, label: str) -> list[flo
     return means
 
 
-def sample_counts(
-    rates: ExpectedRates,
-    acquisition_s: float,
-    seed: int,
-    setting_label: str = "",
-) -> CountRecord:
-    """Poisson-sample a CountRecord; bit-reproducible for a fixed seed."""
-    means = count_means(
-        (rates.r1, rates.r2, rates.r12), acquisition_s, acquisition_s, setting_label
-    )
-    rng = derive_rng(seed, "counts", setting_label)
-    s1, s2, c = (int(rng.poisson(m)) for m in means)
-    return CountRecord(
-        setting_label=setting_label,
-        singles_1=s1,
-        singles_2=s2,
-        coincidences=min(c, s1, s2),
-        triples=0,
-        acquisition_s=acquisition_s,
-        seed=seed,
-    )
+def sample_counts(means: list[float], seed: int, label: str) -> list[int]:
+    """Poisson draws of the means, in order, from the seed path ("counts", label)."""
+    rng = derive_rng(seed, "counts", label)
+    return [int(rng.poisson(m)) for m in means]
 
 
-def expected_counts(
-    rates: ExpectedRates, acquisition_s: float, setting_label: str = ""
-) -> CountRecord:
-    """Noise-free record carrying the rounded expected counts.
+def expected_counts(means: list[float]) -> list[int]:
+    """The rounded means: noise-free counts for the deterministic mode."""
+    return [int(round(m)) for m in means]
 
-    Used by the deterministic evaluation mode of the pipeline (model
-    monotonicity checks); the rounding keeps the CountRecord contract.
+
+def draw_counts(means: list[float], sampling: str, seed: int, label: str) -> tuple[list[int], int]:
+    """The counts of one acquisition and the seed its records carry.
+
+    "expected" rounds the means and gives seed 0, as nothing was drawn;
+    "poisson" draws them with sample_counts and gives the master seed.
     """
-
-    means = count_means(
-        (rates.r1, rates.r2, rates.r12), acquisition_s, acquisition_s, setting_label
-    )
-    s1, s2, c = (int(round(m)) for m in means)
-    return CountRecord(setting_label, s1, s2, min(c, s1, s2), 0, acquisition_s, seed=0)
+    if sampling == "expected":
+        return expected_counts(means), 0
+    return sample_counts(means, seed, label), seed
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +289,15 @@ def heralded_alpha(p1: float, p12: float, p13: float, p123: float) -> float:
     return float(alpha)
 
 
-def is_single_photon_like(alpha: float) -> bool:
-    return alpha < 0.5
+# The fewest triples that alpha = 0.5 must predict for alpha < 0.5 to count:
+# at a Poisson mean of 3, zero triples still happen 5% of the time.
+ALPHA_MIN_PREDICTED_TRIPLES = 3.0
+
+
+def single_photon_like(alpha: float, counts: dict) -> bool:
+    """alpha < 0.5 on counts that resolve it: alpha = 0.5 predicts 0.5*n12*n13/n1 triples."""
+    predicted = 0.5 * counts["n12"] * counts["n13"] / max(counts["n1"], 1)  # n1 = 0: n12 = 0
+    return alpha < 0.5 and predicted >= ALPHA_MIN_PREDICTED_TRIPLES
 
 
 # ---------------------------------------------------------------------------

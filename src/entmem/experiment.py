@@ -84,7 +84,7 @@ class Stage:
         rho, _ = balanced_state(self.scenario)
         if self.name == "pre_storage":
             return rho
-        return apply_memory(rho, self.eta, self.scenario.mem_noise)[0]
+        return apply_memory(rho, self.eta, self.scenario.mem_noise)
 
 
 def stage_state(scenario: Scenario, stage: str) -> Stage:

@@ -197,12 +197,10 @@ def efficiency_curve(
     return lambda t: float(min(max(decay.eta_peak * overlap * decay_factor(decay, t), 0.0), 1.0))
 
 
-def apply_memory(
-    rho: TwoQubitState, eta: float, noise: MemoryNoiseParams
-) -> tuple[TwoQubitState, float]:
+def apply_memory(rho: TwoQubitState, eta: float, noise: MemoryNoiseParams) -> TwoQubitState:
     """Conditional storage channel on the Signal-2 slot.
 
-    Post-selected on retrieval: the retrieval probability is eta and the
+    Post-selected on retrieval, which happens with probability eta: the
     retrieved state is depolarized on the Signal-2 qubit with probability
     p_depol, i.e. rho -> (1-p) rho + p (Tr_2 rho) (x) I/2.
     """
@@ -211,6 +209,4 @@ def apply_memory(
         raise ValidationError(f"retrieval efficiency {eta} outside [0, 1]")
     p = noise.p_depol
     mixed_s2 = np.kron(rho.reduced_signal1(), np.eye(2, dtype=np.complex128) / 2)
-    out = (1.0 - p) * rho.rho + p * mixed_s2
-    return TwoQubitState(out), float(eta)
-
+    return TwoQubitState((1.0 - p) * rho.rho + p * mixed_s2)

@@ -22,12 +22,11 @@ from .detection import (
     CountRecord,
     G2StreamParams,
     count_means,
-    expected_counts,
+    draw_counts,
     g2_histogram,
     heralded_alpha,
-    is_single_photon_like,
     records_to_csv,
-    sample_counts,
+    single_photon_like,
 )
 from .errors import EstimationError, ValidationError
 from .estimators import (
@@ -62,7 +61,7 @@ from .experiment import (
 )
 from .memory import EITParams, eit_transmission, transparency_window_fwhm
 from .qstate import BASIS_STRING, TwoQubitState, bell_psi_plus, fidelity, matrix_json
-from .rng import derive_rng, derive_seed_sequence
+from .rng import derive_seed_sequence
 from .scenario import Scenario, scenario_to_dict
 
 REPORT_SCHEMA_VERSION = 1
@@ -114,16 +113,13 @@ def _simulate_records(
     setting label itself.
     """
 
-    scenario = stage.scenario
-    acq = scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
+    acq = stage.scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
     records = []
     for setting, rates in zip(settings, model_rates(stage, settings)):
         label = f"{stage.suffix}:{seed_prefix}{setting.label}"
-        if sampling == "expected":
-            rec = expected_counts(rates, acq, setting_label=label)
-        else:
-            rec = sample_counts(rates, acq, seed=scenario.master_seed, setting_label=label)
-        records.append(replace(rec, setting_label=setting.label))
+        means = count_means((rates.r1, rates.r2, rates.r12), acq, acq, label)
+        (s1, s2, c), seed = draw_counts(means, sampling, stage.scenario.master_seed, label)
+        records.append(CountRecord(setting.label, s1, s2, min(c, s1, s2), 0, acq, seed))
     return records
 
 
@@ -134,15 +130,9 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     acq = scenario.plan.acquisition_s[f"alpha_{sfx}"]
     n_slots = scenario.timing.pulse_rate * acq
     means = count_means((p1, p_port, p_port, p12, p12, p123), n_slots, acq, f"alpha:{sfx}")
-    # rounded expected counts were never drawn: seed 0, as in detection.expected_counts
-    seed = 0 if sampling == "expected" else scenario.master_seed
-    if sampling == "expected":
-        n1, n2a, n2b, n12, n13, n123 = (int(round(m)) for m in means)
-    else:
-        rng = derive_rng(seed, "counts", f"{sfx}:alpha")
-        n1, n2a, n2b, n12, n13, n123 = (int(rng.poisson(m)) for m in means)
-    n12 = min(n12, n1, n2a)
-    n13 = min(n13, n1, n2b)
+    counts, seed = draw_counts(means, sampling, scenario.master_seed, f"{sfx}:alpha")
+    n1, n2a, n2b, n12, n13, n123 = counts
+    n12, n13 = min(n12, n1, n2a), min(n13, n1, n2b)
     n123 = min(n123, n12, n13)
     records = [
         CountRecord(f"alpha:{sfx}:a", n1, n2a, n12, n123, acq, seed),
@@ -271,14 +261,12 @@ def run_experiment(
             result.visibility = vis
 
     # --- heralded autocorrelation
-    alpha_records, alpha_counts = simulate_alpha(view, sampling)
-    result.records["alpha"] = alpha_records
-    result.alpha_counts = alpha_counts
+    result.records["alpha"], result.alpha_counts = simulate_alpha(view, sampling)
 
     def a_estimator(counts):
         return heralded_alpha(max(counts[0], 1), max(counts[1], 1), max(counts[2], 1), counts[3])
 
-    a_counts = [alpha_counts[k] for k in ("n1", "n12", "n13", "n123")]
+    a_counts = [result.alpha_counts[k] for k in ("n1", "n12", "n13", "n123")]
     result.alpha = with_sigma(a_estimator(a_counts), a_estimator, a_counts)
 
     # --- cross-correlation histogram and Cauchy-Schwarz
@@ -394,7 +382,7 @@ def stage_report(
         },
         "alpha": {
             "counts": result.alpha_counts,
-            "single_photon_like": is_single_photon_like(result.alpha.value),
+            "single_photon_like": single_photon_like(result.alpha.value, result.alpha_counts),
             **_estimate_json(result.alpha),
         },
         "g2": {

@@ -1,26 +1,34 @@
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entmem.pipeline as pipeline
 from conftest import density_matrices, maximally_mixed
 from entmem.detection import (
     CSV_HEADER,
     CountRecord,
     DetectorParams,
+    ExpectedRates,
     G2StreamParams,
     LossBudget,
     MeasurementSetting,
     TimingConfig,
     click_probs,
+    count_means,
+    draw_counts,
+    expected_counts,
     g2_histogram,
     heralded_alpha,
     projection_probability,
     records_from_csv,
     records_to_csv,
     sample_counts,
+    single_photon_like,
 )
 from entmem.errors import EstimationError, ValidationError
 from entmem.experiment import model_rates, stage_state
@@ -114,32 +122,37 @@ class TestExpectedRates:
         assert noisy.r12_true == base.r12_true
 
 
+def _simulated_record(r1, r2, r12, acquisition_s, seed):
+    """The record pipeline._simulate_records builds when the model gives these rates."""
+    rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0)
+    plan = SimpleNamespace(acquisition_s={"tomo_pre": acquisition_s})
+    stage = SimpleNamespace(scenario=SimpleNamespace(plan=plan, master_seed=seed), suffix="pre")
+    with mock.patch.object(pipeline, "model_rates", lambda stage, settings: [rates]):
+        (rec,) = pipeline._simulate_records(stage, "poisson", "tomo", [_setting(ket_h(), ket_v())])
+    return rec
+
+
 class TestSampleCounts:
     def test_zero_rate_zero_counts(self):
-        from entmem.detection import ExpectedRates
-
-        rec = sample_counts(ExpectedRates(0, 0, 0, 0, 0), 10.0, seed=1, setting_label="z")
-        assert rec.singles_1 == rec.singles_2 == rec.coincidences == rec.triples == 0
+        assert sample_counts([0.0, 0.0, 0.0], seed=1, label="z") == [0, 0, 0]
 
     def test_seed_determinism(self):
         stage = stage_state(load_bundled_scenario(), "pre_storage")
         rates = model_rates(stage, [_setting(ket_h(), ket_v(), "HV")])[0]
-        a = sample_counts(rates, 30.0, seed=42, setting_label="HH")
-        b = sample_counts(rates, 30.0, seed=42, setting_label="HH")
+        means = count_means((rates.r1, rates.r2, rates.r12), 30.0, 30.0, "HH")
+        a = sample_counts(means, seed=42, label="HH")
+        b = sample_counts(means, seed=42, label="HH")
         assert a == b
-        c = sample_counts(rates, 30.0, seed=43, setting_label="HH")
+        c = sample_counts(means, seed=43, label="HH")
         assert c != a  # overwhelmingly likely
 
     def test_poisson_tail_bound(self):
         # mean 1e6 samples stay within 5 sigma for 1000 seeds
-        from entmem.detection import ExpectedRates
-
         mean = 1e6
-        rates = ExpectedRates(r1=mean, r2=mean, r12=0.0, r12_true=0.0, r12_accidental=0.0)
         hits = 0
         for seed in range(1000):
-            rec = sample_counts(rates, 1.0, seed=seed)
-            if abs(rec.singles_1 - mean) > 5 * np.sqrt(mean):
+            singles_1, _, _ = sample_counts([mean, mean, 0.0], seed=seed, label="")
+            if abs(singles_1 - mean) > 5 * np.sqrt(mean):
                 hits += 1
         assert hits == 0
 
@@ -151,32 +164,47 @@ class TestSampleCounts:
     )
     @settings(max_examples=200, deadline=None)
     def test_record_invariants_always_hold(self, r1, r2, r12, seed):
-        from entmem.detection import ExpectedRates
-
         r12 = min(r12, r1, r2) if min(r1, r2) > 0 else 0.0
-        rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0)
-        rec = sample_counts(rates, 3.0, seed=seed)
+        rec = _simulated_record(r1, r2, r12, 3.0, seed)
         assert rec.coincidences <= min(rec.singles_1, rec.singles_2)
         assert rec.triples <= rec.coincidences
 
     def test_record_invariants_over_1e4_random_scenarios(self):
-        from entmem.detection import ExpectedRates
-
         rng = np.random.default_rng(44)
         for k in range(10_000):
             r1, r2 = rng.uniform(0, 1e4, 2)
             r12 = rng.uniform(0, min(r1, r2) + 1.0)
-            rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0)
-            rec = sample_counts(rates, float(rng.uniform(0.1, 5.0)), seed=k)
+            rec = _simulated_record(r1, r2, r12, float(rng.uniform(0.1, 5.0)), k)
             assert rec.coincidences <= min(rec.singles_1, rec.singles_2)
             assert rec.triples <= rec.coincidences
             assert min(rec.singles_1, rec.singles_2, rec.coincidences, rec.triples) >= 0
 
     def test_invalid_acquisition_rejected(self):
-        from entmem.detection import ExpectedRates
-
         with pytest.raises(ValidationError):
-            sample_counts(ExpectedRates(1, 1, 1, 1, 0), 0.0, seed=0)
+            count_means((1, 1, 1), 0.0, 0.0, "")
+
+
+class TestDrawCounts:
+    def test_expected_mode_rounds_and_carries_seed_zero(self):
+        assert draw_counts([0.4, 2.6, 7.0], "expected", 99, "x") == ([0, 3, 7], 0)
+        assert expected_counts([0.4, 2.6, 7.0]) == [0, 3, 7]
+
+    def test_poisson_mode_draws_at_the_label_and_carries_the_seed(self):
+        means = [1e3, 2e3, 50.0]
+        assert draw_counts(means, "poisson", 99, "x") == (sample_counts(means, 99, "x"), 99)
+        assert sample_counts(means, 99, "x") != sample_counts(means, 99, "y")
+
+
+class TestSinglePhotonLike:
+    def test_needs_the_triples_that_alpha_half_predicts(self):
+        # alpha = 0.5 predicts 0.5 * n12 * n13 / n1 triples: 3.0, then 2.95
+        resolved = {"n1": 600, "n12": 60, "n13": 60, "n123": 0}
+        assert single_photon_like(0.0, resolved)
+        assert not single_photon_like(0.5, resolved)
+        assert not single_photon_like(0.0, {**resolved, "n13": 59})
+
+    def test_no_herald_clicks_is_not_single_photon_like(self):
+        assert not single_photon_like(0.0, {"n1": 0, "n12": 0, "n13": 0, "n123": 0})
 
 
 class TestCountRecordCsv:
@@ -393,10 +421,7 @@ class TestLawOfLargeNumbers:
         total = 2_000_000
         counts = []
         for s, p in zip(settings_list, probs):
-            from entmem.detection import ExpectedRates
-
-            rates = ExpectedRates(r1=total, r2=total, r12=p * total, r12_true=p * total, r12_accidental=0)
-            counts.append(sample_counts(rates, 1.0, seed=123, setting_label=s.label).coincidences)
+            counts.append(sample_counts([total, total, p * total], seed=123, label=s.label)[2])
         n = sum(counts)
         for c, p in zip(counts, probs):
             if p == 0:

@@ -8,14 +8,21 @@ import pytest
 import entmem.pipeline as pipeline
 from conftest import classicalize
 from entmem.calibrate import DEFAULT_TARGETS, calibrate
-from entmem.detection import records_from_csv
+from entmem.detection import CountRecord, records_from_csv, sample_counts
 from entmem.errors import CalibrationError, EstimationError, ValidationError
-from entmem.estimators import EstimateWithError, chsh_S_analytic, visibility_analytic
+from entmem.estimators import (
+    TOMO_SETTINGS,
+    EstimateWithError,
+    chsh_S_analytic,
+    visibility_analytic,
+)
 from entmem.experiment import (
     STAGES,
+    alpha_probs,
     balanced_state,
     memory_efficiency,
     model_alpha,
+    model_rates,
     model_slot_g2,
     model_slot_g2_vs_storage_time,
     stage_state,
@@ -232,6 +239,29 @@ class TestRunExperiment:
         drawn = run_experiment(fast, "pre_storage")
         assert {r.seed for r in drawn.records["alpha"]} == {fast.master_seed}
 
+    def test_alpha_counts_are_the_draw_at_pre_alpha(self, fast):
+        view = stage_state(fast, "pre_storage")
+        acq = fast.plan.acquisition_s["alpha_pre"]
+        p1, p_port, p12, p123 = alpha_probs(view)
+        n_slots = fast.timing.pulse_rate * acq
+        means = [p * n_slots for p in (p1, p_port, p_port, p12, p12, p123)]
+        n1, n2a, n2b, n12, n13, n123 = sample_counts(means, fast.master_seed, "pre:alpha")
+        n12, n13 = min(n12, n1, n2a), min(n13, n1, n2b)
+        records, counts = pipeline.simulate_alpha(view, "poisson")
+        assert counts == {"n1": n1, "n12": n12, "n13": n13, "n123": min(n123, n12, n13)}
+        assert (records[1].singles_2, records[1].seed) == (n2b, fast.master_seed)
+
+    def test_tomography_record_is_the_draw_at_pre_tomo_label(self, fast):
+        view = stage_state(fast, "pre_storage")
+        hh = TOMO_SETTINGS.settings[0]
+        assert hh.label == "HH"
+        acq = fast.plan.acquisition_s["tomo_pre"]
+        rates = model_rates(view, [hh])[0]
+        means = [r * acq for r in (rates.r1, rates.r2, rates.r12)]
+        s1, s2, c = sample_counts(means, fast.master_seed, "pre:tomo:HH")
+        record = pipeline._simulate_records(view, "poisson", "tomo", [hh], "tomo:")[0]
+        assert record == CountRecord("HH", s1, s2, min(c, s1, s2), 0, acq, fast.master_seed)
+
     def test_depolarization_monotonicity_harness(self, fast):
         # increasing p_depol strictly decreases reported F_post and S_post
         fvals, svals = [], []
@@ -293,6 +323,20 @@ class TestClassicalGates:
         res = run_experiment(classical, stage)
         assert res.alpha_counts["n123"] > 50
         assert res.alpha.value == pytest.approx(1.0, abs=0.3)
+        assert not stage_report(classical, res)["alpha"]["single_photon_like"]
+
+    @pytest.mark.parametrize("stage", ["pre_storage", "post_storage"])
+    def test_unresolved_alpha_is_not_single_photon_like(self, fast, stage):
+        """Zero triples where alpha = 0.5 predicts fewer than 3 read alpha 0, unflagged.
+
+        The classical twin at the bundled alpha acquisition expects about 0.1
+        chance triples.
+        """
+        classical = classicalize(fast)
+        res = run_experiment(classical, stage)
+        counts = res.alpha_counts
+        assert 0.5 * counts["n12"] * counts["n13"] / counts["n1"] < 3
+        assert res.alpha.value < 0.5
         assert not stage_report(classical, res)["alpha"]["single_photon_like"]
 
 
