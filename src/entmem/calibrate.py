@@ -14,7 +14,8 @@ statistics set both correlation floors):
     g2_channel_background <- post-storage slot-normalized g2
 
 Every fit but tau_mem is one bracketed Brent root search on the target's
-model value (MODELS).  Every fit records target, achieved value and
+model value (MODELS), with a pure-Python port of scipy's brentq, so the
+package needs numpy only.  Every fit records target, achieved value and
 residual; residuals above 1% are flagged rather than silently accepted.
 The model V and the reported analytic S are the reports' own estimators
 on the noise-free Born probabilities of the plan's fringe and CHSH
@@ -24,10 +25,10 @@ settings (estimators.visibility_analytic, chsh_S_analytic).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic, visibility_analytic
@@ -103,17 +104,80 @@ FITS = (
 )
 
 
+# scipy's brentq defaults: relative tolerance 4 eps, 100 iterations
+_RTOL = 4 * sys.float_info.epsilon
+_MAXITER = 100
+
+
+def _brent(f, xpre, xcur, fpre, fcur, xtol):
+    """Root of f between xpre and xcur, whose values fpre and fcur are 0 or
+    of opposite signs; None when _MAXITER iterations do not converge.
+
+    Brent's method (Algorithms for Minimization without Derivatives, 1973)
+    step for step as scipy's brentq.c, so the roots are the same floats.
+    f must not return NaN.
+    """
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return None
+
+
 def _root(model, target, bracket, xtol, name, parameter) -> float:
     """Brent root of model(x) = target on the bracket."""
     lo, hi = bracket
     at_lo, at_hi = model(lo), model(hi)
-    if not (at_lo - target) * (at_hi - target) <= 0:
+    f_lo, f_hi = at_lo - target, at_hi - target
+    if not (f_lo <= 0 <= f_hi or f_hi <= 0 <= f_lo):
         raise CalibrationError(
             f"{name} target {target} unreachable: {parameter} = {lo:.6g} gives {at_lo:.6g} "
             f"and {parameter} = {hi:.6g} gives {at_hi:.6g}",
             parameter=parameter,
         )
-    return float(brentq(lambda x: model(x) - target, lo, hi, xtol=xtol))
+
+    def f(x):
+        value = model(x) - target
+        if math.isnan(value):
+            raise CalibrationError(f"{name} model is NaN at {parameter} = {x!r}", parameter=parameter)
+        return value
+
+    x = _brent(f, lo, hi, f_lo, f_hi, xtol)
+    if x is None:
+        raise CalibrationError(
+            f"{name} target {target}: the root search for {parameter} in [{lo:.6g}, {hi:.6g}] "
+            f"did not converge in {_MAXITER} iterations",
+            parameter=parameter,
+        )
+    return float(x)
 
 
 def _tau_for_eta(s: Scenario, target: float) -> float:

@@ -26,8 +26,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
-# Not called here: bench/tracer.py wraps estimators.minimize and bench/test_bench.py reads it.
-from scipy.optimize import minimize  # noqa: F401
 
 from .detection import CountRecord, MeasurementSetting, projection_probability
 from .errors import ConfigurationError, EntmemError, EstimationError, ValidationError
@@ -609,3 +607,18 @@ def mc_error(
         sigma=float(np.std(values[ok])),
         n_resamples=n_resamples,
     )
+
+
+def __getattr__(name: str):
+    """scipy's minimize, imported on first access and then kept as a module global.
+
+    Nothing in entmem calls it; bench/tracer.py wraps estimators.minimize and
+    bench/test_bench.py reads it.  Importing it lazily keeps scipy out of the
+    runtime.
+    """
+    if name == "minimize":
+        from scipy.optimize import minimize
+
+        globals()["minimize"] = minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import entmem.calibrate
 import entmem.cli as cli
 import entmem.estimators as estimators
 import entmem.pipeline as pipeline
@@ -247,6 +251,32 @@ def test_calibration_error_exit_code(tmp_path):
         ["--out", str(tmp_path), "calibrate", "--targets", '{"eta_100ns": 1.5}']
     )
     assert rc == 3
+
+
+def test_root_search_that_does_not_converge_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(entmem.calibrate, "_MAXITER", 1)
+    assert main(["--out", str(tmp_path), "calibrate"]) == 3
+    assert "did not converge in 1 iterations" in capsys.readouterr().err
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh process: this one has imported scipy for the reference solvers
+    code = f"""
+import sys
+import entmem
+import entmem.cli as cli
+assert cli.main(["--out", {str(tmp_path)!r}, "simulate", "--sampling", "expected"]) == 0
+assert cli.main(["--out", {str(tmp_path)!r}, "calibrate"]) == 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report_post.json").exists()
+    assert (tmp_path / "calibration_report.json").exists()
 
 
 def test_estimation_error_exit_code(tmp_path):
