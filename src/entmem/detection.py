@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, nan_or_raise
 from .qstate import PolarizationKet, TwoQubitState
 from .rng import derive_rng
 from .source import gaussian_fwhm_sigma
@@ -111,6 +111,10 @@ class TimingConfig:
         return self.rep_rate * self.cycles_per_duty
 
 
+# The largest count a record holds: counts become numpy int64 arrays.
+COUNT_MAX = int(np.iinfo(np.int64).max)
+
+
 @dataclass(frozen=True)
 class CountRecord:
     """Counts for one setting, plus the acquisition metadata."""
@@ -125,8 +129,8 @@ class CountRecord:
 
     def __post_init__(self):
         for name in ("singles_1", "singles_2", "coincidences", "triples"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) <= COUNT_MAX:
+                raise ValidationError(f"{name} must be >= 0 and fit in an int64")
         if self.coincidences > min(self.singles_1, self.singles_2):
             raise ValidationError("coincidences exceed singles")
         if self.triples > self.coincidences:
@@ -137,7 +141,7 @@ class CountRecord:
 
 CSV_HEADER = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed"
 # The largest mean numpy's Poisson sampler accepts.
-POISSON_MEAN_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+POISSON_MEAN_MAX = float(COUNT_MAX - 10 * np.sqrt(COUNT_MAX))
 # The most pairs a g2 histogram simulates: it draws one float64 delay per
 # pair, so this caps that array at 80 MB, 1e3 times the ~1e4 pairs of the
 # bundled scenario.
@@ -279,14 +283,15 @@ def click_probs(
     return tuple(min(p, 1.0) for p in (p1, p2, p12, p123))
 
 
-def heralded_alpha(p1: float, p12: float, p13: float, p123: float) -> float:
-    """Heralded autocorrelation P1*P123/(P12*P13); < 0.5 is single-photon-like."""
-    if p12 <= 0 or p13 <= 0:
-        raise EstimationError("heralded alpha undefined: zero two-fold coincidences")
-    alpha = p1 * p123 / (p12 * p13)
-    if alpha < 0:
-        raise EstimationError("heralded alpha came out negative")
-    return float(alpha)
+def heralded_alpha(p1, p12, p13, p123):
+    """Heralded autocorrelation P1*P123/(P12*P13); < 0.5 is single-photon-like.
+    Arrays give NaN where P12 or P13 is zero or alpha negative; scalars raise then."""
+    p1, p12, p13, p123 = (np.asarray(p, dtype=float) for p in (p1, p12, p13, p123))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero two-fold is NaN below
+        alpha = p1 * p123 / (p12 * p13)
+    undefined = (p12 <= 0) | (p13 <= 0) | ~(alpha >= 0)
+    message = "heralded alpha undefined: zero two-fold coincidences or negative"
+    return nan_or_raise(alpha, undefined, alpha.ndim == 0, message)
 
 
 # The fewest triples that alpha = 0.5 must predict for alpha < 0.5 to count:

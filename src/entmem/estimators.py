@@ -22,13 +22,13 @@ measured figures.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import CountRecord, MeasurementSetting, projection_probability
-from .errors import ConfigurationError, EntmemError, EstimationError, ValidationError
+from .detection import CountRecord, MeasurementSetting, heralded_alpha, projection_probability
+from .errors import ConfigurationError, EstimationError, ValidationError, nan_or_raise
 from .qstate import KET_BY_LABEL, TwoQubitState, ket_linear
 from .rng import derive_rng
 
@@ -117,22 +117,27 @@ def tomo_counts(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tomo_data(counts, acquisition_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Frequencies, exposures and counts of the 16 counts in TOMO_SETTINGS order.
+    """Frequencies, exposures and counts of 16 counts (or each (B, 16) row), TOMO_SETTINGS order.
 
     Coincidence rates are normalized by the total rate of the complete
     (H/V x H/V) quadruple, which measures every pair regardless of basis;
-    working with rates keeps unequal acquisition times consistent.
+    working with rates keeps unequal acquisition times consistent.  A
+    quadruple without coincidences is an EstimationError for one row and
+    NaN frequencies for a row of a stack.
     """
 
     counts = np.asarray(counts, dtype=float)
     acquisition_s = np.asarray(acquisition_s, dtype=float)
-    if counts.shape != (16,) or acquisition_s.shape != (16,):
+    if counts.ndim not in (1, 2) or counts.shape[-1] != 16 or acquisition_s.shape != (16,):
         raise ValidationError("tomography needs 16 counts and 16 acquisition times")
-    rates = counts / acquisition_s
-    total_rate = rates[_NORMALIZATION_IDX].sum()
-    if total_rate <= 0:
-        raise EstimationError("normalization group has zero coincidences")
-    return rates / total_rate, total_rate * acquisition_s, counts
+    with np.errstate(all="ignore"):  # checked below
+        rates = counts / acquisition_s
+        total_rate = rates[..., _NORMALIZATION_IDX].sum(axis=-1, keepdims=True)
+        freqs, exposures = rates / total_rate, total_rate * acquisition_s
+    if not (np.isfinite(rates).all() and np.isfinite(exposures).all()):
+        raise ValidationError("acquisition_s: the coincidence rates it gives are not finite")
+    message = "normalization group has zero coincidences"
+    return nan_or_raise(freqs, total_rate <= 0, counts.ndim == 1, message), exposures, counts
 
 
 def tomo_linear(counts, acquisition_s) -> np.ndarray:
@@ -323,15 +328,13 @@ def fit_rows(count_rows, acquisition_s) -> None:
     Rows that tomo_mle rejects before a fit are left to it."""
     if _SHARED_FITS is None:
         return
-    acq, batch = np.asarray(acquisition_s, dtype=float).tobytes(), {}
-    for row in count_rows:
-        with suppress(EstimationError):  # tomo_mle raises it again
-            data = _tomo_data(row, acquisition_s)
-            batch.setdefault((data[2].tobytes(), acq), data)
-    batch = {key: data for key, data in batch.items() if key not in _SHARED_FITS}
+    freqs, exposures, counts = _tomo_data(count_rows, acquisition_s)
+    acq = np.asarray(acquisition_s, dtype=float).tobytes()
+    batch = {(row.tobytes(), acq): k for k, row in enumerate(counts) if not np.isnan(freqs[k, 0])}
+    batch = {key: k for key, k in batch.items() if key not in _SHARED_FITS}
     if not batch:
         return
-    freqs, exposures, counts = (np.array(a) for a in zip(*batch.values()))
+    freqs, exposures, counts = (a[list(batch.values())] for a in (freqs, exposures, counts))
     linear = np.linalg.solve(_TOMO_DESIGN, freqs.T.astype(np.complex128)).T.reshape(-1, 4, 4)
     try:
         t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(linear)))
@@ -341,8 +344,9 @@ def fit_rows(count_rows, acquisition_s) -> None:
     m = _t_from_params(t)
     rho = m.conj().mT @ m
     rho = (rho + rho.conj().mT) / (2 * np.trace(rho, axis1=1, axis2=2).real[:, None, None])
-    for key, error, state in zip(batch, errors, rho):
-        _SHARED_FITS[key] = EstimationError(error) if error else TwoQubitState(state)
+    states = iter(TwoQubitState.stack(rho[[error is None for error in errors]]))
+    for key, error in zip(batch, errors):
+        _SHARED_FITS[key] = EstimationError(error) if error else next(states)
 
 
 def tomo_mle(counts, acquisition_s) -> TwoQubitState:
@@ -352,25 +356,21 @@ def tomo_mle(counts, acquisition_s) -> TwoQubitState:
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
     maximized over the Cholesky parameterization by damped Newton steps with
     the analytic Hessian (fit_rows on one row).  A fit Newton cannot finish
-    raises EstimationError.  Inside a shared_fits() scope a repeated input
-    returns its first fit's state (rho is read-only) or raises its error.
+    raises EstimationError.  Inside a shared_fits() scope an input fitted
+    before returns its first fit's state (rho is read-only) or raises its
+    error, without checking the input again.
     """
 
-    counts = _tomo_data(counts, acquisition_s)[2]
-    key = (counts.tobytes(), np.asarray(acquisition_s, dtype=float).tobytes())
-    with shared_fits():
-        if key not in _SHARED_FITS:
+    key = tuple(np.asarray(a, dtype=float).tobytes() for a in (counts, acquisition_s))
+    fit = None if _SHARED_FITS is None else _SHARED_FITS.get(key)
+    if fit is None:
+        counts = _tomo_data(counts, acquisition_s)[2]
+        with shared_fits():
             fit_rows([counts], acquisition_s)
-        fit = _SHARED_FITS[key]
+            fit = _SHARED_FITS[key]
     if isinstance(fit, EstimationError):
         raise fit.with_traceback(None)
     return fit
-
-
-def tomo_log_likelihood(rho: np.ndarray, counts, acquisition_s) -> float:
-    """Poisson log-likelihood of a state given the 16 counts (for diagnostics)."""
-    _, exposures, counts = _tomo_data(counts, acquisition_s)
-    return float(_log_likelihood(np.real(_TOMO_DESIGN @ np.ravel(rho)), counts, exposures)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -396,45 +396,51 @@ def chsh_settings(angles: tuple[float, float, float, float]) -> list[Measurement
     ]
 
 
-def chsh_E(c_pp: float, c_pm: float, c_mp: float, c_mm: float) -> float:
+_ZERO_TOTAL = "correlation undefined: zero total coincidences"
+
+
+def chsh_E(c_pp, c_pm, c_mp, c_mm):
     """Correlation from the four analyzer-port coincidence counts.
 
     The +/- ports of each arm are the analyzer angle and its orthogonal
-    complement.
+    complement.  Arrays give one E per element, NaN where the total is
+    zero; for scalars that is an EstimationError.
     """
 
+    c_pp, c_pm, c_mp, c_mm = (np.asarray(c, dtype=float) for c in (c_pp, c_pm, c_mp, c_mm))
     total = c_pp + c_pm + c_mp + c_mm
-    if total <= 0:
-        raise EstimationError("correlation undefined: zero total coincidences")
-    e = (c_pp + c_mm - c_pm - c_mp) / total
-    return float(min(max(e, -1.0), 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero total is NaN below
+        e = np.clip((c_pp + c_mm - c_pm - c_mp) / total, -1.0, 1.0)
+    return nan_or_raise(e, total <= 0, e.ndim == 0, _ZERO_TOTAL)
 
 
 def chsh_e_matrix(counts) -> np.ndarray:
-    """The 2x2 E matrix from the 16 CHSH coincidence counts in CHSH_LABELS order."""
-    return np.array(
-        [[chsh_E(*counts[8 * i + 4 * j : 8 * i + 4 * j + 4]) for j in range(2)] for i in range(2)]
-    )
+    """The 2x2 E matrix from the 16 CHSH coincidence counts in CHSH_LABELS order,
+    or the (B, 2, 2) matrices of a (B, 16) stack, NaN where a total is zero."""
+    counts = np.asarray(counts, dtype=float)
+    ports = counts.reshape(*counts.shape[:-1], 2, 2, 4)  # [i, j, port]
+    e = chsh_E(*np.moveaxis(ports, -1, 0))
+    return nan_or_raise(e, np.isnan(e), counts.ndim == 1, _ZERO_TOTAL)
 
 
-def chsh_S(e_matrix: np.ndarray) -> float:
+def chsh_S(e_matrix: np.ndarray):
     """CHSH parameter, maximized over the canonical sign placements.
 
     e_matrix[i, j] = E at (theta_i, theta_j') for the two angle choices per
     arm.  Of the four sums with exactly one minus sign, the largest in
     magnitude is returned; this reduces to the textbook formula when the
     subtracted term is the smallest contributor, and reaches 2*sqrt(2) on a
-    maximally entangled state with the standard angle set.
+    maximally entangled state with the standard angle set.  A (B, 2, 2)
+    stack gives B values, NaN for a NaN matrix.
     """
 
     e = np.asarray(e_matrix, dtype=float)
-    if e.shape != (2, 2):
+    if e.shape[-2:] != (2, 2):
         raise ValidationError("E matrix must be 2x2")
     if np.any(np.abs(e) > 1 + 1e-9):
         raise ValidationError("correlations must lie in [-1, 1]")
-    total = e.sum()
-    candidates = [abs(total - 2 * e[i, j]) for i in range(2) for j in range(2)]
-    return float(max(candidates))
+    s = np.abs(e.sum(axis=(-2, -1), keepdims=True) - 2 * e).max(axis=(-2, -1))
+    return float(s) if s.ndim == 0 else s
 
 
 def chsh_S_literal(e_matrix: np.ndarray) -> float:
@@ -564,21 +570,23 @@ def is_nonclassical_R(r: float) -> bool:
     return r > 1.0
 
 
+def alpha_from_counts(counts):
+    """Heralded alpha of (n1, n12, n13, n123), or of each (B, 4) row, n1, n12, n13 floored at 1."""
+    counts = np.asarray(counts, dtype=float)
+    return heralded_alpha(*np.maximum(counts[..., :3], 1).T, counts[..., 3])
+
+
 def mc_error(
-    estimator,
-    counts: np.ndarray,
-    n_resamples: int = 200,
-    seed: int = 0,
-    prefit=None,
+    estimator, counts: np.ndarray, n_resamples: int = 200, seed: int = 0
 ) -> EstimateWithError:
     """Poisson parametric bootstrap around the observed counts.
 
-    Every count is resampled as Poisson with mean equal to its observed
-    value, the estimator re-run, and the sample mean/stddev returned.
-    Per-trial derived seeds make the result independent of execution order.
-    prefit(rows), if given, gets the matrix of all resamples first (to fit
-    them as one batch, say).  A resample whose estimator raises an
-    EntmemError counts as failed; any other exception is a bug and propagates.
+    Every count is resampled as Poisson with mean equal to its observed value,
+    from per-trial derived seeds, so the result does not depend on execution
+    order.  The estimator gets the (n_resamples, len(counts)) matrix once and
+    returns one value per row, NaN where it fails; more than 10% failed rows
+    fail the estimate, and an exception it raises propagates.  Returns the
+    mean/stddev of the other rows.
     """
 
     if n_resamples < 100:
@@ -587,26 +595,14 @@ def mc_error(
     if np.any(counts < 0):
         raise ValidationError("counts must be >= 0")
     resampled = np.array([derive_rng(seed, "mc", k).poisson(counts) for k in range(n_resamples)])
-    if prefit is not None:
-        prefit(resampled)
-    values = np.empty(n_resamples)
-    failures = 0
-    for k in range(n_resamples):
-        try:
-            values[k] = float(estimator(resampled[k]))
-        except EntmemError:
-            values[k] = np.nan
-            failures += 1
-    if failures > 0.1 * n_resamples:
-        raise EstimationError(
-            f"estimator failed on {failures}/{n_resamples} Poisson resamples"
-        )
+    values = np.asarray(estimator(resampled), dtype=float)
+    if values.shape != (n_resamples,):
+        raise ValidationError(f"estimator gave shape {values.shape} for {n_resamples} resamples")
     ok = np.isfinite(values)
-    return EstimateWithError(
-        value=float(np.mean(values[ok])),
-        sigma=float(np.std(values[ok])),
-        n_resamples=n_resamples,
-    )
+    failures = n_resamples - int(ok.sum())
+    if failures > 0.1 * n_resamples:
+        raise EstimationError(f"estimator failed on {failures}/{n_resamples} Poisson resamples")
+    return EstimateWithError(float(np.mean(values[ok])), float(np.std(values[ok])), n_resamples)
 
 
 def __getattr__(name: str):

@@ -11,6 +11,7 @@ timestamps for that reason.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -24,7 +25,6 @@ from .detection import (
     count_means,
     draw_counts,
     g2_histogram,
-    heralded_alpha,
     records_to_csv,
     single_photon_like,
 )
@@ -33,6 +33,7 @@ from .estimators import (
     TOMO_SETTINGS,
     EstimateWithError,
     VisibilityResult,
+    alpha_from_counts,
     cauchy_schwarz_R,
     chsh_e_matrix,
     chsh_S,
@@ -198,9 +199,9 @@ def run_experiment(
     n_res = plan.n_resamples
     seed = scenario.master_seed
 
-    def with_sigma(point, estimator, counts, prefit=None) -> EstimateWithError:
+    def with_sigma(point, estimator, counts) -> EstimateWithError:
         """The point estimate, with the bootstrap sigma of estimator(counts) if enabled."""
-        sigma = mc_error(estimator, counts, n_res, seed, prefit).sigma if error_bars else 0.0
+        sigma = mc_error(estimator, counts, n_res, seed).sigma if error_bars else 0.0
         return EstimateWithError(point, sigma, n_res if error_bars else 0)
 
     # --- tomography and fidelity: to the ideal state before storage, to the
@@ -220,22 +221,22 @@ def run_experiment(
     n_ref = len(ref_counts)
     ideal = bell_psi_plus()
 
-    def reference(ref):
-        return tomo_mle(ref, ref_acq) if n_ref else ideal
+    def fits(rows, row_acq):
+        """The rows' fits as one fit_rows batch, each read through tomo_mle; NaN where it failed."""
+        fit_rows(rows, row_acq)
+        rho = np.full((len(rows), 4, 4), np.nan, dtype=np.complex128)
+        for k, row in enumerate(rows):
+            with suppress(EstimationError):
+                rho[k] = tomo_mle(row, row_acq).rho
+        return rho
 
-    def f_estimator(resampled):
-        ref = reference(resampled[:n_ref])
-        return fidelity(tomo_mle(resampled[n_ref:], acq), ref)
-
-    def prefit(resampled):  # two batches: a post-storage run alone fits the same as a full run
-        if n_ref:
-            fit_rows(resampled[:, :n_ref], ref_acq)
-        fit_rows(resampled[:, n_ref:], acq)
+    def f_estimator(resampled):  # the reference batch first: a post-storage run alone fits the same
+        ref = fits(resampled[:, :n_ref], ref_acq) if n_ref else ideal
+        return fidelity(fits(resampled[:, n_ref:], acq), ref)
 
     with shared_fits():
-        point = fidelity(result.rho_mle, reference(ref_counts))
-        observed = np.concatenate([ref_counts, counts])
-        result.fidelity = with_sigma(point, f_estimator, observed, prefit)
+        point = fidelity(result.rho_mle, tomo_mle(ref_counts, ref_acq) if n_ref else ideal)
+        result.fidelity = with_sigma(point, f_estimator, np.concatenate([ref_counts, counts]))
 
     # --- CHSH
     chsh_records = _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles))
@@ -263,11 +264,8 @@ def run_experiment(
     # --- heralded autocorrelation
     result.records["alpha"], result.alpha_counts = simulate_alpha(view, sampling)
 
-    def a_estimator(counts):
-        return heralded_alpha(max(counts[0], 1), max(counts[1], 1), max(counts[2], 1), counts[3])
-
     a_counts = [result.alpha_counts[k] for k in ("n1", "n12", "n13", "n123")]
-    result.alpha = with_sigma(a_estimator(a_counts), a_estimator, a_counts)
+    result.alpha = with_sigma(alpha_from_counts(a_counts), alpha_from_counts, a_counts)
 
     # --- cross-correlation histogram and Cauchy-Schwarz
     hist = simulate_g2(view)

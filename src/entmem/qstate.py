@@ -88,9 +88,29 @@ KET_BY_LABEL = {
 }
 
 
-def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        raise ValidationError(f"{what} is not Hermitian within {tol:g}")
+def _physical(rho: np.ndarray) -> np.ndarray:
+    """A (..., 4, 4) stack checked by TwoQubitState's rules with one stacked eigh, and
+    clamped where they clamp; rho itself when no matrix needs the clamp."""
+    if np.max(np.abs(rho - rho.conj().mT), initial=0.0) > HERMITICITY_TOL:  # 0: an empty stack
+        raise ValidationError(f"density matrix is not Hermitian within {HERMITICITY_TOL:g}")
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0) > TRACE_TOL
+    if off.any():
+        raise ValidationError(f"density matrix trace {tr[off].flat[0]} differs from 1")
+    vals, vecs = np.linalg.eigh((rho + rho.conj().mT) / 2)
+    lowest = vals[..., 0]  # eigh sorts ascending
+    if (lowest < -PSD_TOL).any():
+        raise ValidationError(
+            f"density matrix has eigenvalue {lowest.min():.3e} below -{PSD_TOL:g}"
+        )
+    clamp = lowest < 0
+    if not clamp.any():
+        return rho
+    vals = np.clip(vals, 0.0, None)
+    fixed = (vecs * vals[..., None, :]) @ vecs.conj().mT
+    trace = np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+    fixed = (fixed + fixed.conj().mT) / (2 * trace)
+    return np.where(clamp[..., None, None], fixed, rho)
 
 
 def matrix_json(m: np.ndarray) -> dict:
@@ -118,23 +138,21 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=np.complex128)
         if rho.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got {rho.shape}")
-        _check_hermitian(rho, HERMITICITY_TOL, "density matrix")
-        tr = np.trace(rho)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density matrix trace {tr} differs from 1")
-        vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-        if vals.min() < -PSD_TOL:
-            raise ValidationError(
-                f"density matrix has eigenvalue {vals.min():.3e} below -{PSD_TOL:g}"
-            )
-        if vals.min() < 0:
-            vals = np.clip(vals, 0.0, None)
-            rho = (vecs * vals) @ vecs.conj().T
-            rho = (rho + rho.conj().T) / (2 * np.trace(rho).real)
+        rho = _physical(rho)
         rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def stack(cls, rho: np.ndarray) -> list["TwoQubitState"]:
+        """One state per matrix of a (B, 4, 4) stack, all validated by one stacked eigh."""
+        rho = _physical(np.asarray(rho, dtype=np.complex128))
+        rho.setflags(write=False)
+        states = [object.__new__(cls) for _ in rho]
+        for state, m in zip(states, rho):
+            object.__setattr__(state, "rho", m)
+        return states
 
     @classmethod
     def from_ket(cls, ket4: np.ndarray) -> "TwoQubitState":
@@ -165,32 +183,37 @@ class TwoQubitState:
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Matrix square root of a PSD matrix via eigendecomposition.
+    """Matrix square root of a PSD matrix, or of each in a stack, via eigendecomposition.
 
     Eigenvalues are clamped at zero, with a relative floor so that the
     square root does not amplify 1e-16 eigensolver noise on exact zeros
     into 1e-8 artifacts.
     """
 
-    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
-    floor = max(vals.max(), 0.0) * 1e-13
+    vals, vecs = np.linalg.eigh((m + m.conj().mT) / 2)
+    floor = np.maximum(vals.max(axis=-1, keepdims=True), 0.0) * 1e-13
     vals = np.where(vals > floor, vals, 0.0)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().mT
 
 
-def fidelity(rho: TwoQubitState, sigma: TwoQubitState) -> float:
+def fidelity(rho, sigma):
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, in [0, 1].
 
     Evaluated as the squared trace norm of sqrt(rho) sqrt(sigma), which is
     the same quantity but keeps near-zero singular values at machine
-    precision instead of square-rooting eigenvalue noise.
+    precision instead of square-rooting eigenvalue noise.  States or (..., 4, 4)
+    stacks that broadcast give one value per pair, NaN where either holds a NaN
+    (a failed fit, which would fail numpy's stacked eigh for the whole stack).
     """
 
-    r = psd_sqrt(rho.rho)
-    s = psd_sqrt(sigma.rho)
-    singulars = np.linalg.svd(r @ s, compute_uv=False)
-    f = float(np.sum(singulars) ** 2)
-    return min(max(f, 0.0), 1.0)
+    a, b = (np.asarray(getattr(m, "rho", m)) for m in (rho, sigma))
+    ok = ~np.isnan(a).any(axis=(-2, -1)) & ~np.isnan(b).any(axis=(-2, -1))
+    f = np.full(ok.shape, np.nan)
+    if ok.any():
+        a, b = (m if m.ndim == 2 else np.broadcast_to(m, (*ok.shape, 4, 4))[ok] for m in (a, b))
+        singulars = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
+        f[ok] = np.clip(singulars.sum(axis=-1) ** 2, 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 # Common two-qubit states used throughout the package.

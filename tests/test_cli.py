@@ -335,19 +335,30 @@ CHSH_LABELS = [f"chsh:{i}{j}:{p}" for i in "01" for j in "01" for p in ("pp", "p
 
 
 @pytest.mark.parametrize(
-    "command, rows",
+    "command, rows, field",
     [
-        ("tomo", ["HH,100,100,10,0,nan,0"] + _csv_rows(TOMO_LABELS[1:])),
-        ("tomo", ["HH,100,100,10,0,inf,0"] + _csv_rows(TOMO_LABELS[1:])),
-        ("tomo", ["HH,100,100,ten,0,1.0,0"] + _csv_rows(TOMO_LABELS[1:])),
-        ("chsh", _csv_rows(CHSH_LABELS) + ["chsh:00:pp,100,100,90,0,1.0,0"]),
+        ("tomo", ["HH,100,100,10,0,nan,0"] + _csv_rows(TOMO_LABELS[1:]), None),
+        ("tomo", ["HH,100,100,10,0,inf,0"] + _csv_rows(TOMO_LABELS[1:]), None),
+        ("tomo", ["HH,100,100,ten,0,1.0,0"] + _csv_rows(TOMO_LABELS[1:]), None),
+        ("chsh", _csv_rows(CHSH_LABELS) + ["chsh:00:pp,100,100,90,0,1.0,0"], None),
+        # float(10**400) overflows, and 100 / 1e-320 is beyond the float range
+        ("tomo", [f"HH,{10**400},100,10,0,1.0,0"] + _csv_rows(TOMO_LABELS[1:]), "singles_1"),
+        ("tomo", ["HH,100,100,10,0,1e-320,0"] + _csv_rows(TOMO_LABELS[1:]), "acquisition_s"),
     ],
-    ids=["nan_acquisition", "inf_acquisition", "non_numeric", "duplicate_label"],
+    ids=[
+        "nan_acquisition",
+        "inf_acquisition",
+        "non_numeric",
+        "duplicate_label",
+        "count_above_int64",
+        "subnormal_acquisition",
+    ],
 )
-def test_count_csv_contract_violation_exits_2(tmp_path, command, rows):
+def test_count_csv_contract_violation_exits_2(tmp_path, capsys, command, rows, field):
     csv_path = tmp_path / "counts.csv"
     csv_path.write_text("\n".join([CSV_HEADER, *rows]) + "\n")
     assert main(["--out", str(tmp_path), command, "--counts", str(csv_path)]) == 2
+    assert field is None or field in capsys.readouterr().err
 
 
 def _missing(tmp_path):

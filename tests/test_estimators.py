@@ -17,11 +17,12 @@ from conftest import (
     trace_distance,
 )
 from entmem.calibrate import calibrate
-from entmem.detection import CountRecord, projection_probability
+from entmem.detection import CountRecord, heralded_alpha, projection_probability
 from entmem.errors import ConfigurationError, EstimationError, ValidationError
 from entmem.estimators import (
     EstimateWithError,
     TomographySettingSet,
+    alpha_from_counts,
     cauchy_schwarz_R,
     chsh_E,
     chsh_e_matrix,
@@ -34,7 +35,6 @@ from entmem.estimators import (
     mc_error,
     tomo_counts,
     tomo_linear,
-    tomo_log_likelihood,
     tomo_mle,
     visibility_analytic,
     visibility_fit,
@@ -290,6 +290,13 @@ def newton_from(init: np.ndarray, counts, acq) -> np.ndarray:
     return _rho_from_params(fitted[0])
 
 
+def tomo_log_likelihood(rho: np.ndarray, counts, acquisition_s) -> float:
+    """Poisson log-likelihood of a state given the 16 counts."""
+    _, exposures, counts = estimators._tomo_data(counts, acquisition_s)
+    probs = np.real(estimators._TOMO_DESIGN @ np.ravel(rho))
+    return float(estimators._log_likelihood(probs, counts, exposures)[0])
+
+
 def optimality_gap(rho: np.ndarray, counts, acq) -> float:
     """lambda_max(G) - Tr(G rho) over the total count, with G = sum_k w_k P_k.
 
@@ -373,12 +380,14 @@ class TestNewtonSolver:
             tomo_mle(counts, acq)
         failed = []
 
-        def resampled_purity(resampled):
-            try:
-                return purity(tomo_mle(resampled, acq))
-            except EstimationError:
-                failed.append(resampled)
-                raise
+        def resampled_purity(rows):
+            values = np.full(len(rows), np.nan)
+            for k, row in enumerate(rows):
+                try:
+                    values[k] = purity(tomo_mle(row, acq))
+                except EstimationError:
+                    failed.append(row)
+            return values
 
         with pytest.raises(EstimationError, match="Poisson resamples") as exc:
             mc_error(resampled_purity, counts, n_resamples=200, seed=1)
@@ -412,6 +421,38 @@ class TestNewtonSolver:
             result = pipeline.run_experiment(calibrated, stage)
             assert result.fidelity.sigma > 0
         assert failures == []
+
+    def test_failed_reference_fits_fail_only_their_resamples(self, calibrated, monkeypatch):
+        """A post-storage bootstrap in which capped fits fail, some of them reference fits:
+        each resample with a failed fit is one NaN row, and the rest give the sigma."""
+        failed, bootstraps = set(), []
+        tomo_mle_, mc_error_ = pipeline.tomo_mle, pipeline.mc_error
+
+        def counted_tomo_mle(counts, acq):
+            try:
+                return tomo_mle_(counts, acq)
+            except EstimationError:
+                failed.add((np.asarray(counts).tobytes(), acq[0]))
+                raise
+
+        def recorded_mc_error(estimator, *args):
+            def recorded(rows):
+                bootstraps.append((rows, estimator(rows)))
+                return bootstraps[-1][1]
+
+            return mc_error_(recorded, *args)
+
+        monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 16)
+        monkeypatch.setattr(pipeline, "tomo_mle", counted_tomo_mle)
+        monkeypatch.setattr(pipeline, "mc_error", recorded_mc_error)
+        result = pipeline.run_experiment(calibrated, "post_storage")
+        rows, values = bootstraps[0]  # the fidelity bootstrap: 16 reference counts, then 16
+        acq = calibrated.plan.acquisition_s
+        ref_failed = [(r[:16].tobytes(), acq["tomo_pre"]) in failed for r in rows]
+        stage_failed = [(r[16:].tobytes(), acq["tomo_post"]) in failed for r in rows]
+        assert any(ref_failed) and any(stage_failed)
+        assert np.array_equal(np.isnan(values), np.logical_or(ref_failed, stage_failed))
+        assert result.fidelity.sigma == np.std(values[~np.isnan(values)]) > 0
 
     @staticmethod
     def _stack(rng, lowest_eigenvalues):
@@ -826,32 +867,42 @@ class TestCauchySchwarz:
 
 
 class TestMcError:
+    """mc_error calls its estimator once, on the (n_resamples, n) matrix of resamples."""
+
     def test_sqrt_n_oracle(self):
-        est = mc_error(lambda c: float(c[0]), np.array([10000.0]), n_resamples=1000, seed=3)
+        est = mc_error(lambda rows: rows[:, 0], np.array([10000.0]), n_resamples=1000, seed=3)
         assert est.sigma == pytest.approx(100.0, rel=0.10)
         assert est.value == pytest.approx(10000.0, rel=0.01)
 
     def test_constant_estimator_zero_sigma(self):
-        est = mc_error(lambda c: 7.5, np.array([100.0, 200.0]), n_resamples=200, seed=1)
+        est = mc_error(lambda rows: np.full(len(rows), 7.5), np.array([100.0, 200.0]), 200, seed=1)
         assert est.sigma == 0.0
         assert est.value == 7.5
 
     def test_deterministic_per_seed(self):
-        a = mc_error(lambda c: float(c.sum()), np.array([50.0, 60.0]), 200, seed=9)
-        b = mc_error(lambda c: float(c.sum()), np.array([50.0, 60.0]), 200, seed=9)
+        a = mc_error(lambda rows: rows.sum(axis=1), np.array([50.0, 60.0]), 200, seed=9)
+        b = mc_error(lambda rows: rows.sum(axis=1), np.array([50.0, 60.0]), 200, seed=9)
         assert (a.value, a.sigma) == (b.value, b.sigma)
 
     def test_failure_fraction_guard(self):
-        def flaky(counts):
-            if counts[0] % 2 == 0:
-                raise EstimationError("boom")
-            return 1.0
+        """A NaN row is a failed resample; more than 10% of them fail the estimate."""
+        rows = np.array([derive_rng(2, "mc", k).poisson([1000.0]) for k in range(200)])
+        even = int((rows[:, 0] % 2 == 0).sum())
+        assert even > 20
+        with pytest.raises(EstimationError, match=f"failed on {even}/200 Poisson resamples"):
+            mc_error(lambda r: np.where(r[:, 0] % 2 == 0, np.nan, 1.0), np.array([1000.0]), 200, 2)
 
-        with pytest.raises(EstimationError):
-            mc_error(flaky, np.array([1000.0]), n_resamples=200, seed=2)
+        def first_rows_fail(n):
+            return lambda r: np.where(np.arange(len(r)) < n, np.nan, r[:, 0])
+
+        est = mc_error(first_rows_fail(20), np.array([1000.0]), 200, seed=2)
+        kept = rows[20:, 0].astype(float)
+        assert (est.value, est.sigma) == (np.mean(kept), np.std(kept))
+        with pytest.raises(EstimationError, match="failed on 21/200 Poisson resamples"):
+            mc_error(first_rows_fail(21), np.array([1000.0]), 200, seed=2)
 
     def test_non_entmem_error_propagates(self):
-        def broken(counts):
+        def broken(rows):
             raise RuntimeError("bug")
 
         with pytest.raises(RuntimeError, match="bug"):
@@ -859,24 +910,115 @@ class TestMcError:
 
     def test_minimum_resamples_enforced(self):
         with pytest.raises(ValidationError):
-            mc_error(lambda c: 0.0, np.array([1.0]), n_resamples=50)
+            mc_error(lambda rows: np.zeros(len(rows)), np.array([1.0]), n_resamples=50)
 
-    def test_prefit_gets_every_resample_before_the_estimator_runs(self):
+    def test_estimator_gets_the_resample_matrix_once(self):
         counts = np.array([50.0, 60.0, 7.0])
         expected = np.array([derive_rng(9, "mc", k).poisson(counts) for k in range(200)])
-        seen, calls = [], []
+        calls = []
 
-        def estimator(row):
-            calls.append(row.copy())
-            return float(row @ [1.0, 2.0, 3.0])
+        def estimator(rows):
+            calls.append(rows.copy())
+            return rows @ [1.0, 2.0, 3.0]
 
-        plain = mc_error(estimator, counts, 200, seed=9)
-        assert np.array_equal(calls, expected)
-        calls.clear()
-        prefitted = mc_error(estimator, counts, 200, seed=9, prefit=lambda rows: seen.append(rows.copy()))
-        assert len(seen) == 1 and np.array_equal(seen[0], expected)
-        assert np.array_equal(calls, expected)
-        assert (prefitted.value, prefitted.sigma) == (plain.value, plain.sigma)
+        est = mc_error(estimator, counts, 200, seed=9)
+        assert len(calls) == 1 and np.array_equal(calls[0], expected)
+        values = expected @ [1.0, 2.0, 3.0]
+        assert (est.value, est.sigma) == (np.mean(values), np.std(values))
+        with pytest.raises(ValidationError, match="for 200 resamples"):
+            mc_error(lambda rows: 1.0, counts, 200, seed=9)
+
+
+def _one_row(estimator, row):
+    """estimator on one row: its value, or NaN where it raises EstimationError."""
+    try:
+        return estimator(row)
+    except EstimationError:
+        return np.nan
+
+
+# References: each figure of one input as the per-resample loop computed it,
+# with Python-int count arithmetic and one eigh and svd per matrix.
+
+
+def _fidelity_loop(a, b) -> float:
+    def sqrt(m):
+        vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+        vals = np.where(vals > max(vals.max(), 0.0) * 1e-13, vals, 0.0)
+        return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+    if np.isnan(a).any() or np.isnan(b).any():
+        return np.nan
+    f = float(np.sum(np.linalg.svd(sqrt(a) @ sqrt(b), compute_uv=False)) ** 2)
+    return min(max(f, 0.0), 1.0)
+
+
+def _chsh_s_loop(counts) -> float:
+    e = np.empty((2, 2))
+    for i, j in np.ndindex(2, 2):
+        pp, pm, mp, mm = (int(c) for c in counts[8 * i + 4 * j : 8 * i + 4 * j + 4])
+        if pp + pm + mp + mm == 0:
+            return np.nan
+        e[i, j] = min(max((pp + mm - pm - mp) / (pp + pm + mp + mm), -1.0), 1.0)
+    return float(max(abs(e.sum() - 2 * e[i, j]) for i, j in np.ndindex(2, 2)))
+
+
+def _alpha_loop(counts, floor=0) -> float:
+    n1, n12, n13, n123 = (int(c) for c in counts)
+    n1, n12, n13 = max(n1, floor), max(n12, floor), max(n13, floor)
+    return np.nan if n12 <= 0 or n13 <= 0 else n1 * n123 / (n12 * n13)
+
+
+class TestStackedEstimators:
+    """A stack of rows gives each row's one-row value and the per-resample loop's value
+    bit for bit, NaN where the one-row form raises."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(1, 12), one_sigma=st.booleans())
+    def test_fidelity(self, seed, size, one_sigma):
+        rng = np.random.default_rng(seed)
+
+        def states(n):
+            return np.array([random_density_matrix(rng, int(rng.integers(1, 5))).rho for _ in range(n)])
+
+        rho, sigma = states(size), states(1 if one_sigma else size)
+        rho[rng.random(size) < 0.3] = np.nan  # failed fits
+        sigma[rng.random(len(sigma)) < 0.2] = np.nan
+        sigma = sigma[0] if one_sigma else sigma
+        pairs = list(zip(rho, np.broadcast_to(sigma, rho.shape)))
+        stacked = fidelity(rho, sigma)
+        assert np.array_equal(stacked, [_fidelity_loop(a, b) for a, b in pairs], equal_nan=True)
+        assert np.array_equal(stacked, [fidelity(a, b) for a, b in pairs], equal_nan=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(1, 12))
+    def test_chsh(self, seed, size):
+        rng = np.random.default_rng(seed)
+        rows = rng.poisson(rng.uniform(0.0, 40.0, size=(size, 1)), size=(size, 16))
+        rows[rng.random(size) < 0.3, 4:8] = 0  # no coincidences at an angle pair
+
+        def s_of(counts):
+            return chsh_S(chsh_e_matrix(counts))
+
+        stacked = s_of(rows)
+        assert np.array_equal(stacked, [_chsh_s_loop(r) for r in rows], equal_nan=True)
+        assert np.array_equal(stacked, [_one_row(s_of, r) for r in rows], equal_nan=True)
+        e = np.array([_one_row(lambda r: chsh_E(*r), r) for r in rows[:, :4]])
+        assert np.array_equal(chsh_E(*rows[:, :4].T), e, equal_nan=True)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(1, 12))
+    def test_alpha(self, seed, size):
+        rng = np.random.default_rng(seed)
+        rows = rng.poisson([4e5, 200.0, 200.0, 2.0], size=(size, 4))
+        rows[rng.random(size) < 0.3, rng.integers(1, 3)] = 0  # no two-fold coincidences
+        stacked = heralded_alpha(*rows.T)
+        assert np.array_equal(stacked, [_alpha_loop(r) for r in rows], equal_nan=True)
+        one_row = [_one_row(lambda r: heralded_alpha(*r), r) for r in rows]
+        assert np.array_equal(stacked, one_row, equal_nan=True)
+        floored = alpha_from_counts(rows)  # never undefined
+        assert np.array_equal(floored, [_alpha_loop(r, floor=1) for r in rows])
+        assert np.array_equal(floored, [alpha_from_counts(r) for r in rows])
 
 
 class TestEstimateWithError:

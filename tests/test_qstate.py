@@ -100,6 +100,31 @@ class TestTwoQubitStateValidation:
             rho = TwoQubitState((m + m.conj().T) / 2).rho
             assert np.array_equal(rho, rho.conj().T)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(0, 8))
+    def test_stack_is_each_state_bit_for_bit(self, seed, size):
+        """Clamped (lowest eigenvalue in [-1e-9, 0)) and unclamped matrices, validated as one stack."""
+        rng = np.random.default_rng(seed)
+        mats = []
+        for _ in range(size):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+            low = rng.choice([rng.uniform(0.0, 0.3), -rng.uniform(0.0, 9e-10)])
+            vals = np.concatenate([[low], rng.dirichlet(np.ones(3)) * (1 - low)])
+            m = (q * vals) @ q.conj().T
+            mats.append((m + m.conj().T) / (2 * np.trace(m).real))
+        stacked = TwoQubitState.stack(np.array(mats).reshape(size, 4, 4))
+        assert [s.rho.tolist() for s in stacked] == [TwoQubitState(m).rho.tolist() for m in mats]
+        assert all(not s.rho.flags.writeable for s in stacked)
+
+    def test_stack_applies_every_rule(self):
+        good = np.eye(4, dtype=complex) / 4
+        skew = good.copy()
+        skew[0, 1] = 0.5
+        bad_psd = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
+        for bad, match in ((bad_psd, "eigenvalue"), (2 * good, "trace"), (skew, "Hermitian")):
+            with pytest.raises(ValidationError, match=match):
+                TwoQubitState.stack([good, bad])
+
 
 class TestFidelity:
     def test_identity_case(self, rng):
