@@ -42,9 +42,9 @@ from .detection import (
     LossBudget,
     MeasurementSetting,
     TimingConfig,
+    born_probabilities,
     g2_histogram,
     heralded_alpha,
-    projection_probability,
     sample_counts,
 )
 from .estimators import (

@@ -128,11 +128,15 @@ def _cmd_tomo(args) -> int:
 
 def _cmd_chsh(args) -> int:
     records = records_from_csv(read_input(args.counts))
-    by_label = {r.setting_label: r.coincidences for r in records}
+    by_label = {r.setting_label: r for r in records}
     missing = [label for label in CHSH_LABELS if label not in by_label]
     if missing:
         raise ValidationError(f"missing CHSH records {missing}")
-    e = chsh_e_matrix([by_label[label] for label in CHSH_LABELS])
+    chsh = [by_label[label] for label in CHSH_LABELS]
+    times = sorted({r.acquisition_s for r in chsh})
+    if len(times) > 1:  # E is a ratio of raw counts: it compares rates at one time only
+        raise ValidationError(f"the 16 CHSH records must share one acquisition_s, got {times}")
+    e = chsh_e_matrix([r.coincidences for r in chsh])
     s = chsh_S(e)
     print(f"E matrix: {e.tolist()}")
     print(f"S = {s:.6f} (literal formula: {chsh_S_literal(e):.6f})")
@@ -150,6 +154,11 @@ def _cmd_eit(args) -> int:
     return 0
 
 
+def _finite_number(x) -> bool:
+    """A JSON number a float holds: not a bool, NaN, an infinity or an int past the float range."""
+    return type(x) in (int, float) and abs(x) <= sys.float_info.max
+
+
 def _cmd_report(args) -> int:
     try:
         data = json.loads(read_input(args.report))
@@ -157,16 +166,16 @@ def _cmd_report(args) -> int:
         raise ValidationError(f"{args.report} is not a JSON report: {exc}") from exc
     if not data or not isinstance(data, dict):
         raise ValidationError("empty report")
-    round_trip = json.loads(json.dumps(data, sort_keys=True))
-    if round_trip != data:
-        raise ValidationError("report does not round-trip")
     stage = data.get("stage", "?")
     entries = {key: data.get(key) for key in ("fidelity", "chsh", "visibility")}
     for key, entry in entries.items():
         if not isinstance(entry, dict) or not all(
-            isinstance(entry.get(k), (int, float)) for k in ("value", "sigma")
+            _finite_number(entry.get(k)) for k in ("value", "sigma")
         ):
-            raise ValidationError(f"report has no numeric {key} value and sigma")
+            raise ValidationError(f"report has no finite numeric {key} value and sigma")
+    round_trip = json.loads(json.dumps(data, sort_keys=True))
+    if round_trip != data:
+        raise ValidationError("report does not round-trip")
     fid, chsh, vis = entries.values()
     print(f"stage: {stage}")
     print(f"fidelity ({fid.get('reference')}): {fid.get('value'):.4f} +- {fid.get('sigma'):.4f}")

@@ -1,6 +1,6 @@
 """From quantum states to count records.
 
-Born-rule projection probabilities, the detector, loss and timing
+Born-rule probabilities of analyzer settings, the detector, loss and timing
 parameters, and the count records themselves: draw_counts turns the
 mean counts of one acquisition into counts, Poisson-sampled with derived
 seeds or rounded, so every record is reproducible from (scenario, seed).
@@ -183,22 +183,34 @@ def records_from_csv(text: str) -> list[CountRecord]:
     return out
 
 
-def projection_probability(rho: TwoQubitState, setting: MeasurementSetting) -> float:
-    """Born-rule probability of the joint projection."""
-    v = np.kron(setting.arm1_projector.vector, setting.arm2_projector.vector)
-    p = float(np.real(np.vdot(v, rho.rho @ v)))
-    return min(max(p, 0.0), 1.0)
+def setting_kets(settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arm-1, arm-2 and joint kets of the settings, one row per setting: the
+    (S, 2), (S, 2) and (S, 4) arrays, joint rows in the (HH, HV, VH, VV) order."""
+    k1 = np.array([s.arm1_projector.vector for s in settings]).reshape(-1, 2)
+    k2 = np.array([s.arm2_projector.vector for s in settings]).reshape(-1, 2)
+    return k1, k2, (k1[:, :, None] * k2[:, None, :]).reshape(-1, 4)
+
+
+def born_probabilities(rho: TwoQubitState, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Born-rule probabilities of the settings, one (S,) array each, clamped into [0, 1]: the
+    joint projection on rho and each arm's analyzer on that arm's reduced state, every one
+    Re<k|M|k> of a row k of setting_kets, all rows in one stacked evaluation."""
+    k1, k2, k12 = setting_kets(settings)
+    return tuple(
+        np.clip(np.real(np.vecdot(k, (m @ k[..., None])[..., 0])), 0.0, 1.0)
+        for m, k in ((rho.rho, k12), (rho.reduced_signal1(), k1), (rho.reduced_signal2(), k2))
+    )
 
 
 @dataclass(frozen=True)
 class ExpectedRates:
-    """Per-second expected count rates for one setting."""
+    """Per-second expected count rates of S settings, one (S,) array each."""
 
-    r1: float
-    r2: float
-    r12: float
-    r12_true: float
-    r12_accidental: float
+    r1: np.ndarray
+    r2: np.ndarray
+    r12: np.ndarray
+    r12_true: np.ndarray
+    r12_accidental: np.ndarray
 
 
 def count_means(rates, per: float, acquisition_s: float, label: str) -> list[float]:

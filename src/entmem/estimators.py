@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import CountRecord, MeasurementSetting, heralded_alpha, projection_probability
+from .detection import (
+    CountRecord,
+    MeasurementSetting,
+    born_probabilities,
+    heralded_alpha,
+    setting_kets,
+)
 from .errors import ConfigurationError, EstimationError, ValidationError, nan_or_raise
 from .qstate import KET_BY_LABEL, TwoQubitState, ket_linear
 from .rng import derive_rng
@@ -50,8 +56,7 @@ class TomographySettingSet:
         labels = [s.label for s in self.settings]
         if len(set(labels)) != 16:
             raise ConfigurationError("tomography settings must have unique labels")
-        design = _design_matrix(self.settings)
-        if np.linalg.matrix_rank(design, tol=1e-9) != 16:
+        if np.linalg.matrix_rank(_projectors(self.settings).reshape(16, 16), tol=1e-9) != 16:
             raise ConfigurationError(
                 "tomography settings do not span the operator space "
                 "(duplicate or degenerate projectors)"
@@ -78,14 +83,10 @@ class EstimateWithError:
             raise ValidationError("a nonzero sigma requires >= 100 resamples")
 
 
-def _projector_matrix(setting: MeasurementSetting) -> np.ndarray:
-    v = np.kron(setting.arm1_projector.vector, setting.arm2_projector.vector)
-    return np.outer(v, v.conj())
-
-
-def _design_matrix(settings) -> np.ndarray:
-    # Row i maps vec(rho) -> Tr(rho P_i).
-    return np.array([_projector_matrix(s).T.flatten() for s in settings])
+def _projectors(settings) -> np.ndarray:
+    """The (S, 4, 4) joint projectors |k><k| of the settings."""
+    k = setting_kets(settings)[2]
+    return k[:, :, None] * k[:, None, :].conj()
 
 
 # The one tomography design (James et al., PRA 64, 052312, 2001), built and
@@ -98,8 +99,8 @@ TOMO_SETTINGS = TomographySettingSet(
     )
 )
 _TOMO_LABELS = tuple(s.label for s in TOMO_SETTINGS.settings)
-_TOMO_PROJECTORS = np.stack([_projector_matrix(s) for s in TOMO_SETTINGS.settings])
-_TOMO_DESIGN = _design_matrix(TOMO_SETTINGS.settings)
+_TOMO_PROJECTORS = _projectors(TOMO_SETTINGS.settings)
+_TOMO_DESIGN = _TOMO_PROJECTORS.mT.reshape(16, 16)  # row i maps vec(rho) -> Tr(rho P_i)
 _NORMALIZATION_IDX = [_TOMO_LABELS.index(label) for label in NORMALIZATION_GROUP]
 
 
@@ -453,7 +454,7 @@ def chsh_S_literal(e_matrix: np.ndarray) -> float:
 
 def chsh_S_analytic(rho: TwoQubitState, angles: tuple[float, float, float, float]) -> float:
     """Exact S of the state: chsh_S of the Born probabilities of chsh_settings(angles)."""
-    return chsh_S(chsh_e_matrix([projection_probability(rho, s) for s in chsh_settings(angles)]))
+    return chsh_S(chsh_e_matrix(born_probabilities(rho, chsh_settings(angles))[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +550,7 @@ def visibility_fit(
 def visibility_analytic(rho: TwoQubitState, arm1_label: str, thetas) -> float:
     """Exact visibility of the state: the fringe fit to the Born
     probabilities of fringe_settings(arm1_label, thetas)."""
-    probs = [projection_probability(rho, s) for s in fringe_settings(arm1_label, thetas)]
+    probs = born_probabilities(rho, fringe_settings(arm1_label, thetas))[0]
     _, _, coefficients = _fringe_fit(list(zip(thetas, probs)))
     return float(_contrast(*coefficients))
 

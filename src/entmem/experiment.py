@@ -17,14 +17,14 @@ import numpy as np
 from .detection import (
     ExpectedRates,
     MeasurementSetting,
+    born_probabilities,
     click_probs,
     heralded_alpha,
-    projection_probability,
 )
 from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
 from .memory import apply_memory, efficiency_curve
-from .qstate import PolarizationKet, TwoQubitState
+from .qstate import TwoQubitState
 from .scenario import Scenario
 from .source import Spectrum, two_photon_state, wavepacket_spectrum
 
@@ -212,14 +212,8 @@ def model_alpha(stage: Stage) -> float:
     return heralded_alpha(p1, p12, p12, p123)
 
 
-def _arm_probability(reduced: np.ndarray, ket: PolarizationKet) -> float:
-    """Probability of one arm passing its analyzer, from that arm's reduced state."""
-    p = float(np.real(np.vdot(ket.vector, reduced @ ket.vector)))
-    return min(max(p, 0.0), 1.0)
-
-
-def model_rates(stage: Stage, settings: Sequence[MeasurementSetting]) -> list[ExpectedRates]:
-    """Singles and coincidence rates (per second) of each analyzer setting.
+def model_rates(stage: Stage, settings: Sequence[MeasurementSetting]) -> ExpectedRates:
+    """Singles and coincidence rates (per second) of the analyzer settings, (S,) arrays.
 
     The singles add the dark counts and, after storage, the retrieval
     noise to the detected photons; dead time scales each arm.  The
@@ -228,22 +222,16 @@ def model_rates(stage: Stage, settings: Sequence[MeasurementSetting]) -> list[Ex
     belongs to a coincidence.
     """
 
-    scenario, rho = stage.scenario, stage.rho
+    scenario = stage.scenario
     d1, d2 = scenario.detector1, scenario.detector2
     pairs = scenario.timing.pulse_rate * scenario.source.pair_prob
     gate_s = min(d1.gate_width, d2.gate_width) * 1e-9
-    reduced1, reduced2 = rho.reduced_signal1(), rho.reduced_signal2()
-    rates = []
-    for setting in settings:
-        m1 = _arm_probability(reduced1, setting.arm1_projector)
-        m2 = _arm_probability(reduced2, setting.arm2_projector)
-        r1_raw = pairs * m1 * stage.e1 + d1.dark_rate
-        r2_raw = pairs * m2 * stage.e2 + d2.dark_rate + stage.background_rate_2
-        f1 = 1.0 / (1.0 + r1_raw * d1.dead_time * 1e-9)
-        f2 = 1.0 / (1.0 + r2_raw * d2.dead_time * 1e-9)
-        r1, r2 = r1_raw * f1, r2_raw * f2
-        prob = projection_probability(rho, setting)
-        r12_true = pairs * prob * stage.e1 * stage.e2 * f1 * f2
-        r12_acc = max(r1 - r12_true, 0.0) * max(r2 - r12_true, 0.0) * gate_s
-        rates.append(ExpectedRates(r1, r2, r12_true + r12_acc, r12_true, r12_acc))
-    return rates
+    prob, m1, m2 = born_probabilities(stage.rho, settings)
+    r1_raw = pairs * m1 * stage.e1 + d1.dark_rate
+    r2_raw = pairs * m2 * stage.e2 + d2.dark_rate + stage.background_rate_2
+    f1 = 1.0 / (1.0 + r1_raw * d1.dead_time * 1e-9)
+    f2 = 1.0 / (1.0 + r2_raw * d2.dead_time * 1e-9)
+    r1, r2 = r1_raw * f1, r2_raw * f2
+    r12_true = pairs * prob * stage.e1 * stage.e2 * f1 * f2
+    r12_acc = np.maximum(r1 - r12_true, 0.0) * np.maximum(r2 - r12_true, 0.0) * gate_s
+    return ExpectedRates(r1, r2, r12_true + r12_acc, r12_true, r12_acc)

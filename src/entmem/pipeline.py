@@ -61,7 +61,7 @@ from .experiment import (
     stage_state,
 )
 from .memory import EITParams, eit_transmission, transparency_window_fwhm
-from .qstate import BASIS_STRING, TwoQubitState, bell_psi_plus, fidelity, matrix_json
+from .qstate import BASIS_LABELS, BASIS_STRING, TwoQubitState, bell_psi_plus, fidelity, matrix_json
 from .rng import derive_seed_sequence
 from .scenario import Scenario, scenario_to_dict
 
@@ -115,10 +115,11 @@ def _simulate_records(
     """
 
     acq = stage.scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
+    rates = model_rates(stage, settings)
     records = []
-    for setting, rates in zip(settings, model_rates(stage, settings)):
+    for setting, *row in zip(settings, rates.r1, rates.r2, rates.r12):
         label = f"{stage.suffix}:{seed_prefix}{setting.label}"
-        means = count_means((rates.r1, rates.r2, rates.r12), acq, acq, label)
+        means = count_means(row, acq, acq, label)
         (s1, s2, c), seed = draw_counts(means, sampling, stage.scenario.master_seed, label)
         records.append(CountRecord(setting.label, s1, s2, min(c, s1, s2), 0, acq, seed))
     return records
@@ -395,23 +396,20 @@ def stage_report(
     return _jsonable(report)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row."""
+    return "\n".join([header, *rows]) + "\n"
+
+
 def eit_spectrum_csv(eit: EITParams) -> str:
     """The EIT transmission spectrum as CSV (detuning_mhz, transmission)."""
     grid, trans = eit_transmission(eit)
-    return (
-        "detuning_mhz,transmission\n"
-        + "\n".join(f"{d:.6g},{t:.10g}" for d, t in zip(grid, trans))
-        + "\n"
-    )
+    return _csv("detuning_mhz,transmission", (f"{d:.6g},{t:.10g}" for d, t in zip(grid, trans)))
 
 
-def _write_matrix_csv(m: np.ndarray, path: Path, part: str) -> None:
-    data = np.real(m) if part == "real" else np.imag(m)
-    labels = BASIS_STRING.split(",")
-    lines = ["row," + BASIS_STRING]
-    for lbl, row in zip(labels, data):
-        lines.append(lbl + "," + ",".join(f"{x:.12g}" for x in row))
-    path.write_text("\n".join(lines) + "\n")
+def _matrix_csv(m: np.ndarray) -> str:
+    rows = (lbl + "," + ",".join(f"{x:.12g}" for x in row) for lbl, row in zip(BASIS_LABELS, m))
+    return _csv("row," + BASIS_STRING, rows)
 
 
 def report_json(data: dict) -> str:
@@ -448,9 +446,7 @@ def report_emit(
     g2s = [""] * len(times)
     if "post_storage" in results:
         g2s = [f"{g:.10g}" for g in model_slot_g2_vs_storage_time(scenario, times)]
-    curve_rows = ["t_ns,eta,g2"] + [
-        f"{t:.6g},{eta_of(t):.10g},{g2}" for t, g2 in zip(times, g2s)
-    ]
+    curve_rows = [f"{t:.6g},{eta_of(t):.10g},{g2}" for t, g2 in zip(times, g2s)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plots = out / "plots"
@@ -462,7 +458,7 @@ def report_emit(
         written.append(path)
 
     _write(plots / "eit_spectrum.csv", eit_spectrum_csv(scenario.eit))
-    _write(plots / "efficiency_vs_time.csv", "\n".join(curve_rows) + "\n")
+    _write(plots / "efficiency_vs_time.csv", _csv("t_ns,eta,g2", curve_rows))
 
     for stage, result in results.items():
         sfx = result.view.suffix
@@ -473,25 +469,13 @@ def report_emit(
             ("mle", result.rho_mle.rho),
             ("linear", result.rho_linear),
         ):
-            for part in ("real", "imag"):
-                path = out / f"rho_{sfx}_{name}_{part}.csv"
-                _write_matrix_csv(matrix, path, part)
-                written.append(path)
+            for part, values in (("real", matrix.real), ("imag", matrix.imag)):
+                _write(out / f"rho_{sfx}_{name}_{part}.csv", _matrix_csv(values))
         hist = result.g2_hist
-        _write(
-            plots / f"g2_histogram_{sfx}.csv",
-            "tau_ns,counts,g2,zero_floor\n"
-            + "\n".join(
-                f"{t:.6g},{int(c)},{g:.10g},{int(z)}"
-                for t, c, g, z in zip(hist.tau_ns, hist.counts, hist.g2, hist.zero_floor)
-            )
-            + "\n",
-        )
+        bins = zip(hist.tau_ns, hist.counts, hist.g2, hist.zero_floor)
+        rows = (f"{t:.6g},{int(c)},{g:.10g},{int(z)}" for t, c, g, z in bins)
+        _write(plots / f"g2_histogram_{sfx}.csv", _csv("tau_ns,counts,g2,zero_floor", rows))
         for arm1_label, points in result.visibility_sweeps.items():
-            _write(
-                plots / f"fringe_{sfx}_{arm1_label}.csv",
-                "theta_rad,coincidences\n"
-                + "\n".join(f"{t:.10g},{c:.6g}" for t, c in points)
-                + "\n",
-            )
+            rows = (f"{t:.10g},{c:.6g}" for t, c in points)
+            _write(plots / f"fringe_{sfx}_{arm1_label}.csv", _csv("theta_rad,coincidences", rows))
     return written

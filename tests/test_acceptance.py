@@ -22,7 +22,7 @@ from conftest import (
 from entmem.calibrate import calibrate
 from entmem.detection import (
     CountRecord,
-    projection_probability,
+    born_probabilities,
     sample_counts,
 )
 from entmem.errors import EstimationError
@@ -91,7 +91,7 @@ def test_criterion_2_tomography_self_consistency():
     fids = []
     for trial in range(200):
         rho = random_density_matrix(rng)
-        probs = [projection_probability(rho, s) for s in settings.settings]
+        probs = born_probabilities(rho, settings.settings)[0]
         # exact Born frequencies at high resolution
         exact = [
             CountRecord(s.label, 4 * 10**9, 4 * 10**9, int(round(p * 1e9)), 0, 1.0, 0)

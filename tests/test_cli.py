@@ -157,6 +157,12 @@ def test_report_subcommand_round_trip(fast_scenario_path, tmp_path, capsys):
     assert "CHSH S" in capsys.readouterr().out
 
 
+def _report_text(bad: dict) -> str:
+    """A report whose fidelity, chsh and visibility entries are valid except for those in bad."""
+    valid = {key: {"value": 0.9, "sigma": 0.01} for key in ("fidelity", "chsh", "visibility")}
+    return json.dumps(valid | bad)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -164,12 +170,22 @@ def test_report_subcommand_round_trip(fast_scenario_path, tmp_path, capsys):
         "[]",
         json.dumps({"stage": "pre_storage"}),
         json.dumps({"fidelity": {"value": 0.9, "sigma": None}, "chsh": {}, "visibility": {}}),
+        *(
+            pytest.param(_report_text(bad), id=name)
+            for name, bad in (
+                ("infinite_value", {"chsh": {"value": float("inf"), "sigma": 0.0}}),
+                ("nan_value", {"chsh": {"value": float("nan"), "sigma": 0.0}}),
+                ("bool_sigma", {"visibility": {"value": 0.9, "sigma": True}}),
+                ("int_beyond_float", {"fidelity": {"value": 10**400, "sigma": 0.0}}),
+            )
+        ),
     ],
 )
-def test_report_subcommand_rejects_bad_report(tmp_path, text):
+def test_report_subcommand_rejects_bad_report(tmp_path, capsys, text):
     path = tmp_path / "report.json"
     path.write_text(text)
     assert main(["report", "--report", str(path)]) == 2
+    assert "round-trip" not in capsys.readouterr().err
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -344,6 +360,9 @@ CHSH_LABELS = [f"chsh:{i}{j}:{p}" for i in "01" for j in "01" for p in ("pp", "p
         # float(10**400) overflows, and 100 / 1e-320 is beyond the float range
         ("tomo", [f"HH,{10**400},100,10,0,1.0,0"] + _csv_rows(TOMO_LABELS[1:]), "singles_1"),
         ("tomo", ["HH,100,100,10,0,1e-320,0"] + _csv_rows(TOMO_LABELS[1:]), "acquisition_s"),
+        # 100x the counts at 100x the time: the same rates, yet a raw-count E would move
+        ("chsh", [f"{CHSH_LABELS[0]},10000,10000,1000,0,100.0,0"] + _csv_rows(CHSH_LABELS[1:]),
+         "acquisition_s"),
     ],
     ids=[
         "nan_acquisition",
@@ -352,6 +371,7 @@ CHSH_LABELS = [f"chsh:{i}{j}:{p}" for i in "01" for j in "01" for p in ("pp", "p
         "duplicate_label",
         "count_above_int64",
         "subnormal_acquisition",
+        "unequal_acquisition",
     ],
 )
 def test_count_csv_contract_violation_exits_2(tmp_path, capsys, command, rows, field):

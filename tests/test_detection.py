@@ -18,13 +18,13 @@ from entmem.detection import (
     LossBudget,
     MeasurementSetting,
     TimingConfig,
+    born_probabilities,
     click_probs,
     count_means,
     draw_counts,
     expected_counts,
     g2_histogram,
     heralded_alpha,
-    projection_probability,
     records_from_csv,
     records_to_csv,
     sample_counts,
@@ -33,7 +33,7 @@ from entmem.detection import (
 from entmem.errors import EstimationError, ValidationError
 from entmem.experiment import model_rates, stage_state
 from entmem.memory import MemoryNoiseParams
-from entmem.qstate import bell_psi_plus, ket_d, ket_h, ket_v
+from entmem.qstate import PolarizationKet, TwoQubitState, bell_psi_plus, ket_d, ket_h, ket_v
 from entmem.scenario import load_bundled_scenario
 
 
@@ -46,30 +46,71 @@ def _setting(a, b, label=""):
     return MeasurementSetting(arm1_projector=a, arm2_projector=b, label=label)
 
 
+def _joint_probability(rho, a, b) -> float:
+    """The Born probability of the one setting (a, b), through the stacked kernel."""
+    (p,) = born_probabilities(rho, [_setting(a, b)])[0]
+    return p
+
+
 class TestProjectionProbability:
     def test_bell_hv(self):
-        assert projection_probability(bell_psi_plus(), _setting(ket_h(), ket_v())) == pytest.approx(
+        assert _joint_probability(bell_psi_plus(), ket_h(), ket_v()) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_bell_hh_forbidden(self):
-        assert projection_probability(bell_psi_plus(), _setting(ket_h(), ket_h())) == pytest.approx(
+        assert _joint_probability(bell_psi_plus(), ket_h(), ket_h()) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_maximally_mixed_quarter(self):
         rho = maximally_mixed()
-        assert projection_probability(rho, _setting(ket_d(), ket_v())) == pytest.approx(0.25)
+        assert _joint_probability(rho, ket_d(), ket_v()) == pytest.approx(0.25)
 
     @given(density_matrices())
     @settings(max_examples=50, deadline=None)
     def test_complete_quadruple_sums_to_one(self, rho):
-        total = sum(
-            projection_probability(rho, _setting(a, b))
-            for a in (ket_h(), ket_v())
-            for b in (ket_h(), ket_v())
-        )
+        quadruple = [_setting(a, b) for a in (ket_h(), ket_v()) for b in (ket_h(), ket_v())]
+        total = sum(born_probabilities(rho, quadruple)[0])
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_probability(m: np.ndarray, v: np.ndarray) -> float:
+    """One Born probability the one-setting way: Re<v|m|v> by vdot, clamped into [0, 1]."""
+    p = float(np.real(np.vdot(v, m @ v)))
+    return min(max(p, 0.0), 1.0)
+
+
+def _kets(seed: int, n: int) -> list[PolarizationKet]:
+    rng = np.random.default_rng(seed)
+    return [PolarizationKet(*(rng.normal(size=2) + 1j * rng.normal(size=2))) for _ in range(n)]
+
+
+class TestBornProbabilities:
+    @given(
+        density_matrices(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.integers(min_value=1, max_value=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_one_setting_reference_bit_for_bit(self, rho, seed, n):
+        settings_list = [_setting(a, b) for a, b in zip(_kets(seed, n), _kets(seed + 1, n))]
+        joint, arm1, arm2 = born_probabilities(rho, settings_list)
+        reduced1, reduced2 = rho.reduced_signal1(), rho.reduced_signal2()
+        for k, s in enumerate(settings_list):
+            v1, v2 = s.arm1_projector.vector, s.arm2_projector.vector
+            assert joint[k] == _reference_probability(rho.rho, np.kron(v1, v2))
+            assert arm1[k] == _reference_probability(reduced1, v1)
+            assert arm2[k] == _reference_probability(reduced2, v2)
+
+    def test_clamped_into_unit_interval(self):
+        # an unphysical matrix (bypassing validation) gives out-of-range Re<k|M|k>
+        rho = object.__new__(TwoQubitState)
+        object.__setattr__(rho, "rho", np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex))
+        hh_hv = [_setting(ket_h(), ket_h()), _setting(ket_h(), ket_v())]
+        joint, arm1, _ = born_probabilities(rho, hh_hv)
+        assert joint.tolist() == [1.0, 0.0]
+        assert arm1.tolist() == [1.0, 1.0]
 
 
 def _lossless(scenario):
@@ -85,9 +126,9 @@ class TestExpectedRates:
         settings = [_setting(ket_h(), ket_v()), _setting(ket_v(), ket_h())]
         rates = model_rates(stage_state(scenario, "pre_storage"), settings)
         pairs = scenario.timing.pulse_rate * scenario.source.pair_prob
-        assert sum(r.r12 for r in rates) == pytest.approx(pairs, rel=1e-12)
+        assert sum(rates.r12) == pytest.approx(pairs, rel=1e-12)
         assert pairs == pytest.approx(2.6e5 * scenario.source.pair_prob)
-        assert [r.r12_accidental for r in rates] == [0.0, 0.0]
+        assert rates.r12_accidental.tolist() == [0.0, 0.0]
 
     def test_loss_budget_product_oracle(self):
         # no depolarization: the stored state equals the pre-storage state
@@ -99,12 +140,12 @@ class TestExpectedRates:
         stage = stage_state(lossy, "post_storage")
         assert 0.0 < stage.eta < 1.0
         settings = [_setting(ket_h(), ket_v())]
-        full = model_rates(stage, settings)[0]
-        lossless = model_rates(stage_state(_lossless(base), "pre_storage"), settings)[0]
+        full = model_rates(stage, settings)
+        lossless = model_rates(stage_state(_lossless(base), "pre_storage"), settings)
         expected_factor = (
             losses.arm1_transmission() * 0.10 * losses.arm2_transmission() * 0.50 * stage.eta
         )
-        assert full.r12_true / lossless.r12_true == pytest.approx(expected_factor, rel=1e-12)
+        assert full.r12_true[0] / lossless.r12_true[0] == pytest.approx(expected_factor, rel=1e-12)
 
     def test_background_raises_singles_and_accidentals(self):
         scenario = replace(
@@ -114,20 +155,20 @@ class TestExpectedRates:
         def rates(background_rate_2):
             flux = background_rate_2 / scenario.timing.pulse_rate
             s = replace(scenario, mem_noise=replace(scenario.mem_noise, background_flux=flux))
-            return model_rates(stage_state(s, "post_storage"), [_setting(ket_h(), ket_v())])[0]
+            return model_rates(stage_state(s, "post_storage"), [_setting(ket_h(), ket_v())])
 
         base, noisy = rates(0.0), rates(500.0)
-        assert noisy.r2 > base.r2
-        assert noisy.r12_accidental > base.r12_accidental
-        assert noisy.r12_true == base.r12_true
+        assert noisy.r2[0] > base.r2[0]
+        assert noisy.r12_accidental[0] > base.r12_accidental[0]
+        assert noisy.r12_true[0] == base.r12_true[0]
 
 
 def _simulated_record(r1, r2, r12, acquisition_s, seed):
     """The record pipeline._simulate_records builds when the model gives these rates."""
-    rates = ExpectedRates(r1=r1, r2=r2, r12=r12, r12_true=r12, r12_accidental=0.0)
+    rates = ExpectedRates(*(np.array([r]) for r in (r1, r2, r12, r12, 0.0)))
     plan = SimpleNamespace(acquisition_s={"tomo_pre": acquisition_s})
     stage = SimpleNamespace(scenario=SimpleNamespace(plan=plan, master_seed=seed), suffix="pre")
-    with mock.patch.object(pipeline, "model_rates", lambda stage, settings: [rates]):
+    with mock.patch.object(pipeline, "model_rates", lambda stage, settings: rates):
         (rec,) = pipeline._simulate_records(stage, "poisson", "tomo", [_setting(ket_h(), ket_v())])
     return rec
 
@@ -138,8 +179,8 @@ class TestSampleCounts:
 
     def test_seed_determinism(self):
         stage = stage_state(load_bundled_scenario(), "pre_storage")
-        rates = model_rates(stage, [_setting(ket_h(), ket_v(), "HV")])[0]
-        means = count_means((rates.r1, rates.r2, rates.r12), 30.0, 30.0, "HH")
+        rates = model_rates(stage, [_setting(ket_h(), ket_v(), "HV")])
+        means = count_means((rates.r1[0], rates.r2[0], rates.r12[0]), 30.0, 30.0, "HH")
         a = sample_counts(means, seed=42, label="HH")
         b = sample_counts(means, seed=42, label="HH")
         assert a == b
@@ -417,7 +458,7 @@ class TestLawOfLargeNumbers:
                 (ket_v(), ket_v(), "VV"),
             ]
         ]
-        probs = [projection_probability(rho, s) for s in settings_list]
+        probs = born_probabilities(rho, settings_list)[0]
         total = 2_000_000
         counts = []
         for s, p in zip(settings_list, probs):

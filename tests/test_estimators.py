@@ -17,7 +17,7 @@ from conftest import (
     trace_distance,
 )
 from entmem.calibrate import calibrate
-from entmem.detection import CountRecord, heralded_alpha, projection_probability
+from entmem.detection import CountRecord, born_probabilities, heralded_alpha
 from entmem.errors import ConfigurationError, EstimationError, ValidationError
 from entmem.estimators import (
     EstimateWithError,
@@ -66,8 +66,7 @@ def _neg_log_likelihood(t, counts, exposures, hessian: bool = False) -> tuple:
 def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRecord]:
     """Records whose frequencies are the exact Born probabilities."""
     out = []
-    for s in SETTINGS.settings:
-        p = projection_probability(rho, s)
+    for s, p in zip(SETTINGS.settings, born_probabilities(rho, SETTINGS.settings)[0]):
         out.append(
             CountRecord(
                 setting_label=s.label,
@@ -84,8 +83,7 @@ def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRec
 
 def poisson_records(rho, n_per_group, rng) -> list[CountRecord]:
     out = []
-    for s in SETTINGS.settings:
-        p = projection_probability(rho, s)
+    for s, p in zip(SETTINGS.settings, born_probabilities(rho, SETTINGS.settings)[0]):
         c = int(rng.poisson(p * n_per_group))
         out.append(
             CountRecord(s.label, int(10 * n_per_group), int(10 * n_per_group), c, 0, 1.0, 0)
@@ -663,7 +661,7 @@ class TestChshE:
     @staticmethod
     def _born_e_matrix(rho, angles):
         """The E matrix of the Born probabilities at chsh_settings(angles)."""
-        return chsh_e_matrix([projection_probability(rho, s) for s in chsh_settings(angles)])
+        return chsh_e_matrix(born_probabilities(rho, chsh_settings(angles))[0])
 
     def test_analytic_bell_at_standard_angles(self):
         e = self._born_e_matrix(bell_psi_plus(), (0.0, np.pi / 8, 0.0, np.pi / 8))
@@ -783,7 +781,7 @@ class TestVisibilityFit:
         thetas = MeasurementPlan().visibility_thetas
         for _ in range(5):
             rho = random_density_matrix(rng)
-            counts = [1e6 * projection_probability(rho, s) for s in fringe_settings("D", thetas)]
+            counts = 1e6 * born_probabilities(rho, fringe_settings("D", thetas))[0]
             fit = visibility_fit(list(zip(thetas, counts)), n_resamples=100)
             assert visibility_analytic(rho, "D", thetas) == pytest.approx(
                 fit.estimate.value, rel=1e-12

@@ -256,8 +256,8 @@ class TestRunExperiment:
         hh = TOMO_SETTINGS.settings[0]
         assert hh.label == "HH"
         acq = fast.plan.acquisition_s["tomo_pre"]
-        rates = model_rates(view, [hh])[0]
-        means = [r * acq for r in (rates.r1, rates.r2, rates.r12)]
+        rates = model_rates(view, [hh])
+        means = [r[0] * acq for r in (rates.r1, rates.r2, rates.r12)]
         s1, s2, c = sample_counts(means, fast.master_seed, "pre:tomo:HH")
         record = pipeline._simulate_records(view, "poisson", "tomo", [hh], "tomo:")[0]
         assert record == CountRecord("HH", s1, s2, min(c, s1, s2), 0, acq, fast.master_seed)
