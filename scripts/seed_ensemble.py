@@ -24,6 +24,8 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--runs", type=int, default=100)
     args = ap.parse_args()
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
 
     scenario, _ = calibrate(load_bundled_scenario())
     figures = seed_ensemble(scenario, args.runs)

@@ -6,7 +6,9 @@ Post-storage estimates use expected-value sampling so the curves are
 smooth; switch --sampling poisson to see realistic scatter.  A storage
 time with too few counts to estimate from ends the run with exit code 1
 and no CSV; the default --t-max 400 stays below that point (past about
-450 ns on the bundled scenario).
+450 ns on the bundled scenario).  The sweep runs from 10 ns to --t-max;
+arguments that give no storage time, or one the scenario rejects, exit
+with code 2 before any run.
 """
 
 import argparse
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from entmem.calibrate import calibrate
-from entmem.errors import EstimationError
+from entmem.errors import EstimationError, ValidationError
 from entmem.estimators import shared_fits
 from entmem.experiment import model_slot_g2
 from entmem.pipeline import run_experiment
@@ -31,16 +33,27 @@ def main():
     ap.add_argument("--points", type=int, default=11)
     ap.add_argument("--sampling", choices=["expected", "poisson"], default="expected")
     args = ap.parse_args()
+    if args.points < 1:
+        ap.error("--points must be at least 1")
+    if not 10.0 <= args.t_max < np.inf:
+        ap.error("--t-max must be a storage time of at least 10 ns, where the sweep starts")
 
     scenario, _ = calibrate(load_bundled_scenario())
     scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
+    try:
+        scenarios = [
+            replace(scenario, timing=replace(scenario.timing, storage_time_ns=float(t)))
+            for t in np.linspace(10.0, args.t_max, args.points)
+        ]
+    except ValidationError as exc:
+        ap.error(f"--t-max {args.t_max:g}: {exc}")
 
     rows = ["t_ns,eta,g2_slot,F_post,S_post,V_post"]
     print(f"{'t_ns':>7} {'eta':>8} {'g2':>7} {'F':>7} {'S':>7} {'V':>7}")
     # Every storage time shares the pre-storage reference fit.
     with shared_fits():
-        for t in np.linspace(10.0, args.t_max, args.points):
-            scn = replace(scenario, timing=replace(scenario.timing, storage_time_ns=float(t)))
+        for scn in scenarios:
+            t = scn.timing.storage_time_ns
             try:
                 res = run_experiment(scn, "post_storage", sampling=args.sampling)
             except EstimationError as exc:

@@ -39,7 +39,10 @@ def _load(args) -> "Scenario":
     if args.seed is not None:
         from dataclasses import replace
 
-        scenario = replace(scenario, master_seed=int(args.seed))
+        # the scenario schema's master_seed range: derivation masks a seed to 64 bits
+        if not -(2**63) <= args.seed < 2**63:
+            raise ValidationError(f"--seed must be a 64-bit integer, got {args.seed}")
+        scenario = replace(scenario, master_seed=args.seed)
     return scenario
 
 

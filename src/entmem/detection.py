@@ -2,7 +2,7 @@
 
 Born-rule probabilities of analyzer settings, the detector, loss and timing
 parameters, and the count records themselves: draw_counts turns the
-mean counts of one acquisition into counts, Poisson-sampled with derived
+mean counts of acquisitions into counts, Poisson-sampled with derived
 seeds or rounded, so every record is reproducible from (scenario, seed).
 The pair statistics (click_probs) are per pulse slot: a slot-normalized
 g2 is the coincidences within one pulse slot over the singles product,
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import EstimationError, ValidationError, nan_or_raise
 from .qstate import PolarizationKet, TwoQubitState
-from .rng import derive_rng
+from .rng import derive_rng, poisson_rows
 from .source import gaussian_fwhm_sigma
 
 
@@ -226,26 +226,25 @@ def count_means(rates, per: float, acquisition_s: float, label: str) -> list[flo
     return means
 
 
-def sample_counts(means: list[float], seed: int, label: str) -> list[int]:
-    """Poisson draws of the means, in order, from the seed path ("counts", label)."""
-    rng = derive_rng(seed, "counts", label)
-    return [int(rng.poisson(m)) for m in means]
+def sample_counts(rows, seed: int, labels: list[str]) -> list[list[int]]:
+    """Poisson draws of each row of means, row k from the seed path ("counts", labels[k])."""
+    return poisson_rows(seed, "counts", keys=labels, lam=rows).tolist()
 
 
-def expected_counts(means: list[float]) -> list[int]:
-    """The rounded means: noise-free counts for the deterministic mode."""
-    return [int(round(m)) for m in means]
+def expected_counts(rows) -> list[list[int]]:
+    """The rounded means of each row: noise-free counts for the deterministic mode."""
+    return [[int(round(m)) for m in row] for row in rows]
 
 
-def draw_counts(means: list[float], sampling: str, seed: int, label: str) -> tuple[list[int], int]:
-    """The counts of one acquisition and the seed its records carry.
+def draw_counts(rows, sampling: str, seed: int, labels: list[str]) -> tuple[list[list[int]], int]:
+    """The counts of acquisitions, one row of means per label, and the seed their records carry.
 
     "expected" rounds the means and gives seed 0, as nothing was drawn;
     "poisson" draws them with sample_counts and gives the master seed.
     """
     if sampling == "expected":
-        return expected_counts(means), 0
-    return sample_counts(means, seed, label), seed
+        return expected_counts(rows), 0
+    return sample_counts(rows, seed, labels), seed
 
 
 # ---------------------------------------------------------------------------

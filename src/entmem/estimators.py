@@ -36,7 +36,7 @@ from .detection import (
 )
 from .errors import ConfigurationError, EstimationError, ValidationError, nan_or_raise
 from .qstate import KET_BY_LABEL, TwoQubitState, ket_linear
-from .rng import derive_rng
+from .rng import poisson_rows
 
 TOMO_BASIS_LETTERS = ("H", "V", "D", "R")
 NORMALIZATION_GROUP = ("HH", "HV", "VH", "VV")
@@ -530,9 +530,7 @@ def visibility_fit(
     design, counts, (a0, a1, a2) = _fringe_fit(points)
     v = float(_contrast(a0, a1, a2))
 
-    resampled = np.array(
-        [derive_rng(seed, "visibility", k).poisson(counts) for k in range(n_resamples)]
-    )
+    resampled = poisson_rows(seed, "visibility", keys=range(n_resamples), lam=counts)
     b0, b1, b2 = np.linalg.pinv(design) @ resampled.T
     ok = b0 > 0
     if ok.sum() < 0.9 * n_resamples:
@@ -595,7 +593,7 @@ def mc_error(
     counts = np.asarray(counts, dtype=float)
     if np.any(counts < 0):
         raise ValidationError("counts must be >= 0")
-    resampled = np.array([derive_rng(seed, "mc", k).poisson(counts) for k in range(n_resamples)])
+    resampled = poisson_rows(seed, "mc", keys=range(n_resamples), lam=counts)
     values = np.asarray(estimator(resampled), dtype=float)
     if values.shape != (n_resamples,):
         raise ValidationError(f"estimator gave shape {values.shape} for {n_resamples} resamples")

@@ -116,13 +116,13 @@ def _simulate_records(
 
     acq = stage.scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
     rates = model_rates(stage, settings)
-    records = []
-    for setting, *row in zip(settings, rates.r1, rates.r2, rates.r12):
-        label = f"{stage.suffix}:{seed_prefix}{setting.label}"
-        means = count_means(row, acq, acq, label)
-        (s1, s2, c), seed = draw_counts(means, sampling, stage.scenario.master_seed, label)
-        records.append(CountRecord(setting.label, s1, s2, min(c, s1, s2), 0, acq, seed))
-    return records
+    labels = [f"{stage.suffix}:{seed_prefix}{setting.label}" for setting in settings]
+    rows = [count_means(r, acq, acq, lab) for lab, *r in zip(labels, rates.r1, rates.r2, rates.r12)]
+    counts, seed = draw_counts(rows, sampling, stage.scenario.master_seed, labels)
+    return [
+        CountRecord(setting.label, s1, s2, min(c, s1, s2), 0, acq, seed)
+        for setting, (s1, s2, c) in zip(settings, counts)
+    ]
 
 
 def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict]:
@@ -132,7 +132,7 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     acq = scenario.plan.acquisition_s[f"alpha_{sfx}"]
     n_slots = scenario.timing.pulse_rate * acq
     means = count_means((p1, p_port, p_port, p12, p12, p123), n_slots, acq, f"alpha:{sfx}")
-    counts, seed = draw_counts(means, sampling, scenario.master_seed, f"{sfx}:alpha")
+    (counts,), seed = draw_counts([means], sampling, scenario.master_seed, [f"{sfx}:alpha"])
     n1, n2a, n2b, n12, n13, n123 = counts
     n12, n13 = min(n12, n1, n2a), min(n13, n1, n2b)
     n123 = min(n123, n12, n13)
@@ -300,6 +300,8 @@ def seed_ensemble(scenario: Scenario, runs: int) -> dict[str, list[float]]:
     F, S, V, g2 and alpha, each with a _pre and a _post suffix.
     """
 
+    if runs < 1:
+        raise ValidationError(f"seed_ensemble needs at least 1 run, got {runs}")
     scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
     figures = {}
     for k in range(runs):

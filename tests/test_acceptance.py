@@ -204,7 +204,7 @@ def test_criterion_7_property_suites(calibrated):
 
     # Poisson seed determinism
     means = [1e3 * 5.0, 2e3 * 5.0, 50.0 * 5.0]
-    draws = [sample_counts(means, seed=99, label="det") for _ in range(3)]
+    draws = [sample_counts([means], seed=99, labels=["det"]) for _ in range(3)]
     ok = ok and draws[0] == draws[1] == draws[2]
 
     # Cauchy-Schwarz classical boundary

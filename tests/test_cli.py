@@ -322,6 +322,26 @@ def test_seed_override_changes_counts(fast_scenario_path, tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("seed", [2**64, 2**63, -(2**63) - 1])
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "eit"])
+def test_seed_beyond_64_bits_exits_2_before_any_work(tmp_path, capsys, monkeypatch, seed, command):
+    # seed derivation masks a seed to 64 bits: 2**64 would run with seed 0's figures
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --seed was checked")
+
+    for name in ("calibrate", "run_experiment", "eit_spectrum_csv"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(["--seed", str(seed), "--out", str(tmp_path), command]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("seed", [2**63 - 1, -(2**63)])
+def test_calibrated_scenario_at_a_64_bit_seed_loads_back(tmp_path, seed):
+    assert main(["--seed", str(seed), "--out", str(tmp_path), "calibrate"]) == 0
+    assert load_scenario(tmp_path / "scenario_calibrated.json").master_seed == seed
+
+
 @pytest.mark.parametrize(
     "targets",
     [

@@ -34,6 +34,7 @@ from entmem.errors import EstimationError, ValidationError
 from entmem.experiment import model_rates, stage_state
 from entmem.memory import MemoryNoiseParams
 from entmem.qstate import PolarizationKet, TwoQubitState, bell_psi_plus, ket_d, ket_h, ket_v
+from entmem.rng import derive_rng
 from entmem.scenario import load_bundled_scenario
 
 
@@ -175,16 +176,16 @@ def _simulated_record(r1, r2, r12, acquisition_s, seed):
 
 class TestSampleCounts:
     def test_zero_rate_zero_counts(self):
-        assert sample_counts([0.0, 0.0, 0.0], seed=1, label="z") == [0, 0, 0]
+        assert sample_counts([[0.0, 0.0, 0.0]], seed=1, labels=["z"]) == [[0, 0, 0]]
 
     def test_seed_determinism(self):
         stage = stage_state(load_bundled_scenario(), "pre_storage")
         rates = model_rates(stage, [_setting(ket_h(), ket_v(), "HV")])
         means = count_means((rates.r1[0], rates.r2[0], rates.r12[0]), 30.0, 30.0, "HH")
-        a = sample_counts(means, seed=42, label="HH")
-        b = sample_counts(means, seed=42, label="HH")
+        a = sample_counts([means], seed=42, labels=["HH"])
+        b = sample_counts([means], seed=42, labels=["HH"])
         assert a == b
-        c = sample_counts(means, seed=43, label="HH")
+        c = sample_counts([means], seed=43, labels=["HH"])
         assert c != a  # overwhelmingly likely
 
     def test_poisson_tail_bound(self):
@@ -192,7 +193,7 @@ class TestSampleCounts:
         mean = 1e6
         hits = 0
         for seed in range(1000):
-            singles_1, _, _ = sample_counts([mean, mean, 0.0], seed=seed, label="")
+            ((singles_1, _, _),) = sample_counts([[mean, mean, 0.0]], seed=seed, labels=[""])
             if abs(singles_1 - mean) > 5 * np.sqrt(mean):
                 hits += 1
         assert hits == 0
@@ -227,13 +228,17 @@ class TestSampleCounts:
 
 class TestDrawCounts:
     def test_expected_mode_rounds_and_carries_seed_zero(self):
-        assert draw_counts([0.4, 2.6, 7.0], "expected", 99, "x") == ([0, 3, 7], 0)
-        assert expected_counts([0.4, 2.6, 7.0]) == [0, 3, 7]
+        assert draw_counts([[0.4, 2.6, 7.0]], "expected", 99, ["x"]) == ([[0, 3, 7]], 0)
+        assert expected_counts([[0.4, 2.6, 7.0]]) == [[0, 3, 7]]
 
     def test_poisson_mode_draws_at_the_label_and_carries_the_seed(self):
-        means = [1e3, 2e3, 50.0]
-        assert draw_counts(means, "poisson", 99, "x") == (sample_counts(means, 99, "x"), 99)
-        assert sample_counts(means, 99, "x") != sample_counts(means, 99, "y")
+        rows = [[1e3, 2e3, 50.0], [4.0, 5.0, 0.5]]
+        drawn = sample_counts(rows, 99, ["x", "y"])
+        assert draw_counts(rows, "poisson", 99, ["x", "y"]) == (drawn, 99)
+        assert drawn == [
+            derive_rng(99, "counts", label).poisson(row).tolist() for label, row in zip("xy", rows)
+        ]
+        assert sample_counts(rows[:1], 99, ["x"]) != sample_counts(rows[:1], 99, ["y"])
 
 
 class TestSinglePhotonLike:
@@ -460,9 +465,9 @@ class TestLawOfLargeNumbers:
         ]
         probs = born_probabilities(rho, settings_list)[0]
         total = 2_000_000
-        counts = []
-        for s, p in zip(settings_list, probs):
-            counts.append(sample_counts([total, total, p * total], seed=123, label=s.label)[2])
+        rows = [[total, total, p * total] for p in probs]
+        labels = [s.label for s in settings_list]
+        counts = [row[2] for row in sample_counts(rows, seed=123, labels=labels)]
         n = sum(counts)
         for c, p in zip(counts, probs):
             if p == 0:

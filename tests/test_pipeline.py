@@ -245,7 +245,7 @@ class TestRunExperiment:
         p1, p_port, p12, p123 = alpha_probs(view)
         n_slots = fast.timing.pulse_rate * acq
         means = [p * n_slots for p in (p1, p_port, p_port, p12, p12, p123)]
-        n1, n2a, n2b, n12, n13, n123 = sample_counts(means, fast.master_seed, "pre:alpha")
+        ((n1, n2a, n2b, n12, n13, n123),) = sample_counts([means], fast.master_seed, ["pre:alpha"])
         n12, n13 = min(n12, n1, n2a), min(n13, n1, n2b)
         records, counts = pipeline.simulate_alpha(view, "poisson")
         assert counts == {"n1": n1, "n12": n12, "n13": n13, "n123": min(n123, n12, n13)}
@@ -258,7 +258,7 @@ class TestRunExperiment:
         acq = fast.plan.acquisition_s["tomo_pre"]
         rates = model_rates(view, [hh])
         means = [r[0] * acq for r in (rates.r1, rates.r2, rates.r12)]
-        s1, s2, c = sample_counts(means, fast.master_seed, "pre:tomo:HH")
+        ((s1, s2, c),) = sample_counts([means], fast.master_seed, ["pre:tomo:HH"])
         record = pipeline._simulate_records(view, "poisson", "tomo", [hh], "tomo:")[0]
         assert record == CountRecord("HH", s1, s2, min(c, s1, s2), 0, acq, fast.master_seed)
 

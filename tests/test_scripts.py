@@ -7,10 +7,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 import entmem.calibrate  # noqa: F401  (imported before a test patches experiment.stage_state)
 import entmem.experiment as experiment
 import entmem.pipeline as pipeline
 from entmem.calibrate import calibrate
+from entmem.errors import ValidationError
 from entmem.scenario import load_bundled_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,4 +80,35 @@ def test_storage_time_sweep_fails_loudly_without_counts(tmp_path):
     proc = start_script("storage_time_sweep.py", "--points", "2", "--t-max", "500", "--out", str(out_csv))
     assert proc.returncode != 0
     assert "storage time 500.0 ns" in proc.stderr
+    assert not out_csv.exists()
+
+
+def test_seed_ensemble_script_rejects_runs_below_one():
+    for runs in ("0", "-2"):
+        proc = start_script("seed_ensemble.py", "--runs", runs)
+        assert proc.returncode == 2
+        assert "--runs must be at least 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_seed_ensemble_rejects_runs_below_one():
+    scenario = load_bundled_scenario()
+    for runs in (0, -2):
+        with pytest.raises(ValidationError, match="at least 1 run"):
+            pipeline.seed_ensemble(scenario, runs)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--t-max", "-5"), "--t-max must be a storage time of at least 10 ns"),
+        (("--t-max", "nan"), "--t-max must be a storage time of at least 10 ns"),
+        (("--t-max", "1e30"), "--t-max 1e+30: storage_time must stay below the fiber delay"),
+        (("--points", "0"), "--points must be at least 1"),
+    ],
+)
+def test_storage_time_sweep_rejects_arguments_without_a_sweep(tmp_path, args, message):
+    out_csv = tmp_path / "sweep.csv"
+    proc = start_script("storage_time_sweep.py", *args, "--out", str(out_csv))
+    assert proc.returncode == 2
+    assert message in proc.stderr and "Traceback" not in proc.stderr
     assert not out_csv.exists()
