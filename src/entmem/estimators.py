@@ -48,20 +48,6 @@ class TomographySettingSet:
 
     settings: tuple[MeasurementSetting, ...]
 
-    def __post_init__(self):
-        if len(self.settings) != 16:
-            raise ConfigurationError(
-                f"tomography needs exactly 16 settings, got {len(self.settings)}"
-            )
-        labels = [s.label for s in self.settings]
-        if len(set(labels)) != 16:
-            raise ConfigurationError("tomography settings must have unique labels")
-        if np.linalg.matrix_rank(_projectors(self.settings).reshape(16, 16), tol=1e-9) != 16:
-            raise ConfigurationError(
-                "tomography settings do not span the operator space "
-                "(duplicate or degenerate projectors)"
-            )
-
     @classmethod
     def standard(cls) -> "TomographySettingSet":
         """All pairs from {H, V, D=(H+V)/sqrt2, R=(H-iV)/sqrt2} on each arm."""
@@ -83,14 +69,8 @@ class EstimateWithError:
             raise ValidationError("a nonzero sigma requires >= 100 resamples")
 
 
-def _projectors(settings) -> np.ndarray:
-    """The (S, 4, 4) joint projectors |k><k| of the settings."""
-    k = setting_kets(settings)[2]
-    return k[:, :, None] * k[:, None, :].conj()
-
-
-# The one tomography design (James et al., PRA 64, 052312, 2001), built and
-# validated once.
+# The one tomography design (James et al., PRA 64, 052312, 2001); a test checks
+# that its 16 projectors span the operator space.
 TOMO_SETTINGS = TomographySettingSet(
     tuple(
         MeasurementSetting(KET_BY_LABEL[a](), KET_BY_LABEL[b](), label=a + b)
@@ -99,7 +79,8 @@ TOMO_SETTINGS = TomographySettingSet(
     )
 )
 _TOMO_LABELS = tuple(s.label for s in TOMO_SETTINGS.settings)
-_TOMO_PROJECTORS = _projectors(TOMO_SETTINGS.settings)
+_TOMO_KETS = setting_kets(TOMO_SETTINGS.settings)[2]
+_TOMO_PROJECTORS = _TOMO_KETS[:, :, None] * _TOMO_KETS[:, None, :].conj()  # the |k><k|
 _TOMO_DESIGN = _TOMO_PROJECTORS.mT.reshape(16, 16)  # row i maps vec(rho) -> Tr(rho P_i)
 _NORMALIZATION_IDX = [_TOMO_LABELS.index(label) for label in NORMALIZATION_GROUP]
 
@@ -142,10 +123,13 @@ def _tomo_data(counts, acquisition_s) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def tomo_linear(counts, acquisition_s) -> np.ndarray:
-    """Linear-inversion estimate; Hermitian, unit trace, possibly non-PSD."""
+    """Linear-inversion estimate of 16 counts, or the (B, 4, 4) stack of (B, 16) rows, NaN
+    where no normalization coincidences; Hermitian, unit trace, possibly non-PSD.  A stack
+    is one solve with B right-hand sides."""
     freqs, _, _ = _tomo_data(counts, acquisition_s)
-    rho = np.linalg.solve(_TOMO_DESIGN, freqs.astype(np.complex128)).reshape(4, 4)
-    return (rho + rho.conj().T) / 2
+    rho = np.linalg.solve(_TOMO_DESIGN, freqs.T.astype(np.complex128)).T
+    rho = rho.reshape(*freqs.shape[:-1], 4, 4)
+    return (rho + rho.conj().mT) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +170,8 @@ def _lower_cholesky_factor(rho: np.ndarray) -> np.ndarray:
 
 
 def _clamped_physical(rho: np.ndarray, ridge: float = 1e-8) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((rho + rho.conj().mT) / 2)
+    """The Hermitian rho with negative eigenvalues clipped to 0, ridged and renormalized."""
+    vals, vecs = np.linalg.eigh(rho)
     vals = np.clip(vals, 0.0, None) + ridge
     out = (vecs * vals[..., None, :]) @ vecs.conj().mT
     return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None]
@@ -335,8 +320,8 @@ def fit_rows(count_rows, acquisition_s) -> None:
     batch = {key: k for key, k in batch.items() if key not in _SHARED_FITS}
     if not batch:
         return
-    freqs, exposures, counts = (a[list(batch.values())] for a in (freqs, exposures, counts))
-    linear = np.linalg.solve(_TOMO_DESIGN, freqs.T.astype(np.complex128)).T.reshape(-1, 4, 4)
+    exposures, counts = (a[list(batch.values())] for a in (exposures, counts))
+    linear = tomo_linear(counts, acquisition_s)
     try:
         t0 = _params_from_t(_lower_cholesky_factor(_clamped_physical(linear)))
         t, errors = _newton_fits(t0, counts, exposures)
@@ -489,7 +474,8 @@ def _fringe_fit(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarr
     """The design, counts and least-squares coefficients (a0, a1, a2) of a sweep.
 
     C(theta) = B [1 + V cos(4 theta - phi0)] is a0 + a1 cos(4 theta) +
-    a2 sin(4 theta); a0 <= 0 fails the fit.
+    a2 sin(4 theta); a0 <= 0 fails the fit.  Sweep angles whose design has
+    rank below 3 cannot resolve the fringe and are a ValidationError.
     """
     if len(points) < 8:
         raise ValidationError("visibility fit needs at least 8 sweep points")
@@ -499,10 +485,12 @@ def _fringe_fit(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarr
         raise ValidationError("fringe counts must be >= 0")
     if thetas.max() - thetas.min() < np.pi / 2 - 1e-9:
         raise ValidationError("fringe sweep must span at least one period (pi/2)")
+    design = np.column_stack([np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)])
+    coefficients, _, rank, _ = np.linalg.lstsq(design, counts, rcond=None)
+    if rank < 3:
+        raise ValidationError(f"fringe sweep angles give a design of rank {rank} < 3: no fit")
     if counts.sum() <= 0:
         raise EstimationError("fringe fit degenerate: all counts zero")
-    design = np.column_stack([np.ones_like(thetas), np.cos(4 * thetas), np.sin(4 * thetas)])
-    coefficients = np.linalg.lstsq(design, counts, rcond=None)[0]
     if coefficients[0] <= 0:
         raise EstimationError("fringe fit degenerate: non-positive baseline")
     return design, counts, coefficients
@@ -521,24 +509,25 @@ def visibility_fit(
     theta is the half-wave-plate angle (fringe_settings), so the fringe
     period is pi/2.  Returns the visibility in [0, 1] with a Poisson
     Monte-Carlo sigma and flags values above 1/sqrt(2) as nonclassical.
-    The fit is linear least squares (_fringe_fit); one pseudo-inverse of
-    the fixed design fits every resample, and a0 <= 0 fails a resample.
+    The fit is linear least squares (_fringe_fit); the sigma is mc_error's
+    bootstrap at the "visibility" seed site, where one pseudo-inverse of the
+    fixed design fits every resample and a0 <= 0 fails a resample.
     """
 
-    if n_resamples < 100:
-        raise ValidationError("n_resamples must be >= 100")
     design, counts, (a0, a1, a2) = _fringe_fit(points)
     v = float(_contrast(a0, a1, a2))
+    pinv = np.linalg.pinv(design)
 
-    resampled = poisson_rows(seed, "visibility", keys=range(n_resamples), lam=counts)
-    b0, b1, b2 = np.linalg.pinv(design) @ resampled.T
-    ok = b0 > 0
-    if ok.sum() < 0.9 * n_resamples:
-        raise EstimationError("fringe fit failed on more than 10% of resamples")
-    vs = _contrast(b0[ok], b1[ok], b2[ok])
-    est = EstimateWithError(value=v, sigma=float(np.std(vs)), n_resamples=n_resamples)
+    def contrasts(rows):
+        b = pinv @ rows.T
+        values = np.full(len(rows), np.nan)
+        ok = b[0] > 0
+        values[ok] = _contrast(*b[:, ok])
+        return values
+
+    sigma = _bootstrap(contrasts, counts, n_resamples, seed, "visibility").sigma
     return VisibilityResult(
-        estimate=est,
+        estimate=EstimateWithError(value=v, sigma=sigma, n_resamples=n_resamples),
         baseline=float(a0),
         phase=float(np.arctan2(a2, a1)),
         nonclassical=v > VISIBILITY_CLASSICAL_BOUND,
@@ -575,6 +564,26 @@ def alpha_from_counts(counts):
     return heralded_alpha(*np.maximum(counts[..., :3], 1).T, counts[..., 3])
 
 
+def _bootstrap(estimator, counts, n_resamples: int, seed: int, site: str) -> EstimateWithError:
+    """mc_error's bootstrap, drawing its resamples at the seed path (seed, site, k)."""
+    if n_resamples < 100:
+        raise ValidationError("n_resamples must be >= 100")
+    counts = np.asarray(counts, dtype=float)
+    if np.any(counts < 0):
+        raise ValidationError("counts must be >= 0")
+    resampled = poisson_rows(seed, site, keys=range(n_resamples), lam=counts)
+    values = np.asarray(estimator(resampled), dtype=float)
+    if values.shape != (n_resamples,):
+        raise ValidationError(f"estimator gave shape {values.shape} for {n_resamples} resamples")
+    ok = np.isfinite(values)
+    failures = n_resamples - int(ok.sum())
+    if failures > 0.1 * n_resamples:
+        raise EstimationError(
+            f"estimator failed on {failures}/{n_resamples} Poisson resamples, more than 10%"
+        )
+    return EstimateWithError(float(np.mean(values[ok])), float(np.std(values[ok])), n_resamples)
+
+
 def mc_error(
     estimator, counts: np.ndarray, n_resamples: int = 200, seed: int = 0
 ) -> EstimateWithError:
@@ -587,21 +596,7 @@ def mc_error(
     fail the estimate, and an exception it raises propagates.  Returns the
     mean/stddev of the other rows.
     """
-
-    if n_resamples < 100:
-        raise ValidationError("n_resamples must be >= 100")
-    counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise ValidationError("counts must be >= 0")
-    resampled = poisson_rows(seed, "mc", keys=range(n_resamples), lam=counts)
-    values = np.asarray(estimator(resampled), dtype=float)
-    if values.shape != (n_resamples,):
-        raise ValidationError(f"estimator gave shape {values.shape} for {n_resamples} resamples")
-    ok = np.isfinite(values)
-    failures = n_resamples - int(ok.sum())
-    if failures > 0.1 * n_resamples:
-        raise EstimationError(f"estimator failed on {failures}/{n_resamples} Poisson resamples")
-    return EstimateWithError(float(np.mean(values[ok])), float(np.std(values[ok])), n_resamples)
+    return _bootstrap(estimator, counts, n_resamples, seed, "mc")
 
 
 def __getattr__(name: str):

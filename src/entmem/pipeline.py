@@ -325,21 +325,6 @@ def seed_ensemble(scenario: Scenario, runs: int) -> dict[str, list[float]]:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _estimate_json(est: EstimateWithError) -> dict:
     return {"value": est.value, "sigma": est.sigma, "n_resamples": est.n_resamples}
 
@@ -395,7 +380,7 @@ def stage_report(
     }
     if calibration_report is not None:
         report["calibration"] = calibration_report
-    return _jsonable(report)
+    return report
 
 
 def _csv(header: str, rows) -> str:
@@ -478,6 +463,6 @@ def report_emit(
         rows = (f"{t:.6g},{int(c)},{g:.10g},{int(z)}" for t, c, g, z in bins)
         _write(plots / f"g2_histogram_{sfx}.csv", _csv("tau_ns,counts,g2,zero_floor", rows))
         for arm1_label, points in result.visibility_sweeps.items():
-            rows = (f"{t:.10g},{c:.6g}" for t, c in points)
+            rows = (f"{t:.10g},{int(c)}" for t, c in points)
             _write(plots / f"fringe_{sfx}_{arm1_label}.csv", _csv("theta_rad,coincidences", rows))
     return written

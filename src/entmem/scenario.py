@@ -24,6 +24,10 @@ from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
 from .source import SourceParams, eta_from_tan2, tan2_eta_from_detuning
 
 SCHEMA_VERSION = 1
+# The most bootstrap resamples a scenario may ask for: the batched Newton
+# solver holds about five (B, 16, 16) float64 arrays, 2 KB per row each, so
+# this caps them near 100 MB, 50 times the 200 resamples of the bundled plan.
+_N_RESAMPLES_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -86,17 +90,20 @@ class MeasurementPlan:
             raise ConfigurationError("visibility sweep needs at least 8 angles")
         if self.visibility_arm1 not in ("H", "V", "D", "A", "R", "L"):
             raise ConfigurationError(f"unknown visibility arm-1 state {self.visibility_arm1!r}")
-        missing = {
+        keys = {
             "tomo_pre", "tomo_post", "chsh_pre", "chsh_post",
             "vis_pre", "vis_post", "alpha_pre", "alpha_post", "g2",
-        } - set(self.acquisition_s)
-        if missing:
-            raise ConfigurationError(f"acquisition_s missing entries {sorted(missing)}")
+        }
+        missing, unknown = keys - set(self.acquisition_s), set(self.acquisition_s) - keys
+        if missing or unknown:
+            raise ConfigurationError(
+                f"acquisition_s: missing entries {sorted(missing)}, unknown {sorted(unknown)}"
+            )
         for key, val in self.acquisition_s.items():
             if val <= 0:
                 raise ConfigurationError(f"acquisition_s[{key!r}] must be > 0")
-        if self.n_resamples < 100:
-            raise ConfigurationError("n_resamples must be >= 100")
+        if not 100 <= self.n_resamples <= _N_RESAMPLES_MAX:
+            raise ConfigurationError(f"n_resamples must be in [100, {_N_RESAMPLES_MAX}]")
 
 
 @dataclass(frozen=True)

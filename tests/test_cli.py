@@ -197,6 +197,18 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command", [["simulate", "--skip-calibration"], ["calibrate"]])
+def test_sweep_that_cannot_resolve_the_fringe_exits_2(tmp_path, capsys, command):
+    """Seven sweep angles at 0 and one at pi/2: a design of rank 1, not a visibility of 1."""
+    bad = tmp_path / "degenerate.json"
+    d = scenario_to_dict(load_bundled_scenario())
+    d["settings"]["visibility_thetas"] = [0.0] * 7 + [1.5707963267948966]
+    bad.write_text(json.dumps(d))
+    rc = main(["--scenario", str(bad), "--out", str(tmp_path), *command])
+    assert rc == 2
+    assert "rank 1 < 3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "key, value, sampling",
     [

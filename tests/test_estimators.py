@@ -97,10 +97,9 @@ class TestTomographySettingSet:
         labels = {s.label for s in SETTINGS.settings}
         assert labels == {a + b for a in "HVDR" for b in "HVDR"}
 
-    def test_duplicate_settings_rejected(self):
-        dup = tuple(list(SETTINGS.settings[:15]) + [SETTINGS.settings[0]])
-        with pytest.raises(ConfigurationError):
-            TomographySettingSet(dup)
+    def test_tomo_settings_projectors_span_the_operator_space(self):
+        assert SETTINGS is estimators.TOMO_SETTINGS
+        assert np.linalg.matrix_rank(estimators._TOMO_DESIGN, tol=1e-9) == 16
 
 
 class TestTomoLinear:
@@ -124,6 +123,15 @@ class TestTomoLinear:
         est = tomo_linear(*tomo_counts(exact_records(rho, 1e9)))
         assert np.max(np.abs(est - est.conj().T)) < 1e-12
         assert np.trace(est).real == pytest.approx(1.0, abs=1e-9)
+
+    def test_stack_rows_equal_one_row_estimates_bit_for_bit(self, rng):
+        counts, acq = tomo_counts(exact_records(random_density_matrix(rng), 1e4))
+        rows = rng.poisson(counts, size=(50, 16)).astype(float)
+        rows[7, estimators._NORMALIZATION_IDX] = 0.0  # no normalization coincidences
+        stack = tomo_linear(rows, acq)
+        assert stack.shape == (50, 4, 4) and np.isnan(stack[7]).all()
+        for k in set(range(50)) - {7}:
+            assert np.array_equal(stack[k], tomo_linear(rows[k], acq))
 
     def test_zero_group_total_rejected(self):
         recs = exact_records(bell_psi_plus())
@@ -758,6 +766,14 @@ class TestVisibilityFit:
         thetas = np.linspace(0, np.pi / 8, 10)
         with pytest.raises(ValidationError):
             visibility_fit(list(zip(thetas, self._fringe(thetas, 100, 0.5, 0))))
+
+    def test_sweep_that_cannot_resolve_the_fringe_rejected(self):
+        """Seven angles at 0 and one at pi/2 span a period, but the design has rank 1."""
+        thetas = [0.0] * 7 + [np.pi / 2]
+        with pytest.raises(ValidationError, match="rank 1 < 3"):
+            visibility_fit([(t, 100.0) for t in thetas])
+        with pytest.raises(ValidationError, match="rank 1 < 3"):
+            visibility_analytic(bell_psi_plus(), "A", thetas)
 
     def test_all_zero_counts_rejected(self):
         thetas = np.linspace(0, np.pi / 2, 12)

@@ -347,6 +347,31 @@ class TestReports:
         text = json.dumps(report, sort_keys=True)
         assert json.loads(text) == json.loads(json.dumps(json.loads(text), sort_keys=True))
 
+    def test_stage_report_holds_only_json_types(self, calibrated):
+        """report_json writes the report as stage_report builds it: no numpy value in it."""
+
+        def check(node):
+            assert type(node) in (dict, list, str, int, float, bool, type(None)), repr(node)
+            if type(node) is dict:
+                assert all(type(key) is str for key in node)
+                node = list(node.values())
+            if type(node) is list:
+                for child in node:
+                    check(child)
+
+        calibration = calibrate(load_bundled_scenario())[1]
+        for scenario in (calibrated, classicalize(calibrated)):
+            for sampling in ("poisson", "expected"):
+                for stage in STAGES:
+                    result = run_experiment(scenario, stage, sampling)
+                    check(stage_report(scenario, result, calibration))
+
+    def test_fringe_plot_counts_are_written_exactly(self, fast, tmp_path):
+        res = replace(run_experiment(fast, "pre_storage"), visibility_sweeps={"A": [(0.5, 1234567.0)]})
+        report_emit(fast, {"pre_storage": res}, tmp_path)
+        text = (tmp_path / "plots" / "fringe_pre_A.csv").read_text()
+        assert text == "theta_rad,coincidences\n0.5,1234567\n"
+
     def test_report_emit_writes_contract_files(self, fast, tmp_path):
         results = {
             "pre_storage": run_experiment(fast, "pre_storage"),

@@ -96,6 +96,8 @@ BAD_VALUES = [
     (("timing", "cycles_per_duty"), 2600.0),
     (("settings", "n_resamples"), 5),
     (("settings", "n_resamples"), "200"),
+    (("settings", "n_resamples"), 2**62),
+    (("settings", "acquisition_s", "g2_post"), 1.0),
     (("settings", "error_bars"), 1),
     (("settings", "acquisition_s", "g2"), float("nan")),
     (("settings", "chsh_angles"), [0.0, 0.1, 0.2]),
