@@ -1,16 +1,16 @@
 """Figure-of-merit estimators operating on count records.
 
-Tomography follows the standard two-stage recipe: exact linear inversion
-of the 16 projection frequencies, then a Poisson maximum-likelihood fit
-over the Cholesky-parameterized physical states seeded from the clamped
-linear estimate.  One damped Newton method runs a batch of such fits on a
-likelihood whose gradient and Hessian come from a quadratic-form tensor
-built at import.  A fit stops at a Newton decrement <= 1e-15 |NLL| with a
-positive definite Hessian, or, when no step lowers the NLL, at <= 1e-13
-|NLL|; one that does neither within 1,000 steps, or reaches a non-finite
-Hessian, is an EstimationError.  CHSH, visibility and the Cauchy-Schwarz
-ratio are closed-form count ratios; every estimator gets its error bar
-from Poisson Monte-Carlo resampling of the observed counts.
+Tomography follows the standard two-stage recipe: exact linear inversion of the 16
+projection frequencies, then a Poisson maximum-likelihood fit over the Cholesky-parameterized
+physical states seeded from the clamped linear estimate.  One damped Newton method runs a
+batch of such fits on a likelihood whose gradient and Hessian come from a quadratic-form
+tensor built at import; each row's Hessian is definite when its own Cholesky factorization
+succeeds, and only a row that fails it gets eigenvalues (and, if indefinite, a shift).  A fit
+stops at a Newton decrement <= 1e-15 |NLL| with a definite Hessian, or, when no step lowers
+the NLL, at <= 1e-13 |NLL|; one that does neither within 1,000 steps, or reaches a non-finite
+Hessian, is an EstimationError.  CHSH, visibility and the Cauchy-Schwarz ratio are
+closed-form count ratios; every estimator gets its error bar from Poisson Monte-Carlo
+resampling of the observed counts.
 
 Each measurement design is defined here, once, next to its estimator:
 TOMO_SETTINGS, chsh_settings and fringe_settings.  The pipeline simulates
@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .detection import (
     CountRecord,
@@ -214,19 +215,18 @@ def _nll_derivatives(terms: tuple, counts: np.ndarray, exposures: np.ndarray) ->
 def _newton_step(h: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Newton steps -h^-1 g of stacks h (B, 16, 16) and g (B, 16), and which h are definite.
 
-    One stacked Cholesky tests every h.  If any h fails it, an h whose lowest
-    eigenvalue is below 1e-12 of its largest magnitude counts as indefinite
-    and is shifted by twice that eigenvalue.  One stacked solve gives the steps.
+    Each h's own Cholesky factorization tests it; only one that fails gets eigenvalues,
+    counts as indefinite when the lowest is below 1e-12 of the largest magnitude, and is then
+    shifted in place by twice that eigenvalue.  One stacked solve gives the steps.
     """
+    with np.errstate(all="ignore"):  # np.linalg.cholesky's gufunc: a failed factor is NaN
+        failed = np.isnan(_umath_linalg.cholesky_lo(h)[:, 0, 0]).nonzero()[0]
+    vals = np.linalg.eigvalsh(h[failed])
+    floor = 1e-12 * np.abs(vals).max(axis=1)
     definite = np.ones(len(h), dtype=bool)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        vals = np.linalg.eigvalsh(h)
-        floor = 1e-12 * np.abs(vals).max(axis=1)
-        definite = vals[:, 0] >= floor
-        h = h.copy()  # shifted below
-        h.reshape(-1, 256)[:, ::17] += np.where(definite, 0.0, floor - 2 * vals[:, 0])[:, None]
+    definite[failed] = vals[:, 0] >= floor
+    shift = np.where(definite[failed], 0.0, floor - 2 * vals[:, 0])
+    h[failed[:, None], range(16), range(16)] += shift[:, None]
     return -np.linalg.solve(h, g[:, :, None])[:, :, 0], definite
 
 

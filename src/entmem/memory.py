@@ -23,6 +23,12 @@ from .source import Spectrum
 # Rb D1 excited-state half linewidth Gamma/2, expressed in ordinary-frequency
 # MHz so it shares units with the detuning grid (Gamma = 2*pi*5.75 rad/us).
 GAMMA_E_D1_MHZ = 2.875
+# Far past any coupling a Lambda system takes (the Rb ground splitting is 6.8e3 MHz);
+# below it the susceptibility's rabi_coupling**2 is a finite float.
+RABI_COUPLING_MAX_MHZ = 1e6
+# Decades of storage (the longest optical memories hold light for about an hour);
+# below it the 3 tau_mem time axis of the efficiency curve is a finite float.
+TAU_MEM_MAX_NS = 1e18
 
 
 @dataclass(frozen=True)
@@ -38,8 +44,8 @@ class EITParams:
     def __post_init__(self):
         if self.optical_depth <= 0:
             raise ValidationError("optical_depth must be > 0")
-        if self.rabi_coupling < 0:
-            raise ValidationError("rabi_coupling must be >= 0")
+        if not 0 <= self.rabi_coupling <= RABI_COUPLING_MAX_MHZ:
+            raise ValidationError(f"rabi_coupling must be in [0, {RABI_COUPLING_MAX_MHZ:g}] MHz")
         if self.gamma_e <= 0:
             raise ValidationError("gamma_e must be > 0")
         if self.gamma_g < 0:
@@ -67,8 +73,8 @@ class MemoryDecayParams:
     def __post_init__(self):
         if self.model not in ("gaussian", "exponential"):
             raise ValidationError(f"unknown decay model {self.model!r}")
-        if self.tau_mem <= 0:
-            raise ValidationError("tau_mem must be > 0")
+        if not 0 < self.tau_mem <= TAU_MEM_MAX_NS:
+            raise ValidationError(f"tau_mem must be in (0, {TAU_MEM_MAX_NS:g}] ns")
         if not 0.0 < self.eta_peak <= 1.0:
             raise ValidationError("eta_peak must be in (0, 1]")
 

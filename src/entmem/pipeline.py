@@ -148,18 +148,18 @@ def simulate_g2(stage: Stage):
     scenario, delay = stage.scenario, stage.delay_ns
     s1, s2, s12 = slot_probs(stage)
     slot, acq = scenario.timing.cycle_period_ns, scenario.plan.acquisition_s["g2"]
-    n_slots = int(scenario.timing.pulse_rate * acq)
+    slots = scenario.timing.pulse_rate * acq  # a float: it may be past any int64
     pair_prob = max(s12 - s1 * s2, 0.0)
     # Checked before any draw; the accidentals of one slot bound those of every bin.
-    pairs, accidentals = n_slots * pair_prob, n_slots * s1 * s2
-    if not (n_slots >= 1 and pairs <= G2_PAIRS_MAX and accidentals <= POISSON_MEAN_MAX):
+    pairs, accidentals = slots * pair_prob, slots * s1 * s2
+    if not (slots >= 1 and pairs <= G2_PAIRS_MAX and accidentals <= POISSON_MEAN_MAX):
         raise ValidationError(
-            f"settings.acquisition_s.g2: at acquisition_s={acq:g} the g2 histogram spans {n_slots}"
+            f"settings.acquisition_s.g2: at acquisition_s={acq:g} the histogram spans {slots:.3g}"
             f" pump periods (at least 1) and expects {pairs:.3g} pairs (at most {G2_PAIRS_MAX:.3g})"
             f" and {accidentals:.3g} accidentals per slot (at most {POISSON_MEAN_MAX:.3g})"
         )
     params = G2StreamParams(
-        n_slots=n_slots,
+        n_slots=int(slots),
         slot_ns=slot,
         pair_prob_detected=pair_prob,
         singles1_prob=s1,

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import entmem.estimators as estimators
 import entmem.pipeline as pipeline
 from entmem.cli import main
 from entmem.detection import records_to_csv
+from entmem.memory import TAU_MEM_MAX_NS
 from entmem.pipeline import run_experiment
 from entmem.scenario import (
     load_bundled_scenario,
@@ -222,6 +224,9 @@ def test_sweep_that_cannot_resolve_the_fringe_exits_2(tmp_path, capsys, command)
         ("g2", 1e30, "expected"),
         # shorter than one pump period: no slot to histogram
         ("g2", 1e-9, "expected"),
+        # so many pump periods that their count is inf as a float
+        ("g2", 1e303, "poisson"),
+        ("g2", 1e303, "expected"),
     ],
 )
 def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
@@ -272,6 +277,25 @@ def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value,
         assert field in err
     if codes == {4}:
         assert "retrieval efficiency 0 at storage time" in err
+
+
+@pytest.mark.parametrize(
+    "tau_mem, stage, n_files",
+    [(1e-160, "pre_storage", 15), (169.85, "both", 28), (TAU_MEM_MAX_NS, "both", 28)],
+)
+def test_written_files_hold_only_finite_numbers(tmp_path, tau_mem, stage, n_files):
+    """The efficiency curve spans 3 tau_mem: finite up to the largest tau_mem a scenario takes."""
+    d = scenario_to_dict(load_bundled_scenario())
+    d["decay"]["tau_mem"] = tau_mem
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    argv = ["--scenario", str(path), "--out", str(out), "simulate", "--skip-calibration"]
+    assert main(argv + ["--sampling", "expected", "--stage", stage]) == 0
+    written = sorted(out.rglob("*.*"))
+    assert len(written) == n_files
+    for f in written:
+        assert not re.search(r"nan|inf", f.read_text(), re.IGNORECASE), f
 
 
 def test_calibration_error_exit_code(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from scipy.optimize import minimize
 
 import entmem.estimators as estimators
@@ -494,6 +495,63 @@ class TestNewtonSolver:
         for row, reference in zip(step, expected):
             assert np.max(np.abs(row - reference)) <= 1e-12 * np.max(np.abs(reference))
         assert np.all(np.einsum("bi,bi->b", g, step) < 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lowest=st.lists(
+            st.one_of(
+                st.floats(-4.0, -0.01),
+                st.floats(0.01, 2.0),
+                # positive, but below the 1e-12 * 5 floor of the definiteness rule
+                st.sampled_from([5e-14, 5e-13, 2e-12]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_steps_as_if_alone(self, lowest, seed):
+        """A row's step and definite flag do not depend on the other rows, bit for bit."""
+        h, g, _ = self._stack(np.random.default_rng(seed), lowest)
+        step, definite = estimators._newton_step(h.copy(), g)  # shifts failed rows in place
+        for i in range(len(h)):
+            alone_step, alone_definite = estimators._newton_step(h[i : i + 1].copy(), g[i : i + 1])
+            assert step[i].tobytes() == alone_step[0].tobytes()
+            assert definite[i] == alone_definite[0]
+
+    def test_eigenvalues_only_for_rows_that_fail_cholesky(self, rng, monkeypatch):
+        lowest = [0.5, -2.0, 5e-13, 1.0, -0.3]
+        h, g, _ = self._stack(rng, lowest)
+        failing = []
+        for row in h:
+            try:
+                np.linalg.cholesky(row)
+            except np.linalg.LinAlgError:
+                failing.append(row)
+        assert len(failing) == 2  # the two negative rows; 5e-13 factors
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            seen.extend(a)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        _, definite = estimators._newton_step(h.copy(), g)
+        assert np.array_equal(np.array(seen), np.array(failing))
+        assert list(definite) == [True, False, True, True, False]
+
+    def test_cholesky_gufunc_nan_fills_a_failed_factor(self):
+        """_newton_step reads a failure from numpy's private gufunc behind np.linalg.cholesky:
+        a NaN-filled factor for that matrix alone, no error for the stack."""
+        h = np.stack([np.diag([4.0, 1.0]), np.diag([1.0, -1.0]), [[2.0, 1.0], [1.0, 2.0]]])
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            _umath_linalg.cholesky_lo(h)
+        with np.errstate(all="ignore"):
+            factor = _umath_linalg.cholesky_lo(h)
+        assert np.isnan(factor[1]).all()
+        for i in (0, 2):
+            assert factor[i].tobytes() == np.linalg.cholesky(h[i]).tobytes()
 
     def test_fit_from_indefinite_first_hessian_at_least_lbfgs(self, rng, monkeypatch):
         """Exact rank-1 data fitted from the maximally mixed state."""

@@ -85,6 +85,10 @@ BAD_VALUES = [
     (("eit", "optical_depth"), float("nan")),
     (("eit", "gamma_g"), float("inf")),
     (("decay", "tau_mem"), float("nan")),
+    # 3 tau_mem, the span of the efficiency curve, is past the float range
+    (("decay", "tau_mem"), 1e308),
+    # rabi_coupling**2 is past the float range
+    (("eit", "rabi_coupling"), 1e300),
     (("timing", "rep_rate"), float("-inf")),
     (("timing", "fiber_delay_ns"), float("inf")),
     (("correlations", "g2_autocorr_s1"), float("nan")),
