@@ -20,7 +20,6 @@ import numpy as np
 
 from entmem.calibrate import calibrate
 from entmem.errors import EstimationError, ValidationError
-from entmem.estimators import shared_fits
 from entmem.experiment import model_slot_g2
 from entmem.pipeline import run_experiment
 from entmem.scenario import load_bundled_scenario
@@ -50,23 +49,22 @@ def main():
 
     rows = ["t_ns,eta,g2_slot,F_post,S_post,V_post"]
     print(f"{'t_ns':>7} {'eta':>8} {'g2':>7} {'F':>7} {'S':>7} {'V':>7}")
-    # Every storage time shares the pre-storage reference fit.
-    with shared_fits():
-        for scn in scenarios:
-            t = scn.timing.storage_time_ns
-            try:
-                res = run_experiment(scn, "post_storage", sampling=args.sampling)
-            except EstimationError as exc:
-                sys.exit(f"error: no estimate at storage time {t:.1f} ns: {exc}")
-            eta, g2 = res.view.eta, model_slot_g2(res.view)
-            rows.append(
-                f"{t:.1f},{eta:.6g},{g2:.6g},{res.fidelity.value:.6g},"
-                f"{res.chsh_S.value:.6g},{res.visibility.estimate.value:.6g}"
-            )
-            print(
-                f"{t:7.1f} {eta:8.4f} {g2:7.2f} {res.fidelity.value:7.4f} "
-                f"{res.chsh_S.value:7.4f} {res.visibility.estimate.value:7.4f}"
-            )
+    fits = {}  # every storage time shares the pre-storage reference fit
+    for scn in scenarios:
+        t = scn.timing.storage_time_ns
+        try:
+            res = run_experiment(scn, "post_storage", sampling=args.sampling, fits=fits)
+        except EstimationError as exc:
+            sys.exit(f"error: no estimate at storage time {t:.1f} ns: {exc}")
+        eta, g2 = res.view.eta, model_slot_g2(res.view)
+        rows.append(
+            f"{t:.1f},{eta:.6g},{g2:.6g},{res.fidelity.value:.6g},"
+            f"{res.chsh_S.value:.6g},{res.visibility.estimate.value:.6g}"
+        )
+        print(
+            f"{t:7.1f} {eta:8.4f} {g2:7.2f} {res.fidelity.value:7.4f} "
+            f"{res.chsh_S.value:7.4f} {res.visibility.estimate.value:7.4f}"
+        )
     Path(args.out).write_text("\n".join(rows) + "\n")
     print(f"wrote {args.out}")
 

@@ -20,7 +20,6 @@ from .estimators import (
     chsh_e_matrix,
     chsh_S,
     chsh_S_literal,
-    shared_fits,
     tomo_counts,
     tomo_linear,
     tomo_mle,
@@ -64,10 +63,9 @@ def _cmd_simulate(args) -> int:
         scenario, calib_report = calibrate(scenario)
     stages = list(STAGES) if args.stage == "both" else [args.stage]
     results = {}
-    # The post stage's fidelity reference refits the pre stage's tomography counts.
-    with shared_fits():
-        for stage in stages:
-            results[stage] = run_experiment(scenario, stage, sampling=args.sampling)
+    fits = {}  # the post stage's fidelity reference refits the pre stage's tomography counts
+    for stage in stages:
+        results[stage] = run_experiment(scenario, stage, sampling=args.sampling, fits=fits)
     files = report_emit(scenario, results, args.out, calibration_report=calib_report)
     for stage, result in results.items():
         print(

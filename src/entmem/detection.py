@@ -35,6 +35,11 @@ class MeasurementSetting:
     label: str = ""
 
 
+# A second: far past any photon counter's recovery (tens of ns to a few us); below it a
+# count rate times the dead time is a finite float.
+DEAD_TIME_MAX_NS = 1e9
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Single-photon detector model; times in ns, rates in counts/s."""
@@ -47,8 +52,8 @@ class DetectorParams:
     def __post_init__(self):
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValidationError("detector efficiency outside [0, 1]")
-        if self.dark_rate < 0 or self.dead_time < 0:
-            raise ValidationError("dark_rate and dead_time must be >= 0")
+        if self.dark_rate < 0 or not 0 <= self.dead_time <= DEAD_TIME_MAX_NS:
+            raise ValidationError(f"dark_rate must be >= 0, dead_time in [0, {DEAD_TIME_MAX_NS:g}]")
         if self.gate_width <= 0:
             raise ValidationError("gate_width must be > 0")
 

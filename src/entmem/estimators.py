@@ -4,13 +4,14 @@ Tomography follows the standard two-stage recipe: exact linear inversion of the 
 projection frequencies, then a Poisson maximum-likelihood fit over the Cholesky-parameterized
 physical states seeded from the clamped linear estimate.  One damped Newton method runs a
 batch of such fits on a likelihood whose gradient and Hessian come from a quadratic-form
-tensor built at import; each row's Hessian is definite when its own Cholesky factorization
-succeeds, and only a row that fails it gets eigenvalues (and, if indefinite, a shift).  A fit
-stops at a Newton decrement <= 1e-15 |NLL| with a definite Hessian, or, when no step lowers
-the NLL, at <= 1e-13 |NLL|; one that does neither within 1,000 steps, or reaches a non-finite
-Hessian, is an EstimationError.  CHSH, visibility and the Cauchy-Schwarz ratio are
-closed-form count ratios; every estimator gets its error bar from Poisson Monte-Carlo
-resampling of the observed counts.
+tensor built at import; every product is per row, so a row's fit is the same, bit for bit,
+in any batch, and a dict of fits (a fit store) passed to fit_rows and tomo_mle serves each
+input once.  Each row's Hessian is definite when its own Cholesky factorization succeeds, and
+only a row that fails it gets eigenvalues (and, if indefinite, a shift).  A fit stops at a
+Newton decrement <= 1e-15 |NLL| with a definite Hessian, or, when no step lowers the NLL, at
+<= 1e-13 |NLL|; one that does neither within 1,000 steps, or reaches a non-finite Hessian, is
+an EstimationError.  CHSH, visibility and the Cauchy-Schwarz ratio are closed-form count
+ratios; every estimator gets its error bar from Poisson Monte-Carlo resampling of the counts.
 
 Each measurement design is defined here, once, next to its estimator:
 TOMO_SETTINGS, chsh_settings and fringe_settings.  The pipeline simulates
@@ -22,7 +23,6 @@ measured figures.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,8 +152,8 @@ _CHOL_BASIS[range(4), range(4), range(4)] = 1.0
 _CHOL_BASIS[range(4, 16, 2), _LOWER_ROWS, _LOWER_COLS] = 1.0
 _CHOL_BASIS[range(5, 16, 2), _LOWER_ROWS, _LOWER_COLS] = 1j
 _TOMO_Q = np.real(np.einsum("kij,alj,bli->kab", _TOMO_PROJECTORS, _CHOL_BASIS.conj(), _CHOL_BASIS))
-_Q_BY_PROB = _TOMO_Q.reshape(16, 256).copy()  # w @ _Q_BY_PROB: sum_k w_k Q_k
-_Q_BY_PARAM = _Q_BY_PROB.reshape(256, 16).T.copy()  # t @ _Q_BY_PARAM: the rows Q_k t
+_Q_BY_PROB = _TOMO_Q.reshape(16, 256).copy()  # w[:, None] @ _Q_BY_PROB: sum_k w_k Q_k
+_Q_BY_PARAM = _Q_BY_PROB.reshape(256, 16).T.copy()  # t[:, None] @ _Q_BY_PARAM: the rows Q_k t
 
 
 def _t_from_params(t: np.ndarray) -> np.ndarray:
@@ -186,7 +186,7 @@ def _log_likelihood(probs: np.ndarray, counts: np.ndarray, exposures: np.ndarray
 def _nll_value(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> tuple:
     """Poisson NLL of each row of t, and the terms (t, Q_k t, p, t.t) its derivatives reuse."""
     s = np.vecdot(t, t)
-    g_mat = (t @ _Q_BY_PARAM).reshape(-1, 16, 16)  # row k of g_mat[b] is Q_k t[b]
+    g_mat = (t[:, None, :] @ _Q_BY_PARAM).reshape(-1, 16, 16)  # row k of g_mat[b] is Q_k t[b]
     ll, probs = _log_likelihood((g_mat @ t[:, :, None])[:, :, 0] / s[:, None], counts, exposures)
     return -ll, (t, g_mat, probs, s)
 
@@ -203,7 +203,7 @@ def _nll_derivatives(terms: tuple, counts: np.ndarray, exposures: np.ndarray) ->
     jac = np.subtract(g_mat, probs[:, :, None] * t[:, None, :], out=g_mat)  # dp/dt = scale J
     buf = jac * (scale * ratio / probs)[:, :, None]  # the one other (B, 16, 16) buffer
     hess = jac.mT @ buf
-    np.matmul(weights, _Q_BY_PROB, out=buf.reshape(-1, 256))[:, ::17] -= wp
+    np.matmul(weights[:, None, :], _Q_BY_PROB, out=buf.reshape(-1, 1, 256))[:, 0, ::17] -= wp
     hess -= buf
     np.multiply(grad[:, :, None], t[:, None, :], out=buf)
     hess += buf
@@ -294,30 +294,14 @@ def _newton_fits(t: np.ndarray, counts: np.ndarray, exposures: np.ndarray) -> tu
     return fitted, errors
 
 
-_SHARED_FITS: dict | None = None  # tomo_mle's fits in the open shared_fits() scope
-
-
-@contextmanager
-def shared_fits():
-    """Scope in which tomo_mle fits each distinct input once; a nested scope shares it."""
-    global _SHARED_FITS
-    outer, _SHARED_FITS = _SHARED_FITS, {} if _SHARED_FITS is None else _SHARED_FITS
-    try:
-        yield
-    finally:
-        _SHARED_FITS = outer
-
-
-def fit_rows(count_rows, acquisition_s) -> None:
+def fit_rows(count_rows, acquisition_s, fits: dict) -> None:
     """Fit as one batch the distinct rows (16 counts each, acquired for acquisition_s) that
-    the open shared_fits() scope lacks; it then holds each one's state or EstimationError.
-    Rows that tomo_mle rejects before a fit are left to it."""
-    if _SHARED_FITS is None:
-        return
+    the fit store fits lacks; it then holds each one's state or EstimationError.  Rows that
+    tomo_mle rejects before a fit are left to it."""
     freqs, exposures, counts = _tomo_data(count_rows, acquisition_s)
     acq = np.asarray(acquisition_s, dtype=float).tobytes()
     batch = {(row.tobytes(), acq): k for k, row in enumerate(counts) if not np.isnan(freqs[k, 0])}
-    batch = {key: k for key, k in batch.items() if key not in _SHARED_FITS}
+    batch = {key: k for key, k in batch.items() if key not in fits}
     if not batch:
         return
     exposures, counts = (a[list(batch.values())] for a in (exposures, counts))
@@ -332,28 +316,26 @@ def fit_rows(count_rows, acquisition_s) -> None:
     rho = (rho + rho.conj().mT) / (2 * np.trace(rho, axis1=1, axis2=2).real[:, None, None])
     states = iter(TwoQubitState.stack(rho[[error is None for error in errors]]))
     for key, error in zip(batch, errors):
-        _SHARED_FITS[key] = EstimationError(error) if error else next(states)
+        fits[key] = EstimationError(error) if error else next(states)
 
 
-def tomo_mle(counts, acquisition_s) -> TwoQubitState:
+def tomo_mle(counts, acquisition_s, fits: dict | None = None) -> TwoQubitState:
     """Maximum-likelihood physical state from the 16 tomography counts.
 
     counts and acquisition_s are in TOMO_SETTINGS order (see tomo_counts).
     The Poisson log-likelihood sum_i [n_i ln(N_i p_i) - N_i p_i] is
     maximized over the Cholesky parameterization by damped Newton steps with
     the analytic Hessian (fit_rows on one row).  A fit Newton cannot finish
-    raises EstimationError.  Inside a shared_fits() scope an input fitted
-    before returns its first fit's state (rho is read-only) or raises its
-    error, without checking the input again.
+    raises EstimationError.  An input the fit store fits holds returns its
+    stored state (rho is read-only) or raises its error, without checking
+    the input again; a new one is fitted and stored there.
     """
 
+    fits = {} if fits is None else fits
     key = tuple(np.asarray(a, dtype=float).tobytes() for a in (counts, acquisition_s))
-    fit = None if _SHARED_FITS is None else _SHARED_FITS.get(key)
-    if fit is None:
-        counts = _tomo_data(counts, acquisition_s)[2]
-        with shared_fits():
-            fit_rows([counts], acquisition_s)
-            fit = _SHARED_FITS[key]
+    if key not in fits:
+        fit_rows([_tomo_data(counts, acquisition_s)[2]], acquisition_s, fits)
+    fit = fits[key]
     if isinstance(fit, EstimationError):
         raise fit.with_traceback(None)
     return fit

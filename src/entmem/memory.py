@@ -26,6 +26,9 @@ GAMMA_E_D1_MHZ = 2.875
 # Far past any coupling a Lambda system takes (the Rb ground splitting is 6.8e3 MHz);
 # below it the susceptibility's rabi_coupling**2 is a finite float.
 RABI_COUPLING_MAX_MHZ = 1e6
+# Far past the natural width of any optical transition (Rb D1: 2.875 MHz) and any
+# ground-state dephasing; below it the susceptibility's products of rates are finite floats.
+LINEWIDTH_MAX_MHZ = 1e6
 # Decades of storage (the longest optical memories hold light for about an hour);
 # below it the 3 tau_mem time axis of the efficiency curve is a finite float.
 TAU_MEM_MAX_NS = 1e18
@@ -46,10 +49,10 @@ class EITParams:
             raise ValidationError("optical_depth must be > 0")
         if not 0 <= self.rabi_coupling <= RABI_COUPLING_MAX_MHZ:
             raise ValidationError(f"rabi_coupling must be in [0, {RABI_COUPLING_MAX_MHZ:g}] MHz")
-        if self.gamma_e <= 0:
-            raise ValidationError("gamma_e must be > 0")
-        if self.gamma_g < 0:
-            raise ValidationError("gamma_g must be >= 0")
+        if not 0 < self.gamma_e <= LINEWIDTH_MAX_MHZ:
+            raise ValidationError(f"gamma_e must be in (0, {LINEWIDTH_MAX_MHZ:g}] MHz")
+        if not 0 <= self.gamma_g <= LINEWIDTH_MAX_MHZ:
+            raise ValidationError(f"gamma_g must be in [0, {LINEWIDTH_MAX_MHZ:g}] MHz")
         lo, hi, n = self.probe_grid_mhz
         if not (0.0 < hi - lo < np.inf and 3 <= n <= 1_000_000):
             raise ValidationError(
@@ -143,17 +146,15 @@ def transparency_window_fwhm(eit: EITParams) -> float:
     half = floor + 0.5 * (t_peak - floor)
 
     def _cross(xs, ys):
-        # walk outward from the peak to the first half crossing
-        for i in range(len(ys) - 1):
-            if (ys[i] - half) * (ys[i + 1] - half) <= 0 and ys[i] >= half:
-                x0, x1, y0, y1 = xs[i], xs[i + 1], ys[i], ys[i + 1]
-                if y1 == y0:
-                    return x1
-                return x0 + (half - y0) * (x1 - x0) / (y1 - y0)
-        raise CalibrationError(
-            "transparency peak does not reach half maximum inside the grid",
-            parameter="probe_detuning_grid",
-        )
+        above = ys - half  # the first half crossing outward from the peak
+        hits = np.flatnonzero((above[:-1] * above[1:] <= 0) & (above[:-1] >= 0))
+        if not hits.size:
+            raise CalibrationError(
+                "transparency peak does not reach half maximum inside the grid",
+                parameter="probe_detuning_grid",
+            )
+        (x0, x1), (y0, y1) = xs[hits[0] : hits[0] + 2], ys[hits[0] : hits[0] + 2]
+        return x1 if y1 == y0 else x0 + (half - y0) * (x1 - x0) / (y1 - y0)
 
     x_right = _cross(grid[i0:], t[i0:])
     x_left = _cross(grid[: i0 + 1][::-1], t[: i0 + 1][::-1])

@@ -43,7 +43,6 @@ from .estimators import (
     fringe_settings,
     is_nonclassical_R,
     mc_error,
-    shared_fits,
     tomo_counts,
     tomo_linear,
     tomo_mle,
@@ -183,8 +182,10 @@ def run_experiment(
     scenario: Scenario,
     stage: str,
     sampling: str = "poisson",
+    fits: dict | None = None,
 ) -> StageResult:
-    """Simulate one stage end to end and estimate every figure of merit."""
+    """Simulate one stage end to end and estimate every figure of merit; every tomography
+    fit goes through the fit store fits (see tomo_mle), which callers may share."""
 
     if sampling not in ("poisson", "expected"):
         raise ValidationError(f"unknown sampling mode {sampling!r}")
@@ -199,6 +200,7 @@ def run_experiment(
     error_bars = plan.error_bars and sampling == "poisson"
     n_res = plan.n_resamples
     seed = scenario.master_seed
+    fits = {} if fits is None else fits
 
     def with_sigma(point, estimator, counts) -> EstimateWithError:
         """The point estimate, with the bootstrap sigma of estimator(counts) if enabled."""
@@ -211,7 +213,7 @@ def run_experiment(
     result.records["tomography"] = tomo_records
     counts, acq = tomo_counts(tomo_records)
     result.rho_linear = tomo_linear(counts, acq)
-    result.rho_mle = tomo_mle(counts, acq)
+    result.rho_mle = tomo_mle(counts, acq, fits)
     ref_counts = ref_acq = np.empty(0)
     result.fidelity_reference = "ideal"
     if stage == "post_storage":
@@ -222,22 +224,21 @@ def run_experiment(
     n_ref = len(ref_counts)
     ideal = bell_psi_plus()
 
-    def fits(rows, row_acq):
+    def fitted(rows, row_acq):
         """The rows' fits as one fit_rows batch, each read through tomo_mle; NaN where it failed."""
-        fit_rows(rows, row_acq)
+        fit_rows(rows, row_acq, fits)
         rho = np.full((len(rows), 4, 4), np.nan, dtype=np.complex128)
         for k, row in enumerate(rows):
             with suppress(EstimationError):
-                rho[k] = tomo_mle(row, row_acq).rho
+                rho[k] = tomo_mle(row, row_acq, fits).rho
         return rho
 
-    def f_estimator(resampled):  # the reference batch first: a post-storage run alone fits the same
-        ref = fits(resampled[:, :n_ref], ref_acq) if n_ref else ideal
-        return fidelity(fits(resampled[:, n_ref:], acq), ref)
+    def f_estimator(resampled):
+        ref = fitted(resampled[:, :n_ref], ref_acq) if n_ref else ideal
+        return fidelity(fitted(resampled[:, n_ref:], acq), ref)
 
-    with shared_fits():
-        point = fidelity(result.rho_mle, tomo_mle(ref_counts, ref_acq) if n_ref else ideal)
-        result.fidelity = with_sigma(point, f_estimator, np.concatenate([ref_counts, counts]))
+    point = fidelity(result.rho_mle, tomo_mle(ref_counts, ref_acq, fits) if n_ref else ideal)
+    result.fidelity = with_sigma(point, f_estimator, np.concatenate([ref_counts, counts]))
 
     # --- CHSH
     chsh_records = _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles))
@@ -306,8 +307,8 @@ def seed_ensemble(scenario: Scenario, runs: int) -> dict[str, list[float]]:
     figures = {}
     for k in range(runs):
         scn = replace(scenario, master_seed=scenario.master_seed + k)
-        with shared_fits():
-            results = [run_experiment(scn, stage) for stage in STAGES]
+        fits = {}
+        results = [run_experiment(scn, stage, fits=fits) for stage in STAGES]
         for r in results:
             for name, value in (
                 ("F", r.fidelity.value),

@@ -212,7 +212,8 @@ def fidelity(rho, sigma):
     if ok.any():
         a, b = (m if m.ndim == 2 else np.broadcast_to(m, (*ok.shape, 4, 4))[ok] for m in (a, b))
         singulars = np.linalg.svd(psd_sqrt(a) @ psd_sqrt(b), compute_uv=False)
-        f[ok] = np.clip(singulars.sum(axis=-1) ** 2, 0.0, 1.0)
+        # float ** 2 of each trace norm, as for one pair: the array square can round differently
+        f[ok] = np.clip([float(x) ** 2 for x in np.atleast_1d(singulars.sum(axis=-1))], 0.0, 1.0)
     return float(f) if f.ndim == 0 else f
 
 

@@ -86,8 +86,11 @@ class MeasurementPlan:
     def __post_init__(self):
         if len(self.chsh_angles) != 4:
             raise ConfigurationError("chsh_angles must hold exactly 4 angles")
-        if len(self.visibility_thetas) < 8:
-            raise ConfigurationError("visibility sweep needs at least 8 angles")
+        # A half-wave plate turned by pi is back where it started, so a turn each way holds
+        # every fringe setting; far past it the fringe's doubled and quadrupled angles are inf.
+        thetas = self.visibility_thetas
+        if len(thetas) < 8 or max(map(abs, thetas)) > 2 * np.pi:
+            raise ConfigurationError("visibility_thetas needs 8 or more angles in [-2 pi, 2 pi]")
         if self.visibility_arm1 not in ("H", "V", "D", "A", "R", "L"):
             raise ConfigurationError(f"unknown visibility arm-1 state {self.visibility_arm1!r}")
         keys = {

@@ -17,6 +17,11 @@ from .errors import ValidationError
 from .qstate import TwoQubitState
 
 
+# Far past the bandwidth of a cascade-emission photon (tens to hundreds of MHz); below it
+# the 8-FWHM frequency grid of the memory's spectral overlap is finite.
+SPECTRAL_FWHM_MAX_MHZ = 1e6
+
+
 @dataclass(frozen=True)
 class SourceParams:
     """Pair-source configuration.
@@ -44,6 +49,8 @@ class SourceParams:
         for name in ("s2_spectral_fwhm", "s2_temporal_fwhm", "s1_temporal_fwhm"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
+        if self.s2_spectral_fwhm > SPECTRAL_FWHM_MAX_MHZ:
+            raise ValidationError(f"s2_spectral_fwhm must be at most {SPECTRAL_FWHM_MAX_MHZ:g} MHz")
 
 
 def tan2_eta_from_detuning(detuning: float, calib: list[tuple[float, float]]) -> float:

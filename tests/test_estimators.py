@@ -435,9 +435,9 @@ class TestNewtonSolver:
         failed, bootstraps = set(), []
         tomo_mle_, mc_error_ = pipeline.tomo_mle, pipeline.mc_error
 
-        def counted_tomo_mle(counts, acq):
+        def counted_tomo_mle(counts, acq, fits):
             try:
-                return tomo_mle_(counts, acq)
+                return tomo_mle_(counts, acq, fits)
             except EstimationError:
                 failed.add((np.asarray(counts).tobytes(), acq[0]))
                 raise
@@ -591,24 +591,22 @@ class TestSharedFits:
         monkeypatch.setattr(estimators, "_newton_fits", counted)
         return calls
 
-    def test_outside_a_scope_every_call_fits(self, post_tomography_records, fit_count):
+    def test_without_a_store_every_call_fits(self, post_tomography_records, fit_count):
         data = tomo_counts(post_tomography_records)
         tomo_mle(*data)
         tomo_mle(*data)
         assert len(fit_count) == 2
 
-    def test_a_scope_fits_each_input_once_until_it_exits(self, post_tomography_records, fit_count):
+    def test_a_store_fits_each_input_once(self, post_tomography_records, fit_count):
         counts, acq = tomo_counts(post_tomography_records)
-        with estimators.shared_fits():
-            first = tomo_mle(counts, acq)
-            assert tomo_mle(counts.astype(int), list(acq)) is first
-            with estimators.shared_fits():
-                assert tomo_mle(counts, acq) is first
-            assert tomo_mle(counts, acq) is first
-            assert len(fit_count) == 1
-            tomo_mle(counts + 1, acq)
-            tomo_mle(counts, 2 * acq)
-            assert len(fit_count) == 3
+        fits = {}
+        first = tomo_mle(counts, acq, fits)
+        assert tomo_mle(counts.astype(int), list(acq), fits) is first
+        assert tomo_mle(counts, acq, fits) is first
+        assert len(fit_count) == 1
+        tomo_mle(counts + 1, acq, fits)
+        tomo_mle(counts, 2 * acq, fits)
+        assert len(fit_count) == 3
         assert not first.rho.flags.writeable
         assert tomo_mle(counts, acq) is not first
         assert len(fit_count) == 4
@@ -616,11 +614,10 @@ class TestSharedFits:
     def test_a_fit_that_raises_raises_again(self, post_tomography_records, monkeypatch):
         data = tomo_counts(post_tomography_records)
         monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
-        with estimators.shared_fits():
-            for _ in range(2):
-                with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
-                    tomo_mle(*data)
-
+        fits = {}
+        for _ in range(2):
+            with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
+                tomo_mle(*data, fits)
 
     def test_fit_rows_fits_the_new_distinct_rows_as_one_batch(
         self, post_tomography_records, fit_count, monkeypatch
@@ -634,45 +631,58 @@ class TestSharedFits:
             return newton_fits(t, *args)
 
         monkeypatch.setattr(estimators, "_newton_fits", recorded)
-        estimators.fit_rows([counts], acq)  # outside a scope: nothing to fill
-        assert fit_count == []
-        with estimators.shared_fits():
-            first = tomo_mle(counts, acq)
-            rows = np.array([counts, counts + 1, counts + 1, counts + 2]).astype(int)
-            estimators.fit_rows(rows, acq)
-            assert batches == [1, 2] and len(fit_count) == 3
-            assert tomo_mle(counts, acq) is first
-            for row in rows[1:]:
-                assert tomo_mle(row, acq) is tomo_mle(row.astype(float), list(acq))
-            assert len(fit_count) == 3
+        fits = {}
+        first = tomo_mle(counts, acq, fits)
+        estimators.fit_rows([counts], acq, fits)  # the store holds it: nothing to fit
+        assert batches == [1] and len(fit_count) == 1
+        rows = np.array([counts, counts + 1, counts + 1, counts + 2]).astype(int)
+        estimators.fit_rows(rows, acq, fits)
+        assert batches == [1, 2] and len(fit_count) == 3
+        assert tomo_mle(counts, acq, fits) is first
+        for row in rows[1:]:
+            assert tomo_mle(row, acq, fits) is tomo_mle(row.astype(float), list(acq), fits)
+        assert len(fit_count) == 3
 
     def test_fit_rows_stores_each_rows_error(self, post_tomography_records, fit_count, monkeypatch):
         counts, acq = tomo_counts(post_tomography_records)
         unnormalized = counts.copy()
         unnormalized[estimators._NORMALIZATION_IDX] = 0
         monkeypatch.setattr(estimators, "_NEWTON_MAX_STEPS", 1)
-        with estimators.shared_fits():
-            estimators.fit_rows([counts, unnormalized], acq)
-            assert len(fit_count) == 1  # tomo_mle rejects the second row before fitting
-            for _ in range(2):
-                with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
-                    tomo_mle(counts, acq)
-            with pytest.raises(EstimationError, match="normalization group"):
-                tomo_mle(unnormalized, acq)
-            assert len(fit_count) == 1
+        fits = {}
+        estimators.fit_rows([counts, unnormalized], acq, fits)
+        assert len(fit_count) == 1  # tomo_mle rejects the second row before fitting
+        for _ in range(2):
+            with pytest.raises(EstimationError, match="did not converge in 1 Newton steps"):
+                tomo_mle(counts, acq, fits)
+        with pytest.raises(EstimationError, match="normalization group"):
+            tomo_mle(unnormalized, acq, fits)
+        assert len(fit_count) == 1
 
 
 def _batch_fits(rows, acq) -> list:
     """Each row's tomo_mle answer, or its EstimationError, after fit_rows fitted them as one batch."""
-    fits = []
-    with estimators.shared_fits():
-        estimators.fit_rows(rows, acq)
-        for row in rows:
-            try:
-                fits.append(tomo_mle(row, acq))
-            except EstimationError as exc:
-                fits.append(exc)
-    return fits
+    fits, answers = {}, []
+    estimators.fit_rows(rows, acq, fits)
+    for row in rows:
+        try:
+            answers.append(tomo_mle(row, acq, fits))
+        except EstimationError as exc:
+            answers.append(exc)
+    return answers
+
+
+def _mixed_rows(rng, size: int) -> list:
+    """Tomography counts of random states of mixed rank, from 5 to 1e6 counts per group."""
+    return [
+        tomo_counts(
+            poisson_records(
+                random_density_matrix(rng, rank=int(rng.integers(1, 5))),
+                10 ** rng.uniform(np.log10(5.0), 6.0),
+                rng,
+            )
+        )[0]
+        for _ in range(size)
+    ]
 
 
 class TestBatchedNewton:
@@ -680,23 +690,28 @@ class TestBatchedNewton:
     @given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 10))
     def test_every_row_reaches_the_optimum_or_fails_alone(self, seed, size):
         """Rows of mixed rank and count level, from 5 to 1e6 counts per group."""
-        rng = np.random.default_rng(seed)
-        rows = [
-            tomo_counts(
-                poisson_records(
-                    random_density_matrix(rng, rank=int(rng.integers(1, 5))),
-                    10 ** rng.uniform(np.log10(5.0), 6.0),
-                    rng,
-                )
-            )[0]
-            for _ in range(size)
-        ]
-        acq = np.ones(16)
+        rows, acq = _mixed_rows(np.random.default_rng(seed), size), np.ones(16)
         for counts, fit in zip(rows, _batch_fits(rows, acq)):
             if isinstance(fit, EstimationError):
                 continue
             assert np.linalg.eigvalsh(fit.rho).min() >= -1e-12
             assert optimality_gap(fit.rho, counts, acq) < GAP_BOUND
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 10), data=st.data())
+    def test_a_rows_fit_does_not_depend_on_its_batch(self, seed, size, data):
+        """Each row's state, or its error message, is bit for bit the same whether its
+        batch is fitted whole, split at a drawn index, or one row at a time."""
+        rows, acq = _mixed_rows(np.random.default_rng(seed), size), np.ones(16)
+        split = data.draw(st.integers(1, size - 1), label="split")
+
+        def answers(batches):
+            fits = [fit for batch in batches for fit in _batch_fits(batch, acq)]
+            return [str(f) if isinstance(f, EstimationError) else f.rho.tobytes() for f in fits]
+
+        whole = answers([rows])
+        assert answers([rows[:split], rows[split:]]) == whole
+        assert answers([[row] for row in rows]) == whole
 
     def test_a_capped_row_leaves_the_other_rows_unchanged(self, post_tomography_records, monkeypatch):
         counts, acq = tomo_counts(post_tomography_records)

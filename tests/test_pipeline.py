@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entmem.estimators as estimators
 import entmem.pipeline as pipeline
 from conftest import classicalize
 from entmem.calibrate import DEFAULT_TARGETS, calibrate
@@ -187,6 +188,25 @@ class TestRunExperiment:
         monkeypatch.setattr(LossBudget, "arm1_transmission", counting)
         run_experiment(fast, stage)
         assert len(counted) == calls
+
+    def test_stages_sharing_a_fit_store_fit_each_input_once(self, calibrated, monkeypatch):
+        # the post stage's reference point fit and its 200 reference resamples are the pre
+        # stage's; a post stage with a fresh store fits them again, to the same fidelity
+        rows = []
+        newton_fits = estimators._newton_fits
+
+        def counted(t, *args):
+            rows.append(len(t))
+            return newton_fits(t, *args)
+
+        monkeypatch.setattr(estimators, "_newton_fits", counted)
+        fits = {}
+        shared = [run_experiment(calibrated, stage, fits=fits) for stage in STAGES]
+        assert sum(rows) == 402
+        alone = run_experiment(calibrated, "post_storage", fits={})
+        assert sum(rows) == 402 + 402
+        assert shared[1].fidelity.sigma > 0
+        assert alone.fidelity == shared[1].fidelity
 
     def test_pre_storage_estimates_in_paper_bands(self, fast):
         res = run_experiment(fast, "pre_storage")

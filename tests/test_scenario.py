@@ -89,6 +89,15 @@ BAD_VALUES = [
     (("decay", "tau_mem"), 1e308),
     # rabi_coupling**2 is past the float range
     (("eit", "rabi_coupling"), 1e300),
+    # the susceptibility's products of rates are past the float range
+    (("eit", "gamma_e"), 1e308),
+    (("eit", "gamma_g"), 1e308),
+    # the 8-FWHM grid of the signal spectrum is past the float range
+    (("source", "s2_spectral_fwhm"), 1e308),
+    # a count rate times the dead time is past the float range
+    (("detectors", "d1", "dead_time"), 1e308),
+    # the fringe's doubled analysis angle is past the float range
+    (("settings", "visibility_thetas", 7), 1e308),
     (("timing", "rep_rate"), float("-inf")),
     (("timing", "fiber_delay_ns"), float("inf")),
     (("correlations", "g2_autocorr_s1"), float("nan")),
@@ -114,7 +123,7 @@ BAD_VALUES = [
 
 
 @pytest.mark.parametrize(
-    "path, value", BAD_VALUES, ids=[f"{'.'.join(p)}={v!r:.12}" for p, v in BAD_VALUES]
+    "path, value", BAD_VALUES, ids=[f"{'.'.join(map(str, p))}={v!r:.12}" for p, v in BAD_VALUES]
 )
 def test_bad_values_exit_2(tmp_path, path, value):
     d = copy.deepcopy(BUNDLED)
