@@ -20,13 +20,7 @@ from .qstate import (
     bell_psi_plus,
     fidelity,
 )
-from .source import (
-    SourceParams,
-    Spectrum,
-    tan2_eta_from_detuning,
-    two_photon_state,
-    wavepacket_spectrum,
-)
+from .source import SourceParams, tan2_eta_from_detuning, two_photon_state
 from .interferometer import AttenuatorSetting, apply_attenuator, balance_attenuation
 from .memory import (
     EITParams,

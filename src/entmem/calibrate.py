@@ -54,18 +54,6 @@ DEFAULT_TARGETS = {
 }
 
 
-def _window_fwhm(s: Scenario) -> float:
-    """Transparency window FWHM, reading 0 without a peak and inf past the grid."""
-    try:
-        return transparency_window_fwhm(s.eit)
-    except CalibrationError as err:
-        if err.parameter == "rabi_coupling":
-            return 0.0
-        if err.parameter == "probe_detuning_grid":
-            return math.inf
-        raise
-
-
 def _visibility(s: Scenario, rho: TwoQubitState) -> float:
     """Noise-free visibility of the plan's fringe sweep on rho."""
     return visibility_analytic(rho, s.plan.visibility_arm1, s.plan.visibility_thetas)
@@ -73,7 +61,7 @@ def _visibility(s: Scenario, rho: TwoQubitState) -> float:
 
 # Model value of each calibration target on a scenario.
 MODELS = {
-    "eit_window": _window_fwhm,
+    "eit_window": lambda s: transparency_window_fwhm(s.eit),
     "eta_100ns": lambda s: memory_efficiency(s, 100.0),
     "V_pre": lambda s: _visibility(s, balanced_state(s)[0]),
     "F_pre": lambda s: fidelity(balanced_state(s)[0], bell_psi_plus()),

@@ -149,8 +149,9 @@ def _cmd_eit(args) -> int:
     scenario = _load(args)
     path = out / "eit_spectrum.csv"
     path.write_text(eit_spectrum_csv(scenario.eit))
-    if scenario.eit.rabi_coupling > 0:
-        print(f"transparency window FWHM: {transparency_window_fwhm(scenario.eit):.3f} MHz")
+    window = transparency_window_fwhm(scenario.eit)
+    if window > 0:  # a spectrum without a peak has no width to print
+        print(f"transparency window FWHM: {window:.3f} MHz")
     print(f"wrote {path}")
     return 0
 

@@ -104,6 +104,15 @@ class TimingConfig:
             raise ValidationError("timing rates and periods must be positive")
         if self.cycles_per_duty * self.cycle_period_ns > self.duty_window_ms * 1e6:
             raise ValidationError("cycles do not fit into the duty window")
+        # The duty windows of one second fit in that second; far past it (rep_rate 1e308)
+        # the pulse rate times the count models' probabilities is not a finite float.
+        if self.rep_rate * self.duty_window_ms > 1000.0:
+            raise ValidationError(
+                f"timing.rep_rate * timing.duty_window_ms is {self.rep_rate:g} Hz * "
+                f"{self.duty_window_ms:g} ms: the duty windows must fit in one second"
+            )
+        if self.storage_time_ns < 0:
+            raise ValidationError(f"timing.storage_time_ns is {self.storage_time_ns:g}, not >= 0")
         if self.storage_time_ns >= self.fiber_delay_ns:
             raise ValidationError(
                 "storage_time must stay below the fiber delay, else the photon "
@@ -222,7 +231,8 @@ def count_means(rates, per: float, acquisition_s: float, label: str) -> list[flo
     """The mean counts rate * per of one acquisition, checked before any draw or rounding."""
     if acquisition_s <= 0:
         raise ValidationError("acquisition_s must be > 0")
-    means = [r * per for r in rates]
+    # as Python floats an overflowing product is inf, which the check rejects, not a warning
+    means = [float(r) * per for r in rates]
     if not all(0 <= m <= POISSON_MEAN_MAX for m in means):
         raise ValidationError(
             f"expected counts of setting {label!r} at acquisition_s="

@@ -26,17 +26,9 @@ from .interferometer import apply_attenuator
 from .memory import apply_memory, efficiency_curve
 from .qstate import TwoQubitState
 from .scenario import Scenario
-from .source import Spectrum, two_photon_state, wavepacket_spectrum
+from .source import two_photon_state
 
 STAGES = ("pre_storage", "post_storage")
-
-
-def signal_spectrum(scenario: Scenario) -> Spectrum:
-    fwhm = scenario.source.s2_spectral_fwhm
-    _, hi, n = scenario.eit.probe_grid_mhz
-    half = max(4.0 * fwhm, 2.5 * abs(hi))
-    grid = np.linspace(-half, half, max(1601, n))
-    return wavepacket_spectrum(fwhm, grid)
 
 
 def balanced_state(scenario: Scenario) -> tuple[TwoQubitState, float]:
@@ -52,7 +44,7 @@ def memory_efficiency(scenario: Scenario, t_storage: float | None = None) -> flo
 
 def memory_efficiency_curve(scenario: Scenario) -> Callable[[float], float]:
     """Retrieval efficiency as a function of storage time."""
-    return efficiency_curve(signal_spectrum(scenario), scenario.eit, scenario.decay)
+    return efficiency_curve(scenario.source.s2_spectral_fwhm, scenario.eit, scenario.decay)
 
 
 @dataclass(frozen=True)
@@ -130,6 +122,10 @@ def _after_storage(pre: Stage, eta: float, t_storage: float) -> Stage:
     """The pre-storage Stage plus the memory, retrieving with eta after t_storage ns."""
     corr, timing = pre.scenario.correlations, pre.scenario.timing
     flux = pre.scenario.mem_noise.background_flux
+    if corr.g2_autocorr_s2_post < 1.0:  # retrieval noise is never antibunched
+        raise ValidationError(
+            f"correlations.g2_autocorr_s2_post must be >= 1, got {corr.g2_autocorr_s2_post:g}"
+        )
     post = replace(
         pre,
         name="post_storage",

@@ -16,9 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CalibrationError, ValidationError
+from .errors import ValidationError
 from .qstate import TwoQubitState
-from .source import Spectrum
+from .source import gaussian_fwhm_sigma
 
 # Rb D1 excited-state half linewidth Gamma/2, expressed in ordinary-frequency
 # MHz so it shares units with the detuning grid (Gamma = 2*pi*5.75 rad/us).
@@ -29,6 +29,9 @@ RABI_COUPLING_MAX_MHZ = 1e6
 # Far past the natural width of any optical transition (Rb D1: 2.875 MHz) and any
 # ground-state dephasing; below it the susceptibility's products of rates are finite floats.
 LINEWIDTH_MAX_MHZ = 1e6
+# Far past any EIT line (the Rb D1 absorption line is tens of MHz wide); below it the
+# probe detunings, their squares and the spectral overlap's grid are finite floats.
+PROBE_GRID_MAX_MHZ = 1e6
 # Decades of storage (the longest optical memories hold light for about an hour);
 # below it the 3 tau_mem time axis of the efficiency curve is a finite float.
 TAU_MEM_MAX_NS = 1e18
@@ -54,9 +57,10 @@ class EITParams:
         if not 0 <= self.gamma_g <= LINEWIDTH_MAX_MHZ:
             raise ValidationError(f"gamma_g must be in [0, {LINEWIDTH_MAX_MHZ:g}] MHz")
         lo, hi, n = self.probe_grid_mhz
-        if not (0.0 < hi - lo < np.inf and 3 <= n <= 1_000_000):
+        if not (-PROBE_GRID_MAX_MHZ <= lo < hi <= PROBE_GRID_MAX_MHZ and 3 <= n <= 1_000_000):
             raise ValidationError(
-                "probe_grid_mhz must be (lo, hi, n) with finite lo < hi and 3 <= n <= 1e6"
+                f"probe_grid_mhz must be (lo, hi, n) with -{PROBE_GRID_MAX_MHZ:g} <= lo < hi <= "
+                f"{PROBE_GRID_MAX_MHZ:g} MHz and 3 <= n <= 1e6"
             )
 
     @property
@@ -124,36 +128,28 @@ def eit_transmission(eit: EITParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transparency_window_fwhm(eit: EITParams) -> float:
-    """FWHM of the central transparency peak of the EIT spectrum.
+    """FWHM of the central transparency peak of the EIT spectrum, 0 without one.
 
     The peak height is measured from the absorption floor (the minima on
     each side of delta = 0); the width is where the transmission crosses
-    halfway between floor and peak.
+    halfway between floor and peak.  Without a peak above the floor (no
+    coupling, or one so strong that the grid shows no absorption) it reads 0.
     """
 
-    if eit.rabi_coupling <= 0:
-        raise ValidationError("transparency window needs rabi_coupling > 0")
     grid, t = eit_transmission(eit)
     i0 = int(np.argmin(np.abs(grid)))
     t_peak = t[i0]
-    left = t[: i0 + 1]
-    right = t[i0:]
-    floor = max(left.min(), right.min())
+    floor = max(t[: i0 + 1].min(), t[i0:].min())
     if t_peak - floor < 1e-6:
-        raise CalibrationError(
-            "no transparency peak above the absorption floor", parameter="rabi_coupling"
-        )
+        return 0.0
     half = floor + 0.5 * (t_peak - floor)
 
     def _cross(xs, ys):
-        above = ys - half  # the first half crossing outward from the peak
-        hits = np.flatnonzero((above[:-1] * above[1:] <= 0) & (above[:-1] >= 0))
-        if not hits.size:
-            raise CalibrationError(
-                "transparency peak does not reach half maximum inside the grid",
-                parameter="probe_detuning_grid",
-            )
-        (x0, x1), (y0, y1) = xs[hits[0] : hits[0] + 2], ys[hits[0] : hits[0] + 2]
+        # the first half crossing outward from the peak: each side starts above half
+        # and falls to the floor or below it, so every side has one inside the grid
+        above = ys - half
+        k = np.flatnonzero((above[:-1] * above[1:] <= 0) & (above[:-1] >= 0))[0]
+        (x0, x1), (y0, y1) = xs[k : k + 2], ys[k : k + 2]
         return x1 if y1 == y0 else x0 + (half - y0) * (x1 - x0) / (y1 - y0)
 
     x_right = _cross(grid[i0:], t[i0:])
@@ -189,18 +185,28 @@ def decay_factor(decay: MemoryDecayParams, t_storage: float) -> float:
     return float(np.exp(-x))
 
 
-def spectral_overlap(spectrum: Spectrum, eit: EITParams) -> float:
-    """Overlap integral of the signal spectrum with the window acceptance."""
+def spectral_overlap(fwhm: float, eit: EITParams) -> float:
+    """Overlap integral of the signal photon's spectrum with the window acceptance.
+
+    The spectrum is a Gaussian of the given FWHM (MHz), normalized by the
+    trapezoid rule on a grid wide enough for both the line and the probe
+    grid, then interpolated onto the probe grid (zero past its ends).
+    """
+    _, hi, n = eit.probe_grid_mhz
+    half = max(4.0 * fwhm, 2.5 * abs(hi))
+    wide = np.linspace(-half, half, max(1601, n))
+    sigma = gaussian_fwhm_sigma(fwhm)
+    density = np.exp(-0.5 * (wide / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
     grid, w = window_acceptance(eit)
-    s = spectrum.interpolate(grid)
+    s = np.interp(grid, wide, density / np.trapezoid(density, wide), left=0.0, right=0.0)
     return float(np.trapezoid(s * w, grid))
 
 
 def efficiency_curve(
-    spectrum: Spectrum, eit: EITParams, decay: MemoryDecayParams
+    fwhm: float, eit: EITParams, decay: MemoryDecayParams
 ) -> Callable[[float], float]:
-    """t -> eta(t) = eta_peak * overlap(spectrum, window) * decay(t), in [0, 1]."""
-    overlap = spectral_overlap(spectrum, eit)  # independent of t: computed once
+    """t -> eta(t) = eta_peak * overlap(fwhm, window) * decay(t), in [0, 1]."""
+    overlap = spectral_overlap(fwhm, eit)  # independent of t: computed once
     return lambda t: float(min(max(decay.eta_peak * overlap * decay_factor(decay, t), 0.0), 1.0))
 
 

@@ -333,6 +333,7 @@ def _estimate_json(est: EstimateWithError) -> dict:
 def stage_report(
     scenario: Scenario, result: StageResult, calibration_report: dict | None = None
 ) -> dict:
+    window = transparency_window_fwhm(scenario.eit)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "stage": result.stage,
@@ -340,11 +341,7 @@ def stage_report(
         "scenario": scenario_to_dict(scenario),
         "memory": {
             "eta": result.eta,
-            "window_fwhm_mhz": (
-                transparency_window_fwhm(scenario.eit)
-                if scenario.eit.rabi_coupling > 0
-                else None
-            ),
+            "window_fwhm_mhz": window if window > 0 else None,
         },
         "tomography": {
             "rho_linear": matrix_json(result.rho_linear),

@@ -9,7 +9,7 @@ offered, never extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,46 +98,5 @@ def two_photon_state(params: SourceParams) -> TwoQubitState:
     return TwoQubitState(rho)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Sampled spectral density on a frequency grid (MHz, 1/MHz)."""
-
-    grid: np.ndarray = field(repr=False)
-    density: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        d = np.asarray(self.density, dtype=float)
-        if g.shape != d.shape or g.ndim != 1:
-            raise ValidationError("spectrum grid/density shape mismatch")
-        g.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "density", d)
-
-    def interpolate(self, at: np.ndarray) -> np.ndarray:
-        return np.interp(at, self.grid, self.density, left=0.0, right=0.0)
-
-
 def gaussian_fwhm_sigma(fwhm: float) -> float:
     return fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-
-
-def wavepacket_spectrum(fwhm: float, grid: np.ndarray) -> Spectrum:
-    """Gaussian spectral density centered at zero detuning.
-
-    The grid must span at least 4x the FWHM with >= 200 points so the
-    trapezoid normalization holds to 1e-6.
-    """
-
-    if fwhm <= 0:
-        raise ValidationError("spectral FWHM must be > 0")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 200:
-        raise ValidationError("frequency grid must be 1-D with >= 200 points")
-    if grid[-1] - grid[0] < 4.0 * fwhm:
-        raise ValidationError("frequency grid must span at least 4x the FWHM")
-    sigma = gaussian_fwhm_sigma(fwhm)
-    density = np.exp(-0.5 * (grid / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
-    norm = np.trapezoid(density, grid)
-    return Spectrum(grid, density / norm)

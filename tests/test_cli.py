@@ -227,6 +227,14 @@ def test_sweep_that_cannot_resolve_the_fringe_exits_2(tmp_path, capsys, command)
         # so many pump periods that their count is inf as a float
         ("g2", 1e303, "poisson"),
         ("g2", 1e303, "expected"),
+        # a record's rate times its acquisition time is inf as a float
+        ("tomo_pre", 1e308, "poisson"),
+        ("tomo_pre", 1e308, "expected"),
+        ("tomo_post", 1e308, "expected"),
+        ("chsh_pre", 1e308, "poisson"),
+        ("chsh_post", 1e308, "expected"),
+        ("vis_pre", 1e308, "expected"),
+        ("vis_post", 1e308, "poisson"),
     ],
 )
 def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
@@ -258,6 +266,12 @@ def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
         # a pre-storage run reads no post-storage input
         ("mem_noise.background_flux", 1e3, "pre_storage", {0}),
         ("correlations.g2_channel_background", 5.0, "pre_storage", {0}),
+        # retrieval noise is bunched or Poissonian, never antibunched
+        ("correlations.g2_autocorr_s2_post", 0.5, "both", {2}),
+        ("correlations.g2_autocorr_s2_post", 0.5, "pre_storage", {0}),
+        ("timing.storage_time_ns", -5.0, "pre_storage", {2}),
+        # duty windows that overfill a second: the pulse rate is inf as a float
+        ("timing.rep_rate", 1e308, "pre_storage", {2}),
     ],
 )
 def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value, stage, codes):
@@ -277,6 +291,24 @@ def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value,
         assert field in err
     if codes == {4}:
         assert "retrieval efficiency 0 at storage time" in err
+
+
+@pytest.mark.parametrize("sampling", ["poisson", "expected"])
+def test_coupling_without_absorption_reports_no_window(tmp_path, capsys, sampling):
+    """At 1e5 MHz the whole probe grid is transparent: a memory without a window peak."""
+    d = scenario_to_dict(load_bundled_scenario())
+    d["eit"]["rabi_coupling"] = 1e5
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    argv = ["--scenario", str(path), "--out", str(out), "simulate", "--skip-calibration"]
+    assert main(argv + ["--sampling", sampling]) == 0
+    for stage in ("pre", "post"):
+        report = json.loads((out / f"report_{stage}.json").read_text())
+        assert report["memory"]["window_fwhm_mhz"] is None
+    capsys.readouterr()
+    assert main(["--scenario", str(path), "--out", str(out), "eit"]) == 0
+    assert "transparency window" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from entmem.memory import (
 )
 from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
 from entmem.scenario import load_bundled_scenario
-from entmem.source import wavepacket_spectrum
 
 
 def _fit_window(eit, target_mhz):
@@ -63,6 +62,27 @@ class TestEITTransmission:
         i0 = np.argmin(np.abs(grid))
         assert t[i0] >= t[i0 - 5] and t[i0] >= t[i0 + 5]
 
+    @pytest.mark.parametrize("rabi_coupling", [0.0, 1e5])
+    def test_window_without_a_peak_reads_zero(self, rabi_coupling):
+        # no coupling leaves the bare absorption line; 1e5 MHz makes all of +-60 MHz transparent
+        eit = EITParams(optical_depth=50.0, rabi_coupling=rabi_coupling)
+        assert transparency_window_fwhm(eit) == 0.0
+
+    @given(
+        st.floats(-100.0, 100.0),
+        st.floats(0.5, 100.0),
+        st.integers(3, 3000),
+        st.floats(0.1, 200.0),
+        st.floats(0.0, 300.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_window_lies_inside_any_grid(self, lo, span, n, optical_depth, rabi_coupling):
+        """Each side of the peak falls from above half maximum to the floor or below it,
+        so both half crossings lie on the grid, however it cuts the line."""
+        eit = EITParams(optical_depth, rabi_coupling, probe_grid_mhz=(lo, lo + span, n))
+        hi = eit.probe_grid_mhz[1]
+        assert 0.0 <= transparency_window_fwhm(eit) <= (hi - lo) * (1 + 1e-12)
+
     def test_unreachable_window_raises(self):
         eit = EITParams(optical_depth=50.0, rabi_coupling=1.0)
         with pytest.raises(CalibrationError) as err:
@@ -81,34 +101,30 @@ class TestStorageEfficiency:
     def test_narrow_line_limit(self):
         # delta-like line inside the window, no decoherence, no decay
         eit = _calibrated_eit(gamma_g=0.0)
-        spec = wavepacket_spectrum(2.0, np.linspace(-10, 10, 801))
         decay = MemoryDecayParams(model="gaussian", tau_mem=100.0, eta_peak=1.0)
-        eta = efficiency_curve(spec, eit, decay)(0.0)
+        eta = efficiency_curve(2.0, eit, decay)(0.0)
         assert eta == pytest.approx(1.0, abs=0.02)
 
     def test_calibrated_100ns_point_in_band(self):
         eit = _calibrated_eit()
-        spec = wavepacket_spectrum(150.0, np.linspace(-400, 400, 1601))
-        overlap = spectral_overlap(spec, eit)
+        overlap = spectral_overlap(150.0, eit)
         tau = 100.0 / np.sqrt(np.log(0.9 * overlap / 0.06))
         decay = MemoryDecayParams(model="gaussian", tau_mem=tau, eta_peak=0.9)
-        eta = efficiency_curve(spec, eit, decay)(100.0)
+        eta = efficiency_curve(150.0, eit, decay)(100.0)
         assert 0.04 <= eta <= 0.08
 
     def test_doubling_fwhm_halves_efficiency(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(model="gaussian", tau_mem=150.0, eta_peak=0.9)
-        grid = np.linspace(-900, 900, 3601)
-        eta100 = efficiency_curve(wavepacket_spectrum(100.0, grid), eit, decay)(0.0)
-        eta200 = efficiency_curve(wavepacket_spectrum(200.0, grid), eit, decay)(0.0)
+        eta100 = efficiency_curve(100.0, eit, decay)(0.0)
+        eta200 = efficiency_curve(200.0, eit, decay)(0.0)
         assert 1.6 <= eta100 / eta200 <= 2.4
 
     def test_monotone_in_storage_time(self):
         eit = _calibrated_eit()
-        spec = wavepacket_spectrum(150.0, np.linspace(-400, 400, 1601))
         for model in ("gaussian", "exponential"):
             decay = MemoryDecayParams(model=model, tau_mem=170.0, eta_peak=0.9)
-            eta_of = efficiency_curve(spec, eit, decay)
+            eta_of = efficiency_curve(150.0, eit, decay)
             etas = [eta_of(t) for t in np.linspace(0, 600, 25)]
             assert all(a >= b - 1e-15 for a, b in zip(etas, etas[1:]))
             assert all(0.0 <= e <= 1.0 for e in etas)
@@ -116,16 +132,41 @@ class TestStorageEfficiency:
     def test_monotone_in_spectral_fwhm(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(tau_mem=170.0, eta_peak=0.9)
-        grid = np.linspace(-1200, 1200, 4801)
-        etas = [
-            efficiency_curve(wavepacket_spectrum(f, grid), eit, decay)(0.0)
-            for f in (50.0, 100.0, 150.0, 200.0, 250.0)
-        ]
+        etas = [efficiency_curve(f, eit, decay)(0.0) for f in (50.0, 100.0, 150.0, 200.0, 250.0)]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
     def test_window_acceptance_bounded(self):
         grid, w = window_acceptance(_calibrated_eit())
         assert np.all(w >= 0.0) and np.all(w <= 1.0)
+
+
+def _two_grid_overlap(fwhm, eit):
+    """The overlap as a normalized spectrum on its own grid, then read on the probe grid."""
+    _, hi, n = eit.probe_grid_mhz
+    half = max(4.0 * fwhm, 2.5 * abs(hi))
+    spectrum_grid = np.linspace(-half, half, max(1601, n))
+    sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+    density = np.exp(-0.5 * (spectrum_grid / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
+    density = density / np.trapezoid(density, spectrum_grid)
+    grid, w = window_acceptance(eit)
+    s = np.interp(grid, spectrum_grid, density, left=0.0, right=0.0)
+    return float(np.trapezoid(s * w, grid))
+
+
+@pytest.mark.parametrize(
+    "fwhm, probe_grid",
+    [
+        (150.0, None),  # the bundled spectrum: its grid spans 4 FWHM
+        (2.0, None),  # a line narrower than the probe grid: its grid spans 2.5 |hi|
+        (150.0, (-20.0, 20.0, 4001)),  # more probe points than the 1601 of the spectrum grid
+        (30.0, (-50.0, 10.0, 301)),  # an asymmetric probe grid narrower than 4 FWHM
+    ],
+)
+def test_spectral_overlap_matches_the_two_grid_computation(fwhm, probe_grid):
+    eit = load_bundled_scenario().eit
+    if probe_grid is not None:
+        eit = replace(eit, probe_grid_mhz=probe_grid)
+    assert spectral_overlap(fwhm, eit) == _two_grid_overlap(fwhm, eit)
 
 
 class TestApplyMemory:

@@ -116,6 +116,12 @@ BAD_VALUES = [
     (("settings", "chsh_angles"), [0.0, 0.1, 0.2]),
     (("source", "tan2_eta_anchors"), [[-30.0, float("nan")]]),
     (("eit", "probe_grid_mhz"), [-60.0, 60.0, 10**7]),
+    # the probe detunings' squares, or the spectral overlap's grid, are past the float range
+    (("eit", "probe_grid_mhz"), [-1e300, 1e300, 2401]),
+    (("eit", "probe_grid_mhz"), [-60.0, 1e150, 2401]),
+    # duty windows that overfill a second: the pulse rate times the count models is inf
+    (("timing", "rep_rate"), 1e308),
+    (("timing", "storage_time_ns"), -5.0),
     (("timing", "cycles_per_duty"), 10**400),
     (("notes",), [1]),
     (("attenuator",), None),

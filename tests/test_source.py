@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import populations, purity
 from entmem.errors import ValidationError
+from entmem.memory import EITParams, spectral_overlap, window_acceptance
 from entmem.qstate import bell_psi_plus, fidelity
 from entmem.source import (
     SourceParams,
     eta_from_tan2,
     tan2_eta_from_detuning,
     two_photon_state,
-    wavepacket_spectrum,
 )
 
 
@@ -96,27 +98,30 @@ class TestTwoPhotonState:
             SourceParams(eta_f=1.0, pair_prob=0.6)
 
 
+# Coupled far past the absorption line's width, the window accepts all of a
+# +-30 MHz probe grid to within 3e-9, so the overlap is the share of the signal
+# photon's spectrum that lies on the grid.
+FLAT_WINDOW = EITParams(
+    optical_depth=50.0, rabi_coupling=1e4, gamma_g=0.0, probe_grid_mhz=(-30.0, 30.0, 2401)
+)
+
+
 class TestWavepacketSpectrum:
+    """The signal photon's Gaussian spectrum, read through the memory's overlap."""
+
     def test_peak_value_closed_form(self):
-        fwhm = 150.0
-        spec = wavepacket_spectrum(fwhm, np.linspace(-400, 400, 1601))
-        peak = spec.density[np.argmin(np.abs(spec.grid))]
-        assert peak == pytest.approx(2 * np.sqrt(np.log(2) / np.pi) / fwhm, abs=1e-6)
+        # a line far wider than the grid is flat on it, at its peak density
+        fwhm = 1e4
+        grid, w = window_acceptance(FLAT_WINDOW)
+        peak = 2 * np.sqrt(np.log(2) / np.pi) / fwhm
+        assert spectral_overlap(fwhm, FLAT_WINDOW) == pytest.approx(
+            peak * np.trapezoid(w, grid), rel=1e-4
+        )
 
     def test_unit_integral(self):
-        spec = wavepacket_spectrum(150.0, np.linspace(-400, 400, 1601))
-        assert np.trapezoid(spec.density, spec.grid) == pytest.approx(1.0, abs=1e-6)
+        assert spectral_overlap(5.0, FLAT_WINDOW) == pytest.approx(1.0, abs=1e-6)
 
     def test_half_max_at_half_fwhm(self):
-        fwhm = 120.0
-        grid = np.linspace(-300, 300, 2401)
-        spec = wavepacket_spectrum(fwhm, grid)
-        peak = spec.density[np.argmin(np.abs(grid))]
-        at_half = spec.interpolate(np.array([fwhm / 2]))[0]
-        assert at_half == pytest.approx(peak / 2, rel=1e-6)
-
-    def test_undersized_grid_rejected(self):
-        with pytest.raises(ValidationError):
-            wavepacket_spectrum(150.0, np.linspace(-200, 200, 1601))
-        with pytest.raises(ValidationError):
-            wavepacket_spectrum(150.0, np.linspace(-400, 400, 100))
+        # the grid spans +-FWHM/2, which holds erf(sqrt(ln 2)) of a Gaussian line
+        overlap = spectral_overlap(60.0, FLAT_WINDOW)
+        assert overlap == pytest.approx(math.erf(math.sqrt(math.log(2))), rel=1e-5)
