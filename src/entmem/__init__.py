@@ -32,12 +32,10 @@ from .memory import (
 from .detection import (
     CountRecord,
     DetectorParams,
-    G2StreamParams,
     LossBudget,
     MeasurementSetting,
     TimingConfig,
     born_probabilities,
-    g2_histogram,
     heralded_alpha,
     sample_counts,
 )

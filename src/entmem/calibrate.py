@@ -148,22 +148,20 @@ def _root(model, target, bracket, xtol, name, parameter) -> float:
     if not (f_lo <= 0 <= f_hi or f_hi <= 0 <= f_lo):
         raise CalibrationError(
             f"{name} target {target} unreachable: {parameter} = {lo:.6g} gives {at_lo:.6g} "
-            f"and {parameter} = {hi:.6g} gives {at_hi:.6g}",
-            parameter=parameter,
+            f"and {parameter} = {hi:.6g} gives {at_hi:.6g}"
         )
 
     def f(x):
         value = model(x) - target
         if math.isnan(value):
-            raise CalibrationError(f"{name} model is NaN at {parameter} = {x!r}", parameter=parameter)
+            raise CalibrationError(f"{name} model is NaN at {parameter} = {x!r}")
         return value
 
     x = _brent(f, lo, hi, f_lo, f_hi, xtol)
     if x is None:
         raise CalibrationError(
             f"{name} target {target}: the root search for {parameter} in [{lo:.6g}, {hi:.6g}] "
-            f"did not converge in {_MAXITER} iterations",
-            parameter=parameter,
+            f"did not converge in {_MAXITER} iterations"
         )
     return float(x)
 
@@ -171,15 +169,12 @@ def _root(model, target, bracket, xtol, name, parameter) -> float:
 def _tau_for_eta(s: Scenario, target: float) -> float:
     """Closed-form tau_mem putting the 100 ns storage efficiency on target."""
     if not 0.0 < target < 1.0:
-        raise CalibrationError(
-            f"storage-efficiency target {target} out of physical range",
-            parameter="eta_100ns",
-        )
+        raise CalibrationError(f"eta_100ns target {target} outside (0, 1): no tau_mem reaches it")
     ceiling = memory_efficiency(s, 0.0)  # spectral overlap times eta_peak
     if target >= ceiling:
         raise CalibrationError(
-            f"eta target {target} above the spectral-overlap ceiling {ceiling:.4f}",
-            parameter="tau_mem",
+            f"eta_100ns target {target} not below the spectral-overlap ceiling {ceiling:.4f}: "
+            "no tau_mem reaches it"
         )
     ratio = math.log(ceiling / target)
     return 100.0 / math.sqrt(ratio) if s.decay.model == "gaussian" else 100.0 / ratio
@@ -210,7 +205,7 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
         raise ValidationError(f"calibration targets {bad} must be finite numbers")
     if targets.get("eit_window", 1.0) <= 0:
         # the model reads a window without a peak as 0 wide
-        raise CalibrationError("window target must be positive", parameter="eit_window")
+        raise CalibrationError(f"eit_window target {targets['eit_window']} must be positive")
     report: dict = {}
     s = scenario
     for names, section, parameter, bracket, xtol in FITS:

@@ -38,6 +38,9 @@ class MeasurementSetting:
 # A second: far past any photon counter's recovery (tens of ns to a few us); below it a
 # count rate times the dead time is a finite float.
 DEAD_TIME_MAX_NS = 1e9
+# A second: 200,000 km of fiber, far past any delay line; below it the g2 histogram's
+# bins around the delay are exact float steps.
+FIBER_DELAY_MAX_NS = 1e9
 
 
 @dataclass(frozen=True)
@@ -113,6 +116,10 @@ class TimingConfig:
             )
         if self.storage_time_ns < 0:
             raise ValidationError(f"timing.storage_time_ns is {self.storage_time_ns:g}, not >= 0")
+        if self.fiber_delay_ns > FIBER_DELAY_MAX_NS:
+            raise ValidationError(
+                f"timing.fiber_delay_ns is {self.fiber_delay_ns:g}, above {FIBER_DELAY_MAX_NS:g} ns"
+            )
         if self.storage_time_ns >= self.fiber_delay_ns:
             raise ValidationError(
                 "storage_time must stay below the fiber delay, else the photon "
@@ -160,6 +167,8 @@ POISSON_MEAN_MAX = float(COUNT_MAX - 10 * np.sqrt(COUNT_MAX))
 # pair, so this caps that array at 80 MB, 1e3 times the ~1e4 pairs of the
 # bundled scenario.
 G2_PAIRS_MAX = 1e7
+# The width of a g2 histogram bin (ns).
+G2_BIN_NS = 2.0
 
 
 def records_to_csv(records: list[CountRecord]) -> str:
@@ -337,33 +346,6 @@ def single_photon_like(alpha: float, counts: dict) -> bool:
 
 
 @dataclass(frozen=True)
-class G2StreamParams:
-    """Event model for the time-tagged cross-correlation measurement.
-
-    Probabilities are per pulse slot: pair_prob_detected is the excess
-    (correlated) coincidence probability, singles*_prob the total click
-    probabilities entering the accidental floor.
-    """
-
-    n_slots: int
-    slot_ns: float
-    pair_prob_detected: float
-    singles1_prob: float
-    singles2_prob: float
-    delay_ns: float
-    profile_fwhm_ns: float
-
-    def __post_init__(self):
-        if self.n_slots <= 0 or self.slot_ns <= 0:
-            raise ValidationError("n_slots and slot_ns must be positive")
-        for name in ("pair_prob_detected", "singles1_prob", "singles2_prob"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0")
-        if self.profile_fwhm_ns <= 0:
-            raise ValidationError("profile_fwhm_ns must be > 0")
-
-
-@dataclass(frozen=True)
 class G2Histogram:
     """Binned cross-correlation estimate.
 
@@ -384,41 +366,41 @@ class G2Histogram:
     peak_counts: int = 0
 
 
-def g2_histogram(params: G2StreamParams, tau_grid: np.ndarray, seed: int) -> G2Histogram:
-    """Simulate the time-resolved cross-correlation on the given tau bins.
+def g2_histogram(
+    n_slots: int,
+    slot_ns: float,
+    probs: tuple[float, float, float],
+    delay_ns: float,
+    fwhm_ns: float,
+    seed: int,
+) -> G2Histogram:
+    """Simulate the time-resolved cross-correlation over n_slots pulse slots of slot_ns.
 
-    tau_grid gives the bin edges (ns) and must cover the wavepacket around
-    the configured delay.  True pairs arrive at a Gaussian relative delay;
-    accidentals are uniform in tau.
+    probs holds the per-slot click probabilities of the two singles, which set
+    the accidental floor, and of the excess (correlated) pairs.  The bins are
+    G2_BIN_NS wide and span one slot around delay_ns; the scenario holds the
+    wavepacket's +-2 sigma inside that slot.  True pairs arrive at a Gaussian
+    relative delay of FWHM fwhm_ns; accidentals are uniform in tau.
     """
 
-    edges = np.asarray(tau_grid, dtype=float)
-    if edges.ndim != 1 or edges.size < 3 or np.any(np.diff(edges) <= 0):
-        raise ValidationError("tau grid must be an increasing array of bin edges")
-    sigma = gaussian_fwhm_sigma(params.profile_fwhm_ns)
-    if params.delay_ns - 2 * sigma < edges[0] or params.delay_ns + 2 * sigma > edges[-1]:
-        raise ValidationError("tau grid does not cover the wavepacket support")
-
+    singles1, singles2, pair = probs
+    edges = np.arange(delay_ns - slot_ns / 2, delay_ns + slot_ns / 2 + G2_BIN_NS, G2_BIN_NS)
     rng = derive_rng(seed, "g2hist")
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
 
-    n_true = rng.poisson(params.n_slots * params.pair_prob_detected)
-    taus = rng.normal(params.delay_ns, sigma, size=n_true)
+    n_true = rng.poisson(n_slots * pair)
+    taus = rng.normal(delay_ns, gaussian_fwhm_sigma(fwhm_ns), size=n_true)
     true_counts, _ = np.histogram(taus, bins=edges)
 
-    acc_density = (
-        params.singles1_prob * params.singles2_prob * params.n_slots / params.slot_ns
-    )
-    acc_expect = acc_density * widths
+    acc_expect = singles1 * singles2 * n_slots / slot_ns * widths
     acc_counts = rng.poisson(acc_expect)
     counts = true_counts + acc_counts
 
-    total = int(counts.sum())
-    if total == 0:
+    if counts.sum() == 0:
         raise EstimationError(
-            f"empty event stream: 0 coincidences in {params.n_slots} slots "
-            f"(pair_prob_detected={params.pair_prob_detected:g})"
+            f"empty event stream: 0 coincidences in {n_slots} slots "
+            f"(excess pair probability {pair:g})"
         )
 
     zero_floor = acc_expect <= 0
@@ -428,8 +410,8 @@ def g2_histogram(params: G2StreamParams, tau_grid: np.ndarray, seed: int) -> G2H
 
     peak_idx = int(np.argmax(counts))
     peak_tau = float(centers[peak_idx])
-    peak_counts = int(counts[np.abs(centers - peak_tau) <= params.slot_ns / 2].sum())
-    singles_product = params.singles1_prob * params.singles2_prob * params.n_slots
+    peak_counts = int(counts[np.abs(centers - peak_tau) <= slot_ns / 2].sum())
+    singles_product = singles1 * singles2 * n_slots
     peak_g2 = float(peak_counts / singles_product) if singles_product > 0 else float("inf")
     return G2Histogram(
         tau_ns=centers,

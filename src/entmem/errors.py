@@ -28,10 +28,6 @@ class CalibrationError(EntmemError):
 
     exit_code = 3
 
-    def __init__(self, message, parameter=None):
-        super().__init__(message)
-        self.parameter = parameter
-
 
 class EstimationError(EntmemError):
     """An estimator could not produce a value from the given data."""

@@ -199,6 +199,14 @@ def spectral_overlap(fwhm: float, eit: EITParams) -> float:
     density = np.exp(-0.5 * (wide / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
     grid, w = window_acceptance(eit)
     s = np.interp(grid, wide, density / np.trapezoid(density, wide), left=0.0, right=0.0)
+    # Sampled too coarsely, the line holds more than all its light and the memory more than
+    # it could capture.
+    mass = np.trapezoid(s, grid)
+    if mass > 1 + 1e-6:
+        raise ValidationError(
+            f"eit.probe_grid_mhz {eit.probe_grid_mhz} is too coarse for a source.s2_spectral_fwhm "
+            f"{fwhm:g} MHz line: the line's trapezoid mass on it is {mass:.4g}, above 1"
+        )
     return float(np.trapezoid(s * w, grid))
 
 

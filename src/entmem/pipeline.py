@@ -21,7 +21,7 @@ from .detection import (
     G2_PAIRS_MAX,
     POISSON_MEAN_MAX,
     CountRecord,
-    G2StreamParams,
+    G2Histogram,
     count_means,
     draw_counts,
     g2_histogram,
@@ -85,8 +85,7 @@ class StageResult:
     alpha: EstimateWithError | None = None
     alpha_counts: dict = field(default_factory=dict)
     g2_peak: float = 0.0
-    g2_peak_tau_ns: float = 0.0
-    g2_hist: object = None
+    g2_hist: G2Histogram | None = None
     cauchy_schwarz: dict = field(default_factory=dict)
 
     @property
@@ -142,9 +141,9 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     return records, {"n1": n1, "n12": n12, "n13": n13, "n123": n123}
 
 
-def simulate_g2(stage: Stage):
+def simulate_g2(stage: Stage) -> G2Histogram:
     """Time-resolved cross-correlation for the stage."""
-    scenario, delay = stage.scenario, stage.delay_ns
+    scenario = stage.scenario
     s1, s2, s12 = slot_probs(stage)
     slot, acq = scenario.timing.cycle_period_ns, scenario.plan.acquisition_s["g2"]
     slots = scenario.timing.pulse_rate * acq  # a float: it may be past any int64
@@ -157,20 +156,11 @@ def simulate_g2(stage: Stage):
             f" pump periods (at least 1) and expects {pairs:.3g} pairs (at most {G2_PAIRS_MAX:.3g})"
             f" and {accidentals:.3g} accidentals per slot (at most {POISSON_MEAN_MAX:.3g})"
         )
-    params = G2StreamParams(
-        n_slots=int(slots),
-        slot_ns=slot,
-        pair_prob_detected=pair_prob,
-        singles1_prob=s1,
-        singles2_prob=s2,
-        delay_ns=delay,
-        profile_fwhm_ns=scenario.source.s2_temporal_fwhm,
-    )
-    edges = np.arange(delay - slot / 2, delay + slot / 2 + 2.0, 2.0)
     seed = int(
         derive_seed_sequence(scenario.master_seed, f"{stage.suffix}:g2").generate_state(1)[0]
     )
-    return g2_histogram(params, edges, seed)
+    fwhm = scenario.source.s2_temporal_fwhm
+    return g2_histogram(int(slots), slot, (s1, s2, pair_prob), stage.delay_ns, fwhm, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +263,14 @@ def run_experiment(
     hist = simulate_g2(view)
     result.g2_hist = hist
     result.g2_peak = float(hist.peak_g2)
-    result.g2_peak_tau_ns = float(hist.peak_tau_ns)
     g22 = view.g22
     g11 = scenario.correlations.g2_autocorr_s1
     r_value = cauchy_schwarz_R(hist.peak_g2, g11, g22)
     # Poisson error of the slot-aggregated peak, for a significance-aware
     # nonclassicality claim: a classical scenario must not be flagged just
-    # because the peak fluctuated above 1.
-    peak_counts = hist.peak_counts
-    sigma_peak = hist.peak_g2 / np.sqrt(peak_counts) if peak_counts > 0 else float("inf")
+    # because the peak fluctuated above 1.  The peak bin lies in its own slot
+    # window, so peak_counts >= 1.
+    sigma_peak = hist.peak_g2 / np.sqrt(hist.peak_counts)
     sigma_r = 2.0 * hist.peak_g2 * sigma_peak / (g11 * g22)
     result.cauchy_schwarz = {
         "g12": float(hist.peak_g2),
@@ -371,7 +360,7 @@ def stage_report(
         },
         "g2": {
             "peak": result.g2_peak,
-            "peak_tau_ns": result.g2_peak_tau_ns,
+            "peak_tau_ns": result.g2_hist.peak_tau_ns,
             "model_slot_g2": model_slot_g2(result.view),
         },
         "cauchy_schwarz": result.cauchy_schwarz,

@@ -4,7 +4,8 @@ Scenarios are JSON with a strict schema taken from the dataclass fields:
 unknown keys are rejected and every value must match its field's type
 annotation, floats finite, so typos, NaN and inf fail at load time rather
 than producing silently wrong data.  The storage-ordering constraint
-(storage_time < fiber_delay) is enforced here, never at runtime.
+(storage_time < fiber_delay) and the g2 histogram's one-slot window are
+enforced here, never at runtime.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .detection import DetectorParams, LossBudget, TimingConfig
+from .detection import G2_BIN_NS, DetectorParams, LossBudget, TimingConfig
 from .errors import ConfigurationError, ValidationError
 from .interferometer import AttenuatorSetting, balance_attenuation
 from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
-from .source import SourceParams, eta_from_tan2, tan2_eta_from_detuning
+from .source import SourceParams, eta_from_tan2, gaussian_fwhm_sigma, tan2_eta_from_detuning
 
 SCHEMA_VERSION = 1
 # The most bootstrap resamples a scenario may ask for: the batched Newton
@@ -128,6 +129,18 @@ class Scenario:
     master_seed: int = 0
     notes: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # The g2 histogram bins one pulse slot around the delay: more than one bin,
+        # holding the +-2 sigma of the arm-2 wavepacket.
+        slot, fwhm = self.timing.cycle_period_ns, self.source.s2_temporal_fwhm
+        support = 4 * gaussian_fwhm_sigma(fwhm)
+        if not (slot > G2_BIN_NS and support <= slot):
+            raise ValidationError(
+                f"timing.cycle_period_ns is {slot:g} ns: the g2 histogram's slot must exceed "
+                f"one {G2_BIN_NS:g} ns bin and hold the {support:.4g} ns +-2 sigma of a "
+                f"source.s2_temporal_fwhm {fwhm:g} ns wavepacket"
+            )
+
     def resolved_attenuator(self) -> AttenuatorSetting:
         if self.attenuator is not None:
             return self.attenuator
@@ -224,7 +237,11 @@ def _load(cls, data, where: str):
         no_default = f.default is MISSING and f.default_factory is MISSING
         if no_default or f.name in _REQUIRED.get(cls, ()):
             _required(data, f.name, where)
-    return cls(**{key: _check(v, hints[key], f"{where}.{key}") for key, v in data.items()})
+    values = {key: _check(v, hints[key], f"{where}.{key}") for key, v in data.items()}
+    try:
+        return cls(**values)
+    except ValidationError as exc:  # the section's own check: name the section
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -69,18 +69,16 @@ def test_root_search_that_does_not_converge_is_a_calibration_error():
     ref, info = brentq(step, -1.0, 1.0, xtol=1e-300, full_output=True, disp=False)
     assert not info.converged
     assert calibrate_module._brent(step, -1.0, 1.0, -1.0, 1.0, 1e-300) is None
-    with pytest.raises(CalibrationError, match="did not converge in 100 iterations") as err:
+    with pytest.raises(CalibrationError, match="p_white in .* did not converge in 100 iterations"):
         calibrate_module._root(step, 0.0, (-1.0, 1.0), 1e-300, "V_pre", "p_white")
-    assert err.value.parameter == "p_white"
 
 
 def test_model_nan_inside_the_bracket_is_a_calibration_error():
     def model(x):
         return {0.0: -1.0, 1.0: 1.0}.get(x, math.nan)
 
-    with pytest.raises(CalibrationError, match="NaN") as err:
+    with pytest.raises(CalibrationError, match="NaN at p_depol"):
         calibrate_module._root(model, 0.0, (0.0, 1.0), 1e-14, "V_post", "p_depol")
-    assert err.value.parameter == "p_depol"
 
 
 def test_a_root_at_a_bracket_end_is_returned_without_a_search():

@@ -293,6 +293,27 @@ def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value,
         assert "retrieval efficiency 0 at storage time" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--skip-calibration", "--sampling", "poisson"], 2),
+        (["simulate", "--skip-calibration", "--sampling", "expected"], 2),
+        (["calibrate", "--targets", '{"eit_window": null}'], 2),
+        # the window fit comes first: on 3 points no coupling in its bracket shows a window
+        (["calibrate"], 3),
+    ],
+)
+def test_probe_grid_that_overcounts_the_line_exits_cleanly(tmp_path, capsys, argv, code):
+    """Three points over +-1e6 MHz give the 150 MHz line a trapezoid mass of 320."""
+    d = scenario_to_dict(load_bundled_scenario())
+    d["eit"]["probe_grid_mhz"] = [-1e6, 1e6, 3]
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(d))
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "out"), *argv]) == code
+    err = capsys.readouterr().err
+    assert ("eit.probe_grid_mhz" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("sampling", ["poisson", "expected"])
 def test_coupling_without_absorption_reports_no_window(tmp_path, capsys, sampling):
     """At 1e5 MHz the whole probe grid is transparent: a memory without a window peak."""

@@ -14,7 +14,6 @@ from entmem.detection import (
     CountRecord,
     DetectorParams,
     ExpectedRates,
-    G2StreamParams,
     LossBudget,
     MeasurementSetting,
     TimingConfig,
@@ -351,89 +350,50 @@ class TestPairStatistics:
 
 
 class TestG2Histogram:
-    def _params(self, pair=1e-4, s1=1e-3, s2=1e-3):
-        return G2StreamParams(
-            n_slots=2_000_000,
-            slot_ns=500.0,
-            pair_prob_detected=pair,
-            singles1_prob=s1,
-            singles2_prob=s2,
-            delay_ns=1100.0,
-            profile_fwhm_ns=7.0,
-        )
+    @staticmethod
+    def _hist(pair=1e-4, s1=1e-3, s2=1e-3, n_slots=2_000_000, seed=5):
+        return g2_histogram(n_slots, 500.0, (s1, s2, pair), 1100.0, 7.0, seed)
 
     def test_peak_location_within_one_bin(self):
-        edges = np.arange(850.0, 1352.0, 2.0)
-        hist = g2_histogram(self._params(), edges, seed=5)
+        hist = self._hist()
         assert abs(hist.peak_tau_ns - 1100.0) <= 2.0
 
+    @pytest.mark.parametrize("stage", ["pre_storage", "post_storage"])
+    def test_bins_span_one_slot_around_the_bundled_delay(self, stage):
+        view = stage_state(load_bundled_scenario(), stage)
+        slot, delay = view.scenario.timing.cycle_period_ns, view.delay_ns
+        edges = np.arange(delay - slot / 2, delay + slot / 2 + 2.0, 2.0)
+        hist = pipeline.simulate_g2(view)
+        assert np.array_equal(hist.tau_ns, 0.5 * (edges[:-1] + edges[1:]))
+
     def test_pure_signal_off_peak_flagged_as_one(self):
-        params = G2StreamParams(
-            n_slots=100_000,
-            slot_ns=500.0,
-            pair_prob_detected=1e-3,
-            singles1_prob=0.0,
-            singles2_prob=0.0,
-            delay_ns=1100.0,
-            profile_fwhm_ns=7.0,
-        )
-        edges = np.arange(850.0, 1352.0, 2.0)
-        hist = g2_histogram(params, edges, seed=5)
+        hist = self._hist(pair=1e-3, s1=0.0, s2=0.0, n_slots=100_000)
         off_peak = np.abs(hist.tau_ns - 1100.0) > 30.0
         assert np.all(hist.zero_floor)
         assert np.all(hist.g2[off_peak & (hist.counts == 0)] == 1.0)
 
     def test_slot_aggregated_peak_matches_model(self):
         pair, s1, s2 = 2e-4, 1e-3, 2e-3
-        params = G2StreamParams(
-            n_slots=20_000_000,
-            slot_ns=500.0,
-            pair_prob_detected=pair,
-            singles1_prob=s1,
-            singles2_prob=s2,
-            delay_ns=1100.0,
-            profile_fwhm_ns=7.0,
-        )
-        hist = g2_histogram(params, np.arange(850.0, 1352.0, 2.0), seed=11)
+        hist = self._hist(pair, s1, s2, n_slots=20_000_000, seed=11)
         expected = 1.0 + pair / (s1 * s2)
         assert hist.peak_g2 == pytest.approx(expected, rel=0.05)
 
     def test_peak_counts_are_the_slot_window_sum(self):
-        hist = g2_histogram(self._params(), np.arange(850.0, 1352.0, 2.0), seed=5)
+        hist = self._hist()
         window = np.abs(hist.tau_ns - hist.peak_tau_ns) <= 500.0 / 2
         assert hist.peak_counts == hist.counts[window].sum() > 0
         assert hist.peak_g2 == hist.peak_counts / (1e-3 * 1e-3 * 2_000_000)
 
     def test_peak_decreases_with_background(self):
-        peaks = []
-        for s2 in (1e-3, 2e-3, 4e-3, 8e-3):
-            hist = g2_histogram(
-                self._params(2e-4, 1e-3, s2), np.arange(850.0, 1352.0, 2.0), seed=3
-            )
-            peaks.append(hist.peak_g2)
+        peaks = [self._hist(2e-4, 1e-3, s2, seed=3).peak_g2 for s2 in (1e-3, 2e-3, 4e-3, 8e-3)]
         assert all(a > b for a, b in zip(peaks, peaks[1:]))
 
     def test_empty_stream_raises_with_counts(self):
-        params = G2StreamParams(
-            n_slots=10,
-            slot_ns=500.0,
-            pair_prob_detected=0.0,
-            singles1_prob=0.0,
-            singles2_prob=0.0,
-            delay_ns=1100.0,
-            profile_fwhm_ns=7.0,
-        )
         with pytest.raises(EstimationError, match="0 coincidences"):
-            g2_histogram(params, np.arange(850.0, 1352.0, 2.0), seed=1)
-
-    def test_grid_must_cover_wavepacket(self):
-        with pytest.raises(ValidationError):
-            g2_histogram(self._params(), np.arange(0.0, 100.0, 2.0), seed=1)
+            self._hist(pair=0.0, s1=0.0, s2=0.0, n_slots=10, seed=1)
 
     def test_seed_determinism(self):
-        edges = np.arange(850.0, 1352.0, 2.0)
-        a = g2_histogram(self._params(), edges, seed=9)
-        b = g2_histogram(self._params(), edges, seed=9)
+        a, b = self._hist(seed=9), self._hist(seed=9)
         assert np.array_equal(a.counts, b.counts)
         assert a.peak_g2 == b.peak_g2
 

@@ -85,16 +85,14 @@ class TestEITTransmission:
 
     def test_unreachable_window_raises(self):
         eit = EITParams(optical_depth=50.0, rabi_coupling=1.0)
-        with pytest.raises(CalibrationError) as err:
+        with pytest.raises(CalibrationError, match="rabi_coupling"):
             _fit_window(eit, 5000.0)
-        assert err.value.parameter == "rabi_coupling"
 
     def test_non_positive_window_target_raises(self):
         # a coupling too weak for a peak reads as a 0 MHz window, not a fit
         eit = EITParams(optical_depth=50.0, rabi_coupling=1.0)
-        with pytest.raises(CalibrationError) as err:
+        with pytest.raises(CalibrationError, match="eit_window"):
             _fit_window(eit, 0.0)
-        assert err.value.parameter == "eit_window"
 
 
 class TestStorageEfficiency:
@@ -160,6 +158,9 @@ def _two_grid_overlap(fwhm, eit):
         (2.0, None),  # a line narrower than the probe grid: its grid spans 2.5 |hi|
         (150.0, (-20.0, 20.0, 4001)),  # more probe points than the 1601 of the spectrum grid
         (30.0, (-50.0, 10.0, 301)),  # an asymmetric probe grid narrower than 4 FWHM
+        # grids that hold the whole line: its trapezoid mass is 1 and 1 + 2e-16
+        (150.0, (-1e3, 1e3, 2001)),
+        (150.0, (-1e6, 1e6, 1_000_000)),
     ],
 )
 def test_spectral_overlap_matches_the_two_grid_computation(fwhm, probe_grid):
@@ -167,6 +168,14 @@ def test_spectral_overlap_matches_the_two_grid_computation(fwhm, probe_grid):
     if probe_grid is not None:
         eit = replace(eit, probe_grid_mhz=probe_grid)
     assert spectral_overlap(fwhm, eit) == _two_grid_overlap(fwhm, eit)
+
+
+@pytest.mark.parametrize("probe_grid", [(-1e4, 1e4, 11), (-1e6, 1e6, 3)])
+def test_probe_grid_that_overcounts_the_line_is_rejected(probe_grid):
+    """On these grids the 150 MHz line's trapezoid mass is 12.5 and 320, not at most 1."""
+    eit = replace(load_bundled_scenario().eit, probe_grid_mhz=probe_grid)
+    with pytest.raises(ValidationError, match=r"eit\.probe_grid_mhz .* source\.s2_spectral_fwhm"):
+        spectral_overlap(150.0, eit)
 
 
 class TestApplyMemory:

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,6 +124,12 @@ BAD_VALUES = [
     (("timing", "rep_rate"), 1e308),
     (("timing", "storage_time_ns"), -5.0),
     (("timing", "cycles_per_duty"), 10**400),
+    # past a second the g2 histogram's 2 ns bins around the delay are not exact float steps
+    (("timing", "fiber_delay_ns"), 1e17),
+    # the g2 histogram's one-slot window: one bin, or too short for the wavepacket's +-2 sigma
+    (("timing", "cycle_period_ns"), 1.0),
+    (("timing", "cycle_period_ns"), 3.0),
+    (("source", "s2_temporal_fwhm"), 500.0),
     (("notes",), [1]),
     (("attenuator",), None),
 ]
@@ -132,6 +139,11 @@ BAD_VALUES = [
     "path, value", BAD_VALUES, ids=[f"{'.'.join(map(str, p))}={v!r:.12}" for p, v in BAD_VALUES]
 )
 def test_bad_values_exit_2(tmp_path, path, value):
+    assert main(["--scenario", _edited(tmp_path, path, value), "--out", str(tmp_path), "eit"]) == 2
+
+
+def _edited(tmp_path, path, value) -> str:
+    """The path of a copy of the bundled scenario file with the value at path replaced."""
     d = copy.deepcopy(BUNDLED)
     *parents, key = path
     node = d
@@ -140,7 +152,61 @@ def test_bad_values_exit_2(tmp_path, path, value):
     node[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(d))
-    assert main(["--scenario", str(bad), "--out", str(tmp_path), "eit"]) == 2
+    return str(bad)
+
+
+_G2_WINDOW_FIELDS = (("timing", "cycle_period_ns"), ("source", "s2_temporal_fwhm"))
+_G2_WINDOW_VALUES = [(p, v) for p, v in BAD_VALUES if p in _G2_WINDOW_FIELDS]
+
+
+@pytest.mark.parametrize(
+    "path, value", _G2_WINDOW_VALUES, ids=[f"{p[-1]}={v!r}" for p, v in _G2_WINDOW_VALUES]
+)
+@pytest.mark.parametrize(
+    "command",
+    [["eit"], ["calibrate"], ["simulate", "--skip-calibration", "--sampling", "expected"]],
+    ids=["eit", "calibrate", "simulate"],
+)
+def test_g2_window_rule_exits_2_at_load_naming_both_fields(tmp_path, capsys, path, value, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--scenario", _edited(tmp_path, path, value), "--out", str(tmp_path), *command])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "timing.cycle_period_ns" in err and "source.s2_temporal_fwhm" in err
+
+
+@pytest.mark.parametrize(
+    "slot, fwhm, accepted",
+    [
+        (2.0, 1.0, False),  # one 2 ns bin
+        (2.5, 1.0, True),
+        (500.0, 294.0, True),  # +-2 sigma is 499.4 ns
+        (500.0, 295.0, False),  # +-2 sigma is 501.1 ns
+    ],
+)
+def test_g2_slot_must_exceed_a_bin_and_hold_the_wavepacket(baseline, slot, fwhm, accepted):
+    timing = replace(baseline.timing, cycle_period_ns=slot)
+    source = replace(baseline.source, s2_temporal_fwhm=fwhm)
+    if accepted:
+        replace(baseline, timing=timing, source=source)
+    else:
+        with pytest.raises(ValidationError, match="timing.cycle_period_ns .* source.s2_temporal_fwhm"):
+            replace(baseline, timing=timing, source=source)
+
+
+@pytest.mark.parametrize(
+    "path, value, section",
+    [
+        (("detectors", "d2", "efficiency"), 2, "scenario.detectors.d2: "),
+        (("losses", "s2_filters"), 1.5, "scenario.losses: "),
+        (("source", "s2_temporal_fwhm"), 0.0, "scenario.source: "),
+    ],
+    ids=["detectors.d2.efficiency", "losses.s2_filters", "source.s2_temporal_fwhm"],
+)
+def test_rejected_section_value_names_its_section(tmp_path, capsys, path, value, section):
+    assert main(["--scenario", _edited(tmp_path, path, value), "--out", str(tmp_path), "eit"]) == 2
+    assert section in capsys.readouterr().err
 
 
 def test_non_json_scenario_file_exits_2(tmp_path):
