@@ -169,6 +169,9 @@ POISSON_MEAN_MAX = float(COUNT_MAX - 10 * np.sqrt(COUNT_MAX))
 G2_PAIRS_MAX = 1e7
 # The width of a g2 histogram bin (ns).
 G2_BIN_NS = 2.0
+# The most bins of a g2 histogram, 400 times the 250 of the bundled 500 ns slot; below it
+# the histogram's arrays and CSV stay a few MB (a 1e9 ns slot has 5e8 bins, 4 GB per array).
+G2_BINS_MAX = 1e5
 
 
 def records_to_csv(records: list[CountRecord]) -> str:

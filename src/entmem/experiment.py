@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .detection import (
 )
 from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
-from .memory import apply_memory, efficiency_curve
+from .memory import apply_memory, efficiency
 from .qstate import TwoQubitState
 from .scenario import Scenario
 from .source import two_photon_state
@@ -36,15 +36,10 @@ def balanced_state(scenario: Scenario) -> tuple[TwoQubitState, float]:
     return apply_attenuator(two_photon_state(scenario.source), scenario.resolved_attenuator())
 
 
-def memory_efficiency(scenario: Scenario, t_storage: float | None = None) -> float:
-    """Retrieval efficiency at the configured (or given) storage time."""
+def memory_efficiency(scenario: Scenario, t_storage: float | Sequence[float] | None = None):
+    """Retrieval efficiency at the configured storage time, or at the given time or times (ns)."""
     t = scenario.timing.storage_time_ns if t_storage is None else t_storage
-    return memory_efficiency_curve(scenario)(t)
-
-
-def memory_efficiency_curve(scenario: Scenario) -> Callable[[float], float]:
-    """Retrieval efficiency as a function of storage time."""
-    return efficiency_curve(scenario.source.s2_spectral_fwhm, scenario.eit, scenario.decay)
+    return efficiency(scenario.source.s2_spectral_fwhm, scenario.eit, scenario.decay, t)
 
 
 @dataclass(frozen=True)
@@ -198,8 +193,8 @@ def model_slot_g2(stage: Stage) -> float:
 
 def model_slot_g2_vs_storage_time(scenario: Scenario, times: Sequence[float]) -> list[float]:
     """model_slot_g2 after storing for each time (ns); the times may pass the fiber delay."""
-    pre, eta_of = stage_state(scenario, "pre_storage"), memory_efficiency_curve(scenario)
-    return [model_slot_g2(_after_storage(pre, eta_of(t), t)) for t in times]
+    pre, etas = stage_state(scenario, "pre_storage"), memory_efficiency(scenario, times)
+    return [model_slot_g2(_after_storage(pre, float(eta), t)) for eta, t in zip(etas, times)]
 
 
 def model_alpha(stage: Stage) -> float:

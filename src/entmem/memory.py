@@ -12,7 +12,7 @@ calculation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -173,18 +173,6 @@ def window_acceptance(eit: EITParams) -> tuple[np.ndarray, np.ndarray]:
     return grid, np.clip(t * d, 0.0, 1.0)
 
 
-def decay_factor(decay: MemoryDecayParams, t_storage: float) -> float:
-    if t_storage < 0:
-        raise ValidationError("storage time must be >= 0")
-    x = t_storage / decay.tau_mem
-    if decay.model == "gaussian":
-        try:
-            return float(np.exp(-(x**2)))
-        except OverflowError:  # x**2 past the float range: nothing is left
-            return 0.0
-    return float(np.exp(-x))
-
-
 def spectral_overlap(fwhm: float, eit: EITParams) -> float:
     """Overlap integral of the signal photon's spectrum with the window acceptance.
 
@@ -197,8 +185,14 @@ def spectral_overlap(fwhm: float, eit: EITParams) -> float:
     wide = np.linspace(-half, half, max(1601, n))
     sigma = gaussian_fwhm_sigma(fwhm)
     density = np.exp(-0.5 * (wide / sigma) ** 2) / (sigma * np.sqrt(2 * np.pi))
+    norm = np.trapezoid(density, wide)
+    if not norm > 0:  # a line far narrower than the grid step falls between its nodes
+        raise ValidationError(
+            f"a source.s2_spectral_fwhm {fwhm:g} MHz line falls between the nodes of the spectrum "
+            f"grid that eit.probe_grid_mhz {eit.probe_grid_mhz} sets: its trapezoid mass is 0"
+        )
     grid, w = window_acceptance(eit)
-    s = np.interp(grid, wide, density / np.trapezoid(density, wide), left=0.0, right=0.0)
+    s = np.interp(grid, wide, density / norm, left=0.0, right=0.0)
     # Sampled too coarsely, the line holds more than all its light and the memory more than
     # it could capture.
     mass = np.trapezoid(s, grid)
@@ -210,12 +204,18 @@ def spectral_overlap(fwhm: float, eit: EITParams) -> float:
     return float(np.trapezoid(s * w, grid))
 
 
-def efficiency_curve(
-    fwhm: float, eit: EITParams, decay: MemoryDecayParams
-) -> Callable[[float], float]:
-    """t -> eta(t) = eta_peak * overlap(fwhm, window) * decay(t), in [0, 1]."""
-    overlap = spectral_overlap(fwhm, eit)  # independent of t: computed once
-    return lambda t: float(min(max(decay.eta_peak * overlap * decay_factor(decay, t), 0.0), 1.0))
+def efficiency(
+    fwhm: float, eit: EITParams, decay: MemoryDecayParams, t_storage: float | Sequence[float]
+) -> float | np.ndarray:
+    """eta_peak * overlap(fwhm, window) * decay(t) in [0, 1]; a float or an array, as t (ns) is."""
+    t = np.asarray(t_storage, dtype=float)
+    if np.any(t < 0):
+        raise ValidationError("storage time must be >= 0")
+    with np.errstate(over="ignore"):  # t/tau or its square past the float range: nothing is left
+        x = t / decay.tau_mem
+        factor = np.exp(-(x**2) if decay.model == "gaussian" else -x)
+    eta = np.clip(decay.eta_peak * spectral_overlap(fwhm, eit) * factor, 0.0, 1.0)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def apply_memory(rho: TwoQubitState, eta: float, noise: MemoryNoiseParams) -> TwoQubitState:

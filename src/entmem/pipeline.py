@@ -52,7 +52,7 @@ from .experiment import (
     STAGES,
     Stage,
     alpha_probs,
-    memory_efficiency_curve,
+    memory_efficiency,
     model_rates,
     model_slot_g2,
     model_slot_g2_vs_storage_time,
@@ -184,7 +184,8 @@ def run_experiment(
     if view.eta == 0:
         raise EstimationError(
             "the memory retrieves nothing: retrieval efficiency 0 at storage time "
-            f"{scenario.timing.storage_time_ns:g} ns"
+            f"{scenario.timing.storage_time_ns:g} ns (timing.storage_time_ns) with "
+            f"decay.tau_mem {scenario.decay.tau_mem:g} ns"
         )
     result, plan = StageResult(view), scenario.plan
     error_bars = plan.error_bars and sampling == "poisson"
@@ -416,11 +417,11 @@ def report_emit(
     # storage-efficiency and g2 decay curves; the g2 column reads the
     # post-storage inputs, so it stays blank unless that stage was simulated
     times = [float(t) for t in np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)]
-    eta_of = memory_efficiency_curve(scenario)
+    etas = memory_efficiency(scenario, times)
     g2s = [""] * len(times)
     if "post_storage" in results:
         g2s = [f"{g:.10g}" for g in model_slot_g2_vs_storage_time(scenario, times)]
-    curve_rows = [f"{t:.6g},{eta_of(t):.10g},{g2}" for t, g2 in zip(times, g2s)]
+    curve_rows = [f"{t:.6g},{eta:.10g},{g2}" for t, eta, g2 in zip(times, etas, g2s)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plots = out / "plots"

@@ -18,7 +18,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .detection import G2_BIN_NS, DetectorParams, LossBudget, TimingConfig
+from .detection import G2_BIN_NS, G2_BINS_MAX, DetectorParams, LossBudget, TimingConfig
 from .errors import ConfigurationError, ValidationError
 from .interferometer import AttenuatorSetting, balance_attenuation
 from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
@@ -130,15 +130,15 @@ class Scenario:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # The g2 histogram bins one pulse slot around the delay: more than one bin,
-        # holding the +-2 sigma of the arm-2 wavepacket.
+        # The g2 histogram bins one pulse slot around the delay: more than one bin and
+        # at most G2_BINS_MAX, holding the +-2 sigma of the arm-2 wavepacket.
         slot, fwhm = self.timing.cycle_period_ns, self.source.s2_temporal_fwhm
         support = 4 * gaussian_fwhm_sigma(fwhm)
-        if not (slot > G2_BIN_NS and support <= slot):
+        if not (G2_BIN_NS < slot <= G2_BIN_NS * G2_BINS_MAX and support <= slot):
             raise ValidationError(
                 f"timing.cycle_period_ns is {slot:g} ns: the g2 histogram's slot must exceed "
-                f"one {G2_BIN_NS:g} ns bin and hold the {support:.4g} ns +-2 sigma of a "
-                f"source.s2_temporal_fwhm {fwhm:g} ns wavepacket"
+                f"one {G2_BIN_NS:g} ns bin, span at most {G2_BINS_MAX:g} bins and hold the "
+                f"{support:.4g} ns +-2 sigma of a source.s2_temporal_fwhm {fwhm:g} ns wavepacket"
             )
 
     def resolved_attenuator(self) -> AttenuatorSetting:

@@ -263,6 +263,8 @@ def test_huge_acquisition_time_exits_2(tmp_path, capsys, key, value, sampling):
         # (t/tau_mem)**2 is past the float range: the memory keeps nothing
         ("decay.tau_mem", 1e-160, "pre_storage", {0}),
         ("decay.tau_mem", 1e-160, "post_storage", {4}),
+        # t / tau_mem itself is past the float range
+        ("decay.tau_mem", 1e-310, "post_storage", {4}),
         # a pre-storage run reads no post-storage input
         ("mem_noise.background_flux", 1e3, "pre_storage", {0}),
         ("correlations.g2_channel_background", 5.0, "pre_storage", {0}),
@@ -290,7 +292,7 @@ def test_unphysical_scenario_values_exit_cleanly(tmp_path, capsys, field, value,
     if codes == {2}:
         assert field in err
     if codes == {4}:
-        assert "retrieval efficiency 0 at storage time" in err
+        assert "retrieval efficiency 0 at storage time" in err and field in err
 
 
 @pytest.mark.parametrize(

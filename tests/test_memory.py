@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from entmem.memory import (
     MemoryDecayParams,
     MemoryNoiseParams,
     apply_memory,
-    efficiency_curve,
+    efficiency,
     eit_transmission,
     spectral_overlap,
     transparency_window_fwhm,
@@ -100,7 +101,7 @@ class TestStorageEfficiency:
         # delta-like line inside the window, no decoherence, no decay
         eit = _calibrated_eit(gamma_g=0.0)
         decay = MemoryDecayParams(model="gaussian", tau_mem=100.0, eta_peak=1.0)
-        eta = efficiency_curve(2.0, eit, decay)(0.0)
+        eta = efficiency(2.0, eit, decay, 0.0)
         assert eta == pytest.approx(1.0, abs=0.02)
 
     def test_calibrated_100ns_point_in_band(self):
@@ -108,30 +109,55 @@ class TestStorageEfficiency:
         overlap = spectral_overlap(150.0, eit)
         tau = 100.0 / np.sqrt(np.log(0.9 * overlap / 0.06))
         decay = MemoryDecayParams(model="gaussian", tau_mem=tau, eta_peak=0.9)
-        eta = efficiency_curve(150.0, eit, decay)(100.0)
+        eta = efficiency(150.0, eit, decay, 100.0)
         assert 0.04 <= eta <= 0.08
 
     def test_doubling_fwhm_halves_efficiency(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(model="gaussian", tau_mem=150.0, eta_peak=0.9)
-        eta100 = efficiency_curve(100.0, eit, decay)(0.0)
-        eta200 = efficiency_curve(200.0, eit, decay)(0.0)
+        eta100 = efficiency(100.0, eit, decay, 0.0)
+        eta200 = efficiency(200.0, eit, decay, 0.0)
         assert 1.6 <= eta100 / eta200 <= 2.4
 
     def test_monotone_in_storage_time(self):
         eit = _calibrated_eit()
         for model in ("gaussian", "exponential"):
             decay = MemoryDecayParams(model=model, tau_mem=170.0, eta_peak=0.9)
-            eta_of = efficiency_curve(150.0, eit, decay)
-            etas = [eta_of(t) for t in np.linspace(0, 600, 25)]
+            etas = efficiency(150.0, eit, decay, np.linspace(0, 600, 25))
             assert all(a >= b - 1e-15 for a, b in zip(etas, etas[1:]))
             assert all(0.0 <= e <= 1.0 for e in etas)
 
     def test_monotone_in_spectral_fwhm(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(tau_mem=170.0, eta_peak=0.9)
-        etas = [efficiency_curve(f, eit, decay)(0.0) for f in (50.0, 100.0, 150.0, 200.0, 250.0)]
+        etas = [efficiency(f, eit, decay, 0.0) for f in (50.0, 100.0, 150.0, 200.0, 250.0)]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
+
+    @pytest.mark.parametrize("model", ["gaussian", "exponential"])
+    def test_an_array_of_times_gives_each_time_alone_bit_for_bit(self, model):
+        eit = load_bundled_scenario().eit
+        decay = MemoryDecayParams(model=model, tau_mem=170.0, eta_peak=0.9)
+        times = np.linspace(0.0, 3.0 * decay.tau_mem, 121)  # from t = 0 to 3 tau_mem
+        alone = [efficiency(150.0, eit, decay, float(t)) for t in times]
+        assert all(type(eta) is float for eta in alone)
+        assert efficiency(150.0, eit, decay, times).tolist() == alone
+
+    @pytest.mark.parametrize("model", ["gaussian", "exponential"])
+    @pytest.mark.parametrize("tau_mem", [1e-310, 1e-160])
+    def test_a_time_whose_decay_overflows_keeps_nothing_without_a_warning(self, model, tau_mem):
+        # t / tau_mem overflows at 1e-310, and its square at 1e-160
+        eit = load_bundled_scenario().eit
+        decay = MemoryDecayParams(model=model, tau_mem=tau_mem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert efficiency(150.0, eit, decay, 100.0) == 0.0
+            assert efficiency(150.0, eit, decay, [0.0, 100.0])[1] == 0.0
+
+    def test_a_negative_time_is_rejected(self):
+        decay = MemoryDecayParams()
+        for t in (-1.0, [0.0, -1.0]):
+            with pytest.raises(ValidationError, match="storage time must be >= 0"):
+                efficiency(150.0, load_bundled_scenario().eit, decay, t)
 
     def test_window_acceptance_bounded(self):
         grid, w = window_acceptance(_calibrated_eit())
@@ -176,6 +202,13 @@ def test_probe_grid_that_overcounts_the_line_is_rejected(probe_grid):
     eit = replace(load_bundled_scenario().eit, probe_grid_mhz=probe_grid)
     with pytest.raises(ValidationError, match=r"eit\.probe_grid_mhz .* source\.s2_spectral_fwhm"):
         spectral_overlap(150.0, eit)
+
+
+def test_a_line_between_the_spectrum_grid_nodes_is_rejected():
+    """A 1e-3 MHz line between the 5 MHz steps of a +-2.5e6 MHz grid has trapezoid mass 0."""
+    eit = replace(load_bundled_scenario().eit, probe_grid_mhz=(-1e6, 1e6, 1_000_000))
+    with pytest.raises(ValidationError, match=r"source\.s2_spectral_fwhm .* eit\.probe_grid_mhz"):
+        spectral_overlap(1e-3, eit)
 
 
 class TestApplyMemory:

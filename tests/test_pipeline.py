@@ -158,18 +158,16 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(fast, "mid_storage")
 
-    def test_post_storage_computes_the_efficiency_curve_once(self, fast, monkeypatch):
-        import entmem.experiment
+    def test_post_storage_computes_the_spectral_overlap_once(self, fast, monkeypatch):
         import entmem.memory
 
-        original, calls = entmem.memory.efficiency_curve, []
+        original, calls = entmem.memory.spectral_overlap, []
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(entmem.memory, "efficiency_curve", counted)
-        monkeypatch.setattr(entmem.experiment, "efficiency_curve", counted)
+        monkeypatch.setattr(entmem.memory, "spectral_overlap", counted)
         run_experiment(fast, "post_storage", sampling="expected")
         assert len(calls) == 1
 

@@ -183,10 +183,13 @@ def test_g2_window_rule_exits_2_at_load_naming_both_fields(tmp_path, capsys, pat
         (2.5, 1.0, True),
         (500.0, 294.0, True),  # +-2 sigma is 499.4 ns
         (500.0, 295.0, False),  # +-2 sigma is 501.1 ns
+        (2e5, 294.0, True),  # 1e5 bins
+        (200002.0, 294.0, False),  # 1e5 + 1 bins
     ],
 )
 def test_g2_slot_must_exceed_a_bin_and_hold_the_wavepacket(baseline, slot, fwhm, accepted):
-    timing = replace(baseline.timing, cycle_period_ns=slot)
+    # one cycle per duty window, so that the window holds the slot
+    timing = replace(baseline.timing, cycle_period_ns=slot, cycles_per_duty=1)
     source = replace(baseline.source, s2_temporal_fwhm=fwhm)
     if accepted:
         replace(baseline, timing=timing, source=source)
