@@ -15,7 +15,6 @@ from .errors import (
     ValidationError,
 )
 from .qstate import (
-    PolarizationKet,
     TwoQubitState,
     bell_psi_plus,
     fidelity,
@@ -33,7 +32,6 @@ from .detection import (
     CountRecord,
     DetectorParams,
     LossBudget,
-    MeasurementSetting,
     TimingConfig,
     born_probabilities,
     heralded_alpha,

@@ -21,18 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ValidationError, nan_or_raise
-from .qstate import PolarizationKet, TwoQubitState
+from .qstate import TwoQubitState
 from .rng import derive_rng, poisson_rows
 from .source import gaussian_fwhm_sigma
-
-
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """Analyzer configuration: one projection ket per arm."""
-
-    arm1_projector: PolarizationKet
-    arm2_projector: PolarizationKet
-    label: str = ""
 
 
 # A second: far past any photon counter's recovery (tens of ns to a few us); below it a
@@ -209,19 +200,18 @@ def records_from_csv(text: str) -> list[CountRecord]:
     return out
 
 
-def setting_kets(settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arm-1, arm-2 and joint kets of the settings, one row per setting: the
-    (S, 2), (S, 2) and (S, 4) arrays, joint rows in the (HH, HV, VH, VV) order."""
-    k1 = np.array([s.arm1_projector.vector for s in settings]).reshape(-1, 2)
-    k2 = np.array([s.arm2_projector.vector for s in settings]).reshape(-1, 2)
-    return k1, k2, (k1[:, :, None] * k2[:, None, :]).reshape(-1, 4)
+def joint_kets(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """The (S, 4) product kets of (S, 2) arm-1 and arm-2 kets, in the (HH, HV, VH, VV) order."""
+    return (k1[:, :, None] * k2[:, None, :]).reshape(-1, 4)
 
 
 def born_probabilities(rho: TwoQubitState, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Born-rule probabilities of the settings, one (S,) array each, clamped into [0, 1]: the
-    joint projection on rho and each arm's analyzer on that arm's reduced state, every one
-    Re<k|M|k> of a row k of setting_kets, all rows in one stacked evaluation."""
-    k1, k2, k12 = setting_kets(settings)
+    """Born-rule probabilities of the settings (labels, arm1, arm2), one (S,) array each, clamped
+    into [0, 1]: the joint projection on rho and each arm's analyzer on that arm's reduced state,
+    every one Re<k|M|k> of a row k of joint_kets(arm1, arm2), arm1 or arm2, all rows in one
+    stacked evaluation."""
+    _, k1, k2 = settings
+    k12 = joint_kets(k1, k2)
     return tuple(
         np.clip(np.real(np.vecdot(k, (m @ k[..., None])[..., 0])), 0.0, 1.0)
         for m, k in ((rho.rho, k12), (rho.reduced_signal1(), k1), (rho.reduced_signal2(), k2))

@@ -14,7 +14,8 @@ an EstimationError.  CHSH, visibility and the Cauchy-Schwarz ratio are closed-fo
 ratios; every estimator gets its error bar from Poisson Monte-Carlo resampling of the counts.
 
 Each measurement design is defined here, once, next to its estimator:
-TOMO_SETTINGS, chsh_settings and fringe_settings.  The pipeline simulates
+TOMO_SETTINGS, chsh_settings and fringe_settings, each a triple (labels,
+arm1, arm2) of read-only ket arrays.  The pipeline simulates
 counts at these settings, and the analytic figures (chsh_S_analytic,
 visibility_analytic) are the same estimators applied to the Born
 probabilities of the same settings: the infinite-count limit of the
@@ -28,26 +29,29 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .detection import (
-    CountRecord,
-    MeasurementSetting,
-    born_probabilities,
-    heralded_alpha,
-    setting_kets,
-)
+from .detection import CountRecord, born_probabilities, heralded_alpha, joint_kets
 from .errors import ConfigurationError, EstimationError, ValidationError, nan_or_raise
-from .qstate import KET_BY_LABEL, TwoQubitState, ket_linear
+from .qstate import KETS, TwoQubitState, ket_linear
 from .rng import poisson_rows
 
 TOMO_BASIS_LETTERS = ("H", "V", "D", "R")
 NORMALIZATION_GROUP = ("HH", "HV", "VH", "VV")
 
 
+def _design(labels, arm1, arm2) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """An analyzer design (labels, arm1, arm2): one label and one ket per arm for each
+    setting, the kets as read-only (S, 2) arrays."""
+    arms = [np.array(kets, dtype=np.complex128).reshape(-1, 2) for kets in (arm1, arm2)]
+    for k in arms:
+        k.setflags(write=False)
+    return tuple(labels), *arms
+
+
 @dataclass(frozen=True)
 class TomographySettingSet:
-    """The 16 product-projection settings used for state reconstruction."""
+    """The 16 product-projection settings used for state reconstruction, as a design."""
 
-    settings: tuple[MeasurementSetting, ...]
+    settings: tuple[tuple[str, ...], np.ndarray, np.ndarray]
 
     @classmethod
     def standard(cls) -> "TomographySettingSet":
@@ -72,15 +76,11 @@ class EstimateWithError:
 
 # The one tomography design (James et al., PRA 64, 052312, 2001); a test checks
 # that its 16 projectors span the operator space.
+_TOMO_LABELS = tuple(a + b for a in TOMO_BASIS_LETTERS for b in TOMO_BASIS_LETTERS)
 TOMO_SETTINGS = TomographySettingSet(
-    tuple(
-        MeasurementSetting(KET_BY_LABEL[a](), KET_BY_LABEL[b](), label=a + b)
-        for a in TOMO_BASIS_LETTERS
-        for b in TOMO_BASIS_LETTERS
-    )
+    _design(_TOMO_LABELS, [KETS[a] for a, _ in _TOMO_LABELS], [KETS[b] for _, b in _TOMO_LABELS])
 )
-_TOMO_LABELS = tuple(s.label for s in TOMO_SETTINGS.settings)
-_TOMO_KETS = setting_kets(TOMO_SETTINGS.settings)[2]
+_TOMO_KETS = joint_kets(*TOMO_SETTINGS.settings[1:])
 _TOMO_PROJECTORS = _TOMO_KETS[:, :, None] * _TOMO_KETS[:, None, :].conj()  # the |k><k|
 _TOMO_DESIGN = _TOMO_PROJECTORS.mT.reshape(16, 16)  # row i maps vec(rho) -> Tr(rho P_i)
 _NORMALIZATION_IDX = [_TOMO_LABELS.index(label) for label in NORMALIZATION_GROUP]
@@ -353,15 +353,13 @@ PORT_OFFSETS = ((0.0, 0.0), (0.0, np.pi / 2), (np.pi / 2, 0.0), (np.pi / 2, np.p
 CHSH_LABELS = tuple(f"chsh:{i}{j}:{port}" for i in "01" for j in "01" for port in PORT_LABELS)
 
 
-def chsh_settings(angles: tuple[float, float, float, float]) -> list[MeasurementSetting]:
-    """The 16 CHSH settings, in CHSH_LABELS order, at the analyzer angles
+def chsh_settings(angles: tuple[float, float, float, float]):
+    """The design of the 16 CHSH settings, in CHSH_LABELS order, at the analyzer angles
     (theta1, theta2, theta1', theta2'): the four ports at each angle pair."""
     t1, t2, t1p, t2p = angles
     analyzers = [(a1 + da, a2 + db) for a1 in (t1, t1p) for a2 in (t2, t2p) for da, db in PORT_OFFSETS]
-    return [
-        MeasurementSetting(ket_linear(x1), ket_linear(x2), label)
-        for (x1, x2), label in zip(analyzers, CHSH_LABELS)
-    ]
+    x1, x2 = zip(*analyzers)
+    return _design(CHSH_LABELS, [ket_linear(x) for x in x1], [ket_linear(x) for x in x2])
 
 
 _ZERO_TOTAL = "correlation undefined: zero total coincidences"
@@ -439,17 +437,17 @@ class VisibilityResult:
     nonclassical: bool
 
 
-def fringe_settings(arm1_label: str, thetas) -> list[MeasurementSetting]:
-    """Fringe sweep: arm-1 fixed analysis state, arm-2 HWP at each angle theta.
+def fringe_settings(arm1_label: str, thetas):
+    """The design of a fringe sweep: arm-1 fixed analysis state, arm-2 HWP at each angle theta.
 
     The HWP at angle theta analyzes polarization 2*theta, giving the
     pi/2-periodic fringe that visibility_fit fits.
     """
-    arm1 = KET_BY_LABEL[arm1_label]()
-    return [
-        MeasurementSetting(arm1, ket_linear(2.0 * theta), f"vis:{arm1_label}:{k}")
-        for k, theta in enumerate(thetas)
-    ]
+    return _design(
+        [f"vis:{arm1_label}:{k}" for k in range(len(thetas))],
+        [KETS[arm1_label]] * len(thetas),
+        [ket_linear(2.0 * theta) for theta in thetas],
+    )
 
 
 def _fringe_fit(points: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .detection import (
-    ExpectedRates,
-    MeasurementSetting,
-    born_probabilities,
-    click_probs,
-    heralded_alpha,
-)
+from .detection import ExpectedRates, born_probabilities, click_probs, heralded_alpha
 from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
 from .memory import apply_memory, efficiency
@@ -203,8 +197,8 @@ def model_alpha(stage: Stage) -> float:
     return heralded_alpha(p1, p12, p12, p123)
 
 
-def model_rates(stage: Stage, settings: Sequence[MeasurementSetting]) -> ExpectedRates:
-    """Singles and coincidence rates (per second) of the analyzer settings, (S,) arrays.
+def model_rates(stage: Stage, settings) -> ExpectedRates:
+    """Singles and coincidence rates (per second) of a design's S settings, (S,) arrays.
 
     The singles add the dark counts and, after storage, the retrieval
     noise to the detected photons; dead time scales each arm.  The

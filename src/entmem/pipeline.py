@@ -105,21 +105,22 @@ class StageResult:
 def _simulate_records(
     stage: Stage, sampling: str, kind: str, settings, seed_prefix: str = ""
 ) -> list[CountRecord]:
-    """One count record per setting, acquired for the plan's "{kind}_{suffix}" time.
+    """One count record per setting of the design, acquired for the plan's "{kind}_{suffix}" time.
 
     The counts of a setting are drawn from the seed label
-    "{suffix}:{seed_prefix}{setting.label}"; the record carries the
-    setting label itself.
+    "{suffix}:{seed_prefix}{label}"; the record carries the setting label
+    itself.
     """
 
     acq = stage.scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
     rates = model_rates(stage, settings)
-    labels = [f"{stage.suffix}:{seed_prefix}{setting.label}" for setting in settings]
-    rows = [count_means(r, acq, acq, lab) for lab, *r in zip(labels, rates.r1, rates.r2, rates.r12)]
-    counts, seed = draw_counts(rows, sampling, stage.scenario.master_seed, labels)
+    labels = settings[0]
+    keys = [f"{stage.suffix}:{seed_prefix}{label}" for label in labels]
+    rows = [count_means(r, acq, acq, key) for key, *r in zip(keys, rates.r1, rates.r2, rates.r12)]
+    counts, seed = draw_counts(rows, sampling, stage.scenario.master_seed, keys)
     return [
-        CountRecord(setting.label, s1, s2, min(c, s1, s2), 0, acq, seed)
-        for setting, (s1, s2, c) in zip(settings, counts)
+        CountRecord(label, s1, s2, min(c, s1, s2), 0, acq, seed)
+        for label, (s1, s2, c) in zip(labels, counts)
     ]
 
 

@@ -22,70 +22,28 @@ TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PolarizationKet:
-    """Single-photon polarization state with H/V amplitudes.
-
-    Amplitudes are normalized on construction; a near-zero input vector is
-    rejected rather than silently rescaled from noise.
-    """
-
-    amp_h: complex
-    amp_v: complex
-
-    def __post_init__(self):
-        norm = np.sqrt(abs(self.amp_h) ** 2 + abs(self.amp_v) ** 2)
-        if norm < 1e-9:
-            raise ValidationError("polarization ket has (near-)zero norm")
-        object.__setattr__(self, "amp_h", complex(self.amp_h) / norm)
-        object.__setattr__(self, "amp_v", complex(self.amp_v) / norm)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.amp_h, self.amp_v], dtype=np.complex128)
+def ket(amp_h, amp_v) -> np.ndarray:
+    """The polarization ket amp_h|H> + amp_v|V>, normalized, as a read-only (2,) array."""
+    norm = np.sqrt(abs(amp_h) ** 2 + abs(amp_v) ** 2)
+    k = np.array([complex(amp_h) / norm, complex(amp_v) / norm], dtype=np.complex128)
+    k.setflags(write=False)
+    return k
 
 
-def ket_h() -> PolarizationKet:
-    return PolarizationKet(1.0, 0.0)
-
-
-def ket_v() -> PolarizationKet:
-    return PolarizationKet(0.0, 1.0)
-
-
-def ket_d() -> PolarizationKet:
-    """(|H> + |V>)/sqrt(2)."""
-    return PolarizationKet(1.0, 1.0)
-
-
-def ket_a() -> PolarizationKet:
-    """(|H> - |V>)/sqrt(2)."""
-    return PolarizationKet(1.0, -1.0)
-
-
-def ket_r() -> PolarizationKet:
-    """(|H> - i|V>)/sqrt(2)."""
-    return PolarizationKet(1.0, -1.0j)
-
-
-def ket_l() -> PolarizationKet:
-    """(|H> + i|V>)/sqrt(2)."""
-    return PolarizationKet(1.0, 1.0j)
-
-
-def ket_linear(theta: float) -> PolarizationKet:
-    """Linear polarization at angle theta from H, cos(theta)|H> + sin(theta)|V>."""
-    return PolarizationKet(np.cos(theta), np.sin(theta))
-
-
-KET_BY_LABEL = {
-    "H": ket_h,
-    "V": ket_v,
-    "D": ket_d,
-    "A": ket_a,
-    "R": ket_r,
-    "L": ket_l,
+# The six analyzer states: D, A = (|H> +- |V>)/sqrt(2), R, L = (|H> -+ i|V>)/sqrt(2).
+KETS = {
+    "H": ket(1.0, 0.0),
+    "V": ket(0.0, 1.0),
+    "D": ket(1.0, 1.0),
+    "A": ket(1.0, -1.0),
+    "R": ket(1.0, -1.0j),
+    "L": ket(1.0, 1.0j),
 }
+
+
+def ket_linear(theta: float) -> np.ndarray:
+    """Linear polarization at angle theta from H, cos(theta)|H> + sin(theta)|V>."""
+    return ket(np.cos(theta), np.sin(theta))
 
 
 def _physical(rho: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from .detection import G2_BIN_NS, G2_BINS_MAX, DetectorParams, LossBudget, Timin
 from .errors import ConfigurationError, ValidationError
 from .interferometer import AttenuatorSetting, balance_attenuation
 from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
+from .qstate import KETS
 from .source import SourceParams, eta_from_tan2, gaussian_fwhm_sigma, tan2_eta_from_detuning
 
 SCHEMA_VERSION = 1
@@ -92,7 +93,7 @@ class MeasurementPlan:
         thetas = self.visibility_thetas
         if len(thetas) < 8 or max(map(abs, thetas)) > 2 * np.pi:
             raise ConfigurationError("visibility_thetas needs 8 or more angles in [-2 pi, 2 pi]")
-        if self.visibility_arm1 not in ("H", "V", "D", "A", "R", "L"):
+        if self.visibility_arm1 not in KETS:
             raise ConfigurationError(f"unknown visibility arm-1 state {self.visibility_arm1!r}")
         keys = {
             "tomo_pre", "tomo_post", "chsh_pre", "chsh_post",

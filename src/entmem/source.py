@@ -20,6 +20,9 @@ from .qstate import TwoQubitState
 # Far past the bandwidth of a cascade-emission photon (tens to hundreds of MHz); below it
 # the 8-FWHM frequency grid of the memory's spectral overlap is finite.
 SPECTRAL_FWHM_MAX_MHZ = 1e6
+# Far below the linewidth of any photon (a 1 mHz line lasts minutes); above it the line's
+# density on the memory's spectral overlap grid, and its square, are finite floats.
+SPECTRAL_FWHM_MIN_MHZ = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,14 @@ class SourceParams:
             raise ValidationError(f"p_white={self.p_white} outside [0, 1]")
         if not 0.0 < self.pair_prob < 0.5:
             raise ValidationError(f"pair_prob={self.pair_prob} outside (0, 0.5)")
-        for name in ("s2_spectral_fwhm", "s2_temporal_fwhm", "s1_temporal_fwhm"):
+        for name in ("s2_temporal_fwhm", "s1_temporal_fwhm"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
-        if self.s2_spectral_fwhm > SPECTRAL_FWHM_MAX_MHZ:
-            raise ValidationError(f"s2_spectral_fwhm must be at most {SPECTRAL_FWHM_MAX_MHZ:g} MHz")
+        if not SPECTRAL_FWHM_MIN_MHZ <= self.s2_spectral_fwhm <= SPECTRAL_FWHM_MAX_MHZ:
+            raise ValidationError(
+                f"source.s2_spectral_fwhm is {self.s2_spectral_fwhm:g} MHz, outside "
+                f"[{SPECTRAL_FWHM_MIN_MHZ:g}, {SPECTRAL_FWHM_MAX_MHZ:g}]"
+            )
 
 
 def tan2_eta_from_detuning(detuning: float, calib: list[tuple[float, float]]) -> float:

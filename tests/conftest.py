@@ -5,7 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from entmem.errors import ValidationError
-from entmem.qstate import PolarizationKet, TwoQubitState
+from entmem.qstate import TwoQubitState, ket
 from entmem.scenario import Scenario
 
 KET_NORM_TOL = 1e-12
@@ -23,13 +23,13 @@ def populations(rho: TwoQubitState) -> np.ndarray:
     return np.real(np.diag(rho.rho)).copy()
 
 
-def tensor_product(a: PolarizationKet, b: PolarizationKet) -> TwoQubitState:
-    """Pure product state |a (x) b><a (x) b| with slot 1 = Signal 1."""
-    if abs(np.linalg.norm(a.vector) - 1) > KET_NORM_TOL:
+def tensor_product(a: np.ndarray, b: np.ndarray) -> TwoQubitState:
+    """Pure product state |a (x) b><a (x) b| of two (2,) kets, with slot 1 = Signal 1."""
+    if abs(np.linalg.norm(a) - 1) > KET_NORM_TOL:
         raise ValidationError("first ket not normalized")
-    if abs(np.linalg.norm(b.vector) - 1) > KET_NORM_TOL:
+    if abs(np.linalg.norm(b) - 1) > KET_NORM_TOL:
         raise ValidationError("second ket not normalized")
-    return TwoQubitState.from_ket(np.kron(a.vector, b.vector))
+    return TwoQubitState.from_ket(np.kron(a, b))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -79,7 +79,7 @@ def polarization_kets(draw):
     norm2 = re_h**2 + im_h**2 + re_v**2 + im_v**2
     if norm2 < 1e-6:
         re_h = 1.0
-    return PolarizationKet(complex(re_h, im_h), complex(re_v, im_v))
+    return ket(complex(re_h, im_h), complex(re_v, im_v))
 
 
 @st.composite

@@ -41,13 +41,7 @@ from entmem.memory import (
     transparency_window_fwhm,
 )
 from entmem.pipeline import run_experiment, seed_ensemble
-from entmem.qstate import (
-    TwoQubitState,
-    bell_psi_plus,
-    fidelity,
-    ket_h,
-)
-from entmem.qstate import KET_BY_LABEL
+from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, fidelity
 from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
 CHSH_ANGLES = MeasurementPlan().chsh_angles
@@ -94,15 +88,15 @@ def test_criterion_2_tomography_self_consistency():
         probs = born_probabilities(rho, settings.settings)[0]
         # exact Born frequencies at high resolution
         exact = [
-            CountRecord(s.label, 4 * 10**9, 4 * 10**9, int(round(p * 1e9)), 0, 1.0, 0)
-            for s, p in zip(settings.settings, probs)
+            CountRecord(label, 4 * 10**9, 4 * 10**9, int(round(p * 1e9)), 0, 1.0, 0)
+            for label, p in zip(settings.settings[0], probs)
         ]
         est = tomo_mle(*tomo_counts(exact))
         worst_td = max(worst_td, trace_distance(est.rho, rho.rho))
         # Poisson statistics at N = 1e5 per basis group
         noisy = [
-            CountRecord(s.label, 4 * 10**6, 4 * 10**6, int(rng.poisson(p * 1e5)), 0, 1.0, 0)
-            for s, p in zip(settings.settings, probs)
+            CountRecord(label, 4 * 10**6, 4 * 10**6, int(rng.poisson(p * 1e5)), 0, 1.0, 0)
+            for label, p in zip(settings.settings[0], probs)
         ]
         fids.append(fidelity(tomo_mle(*tomo_counts(noisy)), rho))
     elapsed = time.time() - t0
@@ -198,7 +192,7 @@ def test_criterion_7_property_suites(calibrated):
     # polarization independence of retrieval: without depolarization the
     # retrieved state is the input, whatever its polarization
     for label in ("H", "V", "D", "R"):
-        state = tensor_product(ket_h(), KET_BY_LABEL[label]())
+        state = tensor_product(KETS["H"], KETS[label])
         out = apply_memory(state, 0.06, MemoryNoiseParams(p_depol=0.0))
         ok = ok and np.max(np.abs(out.rho - state.rho)) < 1e-12
 

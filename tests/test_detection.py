@@ -15,7 +15,6 @@ from entmem.detection import (
     DetectorParams,
     ExpectedRates,
     LossBudget,
-    MeasurementSetting,
     TimingConfig,
     born_probabilities,
     click_probs,
@@ -32,7 +31,7 @@ from entmem.detection import (
 from entmem.errors import EstimationError, ValidationError
 from entmem.experiment import model_rates, stage_state
 from entmem.memory import MemoryNoiseParams
-from entmem.qstate import PolarizationKet, TwoQubitState, bell_psi_plus, ket_d, ket_h, ket_v
+from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, ket
 from entmem.rng import derive_rng
 from entmem.scenario import load_bundled_scenario
 
@@ -42,35 +41,37 @@ IDEAL_DET = DetectorParams(efficiency=1.0, dark_rate=0.0, dead_time=0.0, gate_wi
 TIMING = TimingConfig()
 
 
-def _setting(a, b, label=""):
-    return MeasurementSetting(arm1_projector=a, arm2_projector=b, label=label)
+def _design(pairs, labels=None):
+    """The design (labels, arm1, arm2) of (arm-1 ket, arm-2 ket) pairs, unlabeled by default."""
+    arm1, arm2 = (np.array([pair[i] for pair in pairs]).reshape(-1, 2) for i in (0, 1))
+    return tuple(labels or [""] * len(pairs)), arm1, arm2
 
 
 def _joint_probability(rho, a, b) -> float:
     """The Born probability of the one setting (a, b), through the stacked kernel."""
-    (p,) = born_probabilities(rho, [_setting(a, b)])[0]
+    (p,) = born_probabilities(rho, _design([(a, b)]))[0]
     return p
 
 
 class TestProjectionProbability:
     def test_bell_hv(self):
-        assert _joint_probability(bell_psi_plus(), ket_h(), ket_v()) == pytest.approx(
+        assert _joint_probability(bell_psi_plus(), KETS["H"], KETS["V"]) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_bell_hh_forbidden(self):
-        assert _joint_probability(bell_psi_plus(), ket_h(), ket_h()) == pytest.approx(
+        assert _joint_probability(bell_psi_plus(), KETS["H"], KETS["H"]) == pytest.approx(
             0.0, abs=1e-12
         )
 
     def test_maximally_mixed_quarter(self):
         rho = maximally_mixed()
-        assert _joint_probability(rho, ket_d(), ket_v()) == pytest.approx(0.25)
+        assert _joint_probability(rho, KETS["D"], KETS["V"]) == pytest.approx(0.25)
 
     @given(density_matrices())
     @settings(max_examples=50, deadline=None)
     def test_complete_quadruple_sums_to_one(self, rho):
-        quadruple = [_setting(a, b) for a in (ket_h(), ket_v()) for b in (ket_h(), ket_v())]
+        quadruple = _design([(KETS[a], KETS[b]) for a in "HV" for b in "HV"])
         total = sum(born_probabilities(rho, quadruple)[0])
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -81,9 +82,9 @@ def _reference_probability(m: np.ndarray, v: np.ndarray) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _kets(seed: int, n: int) -> list[PolarizationKet]:
+def _kets(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return [PolarizationKet(*(rng.normal(size=2) + 1j * rng.normal(size=2))) for _ in range(n)]
+    return np.array([ket(*(rng.normal(size=2) + 1j * rng.normal(size=2))) for _ in range(n)])
 
 
 class TestBornProbabilities:
@@ -94,11 +95,10 @@ class TestBornProbabilities:
     )
     @settings(max_examples=100, deadline=None)
     def test_equals_the_one_setting_reference_bit_for_bit(self, rho, seed, n):
-        settings_list = [_setting(a, b) for a, b in zip(_kets(seed, n), _kets(seed + 1, n))]
-        joint, arm1, arm2 = born_probabilities(rho, settings_list)
+        design = _design(list(zip(_kets(seed, n), _kets(seed + 1, n))))
+        joint, arm1, arm2 = born_probabilities(rho, design)
         reduced1, reduced2 = rho.reduced_signal1(), rho.reduced_signal2()
-        for k, s in enumerate(settings_list):
-            v1, v2 = s.arm1_projector.vector, s.arm2_projector.vector
+        for k, (v1, v2) in enumerate(zip(*design[1:])):
             assert joint[k] == _reference_probability(rho.rho, np.kron(v1, v2))
             assert arm1[k] == _reference_probability(reduced1, v1)
             assert arm2[k] == _reference_probability(reduced2, v2)
@@ -107,7 +107,7 @@ class TestBornProbabilities:
         # an unphysical matrix (bypassing validation) gives out-of-range Re<k|M|k>
         rho = object.__new__(TwoQubitState)
         object.__setattr__(rho, "rho", np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex))
-        hh_hv = [_setting(ket_h(), ket_h()), _setting(ket_h(), ket_v())]
+        hh_hv = _design([(KETS["H"], KETS["H"]), (KETS["H"], KETS["V"])])
         joint, arm1, _ = born_probabilities(rho, hh_hv)
         assert joint.tolist() == [1.0, 0.0]
         assert arm1.tolist() == [1.0, 1.0]
@@ -123,7 +123,7 @@ class TestExpectedRates:
         # pair gives one coincidence, in the HV or the VH port
         scenario = _lossless(load_bundled_scenario())
         scenario = replace(scenario, source=replace(scenario.source, p_white=0.0))
-        settings = [_setting(ket_h(), ket_v()), _setting(ket_v(), ket_h())]
+        settings = _design([(KETS["H"], KETS["V"]), (KETS["V"], KETS["H"])])
         rates = model_rates(stage_state(scenario, "pre_storage"), settings)
         pairs = scenario.timing.pulse_rate * scenario.source.pair_prob
         assert sum(rates.r12) == pytest.approx(pairs, rel=1e-12)
@@ -139,7 +139,7 @@ class TestExpectedRates:
         lossy = replace(base, losses=losses, detector1=d1, detector2=d2)
         stage = stage_state(lossy, "post_storage")
         assert 0.0 < stage.eta < 1.0
-        settings = [_setting(ket_h(), ket_v())]
+        settings = _design([(KETS["H"], KETS["V"])])
         full = model_rates(stage, settings)
         lossless = model_rates(stage_state(_lossless(base), "pre_storage"), settings)
         expected_factor = (
@@ -155,7 +155,7 @@ class TestExpectedRates:
         def rates(background_rate_2):
             flux = background_rate_2 / scenario.timing.pulse_rate
             s = replace(scenario, mem_noise=replace(scenario.mem_noise, background_flux=flux))
-            return model_rates(stage_state(s, "post_storage"), [_setting(ket_h(), ket_v())])
+            return model_rates(stage_state(s, "post_storage"), _design([(KETS["H"], KETS["V"])]))
 
         base, noisy = rates(0.0), rates(500.0)
         assert noisy.r2[0] > base.r2[0]
@@ -169,7 +169,8 @@ def _simulated_record(r1, r2, r12, acquisition_s, seed):
     plan = SimpleNamespace(acquisition_s={"tomo_pre": acquisition_s})
     stage = SimpleNamespace(scenario=SimpleNamespace(plan=plan, master_seed=seed), suffix="pre")
     with mock.patch.object(pipeline, "model_rates", lambda stage, settings: rates):
-        (rec,) = pipeline._simulate_records(stage, "poisson", "tomo", [_setting(ket_h(), ket_v())])
+        design = _design([(KETS["H"], KETS["V"])])
+        (rec,) = pipeline._simulate_records(stage, "poisson", "tomo", design)
     return rec
 
 
@@ -179,7 +180,7 @@ class TestSampleCounts:
 
     def test_seed_determinism(self):
         stage = stage_state(load_bundled_scenario(), "pre_storage")
-        rates = model_rates(stage, [_setting(ket_h(), ket_v(), "HV")])
+        rates = model_rates(stage, _design([(KETS["H"], KETS["V"])], ["HV"]))
         means = count_means((rates.r1[0], rates.r2[0], rates.r12[0]), 30.0, 30.0, "HH")
         a = sample_counts([means], seed=42, labels=["HH"])
         b = sample_counts([means], seed=42, labels=["HH"])
@@ -414,19 +415,11 @@ class TestTimingConfig:
 class TestLawOfLargeNumbers:
     def test_coincidence_fractions_converge_to_born_rule(self):
         rho = bell_psi_plus()
-        settings_list = [
-            _setting(a, b, lbl)
-            for (a, b, lbl) in [
-                (ket_h(), ket_h(), "HH"),
-                (ket_h(), ket_v(), "HV"),
-                (ket_v(), ket_h(), "VH"),
-                (ket_v(), ket_v(), "VV"),
-            ]
-        ]
-        probs = born_probabilities(rho, settings_list)[0]
+        labels = ["HH", "HV", "VH", "VV"]
+        design = _design([(KETS[a], KETS[b]) for a, b in labels], labels)
+        probs = born_probabilities(rho, design)[0]
         total = 2_000_000
         rows = [[total, total, p * total] for p in probs]
-        labels = [s.label for s in settings_list]
         counts = [row[2] for row in sample_counts(rows, seed=123, labels=labels)]
         n = sum(counts)
         for c, p in zip(counts, probs):

@@ -43,13 +43,7 @@ from entmem.estimators import (
     _lower_cholesky_factor,
     _params_from_t,
 )
-from entmem.qstate import (
-    TwoQubitState,
-    bell_psi_plus,
-    fidelity,
-    ket_h,
-    ket_v,
-)
+from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, fidelity, ket_linear
 from entmem.rng import derive_rng
 from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
@@ -67,10 +61,10 @@ def _neg_log_likelihood(t, counts, exposures, hessian: bool = False) -> tuple:
 def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRecord]:
     """Records whose frequencies are the exact Born probabilities."""
     out = []
-    for s, p in zip(SETTINGS.settings, born_probabilities(rho, SETTINGS.settings)[0]):
+    for label, p in zip(SETTINGS.settings[0], born_probabilities(rho, SETTINGS.settings)[0]):
         out.append(
             CountRecord(
-                setting_label=s.label,
+                setting_label=label,
                 singles_1=int(4 * n_per_group),
                 singles_2=int(4 * n_per_group),
                 coincidences=int(round(p * n_per_group)),
@@ -84,28 +78,35 @@ def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRec
 
 def poisson_records(rho, n_per_group, rng) -> list[CountRecord]:
     out = []
-    for s, p in zip(SETTINGS.settings, born_probabilities(rho, SETTINGS.settings)[0]):
+    for label, p in zip(SETTINGS.settings[0], born_probabilities(rho, SETTINGS.settings)[0]):
         c = int(rng.poisson(p * n_per_group))
         out.append(
-            CountRecord(s.label, int(10 * n_per_group), int(10 * n_per_group), c, 0, 1.0, 0)
+            CountRecord(label, int(10 * n_per_group), int(10 * n_per_group), c, 0, 1.0, 0)
         )
     return out
 
 
 class TestTomographySettingSet:
     def test_sixteen_settings_spanning(self):
-        assert len(SETTINGS.settings) == 16
-        labels = {s.label for s in SETTINGS.settings}
-        assert labels == {a + b for a in "HVDR" for b in "HVDR"}
+        labels, arm1, arm2 = SETTINGS.settings
+        assert len(labels) == 16 and arm1.shape == arm2.shape == (16, 2)
+        assert set(labels) == {a + b for a in "HVDR" for b in "HVDR"}
 
     def test_tomo_settings_projectors_span_the_operator_space(self):
         assert SETTINGS is estimators.TOMO_SETTINGS
         assert np.linalg.matrix_rank(estimators._TOMO_DESIGN, tol=1e-9) == 16
 
 
+def test_kets_and_designs_are_read_only():
+    designs = [SETTINGS.settings, chsh_settings(CHSH_ANGLES), fringe_settings("A", [0.0] * 8)]
+    for k in [*KETS.values(), ket_linear(0.3), *(arm for _, *arms in designs for arm in arms)]:
+        with pytest.raises(ValueError, match="read-only"):
+            k[0] = 0.0
+
+
 class TestTomoLinear:
     def test_recovers_basis_state(self):
-        rho = tensor_product(ket_h(), ket_v())
+        rho = tensor_product(KETS["H"], KETS["V"])
         est = tomo_linear(*tomo_counts(exact_records(rho)))
         assert np.max(np.abs(est - rho.rho)) < 1e-10
 
@@ -756,15 +757,13 @@ class TestChshE:
             assert e[0, 0] == pytest.approx(-np.cos(2 * (t1 + t2)), abs=1e-12)
 
     def test_settings_follow_the_label_layout(self):
-        settings = chsh_settings(CHSH_ANGLES)
-        assert [s.label for s in settings] == list(estimators.CHSH_LABELS)
+        labels, arm1, arm2 = chsh_settings(CHSH_ANGLES)
+        assert list(labels) == list(estimators.CHSH_LABELS)
         t1, t2, t1p, t2p = CHSH_ANGLES
         # chsh:10:pm is theta1' on arm 1 and the port orthogonal to theta2 on arm 2
-        pm = settings[estimators.CHSH_LABELS.index("chsh:10:pm")]
-        assert pm.arm1_projector.vector == pytest.approx([np.cos(t1p), np.sin(t1p)])
-        assert pm.arm2_projector.vector == pytest.approx(
-            [np.cos(t2 + np.pi / 2), np.sin(t2 + np.pi / 2)]
-        )
+        pm = estimators.CHSH_LABELS.index("chsh:10:pm")
+        assert np.array_equal(arm1[pm], ket_linear(t1p))
+        assert np.array_equal(arm2[pm], ket_linear(t2 + np.pi / 2))
 
 
 class TestChshS:
@@ -855,10 +854,10 @@ class TestVisibilityFit:
 
     def test_fringe_settings_analyze_twice_the_hwp_angle(self):
         thetas = np.linspace(0, np.pi / 2, 16)
-        settings = fringe_settings("A", thetas)
-        assert [s.label for s in settings] == [f"vis:A:{k}" for k in range(16)]
-        for theta, s in zip(thetas, settings):
-            assert s.arm2_projector.vector == pytest.approx([np.cos(2 * theta), np.sin(2 * theta)])
+        labels, _, arm2 = fringe_settings("A", thetas)
+        assert list(labels) == [f"vis:A:{k}" for k in range(16)]
+        for theta, k in zip(thetas, arm2):
+            assert np.array_equal(k, ket_linear(2 * theta))
 
     @pytest.mark.parametrize("w", [1.0, 0.85, 0.3])
     def test_analytic_visibility_of_werner_state(self, w):

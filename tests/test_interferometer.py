@@ -93,9 +93,9 @@ def test_storage_path_polarization_symmetry():
     """The storage plumbing is the identity channel: without depolarization
     every input polarization is retrieved unchanged."""
     from entmem.memory import MemoryNoiseParams, apply_memory
-    from entmem.qstate import KET_BY_LABEL, ket_h
+    from entmem.qstate import KETS
 
     for label in ("H", "V", "D", "R"):
-        rho = tensor_product(ket_h(), KET_BY_LABEL[label]())
+        rho = tensor_product(KETS["H"], KETS[label])
         out = apply_memory(rho, 0.37, MemoryNoiseParams(p_depol=0.0))
         assert np.max(np.abs(out.rho - rho.rho)) < 1e-12

@@ -270,13 +270,13 @@ class TestRunExperiment:
 
     def test_tomography_record_is_the_draw_at_pre_tomo_label(self, fast):
         view = stage_state(fast, "pre_storage")
-        hh = TOMO_SETTINGS.settings[0]
-        assert hh.label == "HH"
+        hh = tuple(a[:1] for a in TOMO_SETTINGS.settings)
+        assert hh[0] == ("HH",)
         acq = fast.plan.acquisition_s["tomo_pre"]
-        rates = model_rates(view, [hh])
+        rates = model_rates(view, hh)
         means = [r[0] * acq for r in (rates.r1, rates.r2, rates.r12)]
         ((s1, s2, c),) = sample_counts([means], fast.master_seed, ["pre:tomo:HH"])
-        record = pipeline._simulate_records(view, "poisson", "tomo", [hh], "tomo:")[0]
+        record = pipeline._simulate_records(view, "poisson", "tomo", hh, "tomo:")[0]
         assert record == CountRecord("HH", s1, s2, min(c, s1, s2), 0, acq, fast.master_seed)
 
     def test_depolarization_monotonicity_harness(self, fast):

@@ -17,53 +17,39 @@ from conftest import (
     trace_distance,
 )
 from entmem.errors import ValidationError
-from entmem.qstate import (
-    PolarizationKet,
-    TwoQubitState,
-    bell_psi_plus,
-    fidelity,
-    ket_d,
-    ket_h,
-    ket_linear,
-    ket_v,
-    psd_sqrt,
-)
+from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, fidelity, ket, ket_linear, psd_sqrt
 
 
 class TestPolarizationKet:
     def test_normalizes_on_construction(self):
-        k = PolarizationKet(3.0, 4.0)
-        assert abs(abs(k.amp_h) ** 2 + abs(k.amp_v) ** 2 - 1.0) < 1e-12
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValidationError):
-            PolarizationKet(0.0, 0.0)
+        k = ket(3.0, 4.0)
+        assert abs(abs(k[0]) ** 2 + abs(k[1]) ** 2 - 1.0) < 1e-12
 
     @given(polarization_kets())
-    def test_always_unit_norm(self, ket):
-        assert abs(np.linalg.norm(ket.vector) - 1.0) < 1e-12
+    def test_always_unit_norm(self, k):
+        assert abs(np.linalg.norm(k) - 1.0) < 1e-12
 
 
 class TestTensorProduct:
     def test_h_v_basis_product(self):
-        rho = tensor_product(ket_h(), ket_v())
+        rho = tensor_product(KETS["H"], KETS["V"])
         diag = populations(rho)
         assert diag[1] == pytest.approx(1.0, abs=1e-12)
         assert abs(rho.rho).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_uniform_for_dd(self):
-        rho = tensor_product(ket_d(), ket_d())
+        rho = tensor_product(KETS["D"], KETS["D"])
         assert np.allclose(rho.rho, np.full((4, 4), 0.25), atol=1e-12)
 
     def test_eta_pi_over_3_product(self):
         # (cos eta|H> + sin eta|V>) (x) |H>, eta = pi/3
-        rho = tensor_product(ket_linear(np.pi / 3), ket_h())
+        rho = tensor_product(ket_linear(np.pi / 3), KETS["H"])
         assert np.allclose(populations(rho), [0.25, 0.0, 0.75, 0.0], atol=1e-12)
 
     def test_output_is_valid_state_for_random_kets(self, rng):
         for _ in range(1000):
-            a = PolarizationKet(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
-            b = PolarizationKet(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            a = ket(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+            b = ket(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
             rho = tensor_product(a, b)
             assert abs(np.trace(rho.rho) - 1) < 1e-10
             assert purity(rho) == pytest.approx(1.0, abs=1e-9)
@@ -137,8 +123,8 @@ class TestFidelity:
         )
 
     def test_orthogonal_pure_states(self):
-        hv = tensor_product(ket_h(), ket_v())
-        vh = tensor_product(ket_v(), ket_h())
+        hv = tensor_product(KETS["H"], KETS["V"])
+        vh = tensor_product(KETS["V"], KETS["H"])
         assert fidelity(hv, vh) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_state_overlap_oracle(self, rng):
@@ -172,8 +158,8 @@ def test_psd_sqrt_squares_back(rng):
 
 
 def test_trace_distance_basics():
-    hv = tensor_product(ket_h(), ket_v())
-    vh = tensor_product(ket_v(), ket_h())
+    hv = tensor_product(KETS["H"], KETS["V"])
+    vh = tensor_product(KETS["V"], KETS["H"])
     assert trace_distance(hv.rho, hv.rho) == pytest.approx(0.0, abs=1e-12)
     assert trace_distance(hv.rho, vh.rho) == pytest.approx(1.0, abs=1e-10)
 

@@ -23,6 +23,7 @@ from entmem.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from entmem.source import SPECTRAL_FWHM_MIN_MHZ
 
 BUNDLED = json.loads(bundled_scenario_path().read_text())
 
@@ -95,6 +96,9 @@ BAD_VALUES = [
     (("eit", "gamma_g"), 1e308),
     # the 8-FWHM grid of the signal spectrum is past the float range
     (("source", "s2_spectral_fwhm"), 1e308),
+    # the line's density, or its square, on the spectral overlap grid is past the float range
+    (("source", "s2_spectral_fwhm"), 1e-300),
+    (("source", "s2_spectral_fwhm"), 1e-320),
     # a count rate times the dead time is past the float range
     (("detectors", "d1", "dead_time"), 1e308),
     # the fringe's doubled analysis angle is past the float range
@@ -174,6 +178,27 @@ def test_g2_window_rule_exits_2_at_load_naming_both_fields(tmp_path, capsys, pat
     err = capsys.readouterr().err
     assert rc == 2
     assert "timing.cycle_period_ns" in err and "source.s2_temporal_fwhm" in err
+
+
+@pytest.mark.parametrize("fwhm", [1e-300, 1e-320])
+@pytest.mark.parametrize(
+    "command",
+    [["eit"], ["calibrate"], ["simulate", "--skip-calibration", "--sampling", "expected"]],
+    ids=["eit", "calibrate", "simulate"],
+)
+def test_spectral_fwhm_below_its_bound_exits_2_at_load_naming_it(tmp_path, capsys, fwhm, command):
+    path = _edited(tmp_path, ("source", "s2_spectral_fwhm"), fwhm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--scenario", path, "--out", str(tmp_path), *command])
+    assert rc == 2
+    assert "source.s2_spectral_fwhm" in capsys.readouterr().err
+
+
+def test_spectral_fwhm_at_its_lower_bound_loads():
+    d = copy.deepcopy(BUNDLED)
+    d["source"]["s2_spectral_fwhm"] = 1e-9
+    assert scenario_from_dict(d).source.s2_spectral_fwhm == SPECTRAL_FWHM_MIN_MHZ == 1e-9
 
 
 @pytest.mark.parametrize(
