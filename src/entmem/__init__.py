@@ -14,11 +14,7 @@ from .errors import (
     EstimationError,
     ValidationError,
 )
-from .qstate import (
-    TwoQubitState,
-    bell_psi_plus,
-    fidelity,
-)
+from .qstate import bell_psi_plus, fidelity, physical
 from .source import SourceParams, tan2_eta_from_detuning, two_photon_state
 from .interferometer import AttenuatorSetting, apply_attenuator, balance_attenuation
 from .memory import (

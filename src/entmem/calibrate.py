@@ -33,6 +33,7 @@ import numpy as np
 from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic, visibility_analytic
 from .experiment import (
+    _after_storage,
     balanced_state,
     memory_efficiency,
     model_alpha,
@@ -40,7 +41,7 @@ from .experiment import (
     stage_state,
 )
 from .memory import transparency_window_fwhm
-from .qstate import TwoQubitState, bell_psi_plus, fidelity
+from .qstate import bell_psi_plus, fidelity
 from .scenario import Scenario
 
 DEFAULT_TARGETS = {
@@ -54,23 +55,29 @@ DEFAULT_TARGETS = {
 }
 
 
-def _visibility(s: Scenario, rho: TwoQubitState) -> float:
+def _visibility(s: Scenario, rho: np.ndarray) -> float:
     """Noise-free visibility of the plan's fringe sweep on rho."""
     return visibility_analytic(rho, s.plan.visibility_arm1, s.plan.visibility_thetas)
 
 
-# Model value of each calibration target on a scenario.
+def _post(s: Scenario, eta: float):
+    """The post-storage Stage of s, its memory retrieving with eta at the storage time."""
+    return _after_storage(stage_state(s, "pre_storage"), eta, s.timing.storage_time_ns)
+
+
+# Model value of each calibration target on a scenario s; only the post-storage models read
+# eta, the memory_efficiency of s.
 MODELS = {
-    "eit_window": lambda s: transparency_window_fwhm(s.eit),
-    "eta_100ns": lambda s: memory_efficiency(s, 100.0),
-    "V_pre": lambda s: _visibility(s, balanced_state(s)[0]),
-    "F_pre": lambda s: fidelity(balanced_state(s)[0], bell_psi_plus()),
-    "V_post": lambda s: _visibility(s, stage_state(s, "post_storage").rho),
-    "F_post": lambda s: fidelity(stage_state(s, "post_storage").rho, balanced_state(s)[0]),
-    "g2_pre": lambda s: model_slot_g2(stage_state(s, "pre_storage")),
-    "alpha_pre": lambda s: model_alpha(stage_state(s, "pre_storage")),
-    "alpha_post": lambda s: model_alpha(stage_state(s, "post_storage")),
-    "g2_post": lambda s: model_slot_g2(stage_state(s, "post_storage")),
+    "eit_window": lambda s, eta: transparency_window_fwhm(s.eit),
+    "eta_100ns": lambda s, eta: memory_efficiency(s, 100.0),
+    "V_pre": lambda s, eta: _visibility(s, balanced_state(s)),
+    "F_pre": lambda s, eta: fidelity(balanced_state(s), bell_psi_plus()),
+    "V_post": lambda s, eta: _visibility(s, _post(s, eta).rho),
+    "F_post": lambda s, eta: fidelity(_post(s, eta).rho, balanced_state(s)),
+    "g2_pre": lambda s, eta: model_slot_g2(stage_state(s, "pre_storage")),
+    "alpha_pre": lambda s, eta: model_alpha(stage_state(s, "pre_storage")),
+    "alpha_post": lambda s, eta: model_alpha(_post(s, eta)),
+    "g2_post": lambda s, eta: model_slot_g2(_post(s, eta)),
 }
 
 
@@ -214,6 +221,8 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
             continue
         name, target = given[0], targets[given[0]]
         model, set_x = MODELS[name], _setter(section, parameter)
+        # no post-storage fit changes the memory efficiency: once per fit, not per search step
+        eta = memory_efficiency(s) if name.endswith("_post") else None
         if bracket is None:
             x = _tau_for_eta(s, target)
         else:
@@ -221,14 +230,14 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
                 # the curve is dark-limited at tiny pair_prob; search the
                 # pair-statistics-limited (decreasing) branch only
                 grid = np.logspace(-5, np.log10(bracket[1]), 80)
-                values = [model(set_x(s, pp)) for pp in grid]
+                values = [model(set_x(s, pp), eta) for pp in grid]
                 bracket = (grid[int(np.argmax(values))], bracket[1])
-            x = _root(lambda v: model(set_x(s, v)), target, bracket, xtol, name, parameter)
+            x = _root(lambda v: model(set_x(s, v), eta), target, bracket, xtol, name, parameter)
         s = set_x(s, x)
-        _record(report, name, target, model(s))
+        _record(report, name, target, model(s, eta))
         report[name]["parameter"] = {parameter: x}
         for other in given[1:]:
-            _record(report, other, targets[other], MODELS[other](s))
+            _record(report, other, targets[other], MODELS[other](s, eta))
             report[other].update(parameter={}, check_only=True)
     report["checks"] = _consistency_checks(s)
     return s, report

@@ -117,7 +117,7 @@ def _cmd_tomo(args) -> int:
     f = fidelity(rho_hat, bell_psi_plus())
     out = {
         "rho_linear": matrix_json(rho_lin),
-        "rho_mle": rho_hat.to_json_dict(),
+        "rho_mle": matrix_json(rho_hat),
         "fidelity_to_ideal": f,
     }
     text = report_json(out)

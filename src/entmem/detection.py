@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError, ValidationError, nan_or_raise
-from .qstate import TwoQubitState
+from .qstate import reduced_signal1, reduced_signal2
 from .rng import derive_rng, poisson_rows
 from .source import gaussian_fwhm_sigma
 
@@ -205,16 +205,16 @@ def joint_kets(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     return (k1[:, :, None] * k2[:, None, :]).reshape(-1, 4)
 
 
-def born_probabilities(rho: TwoQubitState, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Born-rule probabilities of the settings (labels, arm1, arm2), one (S,) array each, clamped
-    into [0, 1]: the joint projection on rho and each arm's analyzer on that arm's reduced state,
-    every one Re<k|M|k> of a row k of joint_kets(arm1, arm2), arm1 or arm2, all rows in one
-    stacked evaluation."""
+def born_probabilities(rho: np.ndarray, settings) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Born-rule probabilities of the settings (labels, arm1, arm2) on a state or a (..., 4, 4)
+    stack, one (..., S) array each, clamped into [0, 1]: the joint projection on rho and each
+    arm's analyzer on that arm's reduced state, every one Re<k|M|k> of a row k of
+    joint_kets(arm1, arm2), arm1 or arm2, all rows and states in one stacked evaluation."""
     _, k1, k2 = settings
     k12 = joint_kets(k1, k2)
     return tuple(
-        np.clip(np.real(np.vecdot(k, (m @ k[..., None])[..., 0])), 0.0, 1.0)
-        for m, k in ((rho.rho, k12), (rho.reduced_signal1(), k1), (rho.reduced_signal2(), k2))
+        np.clip(np.real(np.vecdot(k, (m[..., None, :, :] @ k[..., None])[..., 0])), 0.0, 1.0)
+        for m, k in ((rho, k12), (reduced_signal1(rho), k1), (reduced_signal2(rho), k2))
     )
 
 

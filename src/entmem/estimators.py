@@ -31,7 +31,7 @@ from numpy.linalg import _umath_linalg
 
 from .detection import CountRecord, born_probabilities, heralded_alpha, joint_kets
 from .errors import ConfigurationError, EstimationError, ValidationError, nan_or_raise
-from .qstate import KETS, TwoQubitState, ket_linear
+from .qstate import KETS, ket_linear, physical
 from .rng import poisson_rows
 
 TOMO_BASIS_LETTERS = ("H", "V", "D", "R")
@@ -314,12 +314,12 @@ def fit_rows(count_rows, acquisition_s, fits: dict) -> None:
     m = _t_from_params(t)
     rho = m.conj().mT @ m
     rho = (rho + rho.conj().mT) / (2 * np.trace(rho, axis1=1, axis2=2).real[:, None, None])
-    states = iter(TwoQubitState.stack(rho[[error is None for error in errors]]))
+    states = iter(physical(rho[[error is None for error in errors]]))
     for key, error in zip(batch, errors):
         fits[key] = EstimationError(error) if error else next(states)
 
 
-def tomo_mle(counts, acquisition_s, fits: dict | None = None) -> TwoQubitState:
+def tomo_mle(counts, acquisition_s, fits: dict | None = None) -> np.ndarray:
     """Maximum-likelihood physical state from the 16 tomography counts.
 
     counts and acquisition_s are in TOMO_SETTINGS order (see tomo_counts).
@@ -327,7 +327,7 @@ def tomo_mle(counts, acquisition_s, fits: dict | None = None) -> TwoQubitState:
     maximized over the Cholesky parameterization by damped Newton steps with
     the analytic Hessian (fit_rows on one row).  A fit Newton cannot finish
     raises EstimationError.  An input the fit store fits holds returns its
-    stored state (rho is read-only) or raises its error, without checking
+    stored state (a read-only array) or raises its error, without checking
     the input again; a new one is fitted and stored there.
     """
 
@@ -417,7 +417,7 @@ def chsh_S_literal(e_matrix: np.ndarray) -> float:
     return float(abs(e[0, 0] - e[0, 1] + e[1, 0] + e[1, 1]))
 
 
-def chsh_S_analytic(rho: TwoQubitState, angles: tuple[float, float, float, float]) -> float:
+def chsh_S_analytic(rho: np.ndarray, angles: tuple[float, float, float, float]) -> float:
     """Exact S of the state: chsh_S of the Born probabilities of chsh_settings(angles)."""
     return chsh_S(chsh_e_matrix(born_probabilities(rho, chsh_settings(angles))[0]))
 
@@ -514,7 +514,7 @@ def visibility_fit(
     )
 
 
-def visibility_analytic(rho: TwoQubitState, arm1_label: str, thetas) -> float:
+def visibility_analytic(rho: np.ndarray, arm1_label: str, thetas) -> float:
     """Exact visibility of the state: the fringe fit to the Born
     probabilities of fringe_settings(arm1_label, thetas)."""
     probs = born_probabilities(rho, fringe_settings(arm1_label, thetas))[0]

@@ -18,16 +18,15 @@ from .detection import ExpectedRates, born_probabilities, click_probs, heralded_
 from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
 from .memory import apply_memory, efficiency
-from .qstate import TwoQubitState
 from .scenario import Scenario
 from .source import two_photon_state
 
 STAGES = ("pre_storage", "post_storage")
 
 
-def balanced_state(scenario: Scenario) -> tuple[TwoQubitState, float]:
-    """Source state after the balancing attenuator, with success probability."""
-    return apply_attenuator(two_photon_state(scenario.source), scenario.resolved_attenuator())
+def balanced_state(scenario: Scenario) -> np.ndarray:
+    """Source state after the balancing attenuator."""
+    return apply_attenuator(two_photon_state(scenario.source), scenario.resolved_attenuator())[0]
 
 
 def memory_efficiency(scenario: Scenario, t_storage: float | Sequence[float] | None = None):
@@ -61,11 +60,11 @@ class Stage:
     delay_ns: float
 
     @cached_property
-    def rho(self) -> TwoQubitState:
-        rho, _ = balanced_state(self.scenario)
+    def rho(self) -> np.ndarray:
+        rho = balanced_state(self.scenario)
         if self.name == "pre_storage":
             return rho
-        return apply_memory(rho, self.eta, self.scenario.mem_noise)
+        return apply_memory(rho, self.scenario.mem_noise)
 
 
 def stage_state(scenario: Scenario, stage: str) -> Stage:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import TwoQubitState
+from .qstate import physical
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ def balance_attenuation(eta_f: float) -> AttenuatorSetting:
     return AttenuatorSetting(t_h=1.0, balanced=False)
 
 
-def apply_attenuator(
-    rho: TwoQubitState, setting: AttenuatorSetting
-) -> tuple[TwoQubitState, float]:
+def apply_attenuator(rho: np.ndarray, setting: AttenuatorSetting) -> tuple[np.ndarray, float]:
     """Post-selected amplitude filter K = I (x) diag(t_h, 1) on Signal 2.
 
     Returns the renormalized output state and the success probability
@@ -60,8 +58,8 @@ def apply_attenuator(
 
     k2 = np.diag([setting.t_h, 1.0]).astype(np.complex128)
     kraus = np.kron(np.eye(2, dtype=np.complex128), k2)
-    filtered = kraus @ rho.rho @ kraus.conj().T
+    filtered = kraus @ rho @ kraus.conj().T
     success = float(np.real(np.trace(filtered)))
     if success < 1e-12:
         raise ValidationError("attenuator filtered out the entire state")
-    return TwoQubitState(filtered / success), success
+    return physical(filtered / success), success

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import TwoQubitState
+from .qstate import physical, reduced_signal1
 from .source import gaussian_fwhm_sigma
 
 # Rb D1 excited-state half linewidth Gamma/2, expressed in ordinary-frequency
@@ -218,16 +218,14 @@ def efficiency(
     return float(eta) if eta.ndim == 0 else eta
 
 
-def apply_memory(rho: TwoQubitState, eta: float, noise: MemoryNoiseParams) -> TwoQubitState:
-    """Conditional storage channel on the Signal-2 slot.
+def apply_memory(rho: np.ndarray, noise: MemoryNoiseParams) -> np.ndarray:
+    """Conditional storage channel on the Signal-2 slot, on a state or each of a stack.
 
-    Post-selected on retrieval, which happens with probability eta: the
-    retrieved state is depolarized on the Signal-2 qubit with probability
+    Post-selected on retrieval, so the retrieval efficiency does not enter:
+    the retrieved state is depolarized on the Signal-2 qubit with probability
     p_depol, i.e. rho -> (1-p) rho + p (Tr_2 rho) (x) I/2.
     """
 
-    if not 0.0 <= eta <= 1.0:
-        raise ValidationError(f"retrieval efficiency {eta} outside [0, 1]")
     p = noise.p_depol
-    mixed_s2 = np.kron(rho.reduced_signal1(), np.eye(2, dtype=np.complex128) / 2)
-    return TwoQubitState((1.0 - p) * rho.rho + p * mixed_s2)
+    mixed_s2 = np.kron(reduced_signal1(rho), np.eye(2, dtype=np.complex128) / 2)
+    return physical((1.0 - p) * rho + p * mixed_s2)

@@ -60,11 +60,19 @@ from .experiment import (
     stage_state,
 )
 from .memory import EITParams, eit_transmission, transparency_window_fwhm
-from .qstate import BASIS_LABELS, BASIS_STRING, TwoQubitState, bell_psi_plus, fidelity, matrix_json
+from .qstate import BASIS_LABELS, BASIS_STRING, bell_psi_plus, fidelity, matrix_json
 from .rng import derive_seed_sequence
 from .scenario import Scenario, scenario_to_dict
 
 REPORT_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class MleState:
+    """A stage's point MLE, one read-only (4, 4) array rho, read as result.rho_mle.rho by the
+    benchmark workloads; the holder goes once they read the array itself (ROADMAP item 1)."""
+
+    rho: np.ndarray
 
 
 @dataclass
@@ -74,7 +82,7 @@ class StageResult:
     view: Stage
     records: dict = field(default_factory=dict)
     rho_linear: np.ndarray | None = None
-    rho_mle: TwoQubitState | None = None
+    rho_mle: MleState | None = None
     fidelity: EstimateWithError | None = None
     fidelity_reference: str = ""
     chsh_S: EstimateWithError | None = None
@@ -205,7 +213,7 @@ def run_experiment(
     result.records["tomography"] = tomo_records
     counts, acq = tomo_counts(tomo_records)
     result.rho_linear = tomo_linear(counts, acq)
-    result.rho_mle = tomo_mle(counts, acq, fits)
+    result.rho_mle = MleState(tomo_mle(counts, acq, fits))
     ref_counts = ref_acq = np.empty(0)
     result.fidelity_reference = "ideal"
     if stage == "post_storage":
@@ -222,14 +230,14 @@ def run_experiment(
         rho = np.full((len(rows), 4, 4), np.nan, dtype=np.complex128)
         for k, row in enumerate(rows):
             with suppress(EstimationError):
-                rho[k] = tomo_mle(row, row_acq, fits).rho
+                rho[k] = tomo_mle(row, row_acq, fits)
         return rho
 
     def f_estimator(resampled):
         ref = fitted(resampled[:, :n_ref], ref_acq) if n_ref else ideal
         return fidelity(fitted(resampled[:, n_ref:], acq), ref)
 
-    point = fidelity(result.rho_mle, tomo_mle(ref_counts, ref_acq, fits) if n_ref else ideal)
+    point = fidelity(result.rho_mle.rho, tomo_mle(ref_counts, ref_acq, fits) if n_ref else ideal)
     result.fidelity = with_sigma(point, f_estimator, np.concatenate([ref_counts, counts]))
 
     # --- CHSH
@@ -336,7 +344,7 @@ def stage_report(
         },
         "tomography": {
             "rho_linear": matrix_json(result.rho_linear),
-            "rho_mle": result.rho_mle.to_json_dict(),
+            "rho_mle": matrix_json(result.rho_mle.rho),
         },
         "fidelity": {
             "reference": result.fidelity_reference,

@@ -8,8 +8,6 @@ serialization records it explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import ValidationError
@@ -46,9 +44,19 @@ def ket_linear(theta: float) -> np.ndarray:
     return ket(np.cos(theta), np.sin(theta))
 
 
-def _physical(rho: np.ndarray) -> np.ndarray:
-    """A (..., 4, 4) stack checked by TwoQubitState's rules with one stacked eigh, and
-    clamped where they clamp; rho itself when no matrix needs the clamp."""
+def physical(rho) -> np.ndarray:
+    """A 4x4 density matrix in the (HH, HV, VH, VV) basis, or a (..., 4, 4) stack of them,
+    checked and returned as a read-only copy.
+
+    Each must be Hermitian within 1e-10, of unit trace within 1e-10 and positive
+    semidefinite within 1e-9, all checked by one stacked eigh.  Eigenvalues in
+    [-1e-9, 0) are clamped to zero and the matrix rebuilt exactly Hermitian and
+    renormalized, so slightly unphysical matrices from linear tomography can
+    still flow through; anything more negative is an error.
+    """
+    rho = np.array(rho, dtype=np.complex128)  # a copy: the caller's array stays writeable
+    if rho.shape[-2:] != (4, 4):
+        raise ValidationError(f"density matrix must be 4x4, got {rho.shape}")
     if np.max(np.abs(rho - rho.conj().mT), initial=0.0) > HERMITICITY_TOL:  # 0: an empty stack
         raise ValidationError(f"density matrix is not Hermitian within {HERMITICITY_TOL:g}")
     tr = np.trace(rho, axis1=-2, axis2=-1)
@@ -62,13 +70,24 @@ def _physical(rho: np.ndarray) -> np.ndarray:
             f"density matrix has eigenvalue {lowest.min():.3e} below -{PSD_TOL:g}"
         )
     clamp = lowest < 0
-    if not clamp.any():
-        return rho
-    vals = np.clip(vals, 0.0, None)
-    fixed = (vecs * vals[..., None, :]) @ vecs.conj().mT
-    trace = np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
-    fixed = (fixed + fixed.conj().mT) / (2 * trace)
-    return np.where(clamp[..., None, None], fixed, rho)
+    if clamp.any():
+        vals = np.clip(vals, 0.0, None)
+        fixed = (vecs * vals[..., None, :]) @ vecs.conj().mT
+        trace = np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+        fixed = (fixed + fixed.conj().mT) / (2 * trace)
+        rho = np.where(clamp[..., None, None], fixed, rho)
+    rho.setflags(write=False)
+    return rho
+
+
+def reduced_signal1(rho: np.ndarray) -> np.ndarray:
+    """2x2 reduced state of the Signal-1 slot (trace over slot 2), one per matrix of a stack."""
+    return np.einsum("...ikjk->...ij", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
+
+
+def reduced_signal2(rho: np.ndarray) -> np.ndarray:
+    """2x2 reduced state of the Signal-2 slot (trace over slot 1), one per matrix of a stack."""
+    return np.einsum("...kikj->...ij", rho.reshape(*rho.shape[:-2], 2, 2, 2, 2))
 
 
 def matrix_json(m: np.ndarray) -> dict:
@@ -77,67 +96,6 @@ def matrix_json(m: np.ndarray) -> dict:
         "basis": BASIS_STRING,
         "rho": [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)],
     }
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 density matrix in the (HH, HV, VH, VV) basis.
-
-    Validated on construction: Hermitian within 1e-10, unit trace within
-    1e-10, positive semidefinite within 1e-9.  Eigenvalues in [-1e-9, 0)
-    are clamped to zero and the matrix rebuilt exactly Hermitian and
-    renormalized, so slightly unphysical matrices from linear tomography can
-    still flow through; anything more negative is an error.
-    """
-
-    rho: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.complex128)
-        if rho.shape != (4, 4):
-            raise ValidationError(f"density matrix must be 4x4, got {rho.shape}")
-        rho = _physical(rho)
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def stack(cls, rho: np.ndarray) -> list["TwoQubitState"]:
-        """One state per matrix of a (B, 4, 4) stack, all validated by one stacked eigh."""
-        rho = _physical(np.asarray(rho, dtype=np.complex128))
-        rho.setflags(write=False)
-        states = [object.__new__(cls) for _ in rho]
-        for state, m in zip(states, rho):
-            object.__setattr__(state, "rho", m)
-        return states
-
-    @classmethod
-    def from_ket(cls, ket4: np.ndarray) -> "TwoQubitState":
-        """Rank-1 state |psi><psi| from a 4-component amplitude vector."""
-        v = np.asarray(ket4, dtype=np.complex128).reshape(4)
-        norm = np.linalg.norm(v)
-        if norm < 1e-9:
-            raise ValidationError("two-qubit ket has (near-)zero norm")
-        v = v / norm
-        return cls(np.outer(v, v.conj()))
-
-    # -- queries ------------------------------------------------------
-
-    def reduced_signal1(self) -> np.ndarray:
-        """2x2 reduced state of the Signal-1 slot (trace over slot 2)."""
-        r = self.rho.reshape(2, 2, 2, 2)
-        return np.einsum("ikjk->ij", r)
-
-    def reduced_signal2(self) -> np.ndarray:
-        """2x2 reduced state of the Signal-2 slot (trace over slot 1)."""
-        r = self.rho.reshape(2, 2, 2, 2)
-        return np.einsum("kikj->ij", r)
-
-    # -- serialization ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return matrix_json(self.rho)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -164,7 +122,7 @@ def fidelity(rho, sigma):
     (a failed fit, which would fail numpy's stacked eigh for the whole stack).
     """
 
-    a, b = (np.asarray(getattr(m, "rho", m)) for m in (rho, sigma))
+    a, b = np.asarray(rho), np.asarray(sigma)
     ok = ~np.isnan(a).any(axis=(-2, -1)) & ~np.isnan(b).any(axis=(-2, -1))
     f = np.full(ok.shape, np.nan)
     if ok.any():
@@ -177,10 +135,11 @@ def fidelity(rho, sigma):
 
 # Common two-qubit states used throughout the package.
 
-def bell_psi_plus(phase: float = 0.0) -> TwoQubitState:
+def bell_psi_plus(phase: float = 0.0) -> np.ndarray:
     """(|HV> + e^{i phase}|VH>)/sqrt(2)."""
     v = np.zeros(4, dtype=np.complex128)
     v[1] = 1.0
     v[2] = np.exp(1j * phase)
-    return TwoQubitState.from_ket(v / np.sqrt(2))
-
+    v = v / np.sqrt(2)
+    v = v / np.linalg.norm(v)
+    return physical(np.outer(v, v.conj()))

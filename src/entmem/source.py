@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import TwoQubitState
+from .qstate import physical
 
 
 # Far past the bandwidth of a cascade-emission photon (tens to hundreds of MHz); below it
@@ -90,7 +90,7 @@ def eta_from_tan2(tan2_eta: float) -> float:
     return float(np.arctan(np.sqrt(tan2_eta)))
 
 
-def two_photon_state(params: SourceParams) -> TwoQubitState:
+def two_photon_state(params: SourceParams) -> np.ndarray:
     """Source output density matrix.
 
     rho = (1 - p_white)|psi><psi| + p_white * I/4 with
@@ -101,7 +101,7 @@ def two_photon_state(params: SourceParams) -> TwoQubitState:
     psi = np.array([0.0, c, np.exp(1j * params.phi_f) * s, 0.0], dtype=np.complex128)
     pure = np.outer(psi, psi.conj())
     rho = (1.0 - params.p_white) * pure + params.p_white * np.eye(4) / 4
-    return TwoQubitState(rho)
+    return physical(rho)
 
 
 def gaussian_fwhm_sigma(fwhm: float) -> float:

@@ -5,31 +5,38 @@ import pytest
 from hypothesis import strategies as st
 
 from entmem.errors import ValidationError
-from entmem.qstate import TwoQubitState, ket
+from entmem.qstate import ket, physical
 from entmem.scenario import Scenario
 
 KET_NORM_TOL = 1e-12
 
 
-def maximally_mixed() -> TwoQubitState:
-    return TwoQubitState(np.eye(4, dtype=np.complex128) / 4)
+def maximally_mixed() -> np.ndarray:
+    return physical(np.eye(4, dtype=np.complex128) / 4)
 
 
-def purity(rho: TwoQubitState) -> float:
-    return float(np.real(np.trace(rho.rho @ rho.rho)))
+def purity(rho: np.ndarray) -> float:
+    return float(np.real(np.trace(rho @ rho)))
 
 
-def populations(rho: TwoQubitState) -> np.ndarray:
-    return np.real(np.diag(rho.rho)).copy()
+def populations(rho: np.ndarray) -> np.ndarray:
+    return np.real(np.diag(rho)).copy()
 
 
-def tensor_product(a: np.ndarray, b: np.ndarray) -> TwoQubitState:
+def pure_state(ket4: np.ndarray) -> np.ndarray:
+    """Rank-1 state |psi><psi| of a 4-component amplitude vector, normalized first."""
+    v = np.asarray(ket4, dtype=np.complex128).reshape(4)
+    v = v / np.linalg.norm(v)
+    return physical(np.outer(v, v.conj()))
+
+
+def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pure product state |a (x) b><a (x) b| of two (2,) kets, with slot 1 = Signal 1."""
     if abs(np.linalg.norm(a) - 1) > KET_NORM_TOL:
         raise ValidationError("first ket not normalized")
     if abs(np.linalg.norm(b) - 1) > KET_NORM_TOL:
         raise ValidationError("second ket not normalized")
-    return TwoQubitState.from_ket(np.kron(a, b))
+    return pure_state(np.kron(a, b))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -53,11 +60,11 @@ def classicalize(scenario: Scenario) -> Scenario:
     )
 
 
-def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> TwoQubitState:
+def random_density_matrix(rng: np.random.Generator, rank: int = 4) -> np.ndarray:
     """Ginibre-ensemble random state: G G+ normalized."""
     g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
     m = g @ g.conj().T
-    return TwoQubitState(m / np.trace(m).real)
+    return physical(m / np.trace(m).real)
 
 
 def random_pure_ket(rng: np.random.Generator) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 from scipy.optimize import brentq
 
 import entmem.calibrate as calibrate_module
+import entmem.memory
 from entmem.calibrate import DEFAULT_TARGETS, calibrate
 from entmem.errors import CalibrationError
 from entmem.scenario import load_bundled_scenario
@@ -87,3 +88,16 @@ def test_a_root_at_a_bracket_end_is_returned_without_a_search():
 
     assert calibrate_module._brent(model, 0.0, 1.0, 0.0, 1.0, 1e-14) == 0.0
     assert calibrate_module._brent(model, 0.0, 1.0, -1.0, -0.0, 1e-14) == 1.0
+
+
+def test_a_calibration_computes_few_spectral_overlaps(monkeypatch):
+    """The post-storage models reuse one memory efficiency per fit, not one per Brent step."""
+    overlap, calls = entmem.memory.spectral_overlap, []
+
+    def counted(*args):
+        calls.append(args)
+        return overlap(*args)
+
+    monkeypatch.setattr(entmem.memory, "spectral_overlap", counted)
+    calibrate(load_bundled_scenario())
+    assert 0 < len(calls) <= 12

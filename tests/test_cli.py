@@ -122,6 +122,10 @@ def test_tomo_subcommand_on_counts_csv(fast_scenario_path, tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "tomo_report.json").read_text())
     assert 0.8 <= report["fidelity_to_ideal"] <= 1.0
+    # one serializer: the simulate report's matrices, read back from the counts CSV
+    tomography = pipeline.stage_report(scenario, res)["tomography"]
+    assert report["rho_mle"] == tomography["rho_mle"]
+    assert report["rho_linear"] == tomography["rho_linear"]
 
 
 def test_chsh_subcommand_on_counts_csv(tmp_path, capsys):

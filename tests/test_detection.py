@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entmem.pipeline as pipeline
-from conftest import density_matrices, maximally_mixed
+from conftest import density_matrices, maximally_mixed, random_density_matrix
 from entmem.detection import (
     CSV_HEADER,
     CountRecord,
@@ -29,11 +29,12 @@ from entmem.detection import (
     single_photon_like,
 )
 from entmem.errors import EstimationError, ValidationError
+from entmem.estimators import TOMO_SETTINGS, chsh_settings, fringe_settings
 from entmem.experiment import model_rates, stage_state
-from entmem.memory import MemoryNoiseParams
-from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, ket
+from entmem.memory import MemoryNoiseParams, apply_memory
+from entmem.qstate import KETS, bell_psi_plus, ket, physical, reduced_signal1, reduced_signal2
 from entmem.rng import derive_rng
-from entmem.scenario import load_bundled_scenario
+from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
 
 IDEAL_LOSSES = LossBudget(1.0, 1.0, 1.0, 1.0, 1.0)
@@ -97,20 +98,44 @@ class TestBornProbabilities:
     def test_equals_the_one_setting_reference_bit_for_bit(self, rho, seed, n):
         design = _design(list(zip(_kets(seed, n), _kets(seed + 1, n))))
         joint, arm1, arm2 = born_probabilities(rho, design)
-        reduced1, reduced2 = rho.reduced_signal1(), rho.reduced_signal2()
+        reduced1, reduced2 = reduced_signal1(rho), reduced_signal2(rho)
         for k, (v1, v2) in enumerate(zip(*design[1:])):
-            assert joint[k] == _reference_probability(rho.rho, np.kron(v1, v2))
+            assert joint[k] == _reference_probability(rho, np.kron(v1, v2))
             assert arm1[k] == _reference_probability(reduced1, v1)
             assert arm2[k] == _reference_probability(reduced2, v2)
 
     def test_clamped_into_unit_interval(self):
         # an unphysical matrix (bypassing validation) gives out-of-range Re<k|M|k>
-        rho = object.__new__(TwoQubitState)
-        object.__setattr__(rho, "rho", np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex))
+        rho = np.diag([2.0, -1.0, 0.0, 0.0]).astype(complex)
         hh_hv = _design([(KETS["H"], KETS["H"]), (KETS["H"], KETS["V"])])
         joint, arm1, _ = born_probabilities(rho, hh_hv)
         assert joint.tolist() == [1.0, 0.0]
         assert arm1.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("size", [1, 7, 50])
+    def test_stacked_kernels_equal_each_state_bit_for_bit(self, size):
+        """born_probabilities of the tomography, CHSH and fringe designs, the reduced states and
+        the memory channel give on each state of a stack that state's own result, bit for bit."""
+        rng = np.random.default_rng(size)
+        stack = physical([random_density_matrix(rng, int(rng.integers(1, 5))) for _ in range(size)])
+        plan = MeasurementPlan()
+        designs = (
+            TOMO_SETTINGS.settings,
+            chsh_settings(plan.chsh_angles),
+            fringe_settings(plan.visibility_arm1, plan.visibility_thetas),
+        )
+        for design in designs:
+            stacked = born_probabilities(stack, design)
+            assert [p.shape for p in stacked] == [(size, len(design[0]))] * 3
+            for k, rho in enumerate(stack):
+                for got, want in zip(stacked, born_probabilities(rho, design)):
+                    assert got[k].tobytes() == want.tobytes()
+        noise = MemoryNoiseParams(p_depol=0.3)
+        for kernel in (reduced_signal1, reduced_signal2, lambda rho: apply_memory(rho, noise)):
+            stacked = kernel(stack)
+            assert len(stacked) == size
+            for k, rho in enumerate(stack):
+                assert stacked[k].tobytes() == kernel(rho).tobytes()
 
 
 def _lossless(scenario):

@@ -43,7 +43,7 @@ from entmem.estimators import (
     _lower_cholesky_factor,
     _params_from_t,
 )
-from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, fidelity, ket_linear
+from entmem.qstate import KETS, bell_psi_plus, fidelity, ket_linear, physical
 from entmem.rng import derive_rng
 from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
@@ -58,7 +58,7 @@ def _neg_log_likelihood(t, counts, exposures, hessian: bool = False) -> tuple:
     return (f[0], g[0], h[0]) if hessian else (f[0], g[0])
 
 
-def exact_records(rho: TwoQubitState, n_per_group: float = 1e6) -> list[CountRecord]:
+def exact_records(rho: np.ndarray, n_per_group: float = 1e6) -> list[CountRecord]:
     """Records whose frequencies are the exact Born probabilities."""
     out = []
     for label, p in zip(SETTINGS.settings[0], born_probabilities(rho, SETTINGS.settings)[0]):
@@ -108,17 +108,17 @@ class TestTomoLinear:
     def test_recovers_basis_state(self):
         rho = tensor_product(KETS["H"], KETS["V"])
         est = tomo_linear(*tomo_counts(exact_records(rho)))
-        assert np.max(np.abs(est - rho.rho)) < 1e-10
+        assert np.max(np.abs(est - rho)) < 1e-10
 
     def test_recovers_bell_state(self):
         rho = bell_psi_plus()
         est = tomo_linear(*tomo_counts(exact_records(rho)))
-        assert np.max(np.abs(est - rho.rho)) < 1e-10
+        assert np.max(np.abs(est - rho)) < 1e-10
 
     def test_recovers_maximally_mixed(self):
         rho = maximally_mixed()
         est = tomo_linear(*tomo_counts(exact_records(rho)))
-        assert np.max(np.abs(est - rho.rho)) < 1e-10
+        assert np.max(np.abs(est - rho)) < 1e-10
 
     def test_hermitian_unit_trace(self, rng):
         rho = random_density_matrix(rng)
@@ -218,9 +218,9 @@ class TestTomoMle:
 
     def test_cholesky_factor_roundtrip(self, rng):
         rho = random_density_matrix(rng)
-        t = _lower_cholesky_factor(rho.rho)
+        t = _lower_cholesky_factor(rho)
         assert np.allclose(t, np.tril(t))
-        assert np.max(np.abs(t.conj().T @ t - rho.rho)) < 1e-10
+        assert np.max(np.abs(t.conj().T @ t - rho)) < 1e-10
 
     def test_noiseless_bell_reconstruction(self):
         est = tomo_mle(*tomo_counts(exact_records(bell_psi_plus(), 1e6)))
@@ -234,14 +234,14 @@ class TestTomoMle:
         for _ in range(10):
             rho = random_density_matrix(rng)
             est = tomo_mle(*tomo_counts(exact_records(rho, 1e9)))
-            assert trace_distance(est.rho, rho.rho) < 1e-6
+            assert trace_distance(est, rho) < 1e-6
 
     def test_likelihood_beats_clamped_linear_inversion(self, rng):
         rho = random_density_matrix(rng)
         data = tomo_counts(poisson_records(rho, 3e3, rng))
         lin = tomo_linear(*data)
         est = tomo_mle(*data)  # seeded from the clamped linear inversion
-        ll_mle = tomo_log_likelihood(est.rho, *data)
+        ll_mle = tomo_log_likelihood(est, *data)
         ll_lin = tomo_log_likelihood(_clamped_physical(lin), *data)
         assert ll_mle >= ll_lin - 1e-6
 
@@ -249,9 +249,9 @@ class TestTomoMle:
         for _ in range(5):
             rho = random_density_matrix(rng, rank=2)
             est = tomo_mle(*tomo_counts(poisson_records(rho, 500, rng)))
-            vals = np.linalg.eigvalsh(est.rho)
+            vals = np.linalg.eigvalsh(est)
             assert vals.min() >= -1e-12
-            assert np.trace(est.rho).real == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(est).real == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -345,7 +345,7 @@ class TestNewtonSolver:
             for _ in range(50)
         ]
         for data in (tomo_counts(recs) for recs in resamples):
-            ll_newton = tomo_log_likelihood(tomo_mle(*data).rho, *data)
+            ll_newton = tomo_log_likelihood(tomo_mle(*data), *data)
             ll_lbfgs = tomo_log_likelihood(lbfgs_reference(*data), *data)
             assert -ll_newton <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
 
@@ -353,9 +353,9 @@ class TestNewtonSolver:
     def test_sweep_fits_reach_the_optimum(self, t_ns):
         counts, acq = np.array(SWEEP_COUNTS[t_ns], dtype=float), np.ones(16)
         est = tomo_mle(counts, acq)
-        assert optimality_gap(est.rho, counts, acq) < GAP_BOUND
+        assert optimality_gap(est, counts, acq) < GAP_BOUND
         ll_lbfgs = tomo_log_likelihood(lbfgs_reference(counts, acq), counts, acq)
-        assert -tomo_log_likelihood(est.rho, counts, acq) <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
+        assert -tomo_log_likelihood(est, counts, acq) <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -374,10 +374,10 @@ class TestNewtonSolver:
             est = tomo_mle(counts, acq)
         except EstimationError:
             return
-        assert np.linalg.eigvalsh(est.rho).min() >= -1e-12
-        assert optimality_gap(est.rho, counts, acq) < GAP_BOUND
+        assert np.linalg.eigvalsh(est).min() >= -1e-12
+        assert optimality_gap(est, counts, acq) < GAP_BOUND
         ll_lbfgs = tomo_log_likelihood(lbfgs_reference(counts, acq), counts, acq)
-        assert -tomo_log_likelihood(est.rho, counts, acq) <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
+        assert -tomo_log_likelihood(est, counts, acq) <= -ll_lbfgs + 1e-9 * abs(ll_lbfgs)
 
     def test_unfinished_fit_raises_and_fails_its_resample(
         self, post_tomography_records, monkeypatch
@@ -608,7 +608,7 @@ class TestSharedFits:
         tomo_mle(counts + 1, acq, fits)
         tomo_mle(counts, 2 * acq, fits)
         assert len(fit_count) == 3
-        assert not first.rho.flags.writeable
+        assert not first.flags.writeable
         assert tomo_mle(counts, acq) is not first
         assert len(fit_count) == 4
 
@@ -695,8 +695,8 @@ class TestBatchedNewton:
         for counts, fit in zip(rows, _batch_fits(rows, acq)):
             if isinstance(fit, EstimationError):
                 continue
-            assert np.linalg.eigvalsh(fit.rho).min() >= -1e-12
-            assert optimality_gap(fit.rho, counts, acq) < GAP_BOUND
+            assert np.linalg.eigvalsh(fit).min() >= -1e-12
+            assert optimality_gap(fit, counts, acq) < GAP_BOUND
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), size=st.integers(2, 10), data=st.data())
@@ -708,7 +708,7 @@ class TestBatchedNewton:
 
         def answers(batches):
             fits = [fit for batch in batches for fit in _batch_fits(batch, acq)]
-            return [str(f) if isinstance(f, EstimationError) else f.rho.tobytes() for f in fits]
+            return [str(f) if isinstance(f, EstimationError) else f.tobytes() for f in fits]
 
         whole = answers([rows])
         assert answers([rows[:split], rows[split:]]) == whole
@@ -726,7 +726,7 @@ class TestBatchedNewton:
         capped = _batch_fits(rows, acq)
         assert "did not converge in 60 Newton steps" in str(capped.pop(2))
         del uncapped[2]
-        assert all(np.array_equal(a.rho, b.rho) for a, b in zip(capped, uncapped))
+        assert all(np.array_equal(a, b) for a, b in zip(capped, uncapped))
 
 
 class TestChshE:
@@ -795,7 +795,7 @@ class TestChshS:
                 a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
                 v = np.kron(a, b)
                 rho += w * np.outer(v, v.conj())
-            state = TwoQubitState(rho / np.trace(rho).real)
+            state = physical(rho / np.trace(rho).real)
             assert chsh_S_analytic(state, CHSH_ANGLES) <= 2.0 + 1e-9
 
     def test_literal_formula_reported(self):
@@ -805,7 +805,7 @@ class TestChshS:
 
     def test_werner_scaling(self):
         w = 0.85
-        rho = TwoQubitState(w * bell_psi_plus().rho + (1 - w) * np.eye(4) / 4)
+        rho = physical(w * bell_psi_plus() + (1 - w) * np.eye(4) / 4)
         s_werner = chsh_S_analytic(rho, CHSH_ANGLES)
         assert s_werner == pytest.approx(w * 2 * np.sqrt(2), abs=1e-10)
 
@@ -862,7 +862,7 @@ class TestVisibilityFit:
     @pytest.mark.parametrize("w", [1.0, 0.85, 0.3])
     def test_analytic_visibility_of_werner_state(self, w):
         thetas = MeasurementPlan().visibility_thetas
-        rho = TwoQubitState(w * bell_psi_plus().rho + (1 - w) * np.eye(4) / 4)
+        rho = physical(w * bell_psi_plus() + (1 - w) * np.eye(4) / 4)
         assert visibility_analytic(rho, "A", thetas) == pytest.approx(w, abs=1e-12)
 
     def test_analytic_visibility_is_the_fit_of_born_counts(self, rng):
@@ -1065,7 +1065,7 @@ class TestStackedEstimators:
         rng = np.random.default_rng(seed)
 
         def states(n):
-            return np.array([random_density_matrix(rng, int(rng.integers(1, 5))).rho for _ in range(n)])
+            return np.array([random_density_matrix(rng, int(rng.integers(1, 5))) for _ in range(n)])
 
         rho, sigma = states(size), states(1 if one_sigma else size)
         rho[rng.random(size) < 0.3] = np.nan  # failed fits

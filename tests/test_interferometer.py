@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import density_matrices, maximally_mixed, populations, tensor_product
 from entmem.errors import ValidationError
 from entmem.interferometer import AttenuatorSetting, apply_attenuator, balance_attenuation
-from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
+from entmem.qstate import bell_psi_plus, fidelity, physical
 from entmem.source import SourceParams, eta_from_tan2, two_photon_state
 
 
@@ -42,7 +42,7 @@ class TestApplyAttenuator:
         psi = bell_psi_plus()
         out, prob = apply_attenuator(psi, AttenuatorSetting(1.0))
         assert prob == pytest.approx(1.0)
-        assert np.allclose(out.rho, psi.rho, atol=1e-12)
+        assert np.allclose(out, psi, atol=1e-12)
 
     def test_balances_tan2_1p5_with_prob_0p8(self):
         rho = two_photon_state(SourceParams(eta_f=eta_from_tan2(1.5)))
@@ -60,9 +60,9 @@ class TestApplyAttenuator:
     def test_preserves_state_invariants(self, rho, t_h):
         out, prob = apply_attenuator(rho, AttenuatorSetting(t_h))
         assert 0.0 < prob <= 1.0 + 1e-12
-        assert np.max(np.abs(out.rho - out.rho.conj().T)) < 1e-10
-        assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(out.rho).min() > -1e-10
+        assert np.max(np.abs(out - out.conj().T)) < 1e-10
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(out).min() > -1e-10
 
     @given(density_matrices(), st.floats(0.1, 1.0), st.floats(0.1, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -71,7 +71,7 @@ class TestApplyAttenuator:
         two, p2 = apply_attenuator(one, AttenuatorSetting(t2))
         direct, p12 = apply_attenuator(rho, AttenuatorSetting(t1 * t2))
         assert p12 == pytest.approx(p1 * p2, abs=1e-10)
-        assert np.max(np.abs(two.rho - direct.rho)) < 1e-10
+        assert np.max(np.abs(two - direct)) < 1e-10
 
     @given(
         st.floats(np.pi / 4, np.pi / 2 - 0.02),
@@ -84,7 +84,7 @@ class TestApplyAttenuator:
         assert fidelity(out, bell_psi_plus(phase=phi)) == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_filter_rejected(self):
-        hv = TwoQubitState(np.diag([1.0, 0, 0, 0]).astype(complex))
+        hv = physical(np.diag([1.0, 0, 0, 0]).astype(complex))
         with pytest.raises(ValidationError):
             apply_attenuator(hv, AttenuatorSetting(1e-9))
 
@@ -97,5 +97,5 @@ def test_storage_path_polarization_symmetry():
 
     for label in ("H", "V", "D", "R"):
         rho = tensor_product(KETS["H"], KETS[label])
-        out = apply_memory(rho, 0.37, MemoryNoiseParams(p_depol=0.0))
-        assert np.max(np.abs(out.rho - rho.rho)) < 1e-12
+        out = apply_memory(rho, MemoryNoiseParams(p_depol=0.0))
+        assert np.max(np.abs(out - rho)) < 1e-12

@@ -20,7 +20,7 @@ from entmem.memory import (
     transparency_window_fwhm,
     window_acceptance,
 )
-from entmem.qstate import TwoQubitState, bell_psi_plus, fidelity
+from entmem.qstate import bell_psi_plus, fidelity
 from entmem.scenario import load_bundled_scenario
 
 
@@ -214,34 +214,30 @@ def test_a_line_between_the_spectrum_grid_nodes_is_rejected():
 class TestApplyMemory:
     def test_noiseless_identity(self):
         psi = bell_psi_plus()
-        out = apply_memory(psi, 0.42, MemoryNoiseParams(p_depol=0.0))
-        assert np.allclose(out.rho, psi.rho, atol=1e-12)
+        out = apply_memory(psi, MemoryNoiseParams(p_depol=0.0))
+        assert np.allclose(out, psi, atol=1e-12)
 
     def test_full_depolarization_of_bell(self):
-        out = apply_memory(bell_psi_plus(), 1.0, MemoryNoiseParams(p_depol=1.0))
-        assert np.allclose(out.rho, np.eye(4) / 4, atol=1e-12)
+        out = apply_memory(bell_psi_plus(), MemoryNoiseParams(p_depol=1.0))
+        assert np.allclose(out, np.eye(4) / 4, atol=1e-12)
 
     def test_partial_depolarization_fidelity(self):
-        out = apply_memory(bell_psi_plus(), 1.0, MemoryNoiseParams(p_depol=0.1))
+        out = apply_memory(bell_psi_plus(), MemoryNoiseParams(p_depol=0.1))
         assert fidelity(out, bell_psi_plus()) == pytest.approx(0.925, abs=1e-10)
 
     @given(density_matrices(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_composition_law(self, rho, p1, p2):
-        once = apply_memory(rho, 1.0, MemoryNoiseParams(p_depol=p1))
-        twice = apply_memory(once, 1.0, MemoryNoiseParams(p_depol=p2))
+        once = apply_memory(rho, MemoryNoiseParams(p_depol=p1))
+        twice = apply_memory(once, MemoryNoiseParams(p_depol=p2))
         combined = 1.0 - (1.0 - p1) * (1.0 - p2)
-        direct = apply_memory(rho, 1.0, MemoryNoiseParams(p_depol=combined))
-        assert np.max(np.abs(twice.rho - direct.rho)) < 1e-10
+        direct = apply_memory(rho, MemoryNoiseParams(p_depol=combined))
+        assert np.max(np.abs(twice - direct)) < 1e-10
 
-    @given(density_matrices(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    @given(density_matrices(), st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
-    def test_preserves_invariants(self, rho, p, eta):
-        out = apply_memory(rho, eta, MemoryNoiseParams(p_depol=p))
-        assert np.trace(out.rho).real == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(out.rho).min() > -1e-10
-
-    def test_eta_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            apply_memory(bell_psi_plus(), 1.2, MemoryNoiseParams())
+    def test_preserves_invariants(self, rho, p):
+        out = apply_memory(rho, MemoryNoiseParams(p_depol=p))
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.eigvalsh(out).min() > -1e-10
 

@@ -10,6 +10,7 @@ from conftest import (
     maximally_mixed,
     polarization_kets,
     populations,
+    pure_state,
     purity,
     random_density_matrix,
     random_pure_ket,
@@ -17,7 +18,16 @@ from conftest import (
     trace_distance,
 )
 from entmem.errors import ValidationError
-from entmem.qstate import KETS, TwoQubitState, bell_psi_plus, fidelity, ket, ket_linear, psd_sqrt
+from entmem.qstate import (
+    KETS,
+    bell_psi_plus,
+    fidelity,
+    ket,
+    ket_linear,
+    matrix_json,
+    physical,
+    psd_sqrt,
+)
 
 
 class TestPolarizationKet:
@@ -35,11 +45,11 @@ class TestTensorProduct:
         rho = tensor_product(KETS["H"], KETS["V"])
         diag = populations(rho)
         assert diag[1] == pytest.approx(1.0, abs=1e-12)
-        assert abs(rho.rho).sum() == pytest.approx(1.0, abs=1e-12)
+        assert abs(rho).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_uniform_for_dd(self):
         rho = tensor_product(KETS["D"], KETS["D"])
-        assert np.allclose(rho.rho, np.full((4, 4), 0.25), atol=1e-12)
+        assert np.allclose(rho, np.full((4, 4), 0.25), atol=1e-12)
 
     def test_eta_pi_over_3_product(self):
         # (cos eta|H> + sin eta|V>) (x) |H>, eta = pi/3
@@ -51,40 +61,57 @@ class TestTensorProduct:
             a = ket(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
             b = ket(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
             rho = tensor_product(a, b)
-            assert abs(np.trace(rho.rho) - 1) < 1e-10
+            assert abs(np.trace(rho) - 1) < 1e-10
             assert purity(rho) == pytest.approx(1.0, abs=1e-9)
 
 
-class TestTwoQubitStateValidation:
+class TestPhysical:
     def test_non_hermitian_rejected(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.5
         with pytest.raises(ValidationError, match="Hermitian"):
-            TwoQubitState(m)
+            physical(m)
 
     def test_wrong_trace_rejected(self):
         with pytest.raises(ValidationError, match="trace"):
-            TwoQubitState(np.eye(4, dtype=complex) / 2)
+            physical(np.eye(4, dtype=complex) / 2)
 
     def test_negative_eigenvalue_rejected(self):
         m = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         with pytest.raises(ValidationError, match="eigenvalue"):
-            TwoQubitState(m)
+            physical(m)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2), (3, 3), (4, 3), (2, 4, 2), (4, 4, 2)])
+    def test_not_4x4_rejected(self, shape):
+        with pytest.raises(ValidationError, match="4x4"):
+            physical(np.zeros(shape, dtype=complex))
 
     def test_tiny_negative_eigenvalue_clamped(self):
         eps = 5e-10
         m = np.diag([0.5 + eps, 0.5, eps, -eps]).astype(complex)
-        rho = TwoQubitState(m / np.trace(m).real)
-        vals = np.linalg.eigvalsh(rho.rho)
+        rho = physical(m / np.trace(m).real)
+        vals = np.linalg.eigvalsh(rho)
         assert vals.min() >= 0
-        assert np.trace(rho.rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
 
     def test_clamped_state_exactly_hermitian(self, rng):
         for _ in range(20):
             q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
             m = (q * [0.6, 0.3, 0.1, -1e-12]) @ q.conj().T
-            rho = TwoQubitState((m + m.conj().T) / 2).rho
+            rho = physical((m + m.conj().T) / 2)
             assert np.array_equal(rho, rho.conj().T)
+
+    def test_returns_a_read_only_array(self, rng):
+        clamped = np.diag([0.5, 0.5, 5e-10, -5e-10])  # the clamp path builds a new array
+        for m in (np.eye(4) / 4, clamped, np.array(random_density_matrix(rng))):
+            rho = physical(m)
+            assert m.flags.writeable  # the caller's array is not frozen
+            assert isinstance(rho, np.ndarray) and rho.dtype == np.complex128
+            assert not rho.flags.writeable
+            with pytest.raises(ValueError):
+                rho[0, 0] = 1.0
+        stack = physical(np.stack([np.eye(4) / 4] * 3))
+        assert not stack.flags.writeable and not stack[1].flags.writeable
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), size=st.integers(0, 8))
@@ -98,9 +125,10 @@ class TestTwoQubitStateValidation:
             vals = np.concatenate([[low], rng.dirichlet(np.ones(3)) * (1 - low)])
             m = (q * vals) @ q.conj().T
             mats.append((m + m.conj().T) / (2 * np.trace(m).real))
-        stacked = TwoQubitState.stack(np.array(mats).reshape(size, 4, 4))
-        assert [s.rho.tolist() for s in stacked] == [TwoQubitState(m).rho.tolist() for m in mats]
-        assert all(not s.rho.flags.writeable for s in stacked)
+        stacked = physical(np.array(mats).reshape(size, 4, 4))
+        assert stacked.shape == (size, 4, 4)
+        assert [s.tolist() for s in stacked] == [physical(m).tolist() for m in mats]
+        assert all(not s.flags.writeable for s in stacked)
 
     def test_stack_applies_every_rule(self):
         good = np.eye(4, dtype=complex) / 4
@@ -109,7 +137,7 @@ class TestTwoQubitStateValidation:
         bad_psd = np.diag([0.6, 0.5, -0.05, -0.05]).astype(complex)
         for bad, match in ((bad_psd, "eigenvalue"), (2 * good, "trace"), (skew, "Hermitian")):
             with pytest.raises(ValidationError, match=match):
-                TwoQubitState.stack([good, bad])
+                physical([good, bad])
 
 
 class TestFidelity:
@@ -132,7 +160,7 @@ class TestFidelity:
         for _ in range(1000):
             a, b = random_pure_ket(rng), random_pure_ket(rng)
             expected = abs(np.vdot(a, b)) ** 2
-            f = fidelity(TwoQubitState.from_ket(a), TwoQubitState.from_ket(b))
+            f = fidelity(pure_state(a), pure_state(b))
             assert f == pytest.approx(expected, abs=1e-10)
 
     @given(density_matrices(), density_matrices())
@@ -145,7 +173,7 @@ class TestFidelity:
     def test_pure_reference_reduces_to_expectation(self, rng):
         psi = bell_psi_plus()
         rho = random_density_matrix(rng)
-        direct = float(np.real(np.trace(rho.rho @ psi.rho)))
+        direct = float(np.real(np.trace(rho @ psi)))
         assert fidelity(rho, psi) == pytest.approx(direct, abs=1e-10)
 
 
@@ -160,8 +188,8 @@ def test_psd_sqrt_squares_back(rng):
 def test_trace_distance_basics():
     hv = tensor_product(KETS["H"], KETS["V"])
     vh = tensor_product(KETS["V"], KETS["H"])
-    assert trace_distance(hv.rho, hv.rho) == pytest.approx(0.0, abs=1e-12)
-    assert trace_distance(hv.rho, vh.rho) == pytest.approx(1.0, abs=1e-10)
+    assert trace_distance(hv, hv) == pytest.approx(0.0, abs=1e-12)
+    assert trace_distance(hv, vh) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestSerialization:
@@ -174,12 +202,12 @@ class TestSerialization:
 
     def test_round_trip_bit_stable(self):
         rho = bell_psi_plus(phase=0.25)
-        basis, back = self._parse(json.dumps(rho.to_json_dict()))
-        assert np.array_equal(back, rho.rho)
+        basis, back = self._parse(json.dumps(matrix_json(rho)))
+        assert np.array_equal(back, rho)
         assert basis == "HH,HV,VH,VV"
 
     @given(density_matrices())
     @settings(max_examples=30, deadline=None)
     def test_round_trip_random_states(self, rho):
-        _, back = self._parse(json.dumps(rho.to_json_dict()))
-        assert np.max(np.abs(back - rho.rho)) < 1e-15
+        _, back = self._parse(json.dumps(matrix_json(rho)))
+        assert np.max(np.abs(back - rho)) < 1e-15

@@ -55,7 +55,7 @@ class TestTwoPhotonState:
 
     def test_full_white_noise_is_maximally_mixed(self):
         rho = two_photon_state(SourceParams(eta_f=np.pi / 4, p_white=1.0))
-        assert np.allclose(rho.rho, np.eye(4) / 4, atol=1e-12)
+        assert np.allclose(rho, np.eye(4) / 4, atol=1e-12)
 
     def test_white_corner_populations(self):
         p = 0.2
@@ -77,7 +77,7 @@ class TestTwoPhotonState:
     @settings(max_examples=60, deadline=None)
     def test_coherence_magnitude_closed_form(self, eta, p_white):
         rho = two_photon_state(SourceParams(eta_f=eta, p_white=p_white))
-        coh = abs(rho.rho[1, 2])
+        coh = abs(rho[1, 2])
         assert coh == pytest.approx((1 - p_white) * np.cos(eta) * np.sin(eta), abs=1e-12)
 
     @given(st.floats(-3.0, 3.0))
@@ -85,9 +85,9 @@ class TestTwoPhotonState:
     def test_phase_only_moves_coherence_phase(self, phi):
         base = two_photon_state(SourceParams(eta_f=1.0, phi_f=0.0, p_white=0.3))
         rot = two_photon_state(SourceParams(eta_f=1.0, phi_f=phi, p_white=0.3))
-        assert np.allclose(np.diag(base.rho), np.diag(rot.rho), atol=1e-14)
-        assert abs(rot.rho[1, 2]) == pytest.approx(abs(base.rho[1, 2]), abs=1e-14)
-        assert np.angle(rot.rho[2, 1]) == pytest.approx(phi, abs=1e-12)
+        assert np.allclose(np.diag(base), np.diag(rot), atol=1e-14)
+        assert abs(rot[1, 2]) == pytest.approx(abs(base[1, 2]), abs=1e-14)
+        assert np.angle(rot[2, 1]) == pytest.approx(phi, abs=1e-12)
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValidationError):
