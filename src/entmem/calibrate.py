@@ -33,7 +33,7 @@ import numpy as np
 from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic, visibility_analytic
 from .experiment import (
-    _after_storage,
+    after_storage,
     balanced_state,
     memory_efficiency,
     model_alpha,
@@ -62,7 +62,7 @@ def _visibility(s: Scenario, rho: np.ndarray) -> float:
 
 def _post(s: Scenario, eta: float):
     """The post-storage Stage of s, its memory retrieving with eta at the storage time."""
-    return _after_storage(stage_state(s, "pre_storage"), eta, s.timing.storage_time_ns)
+    return after_storage(stage_state(s, "pre_storage"), eta, s.timing.storage_time_ns)
 
 
 # Model value of each calibration target on a scenario s; only the post-storage models read

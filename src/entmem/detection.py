@@ -269,14 +269,7 @@ def draw_counts(rows, sampling: str, seed: int, labels: list[str]) -> tuple[list
 # ---------------------------------------------------------------------------
 
 
-def click_probs(
-    pair_prob: float,
-    eff1: float,
-    eff2: float,
-    dark1: float,
-    noise2: float,
-    noise_bunching: float = 1.0,
-) -> tuple[float, float, float, float]:
+def click_probs(pair_prob, eff1, eff2, dark1, noise2, noise_bunching=1.0, pair_correlated=True):
     """Per-slot click probabilities (P1, P2, P12, P123) of the pair source.
 
     Per pump pulse the source emits one pair with probability pair_prob,
@@ -288,27 +281,36 @@ def click_probs(
     herald with two such arm-2 detectors, one per beamsplitter port
     (2*eff2 <= 1); noise_bunching, the g2 of the arm-2 noise (1 for
     Poissonian darks, 2 for thermal retrieval noise), enhances its
-    noise-noise term.  Rounding errors are clamped into [0, 1].
+    noise-noise term.  Rounding errors are clamped into [0, 1].  An
+    uncorrelated source (pair_correlated False) gives P12 = P1*P2 and
+    P123 = P1*P2^2.  Floats give floats; eff1, eff2, dark1 and noise2 may be
+    arrays, whose elements get the bits of their own calls on floats.
     """
 
     if not 0.0 <= pair_prob < 0.5:
         raise ValidationError("pair_prob outside [0, 0.5)")
     if noise_bunching < 1.0:
         raise ValidationError("noise_bunching must be >= 1")
+    # numpy's ** 2 squares an array; float_power takes libm's pow, as ** does on floats
+    stacked = np.ndarray in {type(eff1), type(eff2), type(dark1), type(noise2)}
+    pw, lo, hi = (np.float_power, np.minimum, np.maximum) if stacked else (pow, min, max)
     q2 = pair_prob**2
-    nn_excess = (noise_bunching - 1.0) * noise2**2
+    nn_excess = (noise_bunching - 1.0) * pw(noise2, 2)
     p1 = p2 = p12 = p123 = 0.0
     for n, qn in ((0, 1.0 - pair_prob - q2), (1, pair_prob), (2, q2)):
-        c1 = 1.0 - (1.0 - eff1) ** n * (1.0 - dark1)
-        no2 = (1.0 - eff2) ** n * (1.0 - noise2)
+        c1 = 1.0 - pw(1.0 - eff1, n) * (1.0 - dark1)
+        no2 = pw(1.0 - eff2, n) * (1.0 - noise2)
         c2 = 1.0 - no2
         # both ports click: 1 - P(none at a) - P(none at b) + P(none at either)
-        c23 = 1.0 - 2.0 * no2 + (1.0 - 2.0 * eff2) ** n * (1.0 - noise2) ** 2 + nn_excess
+        c23 = 1.0 - 2.0 * no2 + pw(1.0 - 2.0 * eff2, n) * pw(1.0 - noise2, 2) + nn_excess
         p1 += qn * c1
         p2 += qn * c2
         p12 += qn * c1 * c2
-        p123 += qn * c1 * min(max(c23, 0.0), c2)
-    return tuple(min(p, 1.0) for p in (p1, p2, p12, p123))
+        p123 += qn * c1 * lo(hi(c23, 0.0), c2)
+    p1, p2, p12, p123 = (lo(p, 1.0) for p in (p1, p2, p12, p123))
+    if not pair_correlated:
+        p12, p123 = p1 * p2, p1 * pw(p2, 2)
+    return p1, p2, p12, p123
 
 
 def heralded_alpha(p1, p12, p13, p123):

@@ -37,18 +37,19 @@ def memory_efficiency(scenario: Scenario, t_storage: float | Sequence[float] | N
 
 @dataclass(frozen=True)
 class Stage:
-    """What the analyzers see at one stage, built only by stage_state.
+    """What the analyzers see at one stage, built only by stage_state and after_storage.
 
     Probabilities are per slot (one pump cycle) or per coincidence gate.
     The state is built on first use: the correlation models never need it.
+    After storage at (T,) times, eta, e2 and delay_ns are (T,) arrays.
     """
 
     scenario: Scenario
     name: str
     suffix: str
-    eta: float
+    eta: float | np.ndarray
     e1: float
-    e2: float
+    e2: float | np.ndarray
     dark1_slot: float
     dark1_gate: float
     # uncorrelated arm-2 clicks: dark counts, plus retrieval noise after storage
@@ -57,7 +58,7 @@ class Stage:
     background_rate_2: float
     noise_bunching: float
     g22: float
-    delay_ns: float
+    delay_ns: float | np.ndarray
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -103,11 +104,12 @@ def stage_state(scenario: Scenario, stage: str) -> Stage:
     )
     if stage == "pre_storage":
         return pre
-    return _after_storage(pre, memory_efficiency(scenario), timing.storage_time_ns)
+    return after_storage(pre, memory_efficiency(scenario), timing.storage_time_ns)
 
 
-def _after_storage(pre: Stage, eta: float, t_storage: float) -> Stage:
-    """The pre-storage Stage plus the memory, retrieving with eta after t_storage ns."""
+def after_storage(pre: Stage, eta, t_storage) -> Stage:
+    """The pre-storage Stage plus the memory, retrieving with eta after t_storage ns;
+    floats, or (T,) arrays for one Stage over T storage times."""
     corr, timing = pre.scenario.correlations, pre.scenario.timing
     flux = pre.scenario.mem_noise.background_flux
     if corr.g2_autocorr_s2_post < 1.0:  # retrieval noise is never antibunched
@@ -142,52 +144,40 @@ def _check_clicks(*checks: tuple[float, str]) -> None:
 
 
 # -- the count models of a stage; calibration fits the two correlation ones --
+# Each gives floats at one storage time, and arrays over several with each time's own bits.
 
 
 def slot_probs(stage: Stage) -> tuple[float, float, float]:
-    """Per-slot (P1, P2, P12) of the g2 measurement channel.
-
-    An uncorrelated source still fills both arms, but its photons
-    coincide only by chance: P12 = P1*P2.
-    """
+    """Per-slot (P1, P2, P12) of the g2 measurement channel."""
     scenario = stage.scenario
-    p1, p2, p12, _ = click_probs(
-        scenario.source.pair_prob, stage.e1, stage.e2, stage.dark1_slot, stage.noise2_slot
-    )
-    return p1, p2, (p12 if scenario.correlations.pair_correlated else p1 * p2)
+    pair = (scenario.source.pair_prob, stage.e1, stage.e2, stage.dark1_slot, stage.noise2_slot)
+    return click_probs(*pair, pair_correlated=scenario.correlations.pair_correlated)[:3]
 
 
 def alpha_probs(stage: Stage) -> tuple[float, float, float, float]:
     """Per-slot (P1, P_port, P12, P123) of the heralded-autocorrelation setup.
 
     A beamsplitter sends arm 2 to two identical detectors, each seeing half
-    the arm-2 efficiency; the photons of an uncorrelated source coincide by chance.
+    the arm-2 efficiency.
     """
-    p1, p_port, p12, p123 = click_probs(
-        stage.scenario.source.pair_prob,
+    scenario = stage.scenario
+    return click_probs(
+        scenario.source.pair_prob,
         stage.e1,
         stage.e2 / 2.0,
         stage.dark1_gate,
         stage.noise2_port,
         stage.noise_bunching,
+        scenario.correlations.pair_correlated,
     )
-    if not stage.scenario.correlations.pair_correlated:
-        p12, p123 = p1 * p_port, p1 * p_port**2
-    return p1, p_port, p12, p123
 
 
 def model_slot_g2(stage: Stage) -> float:
     """Slot-normalized cross-correlation P12/(P1*P2) of the g2 measurement channel."""
     p1, p2, p12 = slot_probs(stage)
-    if p1 <= 0 or p2 <= 0:
+    if (np.minimum(p1, p2) <= 0).any():
         raise EstimationError("cross-correlation undefined without singles")
     return p12 / (p1 * p2)
-
-
-def model_slot_g2_vs_storage_time(scenario: Scenario, times: Sequence[float]) -> list[float]:
-    """model_slot_g2 after storing for each time (ns); the times may pass the fiber delay."""
-    pre, etas = stage_state(scenario, "pre_storage"), memory_efficiency(scenario, times)
-    return [model_slot_g2(_after_storage(pre, float(eta), t)) for eta, t in zip(etas, times)]
 
 
 def model_alpha(stage: Stage) -> float:

@@ -51,11 +51,11 @@ from .estimators import (
 from .experiment import (
     STAGES,
     Stage,
+    after_storage,
     alpha_probs,
     memory_efficiency,
     model_rates,
     model_slot_g2,
-    model_slot_g2_vs_storage_time,
     slot_probs,
     stage_state,
 )
@@ -425,11 +425,13 @@ def report_emit(
     }
     # storage-efficiency and g2 decay curves; the g2 column reads the
     # post-storage inputs, so it stays blank unless that stage was simulated
-    times = [float(t) for t in np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)]
+    times = np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 121)
     etas = memory_efficiency(scenario, times)
     g2s = [""] * len(times)
     if "post_storage" in results:
-        g2s = [f"{g:.10g}" for g in model_slot_g2_vs_storage_time(scenario, times)]
+        # one Stage over all the times; 3 tau_mem may pass the fiber delay, which g2 does not read
+        post = after_storage(stage_state(scenario, "pre_storage"), etas, times)
+        g2s = [f"{g:.10g}" for g in model_slot_g2(post)]
     curve_rows = [f"{t:.6g},{eta:.10g},{g2}" for t, eta, g2 in zip(times, etas, g2s)]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

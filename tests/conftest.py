@@ -39,6 +39,11 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pure_state(np.kron(a, b))
 
 
+def float_bits(values) -> list:
+    """The float64 bit patterns of a float, or of each element of an array or list."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """(1/2)||a - b||_1 for Hermitian matrices."""
     vals = np.linalg.eigvalsh(np.asarray(a) - np.asarray(b))

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entmem.pipeline as pipeline
-from conftest import density_matrices, maximally_mixed, random_density_matrix
+from conftest import density_matrices, float_bits, maximally_mixed, random_density_matrix
 from entmem.detection import (
     CSV_HEADER,
     CountRecord,
@@ -373,6 +373,34 @@ class TestPairStatistics:
         assert all(0.0 <= p <= 1.0 for p in (p1, p2, p12, p123))
         assert p12 <= min(p1, p2)
         assert p123 <= p12
+
+    @given(
+        st.floats(0.0, 0.4999),
+        st.lists(
+            st.tuples(*(st.floats(0.0, hi) for hi in (1.0, 0.5, 1.0, 1.0))),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sets(st.integers(0, 3), min_size=1),
+        st.floats(1.0, 10.0),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    # numpy's ** 2 squares an array; on these the square and libm's pow differ in P123's last bit
+    @example(0.01, [(0.5, 0.38147033499464283, 1e-4, 1e-3), (0.5, 0.1, 1e-4, 1e-3)], {1}, 2.0, True)
+    @example(0.01, [(0.5, 0.4982334973255076, 1e-4, 1e-3), (0.5, 0.1, 1e-4, 1e-3)], {1}, 2.0, False)
+    def test_arrays_give_each_element_the_bits_of_its_float_call(
+        self, pair_prob, rows, stacked, noise_bunching, pair_correlated
+    ):
+        """eff1, eff2, dark1 and noise2 (those whose index is in stacked) as (T,) arrays."""
+        rows = [tuple(r[i] if i in stacked else rows[0][i] for i in range(4)) for r in rows]
+        alone = [click_probs(pair_prob, *r, noise_bunching, pair_correlated) for r in rows]
+        assert all(type(p) is float for probs in alone for p in probs)
+        args = [np.array(col) if i in stacked else col[0] for i, col in enumerate(zip(*rows))]
+        probs = click_probs(pair_prob, *args, noise_bunching, pair_correlated)
+        for k, values in enumerate(probs):
+            values = np.broadcast_to(values, len(rows))
+            assert float_bits(values) == float_bits([one[k] for one in alone])
 
 
 class TestG2Histogram:

@@ -204,6 +204,30 @@ def test_probe_grid_that_overcounts_the_line_is_rejected(probe_grid):
         spectral_overlap(150.0, eit)
 
 
+@pytest.mark.parametrize("n", [5, 13, 25])
+def test_probe_grid_that_underresolves_the_window_is_rejected(n):
+    """+-60 MHz grids of 5, 13 and 25 points hold 1, 1 and 3 points above the acceptance's half
+    maximum; their overlaps are 0.183, 0.0906 and 0.0948 against 0.0943 on the bundled grid."""
+    eit = replace(load_bundled_scenario().eit, probe_grid_mhz=(-60.0, 60.0, n))
+    with pytest.raises(ValidationError, match=r"eit\.probe_grid_mhz .* acceptance window"):
+        spectral_overlap(150.0, eit)
+
+
+@pytest.mark.parametrize(
+    "rabi_coupling, probe_grid, overlap",
+    [
+        (None, (-60.0, 60.0, 33), 0.09430),  # 5 points above half maximum
+        (1e5, (-60.0, 60.0, 2401), 0.65377),  # all 2401: the whole grid is transparent
+        (0.0, (-60.0, 60.0, 2401), 0.0),  # no window: nothing is captured
+    ],
+)
+def test_a_resolved_or_absent_window_is_accepted(rabi_coupling, probe_grid, overlap):
+    eit = replace(load_bundled_scenario().eit, probe_grid_mhz=probe_grid)
+    if rabi_coupling is not None:
+        eit = replace(eit, rabi_coupling=rabi_coupling)
+    assert spectral_overlap(150.0, eit) == pytest.approx(overlap, abs=5e-5)
+
+
 def test_a_line_between_the_spectrum_grid_nodes_is_rejected():
     """A 1e-3 MHz line between the 5 MHz steps of a +-2.5e6 MHz grid has trapezoid mass 0."""
     eit = replace(load_bundled_scenario().eit, probe_grid_mhz=(-1e6, 1e6, 1_000_000))

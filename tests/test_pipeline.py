@@ -7,7 +7,7 @@ import pytest
 
 import entmem.estimators as estimators
 import entmem.pipeline as pipeline
-from conftest import classicalize
+from conftest import classicalize, float_bits
 from entmem.calibrate import DEFAULT_TARGETS, calibrate
 from entmem.detection import CountRecord, records_from_csv, sample_counts
 from entmem.errors import CalibrationError, EstimationError, ValidationError
@@ -19,13 +19,14 @@ from entmem.estimators import (
 )
 from entmem.experiment import (
     STAGES,
+    after_storage,
     alpha_probs,
     balanced_state,
     memory_efficiency,
     model_alpha,
     model_rates,
     model_slot_g2,
-    model_slot_g2_vs_storage_time,
+    slot_probs,
     stage_state,
 )
 from entmem.pipeline import report_emit, run_experiment, stage_report
@@ -453,7 +454,9 @@ class TestEfficiencyCurve:
 
     def test_g2_at_the_storage_time_is_the_calibrated_post_storage_model(self):
         scenario, report = calibrate(load_bundled_scenario())
-        (g2,) = model_slot_g2_vs_storage_time(scenario, [scenario.timing.storage_time_ns])
+        times = np.array([scenario.timing.storage_time_ns])
+        pre = stage_state(scenario, "pre_storage")
+        (g2,) = model_slot_g2(after_storage(pre, memory_efficiency(scenario, times), times))
         assert g2 == model_slot_g2(stage_state(scenario, "post_storage"))
         assert g2 == report["g2_post"]["achieved"]
 
@@ -462,8 +465,23 @@ class TestEfficiencyCurve:
         g2 = [float(row[2]) for row in rows]
         assert len(g2) == 121
         assert all(a >= b for a, b in zip(g2, g2[1:]))
-        assert g2[0] == pytest.approx(model_slot_g2_vs_storage_time(fast, [0.0])[0], rel=1e-9)
+        at_zero = after_storage(stage_state(fast, "pre_storage"), memory_efficiency(fast, 0.0), 0.0)
+        assert g2[0] == pytest.approx(model_slot_g2(at_zero), rel=1e-9)
         assert g2[-1] >= 1.0
+
+    def test_the_curve_computes_the_spectral_overlap_once(self, fast, tmp_path, monkeypatch):
+        import entmem.memory
+
+        results = {stage: run_experiment(fast, stage, sampling="expected") for stage in STAGES}
+        original, calls = entmem.memory.spectral_overlap, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(entmem.memory, "spectral_overlap", counted)
+        report_emit(fast, results, tmp_path)
+        assert len(calls) == 1  # the eta column's; the g2 column reads the same etas
 
     def test_g2_column_is_one_for_an_uncorrelated_source(self, fast, tmp_path):
         rows = self.emitted_rows(classicalize(fast), STAGES, tmp_path)
@@ -474,6 +492,32 @@ class TestEfficiencyCurve:
         assert len(rows) == 121
         assert {row[2] for row in rows} == {""}
         assert all(float(row[1]) > 0 for row in rows)
+
+
+class TestStorageTimeAxis:
+    """One Stage after storage at several times against one Stage per time."""
+
+    @pytest.mark.parametrize("classical", [False, True])
+    def test_eleven_times_give_the_bits_of_eleven_one_time_stages(self, calibrated, classical):
+        scenario = classicalize(calibrated) if classical else calibrated
+        own = scenario.timing.storage_time_ns
+        times = np.sort(np.append(np.linspace(0.0, 3.0 * scenario.decay.tau_mem, 10), own))
+        pre = stage_state(scenario, "pre_storage")
+        sweep = after_storage(pre, memory_efficiency(scenario, times), times)
+        alone = [after_storage(pre, memory_efficiency(scenario, t), t) for t in times.tolist()]
+        assert alone[times.tolist().index(own)] == stage_state(scenario, "post_storage")
+        for name in ("eta", "e2", "delay_ns"):
+            assert float_bits(getattr(sweep, name)) == float_bits([getattr(s, name) for s in alone])
+        for model in (slot_probs, alpha_probs):
+            one_time = [model(s) for s in alone]
+            assert all(type(p) is float for probs in one_time for p in probs)
+            for k, values in enumerate(model(sweep)):
+                values = np.broadcast_to(values, times.shape)
+                assert float_bits(values) == float_bits([probs[k] for probs in one_time])
+        for model in (model_slot_g2, model_alpha):
+            one_time = [model(s) for s in alone]
+            assert all(type(value) is float for value in one_time)
+            assert float_bits(model(sweep)) == float_bits(one_time)
 
 
 class TestNoiselessScenario:
