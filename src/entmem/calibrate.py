@@ -35,12 +35,12 @@ from .estimators import chsh_S_analytic, visibility_analytic
 from .experiment import (
     after_storage,
     balanced_state,
-    memory_efficiency,
+    memory_overlap,
     model_alpha,
     model_slot_g2,
     stage_state,
 )
-from .memory import transparency_window_fwhm
+from .memory import efficiency, transparency_window_fwhm
 from .qstate import bell_psi_plus, fidelity
 from .scenario import Scenario
 
@@ -60,24 +60,25 @@ def _visibility(s: Scenario, rho: np.ndarray) -> float:
     return visibility_analytic(rho, s.plan.visibility_arm1, s.plan.visibility_thetas)
 
 
-def _post(s: Scenario, eta: float):
-    """The post-storage Stage of s, its memory retrieving with eta at the storage time."""
-    return after_storage(stage_state(s, "pre_storage"), eta, s.timing.storage_time_ns)
+def _post(s: Scenario, overlap: float):
+    """The post-storage Stage of s, given the memory_overlap of s."""
+    t = s.timing.storage_time_ns
+    return after_storage(stage_state(s, "pre_storage"), efficiency(overlap, s.decay, t), t)
 
 
-# Model value of each calibration target on a scenario s; only the post-storage models read
-# eta, the memory_efficiency of s.
+# Model value of each calibration target on a scenario s; only the memory models read
+# overlap, the memory_overlap of s.
 MODELS = {
-    "eit_window": lambda s, eta: transparency_window_fwhm(s.eit),
-    "eta_100ns": lambda s, eta: memory_efficiency(s, 100.0),
-    "V_pre": lambda s, eta: _visibility(s, balanced_state(s)),
-    "F_pre": lambda s, eta: fidelity(balanced_state(s), bell_psi_plus()),
-    "V_post": lambda s, eta: _visibility(s, _post(s, eta).rho),
-    "F_post": lambda s, eta: fidelity(_post(s, eta).rho, balanced_state(s)),
-    "g2_pre": lambda s, eta: model_slot_g2(stage_state(s, "pre_storage")),
-    "alpha_pre": lambda s, eta: model_alpha(stage_state(s, "pre_storage")),
-    "alpha_post": lambda s, eta: model_alpha(_post(s, eta)),
-    "g2_post": lambda s, eta: model_slot_g2(_post(s, eta)),
+    "eit_window": lambda s, overlap: transparency_window_fwhm(s.eit),
+    "eta_100ns": lambda s, overlap: efficiency(overlap, s.decay, 100.0),
+    "V_pre": lambda s, overlap: _visibility(s, balanced_state(s)),
+    "F_pre": lambda s, overlap: fidelity(balanced_state(s), bell_psi_plus()),
+    "V_post": lambda s, overlap: _visibility(s, _post(s, overlap).rho),
+    "F_post": lambda s, overlap: fidelity(_post(s, overlap).rho, balanced_state(s)),
+    "g2_pre": lambda s, overlap: model_slot_g2(stage_state(s, "pre_storage")),
+    "alpha_pre": lambda s, overlap: model_alpha(stage_state(s, "pre_storage")),
+    "alpha_post": lambda s, overlap: model_alpha(_post(s, overlap)),
+    "g2_post": lambda s, overlap: model_slot_g2(_post(s, overlap)),
 }
 
 
@@ -173,11 +174,11 @@ def _root(model, target, bracket, xtol, name, parameter) -> float:
     return float(x)
 
 
-def _tau_for_eta(s: Scenario, target: float) -> float:
+def _tau_for_eta(s: Scenario, target: float, overlap: float) -> float:
     """Closed-form tau_mem putting the 100 ns storage efficiency on target."""
     if not 0.0 < target < 1.0:
         raise CalibrationError(f"eta_100ns target {target} outside (0, 1): no tau_mem reaches it")
-    ceiling = memory_efficiency(s, 0.0)  # spectral overlap times eta_peak
+    ceiling = efficiency(overlap, s.decay, 0.0)  # spectral overlap times eta_peak
     if target >= ceiling:
         raise CalibrationError(
             f"eta_100ns target {target} not below the spectral-overlap ceiling {ceiling:.4f}: "
@@ -214,38 +215,39 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
         # the model reads a window without a peak as 0 wide
         raise CalibrationError(f"eit_window target {targets['eit_window']} must be positive")
     report: dict = {}
-    s = scenario
+    s, overlap = scenario, None
     for names, section, parameter, bracket, xtol in FITS:
         given = [name for name in names if name in targets]
         if not given:
             continue
         name, target = given[0], targets[given[0]]
         model, set_x = MODELS[name], _setter(section, parameter)
-        # no post-storage fit changes the memory efficiency: once per fit, not per search step
-        eta = memory_efficiency(s) if name.endswith("_post") else None
+        if overlap is None and (name == "eta_100ns" or name.endswith("_post")):
+            # only the window fit, which comes first, changes it: one overlap per calibration
+            overlap = memory_overlap(s)
         if bracket is None:
-            x = _tau_for_eta(s, target)
+            x = _tau_for_eta(s, target, overlap)
         else:
             if name == "g2_pre":
                 # the curve is dark-limited at tiny pair_prob; search the
                 # pair-statistics-limited (decreasing) branch only
                 grid = np.logspace(-5, np.log10(bracket[1]), 80)
-                values = [model(set_x(s, pp), eta) for pp in grid]
+                values = [model(set_x(s, pp), overlap) for pp in grid]
                 bracket = (grid[int(np.argmax(values))], bracket[1])
-            x = _root(lambda v: model(set_x(s, v), eta), target, bracket, xtol, name, parameter)
+            x = _root(lambda v: model(set_x(s, v), overlap), target, bracket, xtol, name, parameter)
         s = set_x(s, x)
-        _record(report, name, target, model(s, eta))
+        _record(report, name, target, model(s, overlap))
         report[name]["parameter"] = {parameter: x}
         for other in given[1:]:
-            _record(report, other, targets[other], MODELS[other](s, eta))
+            _record(report, other, targets[other], MODELS[other](s, overlap))
             report[other].update(parameter={}, check_only=True)
-    report["checks"] = _consistency_checks(s)
+    report["checks"] = _consistency_checks(s, memory_overlap(s) if overlap is None else overlap)
     return s, report
 
 
-def _consistency_checks(s: Scenario) -> dict:
+def _consistency_checks(s: Scenario, overlap: float) -> dict:
     """Derived observables not directly fitted, for the calibration report."""
-    pre, post = stage_state(s, "pre_storage"), stage_state(s, "post_storage")
+    pre, post = stage_state(s, "pre_storage"), _post(s, overlap)
     return {
         "alpha_pre": model_alpha(pre),
         "F_pre_to_ideal": fidelity(pre.rho, bell_psi_plus()),
@@ -255,6 +257,6 @@ def _consistency_checks(s: Scenario) -> dict:
         "g2_pre_model": model_slot_g2(pre),
         "g2_post_model": model_slot_g2(post),
         "eta_at_storage_time": post.eta,
-        "spectral_overlap_ceiling": memory_efficiency(s, 0.0),
+        "spectral_overlap_ceiling": efficiency(overlap, s.decay, 0.0),
         "arm_efficiencies": [pre.e1, pre.e2],
     }

@@ -17,10 +17,11 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .errors import EstimationError, ValidationError, nan_or_raise
+from .errors import EstimationError, Range, Section, ValidationError, nan_or_raise
 from .qstate import reduced_signal1, reduced_signal2
 from .rng import derive_rng, poisson_rows
 from .source import gaussian_fwhm_sigma
@@ -35,44 +36,24 @@ FIBER_DELAY_MAX_NS = 1e9
 
 
 @dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(Section):
     """Single-photon detector model; times in ns, rates in counts/s."""
 
-    efficiency: float
-    dark_rate: float = 0.0
-    dead_time: float = 0.0
-    gate_width: float = 8.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValidationError("detector efficiency outside [0, 1]")
-        if self.dark_rate < 0 or not 0 <= self.dead_time <= DEAD_TIME_MAX_NS:
-            raise ValidationError(f"dark_rate must be >= 0, dead_time in [0, {DEAD_TIME_MAX_NS:g}]")
-        if self.gate_width <= 0:
-            raise ValidationError("gate_width must be > 0")
+    efficiency: Annotated[float, Range(0, 1)]
+    dark_rate: Annotated[float, Range(0, math.inf, "[)")] = 0.0
+    dead_time: Annotated[float, Range(0, DEAD_TIME_MAX_NS)] = 0.0
+    gate_width: Annotated[float, Range(0, math.inf, "()")] = 8.0
 
 
 @dataclass(frozen=True)
-class LossBudget:
+class LossBudget(Section):
     """Per-path transmissions, all in [0, 1]; detector efficiency excluded."""
 
-    s2_path: float = 0.75
-    s1_fiber_coupling: float = 0.82
-    s1_detector_coupling: float = 0.80
-    s1_filters: float = 0.9405
-    s2_filters: float = 0.40
-
-    def __post_init__(self):
-        for name in (
-            "s2_path",
-            "s1_fiber_coupling",
-            "s1_detector_coupling",
-            "s1_filters",
-            "s2_filters",
-        ):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name}={v} outside [0, 1]")
+    s2_path: Annotated[float, Range(0, 1)] = 0.75
+    s1_fiber_coupling: Annotated[float, Range(0, 1)] = 0.82
+    s1_detector_coupling: Annotated[float, Range(0, 1)] = 0.80
+    s1_filters: Annotated[float, Range(0, 1)] = 0.9405
+    s2_filters: Annotated[float, Range(0, 1)] = 0.40
 
     def arm1_transmission(self) -> float:
         return self.s1_fiber_coupling * self.s1_detector_coupling * self.s1_filters
@@ -82,20 +63,19 @@ class LossBudget:
 
 
 @dataclass(frozen=True)
-class TimingConfig:
+class TimingConfig(Section):
     """Pulse train timing; rates in Hz, durations in ns unless suffixed."""
 
-    rep_rate: float = 100.0
-    duty_window_ms: float = 1.3
-    cycles_per_duty: int = 2600
-    cycle_period_ns: float = 500.0
-    pump1_fwhm_ns: float = 20.0
-    fiber_delay_ns: float = 1000.0
-    storage_time_ns: float = 100.0
+    rep_rate: Annotated[float, Range(0, math.inf, "()")] = 100.0
+    duty_window_ms: Annotated[float, Range(0, math.inf, "()")] = 1.3
+    cycles_per_duty: Annotated[int, Range(1, math.inf, "[)")] = 2600
+    cycle_period_ns: Annotated[float, Range(0, math.inf, "()")] = 500.0
+    pump1_fwhm_ns: Annotated[float, Range(0, math.inf, "()")] = 20.0
+    fiber_delay_ns: Annotated[float, Range(0, FIBER_DELAY_MAX_NS, "(]")] = 1000.0
+    storage_time_ns: Annotated[float, Range(0, math.inf, "[)")] = 100.0
 
     def __post_init__(self):
-        if self.rep_rate <= 0 or self.cycles_per_duty <= 0 or self.cycle_period_ns <= 0:
-            raise ValidationError("timing rates and periods must be positive")
+        super().__post_init__()
         if self.cycles_per_duty * self.cycle_period_ns > self.duty_window_ms * 1e6:
             raise ValidationError("cycles do not fit into the duty window")
         # The duty windows of one second fit in that second; far past it (rep_rate 1e308)
@@ -104,12 +84,6 @@ class TimingConfig:
             raise ValidationError(
                 f"timing.rep_rate * timing.duty_window_ms is {self.rep_rate:g} Hz * "
                 f"{self.duty_window_ms:g} ms: the duty windows must fit in one second"
-            )
-        if self.storage_time_ns < 0:
-            raise ValidationError(f"timing.storage_time_ns is {self.storage_time_ns:g}, not >= 0")
-        if self.fiber_delay_ns > FIBER_DELAY_MAX_NS:
-            raise ValidationError(
-                f"timing.fiber_delay_ns is {self.fiber_delay_ns:g}, above {FIBER_DELAY_MAX_NS:g} ns"
             )
         if self.storage_time_ns >= self.fiber_delay_ns:
             raise ValidationError(

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import memory
 from .detection import ExpectedRates, born_probabilities, click_probs, heralded_alpha
 from .errors import EstimationError, ValidationError
 from .interferometer import apply_attenuator
@@ -29,10 +30,15 @@ def balanced_state(scenario: Scenario) -> np.ndarray:
     return apply_attenuator(two_photon_state(scenario.source), scenario.resolved_attenuator())[0]
 
 
+def memory_overlap(scenario: Scenario) -> float:
+    """Spectral overlap of the Signal-2 line with the memory's window."""
+    return memory.spectral_overlap(scenario.source.s2_spectral_fwhm, scenario.eit)
+
+
 def memory_efficiency(scenario: Scenario, t_storage: float | Sequence[float] | None = None):
     """Retrieval efficiency at the configured storage time, or at the given time or times (ns)."""
     t = scenario.timing.storage_time_ns if t_storage is None else t_storage
-    return efficiency(scenario.source.s2_spectral_fwhm, scenario.eit, scenario.decay, t)
+    return efficiency(memory_overlap(scenario), scenario.decay, t)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,16 @@ efficiency is carried by the loss budget, never by this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Range, Section, ValidationError
 from .qstate import physical
 
 
 @dataclass(frozen=True)
-class AttenuatorSetting:
+class AttenuatorSetting(Section):
     """Amplitude transmittance for the horizontal Signal-2 component.
 
     balanced is False when the requested mixing angle cannot be balanced
@@ -26,12 +27,8 @@ class AttenuatorSetting:
     which the physical plate cannot do).
     """
 
-    t_h: float
+    t_h: Annotated[float, Range(0, 1, "(]")]
     balanced: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.t_h <= 1.0:
-            raise ValidationError(f"t_h={self.t_h} outside (0, 1]")
 
 
 def balance_attenuation(eta_f: float) -> AttenuatorSetting:

@@ -11,12 +11,13 @@ calculation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Range, Section, ValidationError
 from .qstate import physical, reduced_signal1
 from .source import gaussian_fwhm_sigma
 
@@ -42,24 +43,17 @@ WINDOW_POINTS_MIN = 5
 
 
 @dataclass(frozen=True)
-class EITParams:
+class EITParams(Section):
     """Lambda-system parameters; all frequencies in ordinary MHz."""
 
-    optical_depth: float
-    rabi_coupling: float
-    gamma_e: float = GAMMA_E_D1_MHZ
-    gamma_g: float = 0.03
+    optical_depth: Annotated[float, Range(0, math.inf, "()")]
+    rabi_coupling: Annotated[float, Range(0, RABI_COUPLING_MAX_MHZ)]
+    gamma_e: Annotated[float, Range(0, LINEWIDTH_MAX_MHZ, "(]")] = GAMMA_E_D1_MHZ
+    gamma_g: Annotated[float, Range(0, LINEWIDTH_MAX_MHZ)] = 0.03
     probe_grid_mhz: tuple[float, float, int] = (-60.0, 60.0, 2401)
 
     def __post_init__(self):
-        if self.optical_depth <= 0:
-            raise ValidationError("optical_depth must be > 0")
-        if not 0 <= self.rabi_coupling <= RABI_COUPLING_MAX_MHZ:
-            raise ValidationError(f"rabi_coupling must be in [0, {RABI_COUPLING_MAX_MHZ:g}] MHz")
-        if not 0 < self.gamma_e <= LINEWIDTH_MAX_MHZ:
-            raise ValidationError(f"gamma_e must be in (0, {LINEWIDTH_MAX_MHZ:g}] MHz")
-        if not 0 <= self.gamma_g <= LINEWIDTH_MAX_MHZ:
-            raise ValidationError(f"gamma_g must be in [0, {LINEWIDTH_MAX_MHZ:g}] MHz")
+        super().__post_init__()
         lo, hi, n = self.probe_grid_mhz
         if not (-PROBE_GRID_MAX_MHZ <= lo < hi <= PROBE_GRID_MAX_MHZ and 3 <= n <= 1_000_000):
             raise ValidationError(
@@ -74,24 +68,21 @@ class EITParams:
 
 
 @dataclass(frozen=True)
-class MemoryDecayParams:
+class MemoryDecayParams(Section):
     """Storage-time decay law: gaussian exp(-(t/tau)^2) or exponential."""
 
     model: str = "gaussian"
-    tau_mem: float = 150.0
-    eta_peak: float = 0.9
+    tau_mem: Annotated[float, Range(0, TAU_MEM_MAX_NS, "(]")] = 150.0
+    eta_peak: Annotated[float, Range(0, 1, "(]")] = 0.9
 
     def __post_init__(self):
+        super().__post_init__()
         if self.model not in ("gaussian", "exponential"):
             raise ValidationError(f"unknown decay model {self.model!r}")
-        if not 0 < self.tau_mem <= TAU_MEM_MAX_NS:
-            raise ValidationError(f"tau_mem must be in (0, {TAU_MEM_MAX_NS:g}] ns")
-        if not 0.0 < self.eta_peak <= 1.0:
-            raise ValidationError("eta_peak must be in (0, 1]")
 
 
 @dataclass(frozen=True)
-class MemoryNoiseParams:
+class MemoryNoiseParams(Section):
     """Noise added by the storage process.
 
     p_depol is the depolarizing probability applied to the retrieved qubit;
@@ -99,14 +90,8 @@ class MemoryNoiseParams:
     coincidence gate during retrieval.
     """
 
-    p_depol: float = 0.0
-    background_flux: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_depol <= 1.0:
-            raise ValidationError("p_depol must be in [0, 1]")
-        if self.background_flux < 0:
-            raise ValidationError("background_flux must be >= 0")
+    p_depol: Annotated[float, Range(0, 1)] = 0.0
+    background_flux: Annotated[float, Range(0, math.inf, "[)")] = 0.0
 
 
 def _susceptibility(delta: np.ndarray, eit: EITParams) -> np.ndarray:
@@ -217,16 +202,16 @@ def spectral_overlap(fwhm: float, eit: EITParams) -> float:
 
 
 def efficiency(
-    fwhm: float, eit: EITParams, decay: MemoryDecayParams, t_storage: float | Sequence[float]
+    overlap: float, decay: MemoryDecayParams, t_storage: float | Sequence[float]
 ) -> float | np.ndarray:
-    """eta_peak * overlap(fwhm, window) * decay(t) in [0, 1]; a float or an array, as t (ns) is."""
+    """eta_peak * overlap * decay(t) in [0, 1]; a float or an array, as t (ns) is."""
     t = np.asarray(t_storage, dtype=float)
     if np.any(t < 0):
         raise ValidationError("storage time must be >= 0")
     with np.errstate(over="ignore"):  # t/tau or its square past the float range: nothing is left
         x = t / decay.tau_mem
         factor = np.exp(-(x**2) if decay.model == "gaussian" else -x)
-    eta = np.clip(decay.eta_peak * spectral_overlap(fwhm, eit) * factor, 0.0, 1.0)
+    eta = np.clip(decay.eta_peak * overlap * factor, 0.0, 1.0)
     return float(eta) if eta.ndim == 0 else eta
 
 

@@ -11,15 +11,16 @@ enforced here, never at runtime.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .detection import G2_BIN_NS, G2_BINS_MAX, DetectorParams, LossBudget, TimingConfig
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, Range, Section, ValidationError
 from .interferometer import AttenuatorSetting, balance_attenuation
 from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
 from .qstate import KETS
@@ -33,7 +34,7 @@ _N_RESAMPLES_MAX = 10_000
 
 
 @dataclass(frozen=True)
-class CorrelationConstants:
+class CorrelationConstants(Section):
     """Auto/cross-correlation constants and the g2-channel noise floor.
 
     The autocorrelation values are measured inputs (they are never
@@ -44,21 +45,14 @@ class CorrelationConstants:
     """
 
     pair_correlated: bool = True
-    g2_autocorr_s1: float = 1.2
-    g2_autocorr_s2_pre: float = 1.38
-    g2_autocorr_s2_post: float = 2.0
-    g2_channel_background: float = 0.0
-
-    def __post_init__(self):
-        for name in ("g2_autocorr_s1", "g2_autocorr_s2_pre", "g2_autocorr_s2_post"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.g2_channel_background < 0:
-            raise ConfigurationError("g2_channel_background must be >= 0")
+    g2_autocorr_s1: Annotated[float, Range(0, math.inf, "()")] = 1.2
+    g2_autocorr_s2_pre: Annotated[float, Range(0, math.inf, "()")] = 1.38
+    g2_autocorr_s2_post: Annotated[float, Range(0, math.inf, "()")] = 2.0
+    g2_channel_background: Annotated[float, Range(0, math.inf, "[)")] = 0.0
 
 
 @dataclass(frozen=True)
-class MeasurementPlan:
+class MeasurementPlan(Section):
     """Which measurements run and for how long."""
 
     chsh_angles: tuple[float, float, float, float] = (
@@ -82,16 +76,17 @@ class MeasurementPlan:
             "g2": 600.0,
         }
     )
-    n_resamples: int = 200
+    n_resamples: Annotated[int, Range(100, _N_RESAMPLES_MAX)] = 200
     error_bars: bool = True
 
     def __post_init__(self):
-        if len(self.chsh_angles) != 4:
-            raise ConfigurationError("chsh_angles must hold exactly 4 angles")
+        super().__post_init__()
+        if len(self.chsh_angles) != 4 or not all(map(math.isfinite, self.chsh_angles)):
+            raise ConfigurationError("chsh_angles must hold exactly 4 finite angles")
         # A half-wave plate turned by pi is back where it started, so a turn each way holds
         # every fringe setting; far past it the fringe's doubled and quadrupled angles are inf.
         thetas = self.visibility_thetas
-        if len(thetas) < 8 or max(map(abs, thetas)) > 2 * np.pi:
+        if len(thetas) < 8 or not all(abs(t) <= 2 * np.pi for t in thetas):
             raise ConfigurationError("visibility_thetas needs 8 or more angles in [-2 pi, 2 pi]")
         if self.visibility_arm1 not in KETS:
             raise ConfigurationError(f"unknown visibility arm-1 state {self.visibility_arm1!r}")
@@ -105,10 +100,8 @@ class MeasurementPlan:
                 f"acquisition_s: missing entries {sorted(missing)}, unknown {sorted(unknown)}"
             )
         for key, val in self.acquisition_s.items():
-            if val <= 0:
-                raise ConfigurationError(f"acquisition_s[{key!r}] must be > 0")
-        if not 100 <= self.n_resamples <= _N_RESAMPLES_MAX:
-            raise ConfigurationError(f"n_resamples must be in [100, {_N_RESAMPLES_MAX}]")
+            if not 0 < val < math.inf:
+                raise ConfigurationError(f"acquisition_s[{key!r}] must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -241,8 +234,8 @@ def _load(cls, data, where: str):
     values = {key: _check(v, hints[key], f"{where}.{key}") for key, v in data.items()}
     try:
         return cls(**values)
-    except ValidationError as exc:  # the section's own check: name the section
-        raise type(exc)(f"{where}: {exc}") from exc
+    except ValidationError as exc:  # the section's own check: name the field or the section
+        raise type(exc)(f"{where}.{exc}" if exc.field else f"{where}: {exc}") from exc
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -9,11 +9,13 @@ offered, never extrapolation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Range, Section, ValidationError
 from .qstate import physical
 
 
@@ -26,37 +28,21 @@ SPECTRAL_FWHM_MIN_MHZ = 1e-9
 
 
 @dataclass(frozen=True)
-class SourceParams:
+class SourceParams(Section):
     """Pair-source configuration.
 
     Angles in radians, frequencies in MHz, times in ns.  pair_prob is the
     pair-generation probability per pump pulse.
     """
 
-    eta_f: float
-    phi_f: float = 0.0
-    two_photon_detuning: float = -20.0
-    p_white: float = 0.0
-    pair_prob: float = 0.01
-    s2_spectral_fwhm: float = 150.0
-    s2_temporal_fwhm: float = 7.0
-    s1_temporal_fwhm: float = 50.0
-
-    def __post_init__(self):
-        if not 0.0 < self.eta_f < np.pi / 2:
-            raise ValidationError(f"eta_f={self.eta_f} outside (0, pi/2)")
-        if not 0.0 <= self.p_white <= 1.0:
-            raise ValidationError(f"p_white={self.p_white} outside [0, 1]")
-        if not 0.0 < self.pair_prob < 0.5:
-            raise ValidationError(f"pair_prob={self.pair_prob} outside (0, 0.5)")
-        for name in ("s2_temporal_fwhm", "s1_temporal_fwhm"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
-        if not SPECTRAL_FWHM_MIN_MHZ <= self.s2_spectral_fwhm <= SPECTRAL_FWHM_MAX_MHZ:
-            raise ValidationError(
-                f"source.s2_spectral_fwhm is {self.s2_spectral_fwhm:g} MHz, outside "
-                f"[{SPECTRAL_FWHM_MIN_MHZ:g}, {SPECTRAL_FWHM_MAX_MHZ:g}]"
-            )
+    eta_f: Annotated[float, Range(0, np.pi / 2, "()")]
+    phi_f: Annotated[float, Range(-math.inf, math.inf, "()")] = 0.0
+    two_photon_detuning: Annotated[float, Range(-math.inf, math.inf, "()")] = -20.0
+    p_white: Annotated[float, Range(0, 1)] = 0.0
+    pair_prob: Annotated[float, Range(0, 0.5, "()")] = 0.01
+    s2_spectral_fwhm: Annotated[float, Range(SPECTRAL_FWHM_MIN_MHZ, SPECTRAL_FWHM_MAX_MHZ)] = 150.0
+    s2_temporal_fwhm: Annotated[float, Range(0, math.inf, "()")] = 7.0
+    s1_temporal_fwhm: Annotated[float, Range(0, math.inf, "()")] = 50.0
 
 
 def tan2_eta_from_detuning(detuning: float, calib: list[tuple[float, float]]) -> float:

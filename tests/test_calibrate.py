@@ -91,7 +91,7 @@ def test_a_root_at_a_bracket_end_is_returned_without_a_search():
 
 
 def test_a_calibration_computes_few_spectral_overlaps(monkeypatch):
-    """The post-storage models reuse one memory efficiency per fit, not one per Brent step."""
+    """One spectral overlap serves every fit after the window fit, and the checks."""
     overlap, calls = entmem.memory.spectral_overlap, []
 
     def counted(*args):
@@ -100,4 +100,4 @@ def test_a_calibration_computes_few_spectral_overlaps(monkeypatch):
 
     monkeypatch.setattr(entmem.memory, "spectral_overlap", counted)
     calibrate(load_bundled_scenario())
-    assert 0 < len(calls) <= 12
+    assert len(calls) == 1

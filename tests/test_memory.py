@@ -101,7 +101,7 @@ class TestStorageEfficiency:
         # delta-like line inside the window, no decoherence, no decay
         eit = _calibrated_eit(gamma_g=0.0)
         decay = MemoryDecayParams(model="gaussian", tau_mem=100.0, eta_peak=1.0)
-        eta = efficiency(2.0, eit, decay, 0.0)
+        eta = efficiency(spectral_overlap(2.0, eit), decay, 0.0)
         assert eta == pytest.approx(1.0, abs=0.02)
 
     def test_calibrated_100ns_point_in_band(self):
@@ -109,28 +109,29 @@ class TestStorageEfficiency:
         overlap = spectral_overlap(150.0, eit)
         tau = 100.0 / np.sqrt(np.log(0.9 * overlap / 0.06))
         decay = MemoryDecayParams(model="gaussian", tau_mem=tau, eta_peak=0.9)
-        eta = efficiency(150.0, eit, decay, 100.0)
+        eta = efficiency(spectral_overlap(150.0, eit), decay, 100.0)
         assert 0.04 <= eta <= 0.08
 
     def test_doubling_fwhm_halves_efficiency(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(model="gaussian", tau_mem=150.0, eta_peak=0.9)
-        eta100 = efficiency(100.0, eit, decay, 0.0)
-        eta200 = efficiency(200.0, eit, decay, 0.0)
+        eta100 = efficiency(spectral_overlap(100.0, eit), decay, 0.0)
+        eta200 = efficiency(spectral_overlap(200.0, eit), decay, 0.0)
         assert 1.6 <= eta100 / eta200 <= 2.4
 
     def test_monotone_in_storage_time(self):
         eit = _calibrated_eit()
         for model in ("gaussian", "exponential"):
             decay = MemoryDecayParams(model=model, tau_mem=170.0, eta_peak=0.9)
-            etas = efficiency(150.0, eit, decay, np.linspace(0, 600, 25))
+            etas = efficiency(spectral_overlap(150.0, eit), decay, np.linspace(0, 600, 25))
             assert all(a >= b - 1e-15 for a, b in zip(etas, etas[1:]))
             assert all(0.0 <= e <= 1.0 for e in etas)
 
     def test_monotone_in_spectral_fwhm(self):
         eit = _calibrated_eit()
         decay = MemoryDecayParams(tau_mem=170.0, eta_peak=0.9)
-        etas = [efficiency(f, eit, decay, 0.0) for f in (50.0, 100.0, 150.0, 200.0, 250.0)]
+        fwhms = (50.0, 100.0, 150.0, 200.0, 250.0)
+        etas = [efficiency(spectral_overlap(f, eit), decay, 0.0) for f in fwhms]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
     @pytest.mark.parametrize("model", ["gaussian", "exponential"])
@@ -138,26 +139,27 @@ class TestStorageEfficiency:
         eit = load_bundled_scenario().eit
         decay = MemoryDecayParams(model=model, tau_mem=170.0, eta_peak=0.9)
         times = np.linspace(0.0, 3.0 * decay.tau_mem, 121)  # from t = 0 to 3 tau_mem
-        alone = [efficiency(150.0, eit, decay, float(t)) for t in times]
+        overlap = spectral_overlap(150.0, eit)
+        alone = [efficiency(overlap, decay, float(t)) for t in times]
         assert all(type(eta) is float for eta in alone)
-        assert efficiency(150.0, eit, decay, times).tolist() == alone
+        assert efficiency(overlap, decay, times).tolist() == alone
 
     @pytest.mark.parametrize("model", ["gaussian", "exponential"])
     @pytest.mark.parametrize("tau_mem", [1e-310, 1e-160])
     def test_a_time_whose_decay_overflows_keeps_nothing_without_a_warning(self, model, tau_mem):
         # t / tau_mem overflows at 1e-310, and its square at 1e-160
-        eit = load_bundled_scenario().eit
+        overlap = spectral_overlap(150.0, load_bundled_scenario().eit)
         decay = MemoryDecayParams(model=model, tau_mem=tau_mem)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert efficiency(150.0, eit, decay, 100.0) == 0.0
-            assert efficiency(150.0, eit, decay, [0.0, 100.0])[1] == 0.0
+            assert efficiency(overlap, decay, 100.0) == 0.0
+            assert efficiency(overlap, decay, [0.0, 100.0])[1] == 0.0
 
     def test_a_negative_time_is_rejected(self):
-        decay = MemoryDecayParams()
+        overlap = spectral_overlap(150.0, load_bundled_scenario().eit)
         for t in (-1.0, [0.0, -1.0]):
             with pytest.raises(ValidationError, match="storage time must be >= 0"):
-                efficiency(150.0, load_bundled_scenario().eit, decay, t)
+                efficiency(overlap, MemoryDecayParams(), t)
 
     def test_window_acceptance_bounded(self):
         grid, w = window_acceptance(_calibrated_eit())

@@ -1,5 +1,7 @@
 import copy
 import json
+import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,10 +14,13 @@ from hypothesis import strategies as st
 import entmem.scenario
 from conftest import classicalize
 from entmem.cli import main
-from entmem.detection import TimingConfig
-from entmem.errors import ConfigurationError, EntmemError, ValidationError
+from entmem.detection import DetectorParams, LossBudget, TimingConfig
+from entmem.errors import ConfigurationError, EntmemError, Section, ValidationError
 from entmem.interferometer import AttenuatorSetting
+from entmem.memory import EITParams, MemoryDecayParams, MemoryNoiseParams
 from entmem.scenario import (
+    CorrelationConstants,
+    MeasurementPlan,
     bundled_scenario_path,
     load_bundled_scenario,
     load_scenario,
@@ -23,7 +28,7 @@ from entmem.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from entmem.source import SPECTRAL_FWHM_MIN_MHZ
+from entmem.source import SPECTRAL_FWHM_MIN_MHZ, SourceParams
 
 BUNDLED = json.loads(bundled_scenario_path().read_text())
 
@@ -224,17 +229,93 @@ def test_g2_slot_must_exceed_a_bin_and_hold_the_wavepacket(baseline, slot, fwhm,
 
 
 @pytest.mark.parametrize(
-    "path, value, section",
+    "path, value, message",
     [
-        (("detectors", "d2", "efficiency"), 2, "scenario.detectors.d2: "),
-        (("losses", "s2_filters"), 1.5, "scenario.losses: "),
-        (("source", "s2_temporal_fwhm"), 0.0, "scenario.source: "),
+        (("detectors", "d2", "efficiency"), 2, "is 2.0, outside [0, 1]"),
+        (("losses", "s2_filters"), 1.5, "is 1.5, outside [0, 1]"),
+        (("source", "s2_temporal_fwhm"), 0.0, "is 0.0, outside (0, inf)"),
     ],
     ids=["detectors.d2.efficiency", "losses.s2_filters", "source.s2_temporal_fwhm"],
 )
-def test_rejected_section_value_names_its_section(tmp_path, capsys, path, value, section):
+def test_rejected_section_value_names_its_section(tmp_path, capsys, path, value, message):
     assert main(["--scenario", _edited(tmp_path, path, value), "--out", str(tmp_path), "eit"]) == 2
-    assert section in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: scenario.{'.'.join(path)} {message}\n"
+
+
+# Every Section, the Scenario field holding it and its path in the scenario file.
+_SECTIONS = (
+    (DetectorParams, "detector1", "detectors.d1"),
+    (LossBudget, "losses", "losses"),
+    (TimingConfig, "timing", "timing"),
+    (SourceParams, "source", "source"),
+    (EITParams, "eit", "eit"),
+    (MemoryDecayParams, "decay", "decay"),
+    (MemoryNoiseParams, "mem_noise", "mem_noise"),
+    (AttenuatorSetting, "attenuator", "attenuator"),
+    (CorrelationConstants, "correlations", "correlations"),
+    (MeasurementPlan, "plan", "settings"),
+)
+_RANGED = [(attr, path, name, r) for cls, attr, path in _SECTIONS for name, r in cls.ranges]
+
+
+def test_every_section_is_listed():
+    assert {cls for cls, _, _ in _SECTIONS} == set(Section.__subclasses__())
+    assert len(_RANGED) == 38
+
+
+@pytest.mark.parametrize(
+    "attr, path, name, r", _RANGED, ids=[f"{path}.{name}" for _, path, name, _ in _RANGED]
+)
+def test_a_range_rejects_every_value_outside_it(baseline, tmp_path, capsys, attr, path, name, r):
+    section = baseline.resolved_attenuator() if attr == "attenuator" else getattr(baseline, attr)
+    integer = type(getattr(section, name)) is int
+
+    def rejected(value):
+        message = f"^{name} is .*, outside {re.escape(str(r))}$"
+        with pytest.raises(ValidationError, match=message) as info:
+            replace(section, **{name: value})
+        assert info.value.field == name
+
+    for end, bracket, away in ((r.lo, r.ends[0], -math.inf), (r.hi, r.ends[1], math.inf)):
+        if math.isinf(end):
+            assert bracket in "()"  # an infinite end is open, so that inf lies outside
+            continue
+        if bracket in "()":
+            rejected(end)
+        else:
+            assert getattr(replace(section, **{name: end}), name) == end
+        rejected(float(np.nextafter(end, away)))
+    for value in (math.nan, math.inf, -math.inf):
+        rejected(value)
+
+    # written into the scenario file, a value outside exits 2 at load, named by its path; with
+    # no finite end, the value outside is inf, which the file's codec rejects first
+    end, away = (r.lo, -1) if math.isfinite(r.lo) else (r.hi, 1)
+    outside = end + away if integer else float(np.nextafter(end, away * math.inf))
+    edit = ("attenuator",), {"t_h": outside}
+    if attr != "attenuator":
+        edit = (*path.split("."), name), outside
+    assert main(["--scenario", _edited(tmp_path, *edit), "--out", str(tmp_path), "eit"]) == 2
+    err = capsys.readouterr().err
+    assert f"scenario.{path}.{name} " in err
+    assert f"scenario.{path}.{name} is {outside!r}, outside {r}" in err or math.isinf(outside)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"visibility_thetas": (math.nan,) + MeasurementPlan().visibility_thetas[1:]},
+        {"visibility_thetas": MeasurementPlan().visibility_thetas[:-1] + (math.nan,)},
+        {"chsh_angles": (0.0, math.nan, np.pi / 4, 3 * np.pi / 8)},
+        {"chsh_angles": (0.0, np.pi / 8, np.pi / 4, math.inf)},
+        {"acquisition_s": {**MeasurementPlan().acquisition_s, "g2": math.nan}},
+        {"acquisition_s": {**MeasurementPlan().acquisition_s, "tomo_pre": math.inf}},
+    ],
+    ids=["theta0-nan", "theta15-nan", "chsh1-nan", "chsh3-inf", "g2-nan", "tomo_pre-inf"],
+)
+def test_plan_elements_reject_nan_and_inf(change):
+    with pytest.raises(ConfigurationError):
+        MeasurementPlan(**change)
 
 
 def test_non_json_scenario_file_exits_2(tmp_path):
