@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CalibrationError, ValidationError
+from .errors import CalibrationError
 from .estimators import chsh_S_analytic, visibility_analytic
 from .experiment import (
     after_storage,
@@ -40,9 +40,9 @@ from .experiment import (
     model_slot_g2,
     stage_state,
 )
-from .memory import efficiency, transparency_window_fwhm
+from .memory import MemoryDecayParams, efficiency, transparency_window_fwhm
 from .qstate import bell_psi_plus, fidelity
-from .scenario import Scenario
+from .scenario import Scenario, check_value
 
 DEFAULT_TARGETS = {
     "eit_window": 20.0,
@@ -174,6 +174,9 @@ def _root(model, target, bracket, xtol, name, parameter) -> float:
     return float(x)
 
 
+_TAU_MEM_RANGE = dict(MemoryDecayParams.ranges)["tau_mem"]
+
+
 def _tau_for_eta(s: Scenario, target: float, overlap: float) -> float:
     """Closed-form tau_mem putting the 100 ns storage efficiency on target."""
     if not 0.0 < target < 1.0:
@@ -185,7 +188,13 @@ def _tau_for_eta(s: Scenario, target: float, overlap: float) -> float:
             "no tau_mem reaches it"
         )
     ratio = math.log(ceiling / target)
-    return 100.0 / math.sqrt(ratio) if s.decay.model == "gaussian" else 100.0 / ratio
+    tau = 100.0 / math.sqrt(ratio) if s.decay.model == "gaussian" else 100.0 / ratio
+    if tau not in _TAU_MEM_RANGE:
+        raise CalibrationError(
+            f"eta_100ns target {target} needs decay.tau_mem = {tau:.6g} ns, "
+            f"outside {_TAU_MEM_RANGE}"
+        )
+    return tau
 
 
 def _record(report, name, target, achieved):
@@ -204,13 +213,8 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
     unknown = set(targets) - set(MODELS)
     if unknown:
         raise CalibrationError(f"unknown calibration targets {sorted(unknown)}")
-    bad = sorted(
-        name
-        for name, value in targets.items()
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value)
-    )
-    if bad:
-        raise ValidationError(f"calibration targets {bad} must be finite numbers")
+    for name, value in targets.items():
+        check_value(value, float, f"calibration target {name}")
     if targets.get("eit_window", 1.0) <= 0:
         # the model reads a window without a peak as 0 wide
         raise CalibrationError(f"eit_window target {targets['eit_window']} must be positive")

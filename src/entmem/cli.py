@@ -16,7 +16,7 @@ from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
 from .estimators import (
-    CHSH_LABELS,
+    chsh_counts,
     chsh_e_matrix,
     chsh_S,
     chsh_S_literal,
@@ -27,7 +27,7 @@ from .estimators import (
 from .memory import transparency_window_fwhm
 from .pipeline import STAGES, eit_spectrum_csv, report_emit, report_json, run_experiment
 from .qstate import bell_psi_plus, fidelity, matrix_json
-from .scenario import load_bundled_scenario, load_scenario, read_input, save_scenario
+from .scenario import check_value, load_bundled_scenario, load_scenario, read_input, save_scenario
 
 
 def _load(args) -> "Scenario":
@@ -38,10 +38,8 @@ def _load(args) -> "Scenario":
     if args.seed is not None:
         from dataclasses import replace
 
-        # the scenario schema's master_seed range: derivation masks a seed to 64 bits
-        if not -(2**63) <= args.seed < 2**63:
-            raise ValidationError(f"--seed must be a 64-bit integer, got {args.seed}")
-        scenario = replace(scenario, master_seed=args.seed)
+        seed = check_value(args.seed, int, "--seed")  # the master_seed rule of a scenario file
+        scenario = replace(scenario, master_seed=seed)
     return scenario
 
 
@@ -128,16 +126,7 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_chsh(args) -> int:
-    records = records_from_csv(read_input(args.counts))
-    by_label = {r.setting_label: r for r in records}
-    missing = [label for label in CHSH_LABELS if label not in by_label]
-    if missing:
-        raise ValidationError(f"missing CHSH records {missing}")
-    chsh = [by_label[label] for label in CHSH_LABELS]
-    times = sorted({r.acquisition_s for r in chsh})
-    if len(times) > 1:  # E is a ratio of raw counts: it compares rates at one time only
-        raise ValidationError(f"the 16 CHSH records must share one acquisition_s, got {times}")
-    e = chsh_e_matrix([r.coincidences for r in chsh])
+    e = chsh_e_matrix(chsh_counts(records_from_csv(read_input(args.counts))))
     s = chsh_S(e)
     print(f"E matrix: {e.tolist()}")
     print(f"S = {s:.6f} (literal formula: {chsh_S_literal(e):.6f})")
@@ -156,11 +145,6 @@ def _cmd_eit(args) -> int:
     return 0
 
 
-def _finite_number(x) -> bool:
-    """A JSON number a float holds: not a bool, NaN, an infinity or an int past the float range."""
-    return type(x) in (int, float) and abs(x) <= sys.float_info.max
-
-
 def _cmd_report(args) -> int:
     try:
         data = json.loads(read_input(args.report))
@@ -171,10 +155,9 @@ def _cmd_report(args) -> int:
     stage = data.get("stage", "?")
     entries = {key: data.get(key) for key in ("fidelity", "chsh", "visibility")}
     for key, entry in entries.items():
-        if not isinstance(entry, dict) or not all(
-            _finite_number(entry.get(k)) for k in ("value", "sigma")
-        ):
-            raise ValidationError(f"report has no finite numeric {key} value and sigma")
+        for name in ("value", "sigma"):
+            value = entry.get(name) if isinstance(entry, dict) else None
+            check_value(value, float, f"report {key}.{name}")
     round_trip = json.loads(json.dumps(data, sort_keys=True))
     if round_trip != data:
         raise ValidationError("report does not round-trip")

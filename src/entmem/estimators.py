@@ -99,6 +99,19 @@ def tomo_counts(records: list[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
     return counts, np.array([r.acquisition_s for r in ordered])
 
 
+def chsh_counts(records: list[CountRecord]) -> np.ndarray:
+    """Coincidences of the 16 CHSH records, in CHSH_LABELS order, acquired for one time."""
+    by_label = {r.setting_label: r for r in records}
+    missing = [label for label in CHSH_LABELS if label not in by_label]
+    if missing:
+        raise ValidationError(f"missing CHSH records {missing}")
+    ordered = [by_label[label] for label in CHSH_LABELS]
+    times = sorted({r.acquisition_s for r in ordered})
+    if len(times) > 1:  # E is a ratio of raw counts: it compares rates at one time only
+        raise ValidationError(f"the 16 CHSH records must share one acquisition_s, got {times}")
+    return np.array([float(r.coincidences) for r in ordered])
+
+
 def _tomo_data(counts, acquisition_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequencies, exposures and counts of 16 counts (or each (B, 16) row), TOMO_SETTINGS order.
 

@@ -35,6 +35,7 @@ from .estimators import (
     VisibilityResult,
     alpha_from_counts,
     cauchy_schwarz_R,
+    chsh_counts,
     chsh_e_matrix,
     chsh_S,
     chsh_S_literal,
@@ -120,7 +121,7 @@ def _simulate_records(
     itself.
     """
 
-    acq = stage.scenario.plan.acquisition_s[f"{kind}_{stage.suffix}"]
+    acq = getattr(stage.scenario.plan.acquisition_s, f"{kind}_{stage.suffix}")
     rates = model_rates(stage, settings)
     labels = settings[0]
     keys = [f"{stage.suffix}:{seed_prefix}{label}" for label in labels]
@@ -136,7 +137,7 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     """Heralded-autocorrelation counts: herald, two ports, triples."""
     scenario, sfx = stage.scenario, stage.suffix
     p1, p_port, p12, p123 = alpha_probs(stage)
-    acq = scenario.plan.acquisition_s[f"alpha_{sfx}"]
+    acq = getattr(scenario.plan.acquisition_s, f"alpha_{sfx}")
     n_slots = scenario.timing.pulse_rate * acq
     means = count_means((p1, p_port, p_port, p12, p12, p123), n_slots, acq, f"alpha:{sfx}")
     (counts,), seed = draw_counts([means], sampling, scenario.master_seed, [f"{sfx}:alpha"])
@@ -154,7 +155,7 @@ def simulate_g2(stage: Stage) -> G2Histogram:
     """Time-resolved cross-correlation for the stage."""
     scenario = stage.scenario
     s1, s2, s12 = slot_probs(stage)
-    slot, acq = scenario.timing.cycle_period_ns, scenario.plan.acquisition_s["g2"]
+    slot, acq = scenario.timing.cycle_period_ns, scenario.plan.acquisition_s.g2
     slots = scenario.timing.pulse_rate * acq  # a float: it may be past any int64
     pair_prob = max(s12 - s1 * s2, 0.0)
     # Checked before any draw; the accidentals of one slot bound those of every bin.
@@ -242,12 +243,12 @@ def run_experiment(
 
     # --- CHSH
     chsh_records = _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles))
-    chsh_counts = [r.coincidences for r in chsh_records]
+    coincidences = chsh_counts(chsh_records)
     result.records["chsh"] = chsh_records
-    result.chsh_E = chsh_e_matrix(chsh_counts)
+    result.chsh_E = chsh_e_matrix(coincidences)
     result.chsh_S_literal = chsh_S_literal(result.chsh_E)
     result.chsh_S = with_sigma(
-        chsh_S(result.chsh_E), lambda counts: chsh_S(chsh_e_matrix(counts)), chsh_counts
+        chsh_S(result.chsh_E), lambda counts: chsh_S(chsh_e_matrix(counts)), coincidences
     )
 
     # --- visibility (reported arm plus the H reference curve for plots)

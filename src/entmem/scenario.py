@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -52,6 +52,22 @@ class CorrelationConstants(Section):
 
 
 @dataclass(frozen=True)
+class AcquisitionTimes(Section):
+    """Acquisition time in seconds of each measurement before (_pre) and after (_post)
+    storage; one g2 histogram time serves both stages.  A file gives all nine or none."""
+
+    tomo_pre: Annotated[float, Range(0, math.inf, "()")] = 120.0
+    tomo_post: Annotated[float, Range(0, math.inf, "()")] = 1200.0
+    chsh_pre: Annotated[float, Range(0, math.inf, "()")] = 60.0
+    chsh_post: Annotated[float, Range(0, math.inf, "()")] = 600.0
+    vis_pre: Annotated[float, Range(0, math.inf, "()")] = 60.0
+    vis_post: Annotated[float, Range(0, math.inf, "()")] = 600.0
+    alpha_pre: Annotated[float, Range(0, math.inf, "()")] = 3600.0
+    alpha_post: Annotated[float, Range(0, math.inf, "()")] = 14400.0
+    g2: Annotated[float, Range(0, math.inf, "()")] = 600.0
+
+
+@dataclass(frozen=True)
 class MeasurementPlan(Section):
     """Which measurements run and for how long."""
 
@@ -63,19 +79,7 @@ class MeasurementPlan(Section):
     )
     visibility_thetas: tuple[float, ...] = tuple(np.linspace(0.0, np.pi / 2, 16))
     visibility_arm1: str = "A"
-    acquisition_s: dict[str, float] = field(
-        default_factory=lambda: {
-            "tomo_pre": 120.0,
-            "tomo_post": 1200.0,
-            "chsh_pre": 60.0,
-            "chsh_post": 600.0,
-            "vis_pre": 60.0,
-            "vis_post": 600.0,
-            "alpha_pre": 3600.0,
-            "alpha_post": 14400.0,
-            "g2": 600.0,
-        }
-    )
+    acquisition_s: AcquisitionTimes = AcquisitionTimes()
     n_resamples: Annotated[int, Range(100, _N_RESAMPLES_MAX)] = 200
     error_bars: bool = True
 
@@ -90,18 +94,6 @@ class MeasurementPlan(Section):
             raise ConfigurationError("visibility_thetas needs 8 or more angles in [-2 pi, 2 pi]")
         if self.visibility_arm1 not in KETS:
             raise ConfigurationError(f"unknown visibility arm-1 state {self.visibility_arm1!r}")
-        keys = {
-            "tomo_pre", "tomo_post", "chsh_pre", "chsh_post",
-            "vis_pre", "vis_post", "alpha_pre", "alpha_post", "g2",
-        }
-        missing, unknown = keys - set(self.acquisition_s), set(self.acquisition_s) - keys
-        if missing or unknown:
-            raise ConfigurationError(
-                f"acquisition_s: missing entries {sorted(missing)}, unknown {sorted(unknown)}"
-            )
-        for key, val in self.acquisition_s.items():
-            if not 0 < val < math.inf:
-                raise ConfigurationError(f"acquisition_s[{key!r}] must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -154,12 +146,13 @@ _REQUIRED = {
     SourceParams: ("p_white", "pair_prob"),
     MemoryDecayParams: ("tau_mem",),
     MemoryNoiseParams: ("p_depol", "background_flux"),
+    AcquisitionTimes: tuple(f.name for f in fields(AcquisitionTimes)),
 }
 
 # Resolved field annotations of the Scenario and of every section: the schema.
 _HINTS = {
     cls: get_type_hints(cls)
-    for cls in (Scenario, AttenuatorSetting, *get_type_hints(Scenario).values())
+    for cls in (Scenario, AttenuatorSetting, AcquisitionTimes, *get_type_hints(Scenario).values())
     if is_dataclass(cls)
 }
 
@@ -183,12 +176,13 @@ def _required(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _check(value, hint, where: str):
+def check_value(value, hint, where: str):
     """A JSON value checked against the field annotation `hint`.
 
     A float must be a finite number and not a bool (an int is converted);
-    an int, bool or str must have exactly that type; tuples and dicts are
-    checked element by element and dataclass sections key by key.
+    an int, bool or str must have exactly that type; tuples are checked
+    element by element and dataclass sections key by key.  The CLI and
+    calibrate check their own inputs with it too.
     """
     if is_dataclass(value):  # a section scenario_from_dict has already built
         return value
@@ -205,14 +199,8 @@ def _check(value, hint, where: str):
             args = args[:1] * len(value)
         if len(value) == len(args):
             return tuple(
-                _check(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args))
+                check_value(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args))
             )
-    if origin is dict and isinstance(value, dict):
-        key_hint, value_hint = args
-        return {
-            _check(k, key_hint, where): _check(v, value_hint, f"{where}.{k}")
-            for k, v in value.items()
-        }
     raise ConfigurationError(f"{where} must be {_KINDS.get(hint, hint)}, got {value!r}")
 
 
@@ -231,7 +219,7 @@ def _load(cls, data, where: str):
         no_default = f.default is MISSING and f.default_factory is MISSING
         if no_default or f.name in _REQUIRED.get(cls, ()):
             _required(data, f.name, where)
-    values = {key: _check(v, hints[key], f"{where}.{key}") for key, v in data.items()}
+    values = {key: check_value(v, hints[key], f"{where}.{key}") for key, v in data.items()}
     try:
         return cls(**values)
     except ValidationError as exc:  # the section's own check: name the field or the section
@@ -253,14 +241,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     if moved:
         raise ConfigurationError(f"unknown keys {sorted(moved)} in scenario")
     source = dict(_object(_required(top, "source", "scenario"), "scenario.source"))
-    anchors = _check(
+    anchors = check_value(
         _required(source, "tan2_eta_anchors", "scenario.source"),
         _HINTS[Scenario]["tan2_eta_anchors"],
         "scenario.source.tan2_eta_anchors",
     )
     del source["tan2_eta_anchors"]
     if source.get("eta_f", "auto") == "auto":
-        detuning = _check(
+        detuning = check_value(
             source.get("two_photon_detuning", SourceParams.two_photon_detuning),
             float,
             "scenario.source.two_photon_detuning",
@@ -291,8 +279,6 @@ def _dump(value):
         return {f.name: _dump(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
         return [_dump(v) for v in value]
-    if isinstance(value, dict):
-        return dict(value)
     return value
 
 

@@ -445,13 +445,16 @@ def test_calibrated_scenario_at_a_64_bit_seed_loads_back(tmp_path, seed):
         '{"V_pre": "x"}',
         '{"V_pre": NaN}',
         '{"V_pre": true}',
+        pytest.param('{"V_pre": %d}' % 10**400, id='{"V_pre": 10**400}'),
         '{"F_pre": null}',
         '{"bogus": null}',
     ],
 )
-def test_calibrate_rejects_bad_targets(tmp_path, targets):
+def test_calibrate_rejects_bad_targets(tmp_path, capsys, targets):
     rc = main(["--out", str(tmp_path), "calibrate", "--targets", targets])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert all(name in err for name in ("V_pre", "F_pre", "bogus") if name in targets)
 
 
 CSV_HEADER = "setting_label,singles_1,singles_2,coincidences,triples,acquisition_s,seed"
@@ -552,6 +555,7 @@ def test_quoted_crlf_counts_give_identical_tomo_report(tmp_path):
         ({"g2_pre": 0.5}, "pair_prob"),
         ({"eit_window": 1000}, "rabi_coupling"),
         ({"alpha_post": 5}, "background_flux"),
+        ({"eta_100ns": 5e-324}, "tau_mem"),
     ],
 )
 def test_unreachable_target_exits_3(tmp_path, capsys, targets, parameter):

@@ -191,7 +191,7 @@ class TestExpectedRates:
 def _simulated_record(r1, r2, r12, acquisition_s, seed):
     """The record pipeline._simulate_records builds when the model gives these rates."""
     rates = ExpectedRates(*(np.array([r]) for r in (r1, r2, r12, r12, 0.0)))
-    plan = SimpleNamespace(acquisition_s={"tomo_pre": acquisition_s})
+    plan = SimpleNamespace(acquisition_s=SimpleNamespace(tomo_pre=acquisition_s))
     stage = SimpleNamespace(scenario=SimpleNamespace(plan=plan, master_seed=seed), suffix="pre")
     with mock.patch.object(pipeline, "model_rates", lambda stage, settings: rates):
         design = _design([(KETS["H"], KETS["V"])])

@@ -25,6 +25,7 @@ from entmem.estimators import (
     TomographySettingSet,
     alpha_from_counts,
     cauchy_schwarz_R,
+    chsh_counts,
     chsh_E,
     chsh_e_matrix,
     chsh_S,
@@ -456,8 +457,8 @@ class TestNewtonSolver:
         result = pipeline.run_experiment(calibrated, "post_storage")
         rows, values = bootstraps[0]  # the fidelity bootstrap: 16 reference counts, then 16
         acq = calibrated.plan.acquisition_s
-        ref_failed = [(r[:16].tobytes(), acq["tomo_pre"]) in failed for r in rows]
-        stage_failed = [(r[16:].tobytes(), acq["tomo_post"]) in failed for r in rows]
+        ref_failed = [(r[:16].tobytes(), acq.tomo_pre) in failed for r in rows]
+        stage_failed = [(r[16:].tobytes(), acq.tomo_post) in failed for r in rows]
         assert any(ref_failed) and any(stage_failed)
         assert np.array_equal(np.isnan(values), np.logical_or(ref_failed, stage_failed))
         assert result.fidelity.sigma == np.std(values[~np.isnan(values)]) > 0
@@ -764,6 +765,33 @@ class TestChshE:
         pm = estimators.CHSH_LABELS.index("chsh:10:pm")
         assert np.array_equal(arm1[pm], ket_linear(t1p))
         assert np.array_equal(arm2[pm], ket_linear(t2 + np.pi / 2))
+
+    @staticmethod
+    def _chsh_records(acquisition_s=1.0):
+        """One record per CHSH label, in CHSH_LABELS order, with coincidences 10, 11, ..., 25."""
+        return [
+            CountRecord(label, 100, 100, 10 + k, 0, acquisition_s, 0)
+            for k, label in enumerate(estimators.CHSH_LABELS)
+        ]
+
+    def test_counts_are_in_label_order_whatever_the_record_order(self, rng):
+        records = self._chsh_records()
+        shuffled = [records[k] for k in rng.permutation(16)]
+        counts = chsh_counts(shuffled)
+        assert counts.dtype == float
+        assert np.array_equal(counts, np.arange(10.0, 26.0))
+
+    def test_a_missing_label_is_named(self):
+        records = self._chsh_records()
+        del records[5]
+        with pytest.raises(ValidationError, match=estimators.CHSH_LABELS[5]):
+            chsh_counts(records)
+
+    def test_unequal_acquisition_times_are_rejected(self):
+        records = self._chsh_records()
+        records[3] = replace(records[3], acquisition_s=100.0)
+        with pytest.raises(ValidationError, match=r"one acquisition_s, got \[1.0, 100.0\]"):
+            chsh_counts(records)
 
 
 class TestChshS:

@@ -259,7 +259,7 @@ class TestRunExperiment:
 
     def test_alpha_counts_are_the_draw_at_pre_alpha(self, fast):
         view = stage_state(fast, "pre_storage")
-        acq = fast.plan.acquisition_s["alpha_pre"]
+        acq = fast.plan.acquisition_s.alpha_pre
         p1, p_port, p12, p123 = alpha_probs(view)
         n_slots = fast.timing.pulse_rate * acq
         means = [p * n_slots for p in (p1, p_port, p_port, p12, p12, p123)]
@@ -273,7 +273,7 @@ class TestRunExperiment:
         view = stage_state(fast, "pre_storage")
         hh = tuple(a[:1] for a in TOMO_SETTINGS.settings)
         assert hh[0] == ("HH",)
-        acq = fast.plan.acquisition_s["tomo_pre"]
+        acq = fast.plan.acquisition_s.tomo_pre
         rates = model_rates(view, hh)
         means = [r[0] * acq for r in (rates.r1, rates.r2, rates.r12)]
         ((s1, s2, c),) = sample_counts([means], fast.master_seed, ["pre:tomo:HH"])
@@ -337,7 +337,8 @@ class TestClassicalGates:
         """
         classical = classicalize(fast)
         assert model_alpha(stage_state(classical, stage)) == pytest.approx(1.0, rel=1e-12)
-        acq = {k: 1000 * v if k.startswith("alpha") else v for k, v in fast.plan.acquisition_s.items()}
+        acq = fast.plan.acquisition_s
+        acq = replace(acq, alpha_pre=1000 * acq.alpha_pre, alpha_post=1000 * acq.alpha_post)
         classical = replace(classical, plan=replace(classical.plan, acquisition_s=acq))
         res = run_experiment(classical, stage)
         assert res.alpha_counts["n123"] > 50
@@ -531,13 +532,13 @@ class TestNoiselessScenario:
             plan=replace(
                 calibrated.plan,
                 error_bars=False,
-                acquisition_s={
-                    **calibrated.plan.acquisition_s,
+                acquisition_s=replace(
+                    calibrated.plan.acquisition_s,
                     # basis-group totals around 1e6 coincidences
-                    "tomo_pre": 60000.0,
-                    "chsh_pre": 20000.0,
-                    "vis_pre": 20000.0,
-                },
+                    tomo_pre=60000.0,
+                    chsh_pre=20000.0,
+                    vis_pre=20000.0,
+                ),
             ),
         )
         res = run_experiment(ideal, "pre_storage")
