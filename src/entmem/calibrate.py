@@ -30,7 +30,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, ValidationError
 from .estimators import chsh_S_analytic, visibility_analytic
 from .experiment import (
     after_storage,
@@ -40,7 +40,7 @@ from .experiment import (
     model_slot_g2,
     stage_state,
 )
-from .memory import MemoryDecayParams, efficiency, transparency_window_fwhm
+from .memory import MemoryDecayParams, efficiency, transparency_window_fwhm, window_acceptance
 from .qstate import bell_psi_plus, fidelity
 from .scenario import Scenario, check_value
 
@@ -240,6 +240,11 @@ def calibrate(scenario: Scenario, targets: dict | None = None) -> tuple[Scenario
                 bracket = (grid[int(np.argmax(values))], bracket[1])
             x = _root(lambda v: model(set_x(s, v), overlap), target, bracket, xtol, name, parameter)
         s = set_x(s, x)
+        if name == "eit_window":  # a window too narrow for the probe grid has no overlap
+            try:
+                window_acceptance(s.eit)
+            except ValidationError as exc:
+                raise CalibrationError(f"{name} target {target} fits {parameter} = {x:.6g}: {exc}")
         _record(report, name, target, model(s, overlap))
         report[name]["parameter"] = {parameter: x}
         for other in given[1:]:

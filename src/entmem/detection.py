@@ -46,6 +46,14 @@ class DetectorParams(Section):
 
 
 @dataclass(frozen=True)
+class Detectors:
+    """The herald's detector d1 (arm 1) and the arm-2 detector d2."""
+
+    d1: DetectorParams
+    d2: DetectorParams
+
+
+@dataclass(frozen=True)
 class LossBudget(Section):
     """Per-path transmissions, all in [0, 1]; detector efficiency excluded."""
 
@@ -70,7 +78,6 @@ class TimingConfig(Section):
     duty_window_ms: Annotated[float, Range(0, math.inf, "()")] = 1.3
     cycles_per_duty: Annotated[int, Range(1, math.inf, "[)")] = 2600
     cycle_period_ns: Annotated[float, Range(0, math.inf, "()")] = 500.0
-    pump1_fwhm_ns: Annotated[float, Range(0, math.inf, "()")] = 20.0
     fiber_delay_ns: Annotated[float, Range(0, FIBER_DELAY_MAX_NS, "(]")] = 1000.0
     storage_time_ns: Annotated[float, Range(0, math.inf, "[)")] = 100.0
 

@@ -112,6 +112,16 @@ def chsh_counts(records: list[CountRecord]) -> np.ndarray:
     return np.array([float(r.coincidences) for r in ordered])
 
 
+def alpha_counts(records: list[CountRecord]) -> dict[str, int]:
+    """n1, n12, n13 and n123 of the two heralded-alpha records, labelled ...:a and ...:b by port."""
+    by_port = {r.setting_label.rpartition(":")[2]: r for r in records}
+    if len(records) != 2 or set(by_port) != {"a", "b"}:
+        labels = [r.setting_label for r in records]
+        raise ValidationError(f"alpha needs one record per port, ...:a and ...:b, got {labels}")
+    a, b = by_port["a"], by_port["b"]
+    return {"n1": a.singles_1, "n12": a.coincidences, "n13": b.coincidences, "n123": a.triples}
+
+
 def _tomo_data(counts, acquisition_s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Frequencies, exposures and counts of 16 counts (or each (B, 16) row), TOMO_SETTINGS order.
 

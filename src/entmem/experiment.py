@@ -84,21 +84,21 @@ def stage_state(scenario: Scenario, stage: str) -> Stage:
 
     if stage not in STAGES:
         raise ValidationError(f"stage must be one of {STAGES}, got {stage!r}")
-    corr, timing = scenario.correlations, scenario.timing
+    corr, timing, det = scenario.correlations, scenario.timing, scenario.detectors
     slot = timing.cycle_period_ns
-    gate = min(scenario.detector1.gate_width, scenario.detector2.gate_width)
+    gate = min(det.d1.gate_width, det.d2.gate_width)
     pre = Stage(
         scenario=scenario,
         name="pre_storage",
         suffix="pre",
         eta=1.0,
         # total photon detection probabilities, memory excluded
-        e1=scenario.losses.arm1_transmission() * scenario.detector1.efficiency,
-        e2=scenario.losses.arm2_transmission() * scenario.detector2.efficiency,
-        dark1_slot=scenario.detector1.dark_rate * slot * 1e-9,
-        dark1_gate=scenario.detector1.dark_rate * gate * 1e-9,
-        noise2_slot=scenario.detector2.dark_rate * slot * 1e-9,
-        noise2_port=scenario.detector2.dark_rate * gate * 1e-9,
+        e1=scenario.losses.arm1_transmission() * det.d1.efficiency,
+        e2=scenario.losses.arm2_transmission() * det.d2.efficiency,
+        dark1_slot=det.d1.dark_rate * slot * 1e-9,
+        dark1_gate=det.d1.dark_rate * gate * 1e-9,
+        noise2_slot=det.d2.dark_rate * slot * 1e-9,
+        noise2_port=det.d2.dark_rate * gate * 1e-9,
         background_rate_2=0.0,
         noise_bunching=1.0,
         g22=corr.g2_autocorr_s2_pre,
@@ -203,7 +203,7 @@ def model_rates(stage: Stage, settings) -> ExpectedRates:
     """
 
     scenario = stage.scenario
-    d1, d2 = scenario.detector1, scenario.detector2
+    d1, d2 = scenario.detectors.d1, scenario.detectors.d2
     pairs = scenario.timing.pulse_rate * scenario.source.pair_prob
     gate_s = min(d1.gate_width, d2.gate_width) * 1e-9
     prob, m1, m2 = born_probabilities(stage.rho, settings)

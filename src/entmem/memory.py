@@ -151,7 +151,8 @@ def window_acceptance(eit: EITParams) -> tuple[np.ndarray, np.ndarray]:
 
     D is the normalized transparency excess over the coupling-off spectrum,
     clipped to [0, 1]; outside the absorption line both spectra transmit
-    and nothing is captured, so D -> 0 there.
+    and nothing is captured, so D -> 0 there.  A window that falls between
+    the grid points, weighed wrongly by the trapezoid rule, is rejected.
     """
 
     grid, t = eit_transmission(eit)
@@ -159,7 +160,15 @@ def window_acceptance(eit: EITParams) -> tuple[np.ndarray, np.ndarray]:
     depth = 1.0 - t_bg
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(depth > 1e-9, np.clip(t - t_bg, 0.0, None) / depth, 0.0)
-    return grid, np.clip(t * d, 0.0, 1.0)
+    w = np.clip(t * d, 0.0, 1.0)
+    peak = w.max()
+    resolved = np.count_nonzero(w > peak / 2)
+    if peak > 0 and resolved < WINDOW_POINTS_MIN:
+        raise ValidationError(
+            f"eit.probe_grid_mhz {eit.probe_grid_mhz} is too coarse for the memory's acceptance "
+            f"window: {resolved} grid point(s) above its half maximum, below {WINDOW_POINTS_MIN}"
+        )
+    return grid, w
 
 
 def spectral_overlap(fwhm: float, eit: EITParams) -> float:
@@ -180,7 +189,7 @@ def spectral_overlap(fwhm: float, eit: EITParams) -> float:
             f"a source.s2_spectral_fwhm {fwhm:g} MHz line falls between the nodes of the spectrum "
             f"grid that eit.probe_grid_mhz {eit.probe_grid_mhz} sets: its trapezoid mass is 0"
         )
-    grid, w = window_acceptance(eit)
+    grid = eit.probe_detuning_grid
     s = np.interp(grid, wide, density / norm, left=0.0, right=0.0)
     # Sampled too coarsely, the line holds more than all its light and the memory more than
     # it could capture.
@@ -190,14 +199,7 @@ def spectral_overlap(fwhm: float, eit: EITParams) -> float:
             f"eit.probe_grid_mhz {eit.probe_grid_mhz} is too coarse for a source.s2_spectral_fwhm "
             f"{fwhm:g} MHz line: the line's trapezoid mass on it is {mass:.4g}, above 1"
         )
-    # a window that falls between the grid points is weighed wrongly by the trapezoid rule
-    peak = w.max()
-    resolved = np.count_nonzero(w > peak / 2)
-    if peak > 0 and resolved < WINDOW_POINTS_MIN:
-        raise ValidationError(
-            f"eit.probe_grid_mhz {eit.probe_grid_mhz} is too coarse for the memory's acceptance "
-            f"window: {resolved} grid point(s) above its half maximum, below {WINDOW_POINTS_MIN}"
-        )
+    _, w = window_acceptance(eit)
     return float(np.trapezoid(s * w, grid))
 
 

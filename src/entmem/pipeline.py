@@ -33,6 +33,7 @@ from .estimators import (
     TOMO_SETTINGS,
     EstimateWithError,
     VisibilityResult,
+    alpha_counts,
     alpha_from_counts,
     cauchy_schwarz_R,
     chsh_counts,
@@ -78,22 +79,17 @@ class MleState:
 
 @dataclass
 class StageResult:
-    """Everything one stage produces: records, estimates, plot data."""
+    """Everything one stage produces: its records and the estimates made from them."""
 
     view: Stage
     records: dict = field(default_factory=dict)
     rho_linear: np.ndarray | None = None
     rho_mle: MleState | None = None
     fidelity: EstimateWithError | None = None
-    fidelity_reference: str = ""
     chsh_S: EstimateWithError | None = None
-    chsh_S_literal: float = 0.0
     chsh_E: np.ndarray | None = None
     visibility: VisibilityResult | None = None
-    visibility_sweeps: dict = field(default_factory=dict)
     alpha: EstimateWithError | None = None
-    alpha_counts: dict = field(default_factory=dict)
-    g2_peak: float = 0.0
     g2_hist: G2Histogram | None = None
     cauchy_schwarz: dict = field(default_factory=dict)
 
@@ -104,6 +100,10 @@ class StageResult:
     @property
     def eta(self) -> float:
         return self.view.eta
+
+    @property
+    def g2_peak(self) -> float:
+        return float(self.g2_hist.peak_g2)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,8 @@ def _simulate_records(
     ]
 
 
-def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict]:
-    """Heralded-autocorrelation counts: herald, two ports, triples."""
+def simulate_alpha(stage: Stage, sampling: str) -> list[CountRecord]:
+    """Heralded-autocorrelation records, one per port: herald, port, coincidences, triples."""
     scenario, sfx = stage.scenario, stage.suffix
     p1, p_port, p12, p123 = alpha_probs(stage)
     acq = getattr(scenario.plan.acquisition_s, f"alpha_{sfx}")
@@ -144,11 +144,10 @@ def simulate_alpha(stage: Stage, sampling: str) -> tuple[list[CountRecord], dict
     n1, n2a, n2b, n12, n13, n123 = counts
     n12, n13 = min(n12, n1, n2a), min(n13, n1, n2b)
     n123 = min(n123, n12, n13)
-    records = [
+    return [
         CountRecord(f"alpha:{sfx}:a", n1, n2a, n12, n123, acq, seed),
         CountRecord(f"alpha:{sfx}:b", n1, n2b, n13, n123, acq, seed),
     ]
-    return records, {"n1": n1, "n12": n12, "n13": n13, "n123": n123}
 
 
 def simulate_g2(stage: Stage) -> G2Histogram:
@@ -216,12 +215,10 @@ def run_experiment(
     result.rho_linear = tomo_linear(counts, acq)
     result.rho_mle = MleState(tomo_mle(counts, acq, fits))
     ref_counts = ref_acq = np.empty(0)
-    result.fidelity_reference = "ideal"
     if stage == "post_storage":
         pre = stage_state(scenario, "pre_storage")
         ref_records = _simulate_records(pre, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
         ref_counts, ref_acq = tomo_counts(ref_records)
-        result.fidelity_reference = "pre_storage_mle"
     n_ref = len(ref_counts)
     ideal = bell_psi_plus()
 
@@ -246,7 +243,6 @@ def run_experiment(
     coincidences = chsh_counts(chsh_records)
     result.records["chsh"] = chsh_records
     result.chsh_E = chsh_e_matrix(coincidences)
-    result.chsh_S_literal = chsh_S_literal(result.chsh_E)
     result.chsh_S = with_sigma(
         chsh_S(result.chsh_E), lambda counts: chsh_S(chsh_e_matrix(counts)), coincidences
     )
@@ -257,7 +253,6 @@ def run_experiment(
         vis_records = _simulate_records(view, sampling, "vis", fringe_settings(arm1_label, thetas))
         points = [(float(t), float(r.coincidences)) for t, r in zip(thetas, vis_records)]
         result.records[f"visibility_{arm1_label}"] = vis_records
-        result.visibility_sweeps[arm1_label] = points
         if arm1_label == plan.visibility_arm1:
             vis = visibility_fit(points, n_resamples=n_res, seed=seed)
             if not error_bars:
@@ -265,15 +260,13 @@ def run_experiment(
             result.visibility = vis
 
     # --- heralded autocorrelation
-    result.records["alpha"], result.alpha_counts = simulate_alpha(view, sampling)
-
-    a_counts = [result.alpha_counts[k] for k in ("n1", "n12", "n13", "n123")]
+    result.records["alpha"] = simulate_alpha(view, sampling)
+    a_counts = list(alpha_counts(result.records["alpha"]).values())
     result.alpha = with_sigma(alpha_from_counts(a_counts), alpha_from_counts, a_counts)
 
     # --- cross-correlation histogram and Cauchy-Schwarz
     hist = simulate_g2(view)
     result.g2_hist = hist
-    result.g2_peak = float(hist.peak_g2)
     g22 = view.g22
     g11 = scenario.correlations.g2_autocorr_s1
     r_value = cauchy_schwarz_R(hist.peak_g2, g11, g22)
@@ -334,6 +327,7 @@ def stage_report(
     scenario: Scenario, result: StageResult, calibration_report: dict | None = None
 ) -> dict:
     window = transparency_window_fwhm(scenario.eit)
+    counts = alpha_counts(result.records["alpha"])
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "stage": result.stage,
@@ -348,13 +342,13 @@ def stage_report(
             "rho_mle": matrix_json(result.rho_mle.rho),
         },
         "fidelity": {
-            "reference": result.fidelity_reference,
+            "reference": "pre_storage_mle" if result.stage == "post_storage" else "ideal",
             **_estimate_json(result.fidelity),
         },
         "chsh": {
             "angles": list(scenario.plan.chsh_angles),
             "E": [[float(x) for x in row] for row in result.chsh_E],
-            "S_literal": result.chsh_S_literal,
+            "S_literal": chsh_S_literal(result.chsh_E),
             **_estimate_json(result.chsh_S),
         },
         "visibility": {
@@ -365,8 +359,8 @@ def stage_report(
             **_estimate_json(result.visibility.estimate),
         },
         "alpha": {
-            "counts": result.alpha_counts,
-            "single_photon_like": single_photon_like(result.alpha.value, result.alpha_counts),
+            "counts": counts,
+            "single_photon_like": single_photon_like(result.alpha.value, counts),
             **_estimate_json(result.alpha),
         },
         "g2": {
@@ -434,6 +428,7 @@ def report_emit(
         post = after_storage(stage_state(scenario, "pre_storage"), etas, times)
         g2s = [f"{g:.10g}" for g in model_slot_g2(post)]
     curve_rows = [f"{t:.6g},{eta:.10g},{g2}" for t, eta, g2 in zip(times, etas, g2s)]
+    thetas = scenario.plan.visibility_thetas
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plots = out / "plots"
@@ -452,6 +447,10 @@ def report_emit(
         _write(out / f"report_{sfx}.json", reports[stage])
         for group, records in result.records.items():
             _write(out / f"counts_{sfx}_{group}.csv", records_to_csv(records))
+            if group.startswith("visibility_"):  # a fringe: its records at the plan's angles
+                rows = (f"{t:.10g},{r.coincidences}" for t, r in zip(thetas, records))
+                name = f"fringe_{sfx}_{group.removeprefix('visibility_')}.csv"
+                _write(plots / name, _csv("theta_rad,coincidences", rows))
         for name, matrix in (
             ("mle", result.rho_mle.rho),
             ("linear", result.rho_linear),
@@ -462,7 +461,4 @@ def report_emit(
         bins = zip(hist.tau_ns, hist.counts, hist.g2, hist.zero_floor)
         rows = (f"{t:.6g},{int(c)},{g:.10g},{int(z)}" for t, c, g, z in bins)
         _write(plots / f"g2_histogram_{sfx}.csv", _csv("tau_ns,counts,g2,zero_floor", rows))
-        for arm1_label, points in result.visibility_sweeps.items():
-            rows = (f"{t:.10g},{int(c)}" for t, c in points)
-            _write(plots / f"fringe_{sfx}_{arm1_label}.csv", _csv("theta_rad,coincidences", rows))
     return written

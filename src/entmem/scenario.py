@@ -19,7 +19,7 @@ from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .detection import G2_BIN_NS, G2_BINS_MAX, DetectorParams, LossBudget, TimingConfig
+from .detection import G2_BIN_NS, G2_BINS_MAX, DetectorParams, Detectors, LossBudget, TimingConfig
 from .errors import ConfigurationError, Range, Section, ValidationError
 from .interferometer import AttenuatorSetting, balance_attenuation
 from .memory import EITParams, MemoryDecayParams, MemoryNoiseParams
@@ -104,14 +104,12 @@ class Scenario:
     eit: EITParams
     decay: MemoryDecayParams
     mem_noise: MemoryNoiseParams
-    detector1: DetectorParams
-    detector2: DetectorParams
+    detectors: Detectors
     losses: LossBudget = LossBudget()
     timing: TimingConfig = TimingConfig()
     correlations: CorrelationConstants = CorrelationConstants()
     plan: MeasurementPlan = MeasurementPlan()
     attenuator: AttenuatorSetting | None = None  # None -> "auto"
-    tan2_eta_anchors: tuple[tuple[float, float], ...] = ()
     master_seed: int = 0
     notes: tuple[str, ...] = ()
 
@@ -136,23 +134,25 @@ class Scenario:
 # ---------------------------------------------------------------------------
 # Strict JSON (de)serialization, derived from the dataclass fields.
 #
-# The section dataclasses hold the only copy of every key, type and default.
-# The file differs from them only in its layout (see scenario_from_dict) and
-# in the keys below, which it must give although the dataclass has a default.
+# The section dataclasses hold the only copy of every key, type and default,
+# and the file's layout is the Scenario tree but for three places (see
+# scenario_from_dict).  The file must give the keys below although the
+# dataclass has a default.
 # ---------------------------------------------------------------------------
 
 _REQUIRED = {
     Scenario: ("master_seed",),
-    SourceParams: ("p_white", "pair_prob"),
+    SourceParams: ("p_white", "pair_prob", "tan2_eta_anchors"),
     MemoryDecayParams: ("tau_mem",),
     MemoryNoiseParams: ("p_depol", "background_flux"),
     AcquisitionTimes: tuple(f.name for f in fields(AcquisitionTimes)),
 }
 
-# Resolved field annotations of the Scenario and of every section: the schema.
+# Resolved field annotations of the Scenario and of every section in its tree: the schema.
+_NESTED = (AttenuatorSetting, AcquisitionTimes, DetectorParams)  # in an Optional or a section
 _HINTS = {
     cls: get_type_hints(cls)
-    for cls in (Scenario, AttenuatorSetting, AcquisitionTimes, *get_type_hints(Scenario).values())
+    for cls in (Scenario, *_NESTED, *get_type_hints(Scenario).values())
     if is_dataclass(cls)
 }
 
@@ -168,12 +168,6 @@ def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigurationError(f"{where} must be a JSON object, got {value!r}")
     return value
-
-
-def _required(obj: dict, key: str, where: str):
-    if key not in obj:
-        raise ConfigurationError(f"missing required key {key!r} in {where}")
-    return obj[key]
 
 
 def check_value(value, hint, where: str):
@@ -217,8 +211,8 @@ def _load(cls, data, where: str):
         raise ConfigurationError(f"unknown keys {sorted(unknown)} in {where}")
     for f in fields(cls):
         no_default = f.default is MISSING and f.default_factory is MISSING
-        if no_default or f.name in _REQUIRED.get(cls, ()):
-            _required(data, f.name, where)
+        if (no_default or f.name in _REQUIRED.get(cls, ())) and f.name not in data:
+            raise ConfigurationError(f"missing required key {f.name!r} in {where}")
     values = {key: check_value(v, hints[key], f"{where}.{key}") for key, v in data.items()}
     try:
         return cls(**values)
@@ -233,38 +227,20 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ConfigurationError(
             f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
         )
-    # The file's layout differs from the Scenario fields in four places: the
-    # anchors sit under "source" (and give eta_f when it is "auto"), the
-    # detectors are grouped, the plan is called "settings" and the default
-    # attenuator is written "auto".  Every other key names a field.
-    moved = set(top) & {"tan2_eta_anchors", "detector1", "detector2", "plan"}
-    if moved:
-        raise ConfigurationError(f"unknown keys {sorted(moved)} in scenario")
-    source = dict(_object(_required(top, "source", "scenario"), "scenario.source"))
-    anchors = check_value(
-        _required(source, "tan2_eta_anchors", "scenario.source"),
-        _HINTS[Scenario]["tan2_eta_anchors"],
-        "scenario.source.tan2_eta_anchors",
-    )
-    del source["tan2_eta_anchors"]
-    if source.get("eta_f", "auto") == "auto":
-        detuning = check_value(
-            source.get("two_photon_detuning", SourceParams.two_photon_detuning),
-            float,
-            "scenario.source.two_photon_detuning",
-        )
-        source["eta_f"] = eta_from_tan2(tan2_eta_from_detuning(detuning, anchors))
-    top.update(source=_load(SourceParams, source, "scenario.source"), tan2_eta_anchors=anchors)
-
-    detectors = dict(_object(_required(top, "detectors", "scenario"), "scenario.detectors"))
-    for key, name in (("d1", "detector1"), ("d2", "detector2")):
-        where = f"scenario.detectors.{key}"
-        top[name] = _load(DetectorParams, _required(detectors, key, "scenario.detectors"), where)
-        del detectors[key]
-    if detectors:
-        raise ConfigurationError(f"unknown keys {sorted(detectors)} in scenario.detectors")
-    del top["detectors"]
-
+    # Every key names a Scenario field but in three places: the plan is
+    # called "settings", the default attenuator is written "auto", and
+    # source.eta_f "auto" is read off the source's tan2_eta_anchors.
+    if "plan" in top:
+        raise ConfigurationError("unknown keys ['plan'] in scenario")
+    source = top.get("source")
+    if isinstance(source, dict) and source.get("eta_f", "auto") == "auto":
+        # read off the anchors at the detuning, once the rest of the source has loaded
+        loaded = _load(SourceParams, {**source, "eta_f": np.pi / 4}, "scenario.source")
+        try:
+            tan2 = tan2_eta_from_detuning(loaded.two_photon_detuning, loaded.tan2_eta_anchors)
+        except ValidationError as exc:  # an anchor rule: name the section, as _load does
+            raise ValidationError(f"scenario.source: {exc}") from exc
+        top["source"] = {**source, "eta_f": eta_from_tan2(tan2)}
     if "settings" in top:
         top["plan"] = _load(MeasurementPlan, top.pop("settings"), "scenario.settings")
     attenuator = top.pop("attenuator", "auto")
@@ -284,8 +260,6 @@ def _dump(value):
 
 def scenario_to_dict(s: Scenario) -> dict:
     top = _dump(s)
-    top["source"]["tan2_eta_anchors"] = top.pop("tan2_eta_anchors")
-    top["detectors"] = {"d1": top.pop("detector1"), "d2": top.pop("detector2")}
     top["settings"] = top.pop("plan")
     if s.attenuator is None:
         top["attenuator"] = "auto"

@@ -32,7 +32,9 @@ class SourceParams(Section):
     """Pair-source configuration.
 
     Angles in radians, frequencies in MHz, times in ns.  pair_prob is the
-    pair-generation probability per pump pulse.
+    pair-generation probability per pump pulse.  tan2_eta_anchors is the
+    measured (detuning_mhz, tan2_eta) table that a scenario file's eta_f
+    "auto" interpolates at two_photon_detuning.
     """
 
     eta_f: Annotated[float, Range(0, np.pi / 2, "()")]
@@ -42,7 +44,7 @@ class SourceParams(Section):
     pair_prob: Annotated[float, Range(0, 0.5, "()")] = 0.01
     s2_spectral_fwhm: Annotated[float, Range(SPECTRAL_FWHM_MIN_MHZ, SPECTRAL_FWHM_MAX_MHZ)] = 150.0
     s2_temporal_fwhm: Annotated[float, Range(0, math.inf, "()")] = 7.0
-    s1_temporal_fwhm: Annotated[float, Range(0, math.inf, "()")] = 50.0
+    tan2_eta_anchors: tuple[tuple[float, float], ...] = ()
 
 
 def tan2_eta_from_detuning(detuning: float, calib: list[tuple[float, float]]) -> float:

@@ -556,6 +556,10 @@ def test_quoted_crlf_counts_give_identical_tomo_report(tmp_path):
         ({"eit_window": 1000}, "rabi_coupling"),
         ({"alpha_post": 5}, "background_flux"),
         ({"eta_100ns": 5e-324}, "tau_mem"),
+        # a window narrower than the probe grid resolves, with or without the memory's targets
+        ({"eit_window": 0.25}, "eit_window target 0.25 fits rabi_coupling = 3.41899: "),
+        ({"eit_window": 0.25, **dict.fromkeys(["eta_100ns", "V_post", "alpha_post", "g2_post"])},
+         "eit.probe_grid_mhz"),
     ],
 )
 def test_unreachable_target_exits_3(tmp_path, capsys, targets, parameter):
@@ -563,6 +567,18 @@ def test_unreachable_target_exits_3(tmp_path, capsys, targets, parameter):
     assert rc == 3
     err = capsys.readouterr().err
     assert parameter in err and "Traceback" not in err
+
+
+def test_unresolved_window_in_the_scenario_exits_2(tmp_path, capsys):
+    # the coupling an eit_window target of 0.25 fits, which calibrate cannot reach (exit 3):
+    # in a scenario file it is bad input
+    d = scenario_to_dict(load_bundled_scenario())
+    d["eit"]["rabi_coupling"] = 3.41899
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(d))
+    argv = ["--scenario", str(path), "--out", str(tmp_path), "simulate", "--skip-calibration"]
+    assert main(argv) == 2
+    assert "eit.probe_grid_mhz (-60.0, 60.0, 2401) is too coarse" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from entmem.detection import (
     CSV_HEADER,
     CountRecord,
     DetectorParams,
+    Detectors,
     ExpectedRates,
     LossBudget,
     TimingConfig,
@@ -39,6 +40,7 @@ from entmem.scenario import MeasurementPlan, load_bundled_scenario
 
 IDEAL_LOSSES = LossBudget(1.0, 1.0, 1.0, 1.0, 1.0)
 IDEAL_DET = DetectorParams(efficiency=1.0, dark_rate=0.0, dead_time=0.0, gate_width=8.0)
+IDEAL_DETECTORS = Detectors(IDEAL_DET, IDEAL_DET)
 TIMING = TimingConfig()
 
 
@@ -139,7 +141,7 @@ class TestBornProbabilities:
 
 
 def _lossless(scenario):
-    return replace(scenario, losses=IDEAL_LOSSES, detector1=IDEAL_DET, detector2=IDEAL_DET)
+    return replace(scenario, losses=IDEAL_LOSSES, detectors=IDEAL_DETECTORS)
 
 
 class TestExpectedRates:
@@ -161,7 +163,7 @@ class TestExpectedRates:
         losses = LossBudget()
         d1 = DetectorParams(efficiency=0.10, gate_width=8.0)
         d2 = DetectorParams(efficiency=0.50, gate_width=8.0)
-        lossy = replace(base, losses=losses, detector1=d1, detector2=d2)
+        lossy = replace(base, losses=losses, detectors=Detectors(d1, d2))
         stage = stage_state(lossy, "post_storage")
         assert 0.0 < stage.eta < 1.0
         settings = _design([(KETS["H"], KETS["V"])])
@@ -173,9 +175,7 @@ class TestExpectedRates:
         assert full.r12_true[0] / lossless.r12_true[0] == pytest.approx(expected_factor, rel=1e-12)
 
     def test_background_raises_singles_and_accidentals(self):
-        scenario = replace(
-            load_bundled_scenario(), losses=LossBudget(), detector1=IDEAL_DET, detector2=IDEAL_DET
-        )
+        scenario = replace(load_bundled_scenario(), losses=LossBudget(), detectors=IDEAL_DETECTORS)
 
         def rates(background_rate_2):
             flux = background_rate_2 / scenario.timing.pulse_rate

@@ -23,6 +23,7 @@ from entmem.errors import ConfigurationError, EstimationError, ValidationError
 from entmem.estimators import (
     EstimateWithError,
     TomographySettingSet,
+    alpha_counts,
     alpha_from_counts,
     cauchy_schwarz_R,
     chsh_counts,
@@ -792,6 +793,22 @@ class TestChshE:
         records[3] = replace(records[3], acquisition_s=100.0)
         with pytest.raises(ValidationError, match=r"one acquisition_s, got \[1.0, 100.0\]"):
             chsh_counts(records)
+
+
+class TestAlphaCounts:
+    RECORDS = [
+        CountRecord("alpha:post:b", 900, 300, 30, 2, 10.0, 7),
+        CountRecord("alpha:post:a", 900, 310, 40, 2, 10.0, 7),
+    ]
+
+    def test_each_count_is_read_from_its_port_in_any_order(self):
+        want = {"n1": 900, "n12": 40, "n13": 30, "n123": 2}
+        assert alpha_counts(self.RECORDS) == alpha_counts(self.RECORDS[::-1]) == want
+
+    @pytest.mark.parametrize("records", [RECORDS[:1], RECORDS * 2, [RECORDS[0]] * 2])
+    def test_anything_but_one_record_per_port_is_rejected(self, records):
+        with pytest.raises(ValidationError, match="one record per port"):
+            alpha_counts(records)
 
 
 class TestChshS:

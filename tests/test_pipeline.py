@@ -9,11 +9,12 @@ import entmem.estimators as estimators
 import entmem.pipeline as pipeline
 from conftest import classicalize, float_bits
 from entmem.calibrate import DEFAULT_TARGETS, calibrate
-from entmem.detection import CountRecord, records_from_csv, sample_counts
+from entmem.detection import CountRecord, Detectors, records_from_csv, sample_counts
 from entmem.errors import CalibrationError, EstimationError, ValidationError
 from entmem.estimators import (
     TOMO_SETTINGS,
     EstimateWithError,
+    alpha_counts,
     chsh_S_analytic,
     visibility_analytic,
 )
@@ -217,7 +218,7 @@ class TestRunExperiment:
     def test_post_storage_estimates_in_paper_bands(self, fast):
         res = run_experiment(fast, "post_storage")
         assert 0.80 <= res.fidelity.value <= 0.976
-        assert res.fidelity_reference == "pre_storage_mle"
+        assert stage_report(fast, res)["fidelity"]["reference"] == "pre_storage_mle"
         assert 9.8 <= res.g2_peak <= 18.2
         assert res.eta == pytest.approx(0.06, abs=1e-3)
 
@@ -265,8 +266,9 @@ class TestRunExperiment:
         means = [p * n_slots for p in (p1, p_port, p_port, p12, p12, p123)]
         ((n1, n2a, n2b, n12, n13, n123),) = sample_counts([means], fast.master_seed, ["pre:alpha"])
         n12, n13 = min(n12, n1, n2a), min(n13, n1, n2b)
-        records, counts = pipeline.simulate_alpha(view, "poisson")
-        assert counts == {"n1": n1, "n12": n12, "n13": n13, "n123": min(n123, n12, n13)}
+        records = pipeline.simulate_alpha(view, "poisson")
+        n123 = min(n123, n12, n13)
+        assert alpha_counts(records) == {"n1": n1, "n12": n12, "n13": n13, "n123": n123}
         assert (records[1].singles_2, records[1].seed) == (n2b, fast.master_seed)
 
     def test_tomography_record_is_the_draw_at_pre_tomo_label(self, fast):
@@ -341,7 +343,7 @@ class TestClassicalGates:
         acq = replace(acq, alpha_pre=1000 * acq.alpha_pre, alpha_post=1000 * acq.alpha_post)
         classical = replace(classical, plan=replace(classical.plan, acquisition_s=acq))
         res = run_experiment(classical, stage)
-        assert res.alpha_counts["n123"] > 50
+        assert alpha_counts(res.records["alpha"])["n123"] > 50
         assert res.alpha.value == pytest.approx(1.0, abs=0.3)
         assert not stage_report(classical, res)["alpha"]["single_photon_like"]
 
@@ -354,7 +356,7 @@ class TestClassicalGates:
         """
         classical = classicalize(fast)
         res = run_experiment(classical, stage)
-        counts = res.alpha_counts
+        counts = alpha_counts(res.records["alpha"])
         assert 0.5 * counts["n12"] * counts["n13"] / counts["n1"] < 3
         assert res.alpha.value < 0.5
         assert not stage_report(classical, res)["alpha"]["single_photon_like"]
@@ -387,7 +389,11 @@ class TestReports:
                     check(stage_report(scenario, result, calibration))
 
     def test_fringe_plot_counts_are_written_exactly(self, fast, tmp_path):
-        res = replace(run_experiment(fast, "pre_storage"), visibility_sweeps={"A": [(0.5, 1234567.0)]})
+        # one fringe record of 1234567 coincidences at the plan's first angle, 0.5
+        thetas = (0.5, *fast.plan.visibility_thetas[1:], 2.0)
+        fast = replace(fast, plan=replace(fast.plan, visibility_thetas=thetas))
+        res = run_experiment(fast, "pre_storage")
+        res.records["visibility_A"] = [CountRecord("vis:A:0", *[1234567] * 3, 0, 60.0, 0)]
         report_emit(fast, {"pre_storage": res}, tmp_path)
         text = (tmp_path / "plots" / "fringe_pre_A.csv").read_text()
         assert text == "theta_rad,coincidences\n0.5,1234567\n"
@@ -527,8 +533,10 @@ class TestNoiselessScenario:
             calibrated,
             source=replace(calibrated.source, p_white=0.0, eta_f=np.pi / 4),
             mem_noise=replace(calibrated.mem_noise, p_depol=0.0, background_flux=0.0),
-            detector1=replace(calibrated.detector1, dark_rate=0.0),
-            detector2=replace(calibrated.detector2, dark_rate=0.0),
+            detectors=Detectors(
+                replace(calibrated.detectors.d1, dark_rate=0.0),
+                replace(calibrated.detectors.d2, dark_rate=0.0),
+            ),
             plan=replace(
                 calibrated.plan,
                 error_bars=False,

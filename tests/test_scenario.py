@@ -3,7 +3,7 @@ import json
 import math
 import re
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from operator import attrgetter
 from pathlib import Path
 
@@ -70,15 +70,42 @@ def test_save_then_load_is_identity(baseline, tmp_path, change):
 
 def test_section_keys_come_from_dataclass_fields(baseline):
     # scenario.py never names this field: load, default and dump all come
-    # from TimingConfig alone, as they would for a newly added field.
-    assert "pump1_fwhm_ns" not in Path(entmem.scenario.__file__).read_text()
+    # from LossBudget alone, as they would for a newly added field.
+    assert "s1_filters" not in Path(entmem.scenario.__file__).read_text()
     d = scenario_to_dict(baseline)
-    d["timing"]["pump1_fwhm_ns"] = 25.0
+    d["losses"]["s1_filters"] = 0.5
     s = scenario_from_dict(d)
-    assert s.timing.pump1_fwhm_ns == 25.0
-    assert scenario_to_dict(s)["timing"]["pump1_fwhm_ns"] == 25.0
-    del d["timing"]["pump1_fwhm_ns"]
-    assert scenario_from_dict(d).timing.pump1_fwhm_ns == TimingConfig.pump1_fwhm_ns
+    assert s.losses.s1_filters == 0.5
+    assert scenario_to_dict(s)["losses"]["s1_filters"] == 0.5
+    del d["losses"]["s1_filters"]
+    assert scenario_from_dict(d).losses.s1_filters == LossBudget.s1_filters
+
+
+def _field_paths(node, prefix=()):
+    for f in fields(node):
+        yield prefix + (f.name,)
+        if is_dataclass(getattr(node, f.name)):
+            yield from _field_paths(getattr(node, f.name), prefix + (f.name,))
+
+
+def test_file_layout_is_the_scenario_tree(baseline):
+    # every key path of the bundled file is a field path of its Scenario, holding the field's
+    # value, and the other way round; but for the schema version, the file differs in three
+    # places only: "settings" is the plan, and the attenuator and source.eta_f are "auto"
+    auto = {("attenuator",), ("source", "eta_f")}
+    paths = {}
+    for path in _key_paths(BUNDLED):
+        node = BUNDLED
+        for key in path:
+            node = node[key]
+        paths[tuple("plan" if key == "settings" else key for key in path)] = node
+    assert paths.pop(("schema_version",)) == 1
+    assert set(paths) == set(_field_paths(baseline))
+    for path, value in paths.items():
+        if path in auto:
+            assert value == "auto"
+        elif not isinstance(value, dict):
+            assert entmem.scenario._dump(attrgetter(".".join(path))(baseline)) == value, path
 
 
 def test_int_literal_in_float_field_loads_as_float(baseline):
@@ -244,9 +271,36 @@ def test_rejected_section_value_names_its_section(tmp_path, capsys, path, value,
     assert capsys.readouterr().err == f"error: scenario.{'.'.join(path)} {message}\n"
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("source", "two_photon_detuning"), -50.0, "detuning -50.0 MHz outside anchor range"),
+        (("source", "tan2_eta_anchors"), [[-10.0, 0.75], [-30.0, 2.25]], "must be strictly incr"),
+        (("source", "tan2_eta_anchors"), [], "tan2-eta anchor table is empty"),
+        (("source", "tan2_eta_anchors"), [[-30.0, 2.25], [-10.0, 0.0]], "must be positive"),
+    ],
+    ids=["outside", "decreasing", "empty", "non-positive"],
+)
+def test_rejected_anchor_table_names_the_source(tmp_path, capsys, path, value, message):
+    assert main(["--scenario", _edited(tmp_path, path, value), "--out", str(tmp_path), "eit"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.source: ") and message in err
+
+
+# Fields that no model read, removed from the schema: a file holding one is rejected.
+@pytest.mark.parametrize(
+    "section, key", [("timing", "pump1_fwhm_ns"), ("source", "s1_temporal_fwhm")]
+)
+def test_removed_field_exits_2_as_an_unknown_key(tmp_path, capsys, section, key):
+    bad = _edited(tmp_path, (section, key), 20.0)
+    assert main(["--scenario", bad, "--out", str(tmp_path), "eit"]) == 2
+    assert capsys.readouterr().err == f"error: unknown keys [{key!r}] in scenario.{section}\n"
+
+
 # Every Section, the Scenario field holding it and its path in the scenario file.
 _SECTIONS = (
-    (DetectorParams, "detector1", "detectors.d1"),
+    (DetectorParams, "detectors.d1", "detectors.d1"),
+    (DetectorParams, "detectors.d2", "detectors.d2"),
     (LossBudget, "losses", "losses"),
     (TimingConfig, "timing", "timing"),
     (SourceParams, "source", "source"),
@@ -263,7 +317,7 @@ _RANGED = [(attr, path, name, r) for cls, attr, path in _SECTIONS for name, r in
 
 def test_every_section_is_listed():
     assert {cls for cls, _, _ in _SECTIONS} == set(Section.__subclasses__())
-    assert len(_RANGED) == 47
+    assert len(_RANGED) == 49
 
 
 @pytest.mark.parametrize(
