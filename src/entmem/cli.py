@@ -15,18 +15,10 @@ from pathlib import Path
 from .calibrate import DEFAULT_TARGETS, calibrate
 from .detection import records_from_csv
 from .errors import EntmemError, ValidationError
-from .estimators import (
-    chsh_counts,
-    chsh_e_matrix,
-    chsh_S,
-    chsh_S_literal,
-    tomo_counts,
-    tomo_linear,
-    tomo_mle,
-)
+from .estimators import chsh_counts, chsh_e_matrix, chsh_S, chsh_S_literal, tomo_estimate
 from .memory import transparency_window_fwhm
 from .pipeline import STAGES, eit_spectrum_csv, report_emit, report_json, run_experiment
-from .qstate import bell_psi_plus, fidelity, matrix_json
+from .qstate import matrix_json
 from .scenario import check_value, load_bundled_scenario, load_scenario, read_input, save_scenario
 
 
@@ -109,10 +101,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_tomo(args) -> int:
     out_dir = _out_dir(args)
-    counts, acq = tomo_counts(records_from_csv(read_input(args.counts)))
-    rho_lin = tomo_linear(counts, acq)
-    rho_hat = tomo_mle(counts, acq)
-    f = fidelity(rho_hat, bell_psi_plus())
+    rho_lin, rho_hat, f = tomo_estimate(records_from_csv(read_input(args.counts)))
     out = {
         "rho_linear": matrix_json(rho_lin),
         "rho_mle": matrix_json(rho_hat),

@@ -31,7 +31,7 @@ from numpy.linalg import _umath_linalg
 
 from .detection import CountRecord, born_probabilities, heralded_alpha, joint_kets
 from .errors import ConfigurationError, EstimationError, ValidationError, nan_or_raise
-from .qstate import KETS, ket_linear, physical
+from .qstate import KETS, bell_psi_plus, fidelity, ket_linear, physical
 from .rng import poisson_rows
 
 TOMO_BASIS_LETTERS = ("H", "V", "D", "R")
@@ -362,6 +362,15 @@ def tomo_mle(counts, acquisition_s, fits: dict | None = None) -> np.ndarray:
     if isinstance(fit, EstimationError):
         raise fit.with_traceback(None)
     return fit
+
+
+def tomo_estimate(records, reference=None, fits: dict | None = None):
+    """The linear and MLE states of tomography records, and the MLE's fidelity to the MLE of
+    the reference records, or to the ideal Bell state when reference is None."""
+    counts, acq = tomo_counts(records)
+    rho_linear, rho_mle = tomo_linear(counts, acq), tomo_mle(counts, acq, fits)
+    ref = bell_psi_plus() if reference is None else tomo_mle(*tomo_counts(reference), fits)
+    return rho_linear, rho_mle, fidelity(rho_mle, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Scenario-driven orchestration: simulate, estimate, report.
 
-run_experiment() walks the full chain for one stage (pre_storage bypasses
-the memory, post_storage applies it at the configured storage time),
-samples every count record with seeds derived from the master seed, runs
-all estimators, and assembles a JSON-able report.  Everything is
-bit-reproducible from (scenario, master_seed); reports carry no
-timestamps for that reason.
+run_experiment() runs one stage (pre_storage bypasses the memory,
+post_storage applies it at the configured storage time) in two halves:
+draw_stage() samples every count record with seeds derived from the master
+seed, then estimate_stage() makes every figure from those records alone.
+Everything is bit-reproducible from (scenario, master_seed); reports carry
+no timestamps for that reason.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .estimators import (
     is_nonclassical_R,
     mc_error,
     tomo_counts,
-    tomo_linear,
+    tomo_estimate,
     tomo_mle,
     visibility_fit,
 )
@@ -173,22 +173,14 @@ def simulate_g2(stage: Stage) -> G2Histogram:
 
 
 # ---------------------------------------------------------------------------
-# Full stage run.
+# A stage run: every draw, then every estimate.
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(
-    scenario: Scenario,
-    stage: str,
-    sampling: str = "poisson",
-    fits: dict | None = None,
-) -> StageResult:
-    """Simulate one stage end to end and estimate every figure of merit; every tomography
-    fit goes through the fit store fits (see tomo_mle), which callers may share."""
-
+def draw_stage(scenario: Scenario, stage: str, sampling: str = "poisson"):
+    """Every draw of one stage: its view, its records in StageResult.records order, its g2."""
     if sampling not in ("poisson", "expected"):
         raise ValidationError(f"unknown sampling mode {sampling!r}")
-
     view = stage_state(scenario, stage)
     if view.eta == 0:
         raise EstimationError(
@@ -196,34 +188,45 @@ def run_experiment(
             f"{scenario.timing.storage_time_ns:g} ns (timing.storage_time_ns) with "
             f"decay.tau_mem {scenario.decay.tau_mem:g} ns"
         )
-    result, plan = StageResult(view), scenario.plan
-    error_bars = plan.error_bars and sampling == "poisson"
-    n_res = plan.n_resamples
-    seed = scenario.master_seed
+    plan = scenario.plan
+    records = {
+        "tomography": _simulate_records(view, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:"),
+        "chsh": _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles)),
+    }
+    for arm1 in dict.fromkeys([plan.visibility_arm1, "H"]):  # the reported arm, then H for plots
+        design = fringe_settings(arm1, plan.visibility_thetas)
+        records[f"visibility_{arm1}"] = _simulate_records(view, sampling, "vis", design)
+    records["alpha"] = simulate_alpha(view, sampling)
+    return view, records, simulate_g2(view)
+
+
+def estimate_stage(view, records, g2_hist, reference=None, error_bars=False, fits=None):
+    """Every figure of one stage, estimated from its records and g2 histogram (the post stage's
+    fidelity against the reference records, see tomo_estimate).  Of the model it reads
+    view.g22 alone; its only draws are the bootstraps, when error_bars is set."""
+
+    scenario, plan = view.scenario, view.scenario.plan
+    n_res, seed = plan.n_resamples, scenario.master_seed
     fits = {} if fits is None else fits
+    result = StageResult(view, records, g2_hist=g2_hist)
 
     def with_sigma(point, estimator, counts) -> EstimateWithError:
         """The point estimate, with the bootstrap sigma of estimator(counts) if enabled."""
         sigma = mc_error(estimator, counts, n_res, seed).sigma if error_bars else 0.0
         return EstimateWithError(point, sigma, n_res if error_bars else 0)
 
-    # --- tomography and fidelity: to the ideal state before storage, to the
-    # re-simulated pre-storage MLE after it
-    tomo_records = _simulate_records(view, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
-    result.records["tomography"] = tomo_records
-    counts, acq = tomo_counts(tomo_records)
-    result.rho_linear = tomo_linear(counts, acq)
-    result.rho_mle = MleState(tomo_mle(counts, acq, fits))
-    ref_counts = ref_acq = np.empty(0)
-    if stage == "post_storage":
-        pre = stage_state(scenario, "pre_storage")
-        ref_records = _simulate_records(pre, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
-        ref_counts, ref_acq = tomo_counts(ref_records)
+    # --- tomography and fidelity
+    result.rho_linear, rho_mle, point = tomo_estimate(records["tomography"], reference, fits)
+    result.rho_mle = MleState(rho_mle)
+    counts, acq = tomo_counts(records["tomography"])
+    ref_counts, ref_acq = (np.empty(0),) * 2 if reference is None else tomo_counts(reference)
     n_ref = len(ref_counts)
-    ideal = bell_psi_plus()
 
     def fitted(rows, row_acq):
-        """The rows' fits as one fit_rows batch, each read through tomo_mle; NaN where it failed."""
+        """The rows' fits as one fit_rows batch, each read through tomo_mle; NaN where it failed.
+
+        The read-back, one tomo_mle call per row, makes 600 of a simulate's 603 tomo_mle calls
+        only because bench/test_bench.py pins that count (ROADMAP item 2 drops it)."""
         fit_rows(rows, row_acq, fits)
         rho = np.full((len(rows), 4, 4), np.nan, dtype=np.complex128)
         for k, row in enumerate(rows):
@@ -232,52 +235,42 @@ def run_experiment(
         return rho
 
     def f_estimator(resampled):
-        ref = fitted(resampled[:, :n_ref], ref_acq) if n_ref else ideal
+        ref = fitted(resampled[:, :n_ref], ref_acq) if n_ref else bell_psi_plus()
         return fidelity(fitted(resampled[:, n_ref:], acq), ref)
 
-    point = fidelity(result.rho_mle.rho, tomo_mle(ref_counts, ref_acq, fits) if n_ref else ideal)
     result.fidelity = with_sigma(point, f_estimator, np.concatenate([ref_counts, counts]))
 
     # --- CHSH
-    chsh_records = _simulate_records(view, sampling, "chsh", chsh_settings(plan.chsh_angles))
-    coincidences = chsh_counts(chsh_records)
-    result.records["chsh"] = chsh_records
+    coincidences = chsh_counts(records["chsh"])
     result.chsh_E = chsh_e_matrix(coincidences)
     result.chsh_S = with_sigma(
         chsh_S(result.chsh_E), lambda counts: chsh_S(chsh_e_matrix(counts)), coincidences
     )
 
-    # --- visibility (reported arm plus the H reference curve for plots)
-    thetas = plan.visibility_thetas
-    for arm1_label in dict.fromkeys([plan.visibility_arm1, "H"]):
-        vis_records = _simulate_records(view, sampling, "vis", fringe_settings(arm1_label, thetas))
-        points = [(float(t), float(r.coincidences)) for t, r in zip(thetas, vis_records)]
-        result.records[f"visibility_{arm1_label}"] = vis_records
-        if arm1_label == plan.visibility_arm1:
-            vis = visibility_fit(points, n_resamples=n_res, seed=seed)
-            if not error_bars:
-                vis = replace(vis, estimate=EstimateWithError(vis.estimate.value, 0.0, 0))
-            result.visibility = vis
+    # --- visibility of the reported arm, its records at the plan's angles
+    fringe = records[f"visibility_{plan.visibility_arm1}"]
+    points = [(float(t), float(r.coincidences)) for t, r in zip(plan.visibility_thetas, fringe)]
+    vis = visibility_fit(points, n_resamples=n_res, seed=seed)
+    if not error_bars:
+        vis = replace(vis, estimate=EstimateWithError(vis.estimate.value, 0.0, 0))
+    result.visibility = vis
 
     # --- heralded autocorrelation
-    result.records["alpha"] = simulate_alpha(view, sampling)
-    a_counts = list(alpha_counts(result.records["alpha"]).values())
+    a_counts = list(alpha_counts(records["alpha"]).values())
     result.alpha = with_sigma(alpha_from_counts(a_counts), alpha_from_counts, a_counts)
 
-    # --- cross-correlation histogram and Cauchy-Schwarz
-    hist = simulate_g2(view)
-    result.g2_hist = hist
+    # --- Cauchy-Schwarz from the cross-correlation histogram
     g22 = view.g22
     g11 = scenario.correlations.g2_autocorr_s1
-    r_value = cauchy_schwarz_R(hist.peak_g2, g11, g22)
+    r_value = cauchy_schwarz_R(g2_hist.peak_g2, g11, g22)
     # Poisson error of the slot-aggregated peak, for a significance-aware
     # nonclassicality claim: a classical scenario must not be flagged just
     # because the peak fluctuated above 1.  The peak bin lies in its own slot
     # window, so peak_counts >= 1.
-    sigma_peak = hist.peak_g2 / np.sqrt(hist.peak_counts)
-    sigma_r = 2.0 * hist.peak_g2 * sigma_peak / (g11 * g22)
+    sigma_peak = g2_hist.peak_g2 / np.sqrt(g2_hist.peak_counts)
+    sigma_r = 2.0 * g2_hist.peak_g2 * sigma_peak / (g11 * g22)
     result.cauchy_schwarz = {
-        "g12": float(hist.peak_g2),
+        "g12": float(g2_hist.peak_g2),
         "g11": float(g11),
         "g22": float(g22),
         "R": float(r_value),
@@ -285,6 +278,23 @@ def run_experiment(
         "nonclassical": bool(is_nonclassical_R(r_value - 3.0 * sigma_r)),
     }
     return result
+
+
+def run_experiment(
+    scenario: Scenario,
+    stage: str,
+    sampling: str = "poisson",
+    fits: dict | None = None,
+) -> StageResult:
+    """Draw one stage, then estimate its figures; the post stage's fidelity reference is the
+    pre-storage tomography, drawn again.  Callers may share the fit store fits (see tomo_mle)."""
+    view, records, g2_hist = draw_stage(scenario, stage, sampling)
+    reference = None
+    if stage == "post_storage":
+        pre = stage_state(scenario, "pre_storage")
+        reference = _simulate_records(pre, sampling, "tomo", TOMO_SETTINGS.settings, "tomo:")
+    error_bars = scenario.plan.error_bars and sampling == "poisson"
+    return estimate_stage(view, records, g2_hist, reference, error_bars, fits)
 
 
 def seed_ensemble(scenario: Scenario, runs: int) -> dict[str, list[float]]:

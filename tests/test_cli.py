@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,10 @@ import entmem.cli as cli
 import entmem.estimators as estimators
 import entmem.pipeline as pipeline
 from entmem.cli import main
-from entmem.detection import records_to_csv
+from entmem.calibrate import calibrate
+from entmem.detection import records_from_csv, records_to_csv
 from entmem.memory import TAU_MEM_MAX_NS
-from entmem.pipeline import run_experiment
+from entmem.pipeline import STAGES, run_experiment
 from entmem.scenario import (
     load_bundled_scenario,
     load_scenario,
@@ -72,7 +74,9 @@ def counted_simulate(out: Path, *argv: str) -> dict[str, int]:
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "tomo_mle", counted("tomo_mle", pipeline.tomo_mle))
+        tomo_mle = counted("tomo_mle", estimators.tomo_mle)
+        for module in (pipeline, estimators):  # the read-back loop, and tomo_estimate's fits
+            mp.setattr(module, "tomo_mle", tomo_mle)
         newton_fits = counted("newton_fits", estimators._newton_fits, lambda t, *_: len(t))
         mp.setattr(estimators, "_newton_fits", newton_fits)
         assert main(["--out", str(out), "simulate", *argv]) == 0
@@ -110,36 +114,86 @@ def test_calibrate_writes_resolved_scenario(tmp_path):
     assert report["eit_window"]["achieved"] == pytest.approx(20.0, rel=0.01)
 
 
-def test_tomo_subcommand_on_counts_csv(fast_scenario_path, tmp_path):
-    from dataclasses import replace
-
+def _stage_run(stage, sampling):
+    """A bundled stage run without error bars, and its scenario."""
     scenario = load_bundled_scenario()
     scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
-    res = run_experiment(scenario, "pre_storage")
+    return scenario, run_experiment(scenario, stage, sampling)
+
+
+@pytest.mark.parametrize("sampling", ["poisson", "expected"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_tomo_subcommand_on_counts_csv(tmp_path, stage, sampling):
+    scenario, res = _stage_run(stage, sampling)
     csv_path = tmp_path / "tomo.csv"
     csv_path.write_text(records_to_csv(res.records["tomography"]))
     rc = main(["--out", str(tmp_path), "tomo", "--counts", str(csv_path)])
     assert rc == 0
     report = json.loads((tmp_path / "tomo_report.json").read_text())
+    # one estimate and one serializer: the simulate report's figures, read back from the CSV
+    stage_report = pipeline.stage_report(scenario, res)
+    assert report["rho_mle"] == stage_report["tomography"]["rho_mle"]
+    assert report["rho_linear"] == stage_report["tomography"]["rho_linear"]
+    if stage == "pre_storage":  # the post stage's F is to the pre-storage MLE, not the ideal
+        assert report["fidelity_to_ideal"] == stage_report["fidelity"]["value"]
     assert 0.8 <= report["fidelity_to_ideal"] <= 1.0
-    # one serializer: the simulate report's matrices, read back from the counts CSV
-    tomography = pipeline.stage_report(scenario, res)["tomography"]
-    assert report["rho_mle"] == tomography["rho_mle"]
-    assert report["rho_linear"] == tomography["rho_linear"]
 
 
-def test_chsh_subcommand_on_counts_csv(tmp_path, capsys):
-    from dataclasses import replace
-
-    scenario = load_bundled_scenario()
-    scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
-    res = run_experiment(scenario, "pre_storage")
+@pytest.mark.parametrize("sampling", ["poisson", "expected"])
+@pytest.mark.parametrize("stage", STAGES)
+def test_chsh_subcommand_on_counts_csv(tmp_path, capsys, stage, sampling):
+    _, res = _stage_run(stage, sampling)
     csv_path = tmp_path / "chsh.csv"
     csv_path.write_text(records_to_csv(res.records["chsh"]))
     rc = main(["--out", str(tmp_path), "chsh", "--counts", str(csv_path)])
     assert rc == 0
     # the CLI reads the records by the label layout the pipeline wrote them in
-    assert f"S = {res.chsh_S.value:.6f} " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"E matrix: {res.chsh_E.tolist()}\n" in out
+    assert f"S = {res.chsh_S.value:.6f} " in out
+
+
+@pytest.mark.parametrize(
+    "seed, sampling",
+    [(None, "poisson"), (0, "poisson"), (1, "poisson"), (2, "poisson"), (3, "poisson"),
+     (None, "expected")],
+)
+def test_reports_recompute_from_the_written_count_csvs(tmp_path, seed, sampling):
+    # estimation is a function of the records: the count CSVs simulate wrote, read back and
+    # estimated with the run's g2 histograms, give both reports byte for byte
+    seed_argv = [] if seed is None else ["--seed", str(seed)]
+    assert main([*seed_argv, "--out", str(tmp_path), "simulate", "--sampling", sampling]) == 0
+    scenario = load_bundled_scenario()
+    if seed is not None:
+        scenario = replace(scenario, master_seed=seed)
+    scenario, calibration_report = calibrate(scenario)
+    error_bars = scenario.plan.error_bars and sampling == "poisson"
+
+    def read(sfx, group):
+        return records_from_csv((tmp_path / f"counts_{sfx}_{group}.csv").read_text())
+
+    for stage in STAGES:
+        view, drawn, g2_hist = pipeline.draw_stage(scenario, stage, sampling)
+        records = {group: read(view.suffix, group) for group in drawn}
+        reference = read("pre", "tomography") if stage == "post_storage" else None
+        result = pipeline.estimate_stage(view, records, g2_hist, reference, error_bars)
+        text = pipeline.report_json(pipeline.stage_report(scenario, result, calibration_report))
+        assert text == (tmp_path / f"report_{view.suffix}.json").read_text()
+
+
+def test_a_draw_error_is_reported_before_an_estimate_error(tmp_path, capsys):
+    # tomography counts with an empty normalization group fail their estimate (exit 4), but a
+    # stage makes every draw before it estimates, so the g2 acquisition's range error comes first
+    d = scenario_to_dict(load_bundled_scenario())
+    d["settings"]["acquisition_s"].update(tomo_pre=1e-6, g2=1e303)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    argv = ["--scenario", str(path), "--out", str(tmp_path), "simulate", "--skip-calibration"]
+    assert main([*argv, "--stage", "pre_storage"]) == 2
+    assert "settings.acquisition_s.g2" in capsys.readouterr().err
+    d["settings"]["acquisition_s"]["g2"] = 1.0
+    path.write_text(json.dumps(d))
+    assert main([*argv, "--stage", "pre_storage"]) == 4
 
 
 def test_eit_subcommand(tmp_path, capsys):
@@ -529,11 +583,7 @@ def test_unreadable_input_file_exits_2(tmp_path, capsys, make_path, argv):
 
 
 def test_quoted_crlf_counts_give_identical_tomo_report(tmp_path):
-    from dataclasses import replace
-
-    scenario = load_bundled_scenario()
-    scenario = replace(scenario, plan=replace(scenario.plan, error_bars=False))
-    res = run_experiment(scenario, "post_storage")
+    _, res = _stage_run("post_storage", "poisson")
     plain = records_to_csv(res.records["tomography"])
     header, *rows = plain.splitlines()
     quoted = "\r\n".join([header, *('"{}",{}'.format(*row.split(",", 1)) for row in rows)])
@@ -643,7 +693,7 @@ def test_out_that_is_or_lies_under_a_file_exits_2_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
-    for name in ("calibrate", "run_experiment", "tomo_mle"):
+    for name in ("calibrate", "run_experiment", "tomo_estimate"):
         monkeypatch.setattr(cli, name, no_work)
     (tmp_path / "afile").write_text("kept")
     counts = tmp_path / "counts.csv"

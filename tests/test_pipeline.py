@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import entmem.detection as detection
 import entmem.estimators as estimators
+import entmem.experiment as experiment
 import entmem.pipeline as pipeline
 from conftest import classicalize, float_bits
 from entmem.calibrate import DEFAULT_TARGETS, calibrate
@@ -237,13 +239,50 @@ class TestRunExperiment:
         b = run_experiment(replace(fast, master_seed=fast.master_seed + 1), "pre_storage")
         assert a.fidelity.value != b.fidelity.value
 
-    def test_post_stage_reuses_pre_stage_reconstruction(self, fast):
-        # the F2 reference inside the post run must be the same matrix the
-        # standalone pre run reconstructs (same derived seeds)
-        pre = run_experiment(fast, "pre_storage")
-        post = run_experiment(fast, "post_storage")
-        f_cross = fidelity(post.rho_mle.rho, pre.rho_mle.rho)
-        assert post.fidelity.value == pytest.approx(f_cross, abs=1e-12)
+    @pytest.mark.parametrize("seed", [None, 0])
+    @pytest.mark.parametrize("sampling", ["poisson", "expected"])
+    def test_post_stage_reuses_pre_stage_reconstruction(self, fast, monkeypatch, sampling, seed):
+        # the post run's F2 reference is the standalone pre run's tomography records (same
+        # derived seeds), so its F is the fidelity of the two runs' MLEs, bit for bit
+        scenario = fast if seed is None else replace(fast, master_seed=seed)
+        estimate_stage, references = pipeline.estimate_stage, []
+
+        def spy(view, records, g2_hist, reference, *args):
+            references.append(reference)
+            return estimate_stage(view, records, g2_hist, reference, *args)
+
+        monkeypatch.setattr(pipeline, "estimate_stage", spy)
+        pre = run_experiment(scenario, "pre_storage", sampling)
+        post = run_experiment(scenario, "post_storage", sampling)
+        assert references == [None, pre.records["tomography"]]
+        assert post.fidelity.value == fidelity(post.rho_mle.rho, pre.rho_mle.rho)
+
+    def test_the_estimate_half_calls_no_model_or_draw_function(self, calibrated, monkeypatch):
+        drawn = {stage: pipeline.draw_stage(calibrated, stage) for stage in STAGES}
+        reference = drawn["pre_storage"][1]["tomography"]
+        expected = {stage: run_experiment(calibrated, stage) for stage in STAGES}
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the estimate half called the model or drew counts")
+
+        names = (
+            "model_rates", "click_probs", "slot_probs", "alpha_probs", "born_probabilities",
+            "model_slot_g2", "model_alpha", "stage_state", "after_storage", "memory_efficiency",
+            "draw_counts", "sample_counts", "expected_counts", "simulate_alpha", "simulate_g2",
+            "_simulate_records", "g2_histogram",
+        )
+        for module in (pipeline, estimators, experiment, detection):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        for stage, (view, records, g2_hist) in drawn.items():
+            ref = reference if stage == "post_storage" else None
+            result = pipeline.estimate_stage(view, records, g2_hist, ref, error_bars=True)
+            want = expected[stage]
+            assert result.fidelity == want.fidelity and result.fidelity.n_resamples == 200
+            assert (result.chsh_S, result.alpha) == (want.chsh_S, want.alpha)
+            assert result.visibility == want.visibility
+            assert result.cauchy_schwarz == want.cauchy_schwarz
 
     def test_expected_sampling_mode(self, fast):
         res = run_experiment(fast, "pre_storage", sampling="expected")
