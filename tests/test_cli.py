@@ -121,9 +121,25 @@ def _stage_run(stage, sampling):
     return scenario, run_experiment(scenario, stage, sampling)
 
 
-@pytest.mark.parametrize("sampling", ["poisson", "expected"])
-@pytest.mark.parametrize("stage", STAGES)
-def test_tomo_subcommand_on_counts_csv(tmp_path, stage, sampling):
+# the pre-storage Poisson case is the plain-named test; the others are parametrized after it
+_OTHER_STAGE_SAMPLINGS = [
+    (stage, sampling)
+    for stage in STAGES
+    for sampling in ("poisson", "expected")
+    if (stage, sampling) != ("pre_storage", "poisson")
+]
+
+
+def test_tomo_subcommand_on_counts_csv(tmp_path):
+    _check_tomo_subcommand(tmp_path, "pre_storage", "poisson")
+
+
+@pytest.mark.parametrize("stage, sampling", _OTHER_STAGE_SAMPLINGS)
+def test_tomo_subcommand_on_counts_csv_for_each_stage_and_sampling(tmp_path, stage, sampling):
+    _check_tomo_subcommand(tmp_path, stage, sampling)
+
+
+def _check_tomo_subcommand(tmp_path, stage, sampling):
     scenario, res = _stage_run(stage, sampling)
     csv_path = tmp_path / "tomo.csv"
     csv_path.write_text(records_to_csv(res.records["tomography"]))
@@ -139,9 +155,18 @@ def test_tomo_subcommand_on_counts_csv(tmp_path, stage, sampling):
     assert 0.8 <= report["fidelity_to_ideal"] <= 1.0
 
 
-@pytest.mark.parametrize("sampling", ["poisson", "expected"])
-@pytest.mark.parametrize("stage", STAGES)
-def test_chsh_subcommand_on_counts_csv(tmp_path, capsys, stage, sampling):
+def test_chsh_subcommand_on_counts_csv(tmp_path, capsys):
+    _check_chsh_subcommand(tmp_path, capsys, "pre_storage", "poisson")
+
+
+@pytest.mark.parametrize("stage, sampling", _OTHER_STAGE_SAMPLINGS)
+def test_chsh_subcommand_on_counts_csv_for_each_stage_and_sampling(
+    tmp_path, capsys, stage, sampling
+):
+    _check_chsh_subcommand(tmp_path, capsys, stage, sampling)
+
+
+def _check_chsh_subcommand(tmp_path, capsys, stage, sampling):
     _, res = _stage_run(stage, sampling)
     csv_path = tmp_path / "chsh.csv"
     csv_path.write_text(records_to_csv(res.records["chsh"]))

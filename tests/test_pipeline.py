@@ -239,9 +239,19 @@ class TestRunExperiment:
         b = run_experiment(replace(fast, master_seed=fast.master_seed + 1), "pre_storage")
         assert a.fidelity.value != b.fidelity.value
 
-    @pytest.mark.parametrize("seed", [None, 0])
-    @pytest.mark.parametrize("sampling", ["poisson", "expected"])
-    def test_post_stage_reuses_pre_stage_reconstruction(self, fast, monkeypatch, sampling, seed):
+    def test_post_stage_reuses_pre_stage_reconstruction(self, fast, monkeypatch):
+        self._check_post_stage_reference(fast, monkeypatch, "poisson", None)
+
+    @pytest.mark.parametrize(
+        "sampling, seed", [("poisson", 0), ("expected", None), ("expected", 0)]
+    )
+    def test_post_stage_reference_is_exact_in_each_sampling_and_seed(
+        self, fast, monkeypatch, sampling, seed
+    ):
+        self._check_post_stage_reference(fast, monkeypatch, sampling, seed)
+
+    @staticmethod
+    def _check_post_stage_reference(fast, monkeypatch, sampling, seed):
         # the post run's F2 reference is the standalone pre run's tomography records (same
         # derived seeds), so its F is the fidelity of the two runs' MLEs, bit for bit
         scenario = fast if seed is None else replace(fast, master_seed=seed)
